@@ -2,28 +2,23 @@
 network: closed-form distribution analysis, independent Monte Carlo and
 event-driven simulators, and experiment sweeps."""
 
-from .analytic import (AnalyticError, ChGapDistribution, ClosedFormGap,
-                       ClusterLenPdf, EnergyFigures, NoSleepOpportunityError,
-                       baseline_power_saved, ch_gap_distribution, ch_gap_pdf,
-                       ch_gap_pdf_closed_form, ch_gap_pdf_quadrature,
-                       cluster_len_pdf, cluster_span_decay_rate,
-                       cycle_power_saved, energy_figures, expected_ch_gap,
-                       expected_power_saved, expected_sleep_time,
-                       gap_tail_rate, intercluster_gap_pdf, speed_pdf)
-from .numerics import (DEFAULT_SPEC, Histogram, QuadratureError,
-                       QuadratureSpec, compensated_sum, exp_integral_e1,
-                       integrate_adaptive, integrate_semi_infinite,
-                       trunc_exp_nfold_pdf, trunc_exp_pdf)
+from .analytic import (AnalyticError, ChGapDistribution, EnergyFigures,
+                       NoSleepOpportunityError, baseline_power_saved,
+                       ch_gap_pdf, ch_gap_pdf_quadrature,
+                       cluster_span_decay_rate, cycle_power_saved,
+                       energy_figures, expected_ch_gap, expected_power_saved,
+                       expected_sleep_time, gap_tail_rate,
+                       intercluster_gap_pdf)
+from .numerics import QuadratureError, exp_integral_e1
 from .params import (CANONICAL, KMH, Fidelity, ModelParams, ParamError,
                      parse_speed)
 
 __version__ = "0.1.0"
 
-from .simulate import (ClusterSet, CycleBatch, CycleSample, EnergyEstimate,
-                       RngSpec, Snapshot, TimelineReport,
-                       WindowTooSmallError, ch_gap_samples, estimate_energy,
-                       extract_clusters, run_timeline, sample_cycle,
-                       sample_cycles, sample_snapshot)
+from .simulate import (ClusterSet, CycleBatch, EnergyEstimate, RngSpec,
+                       Snapshot, TimelineReport, WindowTooSmallError,
+                       ch_gap_samples, estimate_energy, extract_clusters,
+                       run_timeline, sample_cycles, sample_snapshot)
 from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, SweepRow,
                           SweepTable, ValidationReport, ValidationRow,
                           emit_table, figure_preset, run_sweep,

@@ -22,6 +22,11 @@ Numerical care, in three places:
   rho*r0 is large and the distribution lives at 1e15 m scales;
 * truncation points come from the exact exponential tail rate of X, the
   nontrivial root of theta = rho * exp(-(rho - theta) r0).
+
+The gap density has three branches: a closed form on [r0, 2r0), the
+composition quadrature above it, and the exact two-pole tail expansion
+far out.  The closed form and the tail are checked against the quadrature
+route by the test suite, not at run time.
 """
 
 from __future__ import annotations
@@ -29,14 +34,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .numerics import (DEFAULT_SPEC, QuadratureError, QuadratureSpec,
                        _adaptive_simpson_stack, _neumaier_step,
-                       compensated_sum, exp_integral_e1,
-                       integrate_panel_doubling)
+                       exp_integral_e1, integrate_panel_doubling)
 from .params import Fidelity, ModelParams
 
 #: Quadrature settings for the inner (single pdf evaluation) integrals.
@@ -48,8 +52,6 @@ _INNER_SPEC = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-9,
 #: integrands; contributions beyond are < exp(-52) relative.
 _EFOLDS = 52.0
 
-_CANCELLATION_FLAG = 1e6
-
 
 class AnalyticError(ArithmeticError):
     """An internal consistency check of the analytic machinery failed."""
@@ -57,13 +59,6 @@ class AnalyticError(ArithmeticError):
 
 class NoSleepOpportunityError(RuntimeError):
     """P{X > D} is numerically zero: the BS never gets to sleep."""
-
-
-def speed_pdf(v: float, params: ModelParams) -> float:
-    """Uniform speed density on the open interval (a, b), in s/m."""
-    if params.a < v < params.b:
-        return 1.0 / (params.b - params.a)
-    return 0.0
 
 
 def intercluster_gap_pdf(x1, params: ModelParams):
@@ -146,12 +141,6 @@ def gap_tail_rate(rho: float, r0: float) -> float:
     return min(cluster_span_decay_rate(rho, r0), rho)
 
 
-class ClusterLenPdf(NamedTuple):
-    value: float
-    cancellation_index: float
-    flagged: bool
-
-
 def _cluster_len_pdf_grid(x0, rho: float, r0: float):
     """Conditional cluster-span density and cancellation diagnostic, vectorized.
 
@@ -209,19 +198,7 @@ def _cluster_len_pdf_grid(x0, rho: float, r0: float):
     return value, canc
 
 
-def cluster_len_pdf(x0: float, params: ModelParams) -> ClusterLenPdf:
-    """Density of the cluster span, conditioned on >= 2 vehicles per cluster.
-
-    Constant rho/(e^{rho r0} - 1) on (0, r0); piecewise beyond.  Points with
-    cancellation_index above 1e6 are flagged as numerically untrusted (the
-    n-fold convolution oracle is the fallback there).
-    """
-    v, c = _cluster_len_pdf_grid(float(x0), params.rho, params.r0)
-    return ClusterLenPdf(float(v[0]), float(c[0]), bool(c[0] > _CANCELLATION_FLAG))
-
-
-def _gap_pdf_quad(x: float, params: ModelParams,
-                  spec: QuadratureSpec = _INNER_SPEC) -> float:
+def _gap_pdf_quad(x: float, params: ModelParams) -> float:
     """Gap density by split-panel quadrature of the span/exponential
     convolution (the composition route; no closed forms involved).
 
@@ -275,7 +252,7 @@ def _gap_pdf_quad(x: float, params: ModelParams,
     v_hi, c_hi = _cluster_len_pdf_grid(x_hi, rho, r0)
     noise_scale = 30.0 * np.finfo(float).eps * float(c_hi[0] * abs(v_hi[0]))
 
-    inner = _adaptive_simpson_stack(integrand, edges, spec,
+    inner = _adaptive_simpson_stack(integrand, edges, _INNER_SPEC,
                                     noise_scale=noise_scale)
     return rho * math.exp(log_pref) * inner
 
@@ -352,20 +329,12 @@ def _gap_pdf_first_branch(x: float, params: ModelParams) -> float:
         / (-math.expm1(-alpha))
 
 
-def _gap_pdf_paper(x: float, params: ModelParams,
-                   check_branch: bool = True) -> float:
-    rho, r0 = params.rho, params.r0
+def _gap_pdf_paper(x: float, params: ModelParams) -> float:
+    r0 = params.r0
     if x <= r0:
         return 0.0
     if x < 2.0 * r0:
-        closed = _gap_pdf_first_branch(x, params)
-        if check_branch:
-            quad = _gap_pdf_quad(x, params)
-            if abs(closed - quad) > 1e-10:
-                raise AnalyticError(
-                    f"first-branch closed form and quadrature disagree at "
-                    f"x={x!r}: {closed!r} vs {quad!r}")
-        return closed
+        return _gap_pdf_first_branch(x, params)
     if x >= _gap_tail_switch(params):
         return _gap_pdf_tail_paper(x, params)
     return _gap_pdf_quad(x, params)
@@ -374,8 +343,8 @@ def _gap_pdf_paper(x: float, params: ModelParams,
 def ch_gap_pdf(x: float, params: ModelParams) -> float:
     """Density of the distance X between adjacent cluster heads, in 1/m.
 
-    Zero below r0.  On [r0, 2r0) the closed form is used and verified
-    against the quadrature route to 1e-10 on every call.  The corrected
+    Zero below r0.  On [r0, 2r0) the closed form is used; the test suite
+    checks it against ch_gap_pdf_quadrature to 1e-10.  The corrected
     fidelity adds the single-vehicle-cluster component with weight
     exp(-rho r0).
     """
@@ -403,69 +372,19 @@ def ch_gap_pdf_quadrature(x: float, params: ModelParams) -> float:
         + (1.0 - p_single) * paper
 
 
-class ClosedFormGap(NamedTuple):
-    value: float
-    flagged: bool
-    reference: float
-
-
-def ch_gap_pdf_closed_form(x: float, params: ModelParams) -> ClosedFormGap:
-    """The published double-sum closed form for x >= 2 r0, evaluated verbatim
-    with compensated summation.
-
-    This is an optional acceleration path only: the result is compared
-    against the quadrature route and flagged when it disagrees beyond 1e-6
-    relative (the printed expression mixes a dimensionless floor term into
-    an exponent, so disagreement is the norm).  Flagged values must not be
-    used downstream; the quadrature value is returned alongside.
-    """
-    rho, r0 = params.rho, params.r0
-    if x < 2.0 * r0:
-        raise ValueError("closed form applies for x >= 2*r0 only")
-    reference = _gap_pdf_paper(x, params, check_branch=False)
-    if rho * x > 600.0 or x / r0 > 60.0:
-        # terms leave double range before cancelling; unevaluable as printed
-        return ClosedFormGap(math.nan, True, reference)
-
-    k_max = int(math.floor(x / r0 - 1.0))
-    terms = []
-    for k in range(k_max + 1):
-        for m in range(k):
-            fact = math.factorial(m)
-            terms.append(math.exp(rho * (k - m) * r0)
-                         * (-rho * (k - m) * r0) ** m / fact)
-            terms.append(-math.exp(rho * (k - m - 1) * r0)
-                         * (-rho * (k - m - 1) * r0) ** m / fact)
-        fact_k = math.factorial(k)
-        y1 = x - k * r0 - r0
-        terms.append(math.exp(rho * y1) * (-rho * y1) ** k / fact_k)
-        y2 = k_max - k * r0          # dimensionally inconsistent, as printed
-        terms.append(-math.exp(rho * y2) * (-rho * y2) ** k / fact_k)
-
-    total, _ = compensated_sum(terms)
-    alpha = rho * r0
-    pref = rho * math.exp(-rho * (x - r0)) * math.exp(-alpha) \
-        / (-math.expm1(-alpha))
-    value = pref * total
-    flagged = (not math.isfinite(value)) or \
-        abs(value - reference) > 1e-6 * max(abs(reference), 1e-300)
-    return ClosedFormGap(value, flagged, reference)
-
-
 class ChGapDistribution:
     """Evaluable pdf/cdf of the cluster-head gap X, truncated by tail mass.
 
     Construction lays out integration panels (piece boundaries at multiples
     of r0, then geometrically growing spans) and extends them until the
-    newest panel carries less than ``tail_mass_tol`` of the running total.
+    newest panel carries less than ``DEFAULT_SPEC.tail_mass_tol`` of the
+    running total.
     Immutable after construction; pdf/cdf evaluations are cached and safe
     to share across threads once built.
     """
 
-    def __init__(self, params: ModelParams,
-                 spec: QuadratureSpec = DEFAULT_SPEC):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.spec = spec
         self.tail_rate = gap_tail_rate(params.rho, params.r0)
         self._pdf_cache: dict[float, float] = {}
         self._build_panels()
@@ -496,7 +415,7 @@ class ChGapDistribution:
         if x > self._edges[i]:
             partial = integrate_panel_doubling(
                 self._pdf_vec, float(self._edges[i]), x,
-                abs_tol=self.spec.abs_tol, rel_tol=self.spec.rel_tol)
+                abs_tol=DEFAULT_SPEC.abs_tol, rel_tol=DEFAULT_SPEC.rel_tol)
         return float(self._cum[i] + partial)
 
     @property
@@ -522,8 +441,8 @@ class ChGapDistribution:
         total, comp = 0.0, 0.0
         for a, b in zip(edges, edges[1:]):
             part = integrate_panel_doubling(
-                f, float(a), float(b), abs_tol=self.spec.abs_tol,
-                rel_tol=self.spec.rel_tol)
+                f, float(a), float(b), abs_tol=DEFAULT_SPEC.abs_tol,
+                rel_tol=DEFAULT_SPEC.rel_tol)
             total, comp = _neumaier_step(total, comp, part)
         return total + comp
 
@@ -531,8 +450,8 @@ class ChGapDistribution:
 
     def _panel_mass(self, lo: float, hi: float) -> float:
         return integrate_panel_doubling(self._pdf_vec, lo, hi,
-                                        abs_tol=self.spec.abs_tol,
-                                        rel_tol=self.spec.rel_tol)
+                                        abs_tol=DEFAULT_SPEC.abs_tol,
+                                        rel_tol=DEFAULT_SPEC.rel_tol)
 
     def _build_panels(self):
         rho, r0 = self.params.rho, self.params.r0
@@ -560,19 +479,13 @@ class ChGapDistribution:
             edges.append(new)
             masses.append(mss)
             total, comp = _neumaier_step(total, comp, mss)
-            if mss < self.spec.tail_mass_tol * max(total + comp, 1e-300):
+            if mss < DEFAULT_SPEC.tail_mass_tol * max(total + comp, 1e-300):
                 break
         else:
             raise QuadratureError("gap-distribution tail mass not converging",
                                   total + comp)
         self._edges = np.asarray(edges)
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
-
-
-def ch_gap_distribution(params: ModelParams,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> ChGapDistribution:
-    """Construct the evaluable cluster-head gap distribution."""
-    return ChGapDistribution(params, spec)
 
 
 # -- expectations --------------------------------------------------------
@@ -611,9 +524,13 @@ def expected_ch_gap(params: ModelParams,
 
 
 def _sleep_integrals(params: ModelParams, dist: ChGapDistribution):
-    """(P{X>D}, integral (x-D) f dx, integral f/x dx), all from D up."""
+    """(P{X>D}, integral (x-D) f dx, integral f/x dx), all from D up.
+
+    P{X>D} is taken as 1 - F(D), which keeps the shortfall's relative
+    precision where F(D) is tiny; past the truncation point all are zero.
+    """
     D = params.D
-    prob = dist.integral(lo=D)
+    prob = 1.0 - dist.cdf(D) if D < dist.x_max else 0.0
     m_excess = dist.integral(lambda xs: xs - D, lo=D)
     inv = dist.integral(lambda xs: 1.0 / xs, lo=D)
     return prob, m_excess, inv

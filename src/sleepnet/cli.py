@@ -4,8 +4,9 @@ Subcommands: `analytic` (closed-form figures), `simulate` (cycle sampler
 or timeline), `validate` (analytic vs Monte Carlo report), `sweep`
 (figure-data tables).  Configuration comes from an optional flat
 key-value config file plus flags; flags win.  Every command echoes its
-effective configuration (seed and all defaults included) so a run is
-reproducible from its own output, and no output contains timestamps.
+effective configuration (all defaults included, and the seed of the
+randomized commands) so a run is reproducible from its own output, and
+no output contains timestamps.
 
 Exit codes: 0 success, 1 validation failed, 2 configuration error,
 3 numeric failure.
@@ -311,7 +312,6 @@ def cmd_validate(args, config: Dict[str, str], out) -> int:
 
 def cmd_sweep(args, config: Dict[str, str], out) -> int:
     params = build_params(args, config)
-    seed = int(_merged_option(args, config, "seed", 0))
     workers = _workers(args, config)
     preset_text = _merged_option(args, config, "preset")
     ext = "json" if args.format == "json" else "csv"
@@ -320,7 +320,7 @@ def cmd_sweep(args, config: Dict[str, str], out) -> int:
         for preset in presets:
             grid = figure_preset(preset, params)
             echo_config("sweep", params,
-                        {"preset": preset, "seed": seed}, out)
+                        {"preset": preset}, out)
             table = run_sweep(grid, workers=workers)
             path = args.out
             if path is None or len(presets) > 1:
@@ -332,7 +332,7 @@ def cmd_sweep(args, config: Dict[str, str], out) -> int:
     echo_config("sweep", params,
                 {"rho_values": list(grid.rho_values),
                  "r0_values": list(grid.r0_values),
-                 "metrics": list(grid.metrics), "seed": seed}, out)
+                 "metrics": list(grid.metrics)}, out)
     table = run_sweep(grid, workers=workers)
     _write_output(emit_table(table, args.format), args.out, out)
     return EXIT_OK
@@ -340,7 +340,8 @@ def cmd_sweep(args, config: Dict[str, str], out) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="master RNG seed")
+    parser.add_argument("--seed", type=int,
+                        help="master RNG seed (simulate, validate)")
     parser.add_argument("--fidelity", choices=["paper", "corrected"])
     parser.add_argument("--format", choices=["csv", "json", "text"],
                         default=None)

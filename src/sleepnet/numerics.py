@@ -1,5 +1,5 @@
-"""Numerical substrate: adaptive quadrature, the exponential integral,
-compensated summation, n-fold convolution densities and histograms.
+"""Numerical substrate: adaptive and panel-doubling Simpson quadrature,
+compensated accumulation and the exponential integral.
 
 Everything here is a pure function of its arguments and deterministic,
 so it is safe to call from any number of workers concurrently.
@@ -8,7 +8,7 @@ so it is safe to call from any number of workers concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,26 +41,6 @@ class QuadratureError(ArithmeticError):
     def __init__(self, message: str, estimate: float = math.nan):
         super().__init__(f"{message} (best estimate {estimate!r})")
         self.estimate = estimate
-
-
-def _vectorized(f):
-    """Adapt a scalar or vector callable to ndarray-in / ndarray-out."""
-    state = {"vector": None}
-
-    def call(xs: np.ndarray) -> np.ndarray:
-        if state["vector"] is not False:
-            try:
-                ys = np.asarray(f(xs), dtype=float)
-                if ys.shape == xs.shape:
-                    state["vector"] = True
-                    return ys
-            except (TypeError, ValueError, IndexError):
-                pass
-            state["vector"] = False
-        return np.fromiter((float(f(float(x))) for x in xs), dtype=float,
-                           count=len(xs))
-
-    return call
 
 
 def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
@@ -201,47 +181,6 @@ def integrate_panel_doubling(fv, lo: float, hi: float, *,
     raise QuadratureError("panel refinement exhausted", prev)
 
 
-def integrate_adaptive(f, lo: float, hi: float,
-                       spec: QuadratureSpec = DEFAULT_SPEC,
-                       *, split_points=()) -> float:
-    """Integrate f over [lo, hi] by adaptive Simpson quadrature.
-
-    ``split_points`` lists interior abscissae (e.g. kinks of a piecewise
-    integrand) at which the initial panels are cut before adaptation.
-    Raises QuadratureError (carrying the best estimate) on non-convergence.
-    """
-    if not (lo < hi):
-        raise ValueError("require lo < hi")
-    interior = sorted(x for x in split_points if lo < x < hi)
-    edges = np.array([lo, *interior, hi], dtype=float)
-    edges = np.unique(edges)
-    return _adaptive_simpson_stack(_vectorized(f), edges, spec)
-
-
-def integrate_semi_infinite(f, lo: float,
-                            spec: QuadratureSpec = DEFAULT_SPEC,
-                            *, scale: float = 1.0) -> float:
-    """Integrate f over [lo, inf) for integrands with (sub)exponential tails.
-
-    The upper limit starts at lo + 10*scale and the integrated span doubles
-    until the newest panel contributes less than ``tail_mass_tol`` of the
-    running total.
-    """
-    if not (scale > 0):
-        raise ValueError("scale must be positive")
-    fv = _vectorized(f)
-    hi = lo + 10.0 * scale
-    total = _adaptive_simpson_stack(fv, np.array([lo, hi]), spec)
-    for _ in range(40):
-        new_hi = lo + 2.0 * (hi - lo)
-        panel = _adaptive_simpson_stack(fv, np.array([hi, new_hi]), spec)
-        total += panel
-        hi = new_hi
-        if abs(panel) < spec.tail_mass_tol * max(abs(total), 1e-300):
-            return total
-    raise QuadratureError("tail still contributing after 40 doublings", total)
-
-
 def exp_integral_e1(z: float) -> float:
     """E1(z) = integral of exp(-t)/t from z to infinity, z > 0.
 
@@ -281,118 +220,3 @@ def exp_integral_e1(z: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             break
     return h * math.exp(-z)
-
-
-def compensated_sum(terms) -> tuple[float, float]:
-    """Neumaier-compensated sum with a cancellation diagnostic.
-
-    Returns (sum, cancellation_index) where the index is
-    sum(|terms|) / max(|sum|, tiny); values near 1 mean well-conditioned,
-    large values flag catastrophic cancellation.
-    """
-    s, c = 0.0, 0.0
-    abs_total = 0.0
-    for x in terms:
-        x = float(x)
-        s, c = _neumaier_step(s, c, x)
-        abs_total += abs(x)
-    result = s + c
-    if abs_total == 0.0:
-        return 0.0, 1.0
-    return result, abs_total / max(abs(result), 1e-300)
-
-
-@dataclass
-class Histogram:
-    """Fixed-width bin counts over [lo, hi); out-of-range samples count
-    toward ``total`` but not toward any bin."""
-
-    lo: float
-    hi: float
-    bin_width: float
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        if not (self.hi > self.lo):
-            raise ValueError("require hi > lo")
-        if not (self.bin_width > 0):
-            raise ValueError("bin_width must be positive")
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if int(self.counts.sum()) > self.total:
-            raise ValueError("bin counts exceed the recorded total")
-
-    @classmethod
-    def from_samples(cls, samples, lo: float, hi: float,
-                     bin_width: float) -> "Histogram":
-        samples = np.asarray(samples, dtype=float)
-        n_bins = int(round((hi - lo) / bin_width))
-        if n_bins < 1:
-            raise ValueError("range shorter than one bin")
-        hi = lo + n_bins * bin_width  # snap so bins tile [lo, hi) exactly
-        idx = np.floor((samples - lo) / bin_width).astype(np.int64)
-        in_range = (idx >= 0) & (idx < n_bins)
-        counts = np.bincount(idx[in_range], minlength=n_bins)
-        return cls(lo=lo, hi=hi, bin_width=bin_width, counts=counts,
-                   total=len(samples))
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self.lo + self.bin_width * np.arange(len(self.counts) + 1)
-
-    @property
-    def in_range(self) -> int:
-        return int(self.counts.sum())
-
-    def density(self) -> np.ndarray:
-        """Per-bin density; integrates to in_range/total over [lo, hi)."""
-        if self.total == 0:
-            return np.zeros(len(self.counts))
-        return self.counts / (self.total * self.bin_width)
-
-
-def trunc_exp_pdf(x, rho: float, r0: float) -> np.ndarray:
-    """Density of an exponential(rho) conditioned on (0, r0]."""
-    x = np.asarray(x, dtype=float)
-    norm = -math.expm1(-rho * r0)
-    out = np.where((x > 0) & (x <= r0), rho * np.exp(-rho * x) / norm, 0.0)
-    # closed lower endpoint uses the right limit so grids sampled at 0 behave
-    out = np.where(x == 0.0, rho / norm, out)
-    return out
-
-
-def trunc_exp_nfold_pdf(n: int, rho: float, r0: float,
-                        grid: np.ndarray) -> np.ndarray:
-    """Density of the sum of n iid truncated exponentials on a uniform grid.
-
-    Computed by repeated trapezoid convolution; transparent O(n * G^2) cost.
-    The grid must start at 0 with at least 64 points per r0; values are
-    exact-to-trapezoid wherever x <= grid[-1] even if the support extends
-    beyond the grid.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    grid = np.asarray(grid, dtype=float)
-    dx = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), dx, rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniform")
-    if dx > r0 / 64.0:
-        raise ValueError(
-            f"grid too coarse: spacing {dx:g} exceeds r0/64 = {r0 / 64.0:g}")
-    if grid[0] != 0.0:
-        raise ValueError("grid must start at 0")
-
-    base = trunc_exp_pdf(grid, rho, r0)
-    # mean-of-limits sample at the r0 jump keeps the trapezoid rule O(dx^2)
-    base_w = base.copy()
-    at_jump = np.isclose(grid, r0, rtol=0.0, atol=1e-9 * r0)
-    base_w[at_jump] *= 0.5
-    out = base.copy()
-    out_w = base_w
-    for _ in range(n - 1):
-        full = np.convolve(out_w, base_w)[: len(grid)]
-        full -= 0.5 * (out_w[0] * base_w[: len(grid)] + out_w * base_w[0])
-        out = full * dx
-        out[0] = 0.0
-        out_w = out
-    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "RngSpec",
     "Snapshot",
     "ClusterSet",
-    "CycleSample",
     "CycleBatch",
     "EnergyEstimate",
     "TimelineReport",
@@ -32,7 +31,6 @@ __all__ = [
     "sample_snapshot",
     "extract_clusters",
     "ch_gap_samples",
-    "sample_cycle",
     "sample_cycles",
     "estimate_energy",
     "run_timeline",
@@ -118,36 +116,16 @@ class ClusterSet:
                         self.member_counts.tolist()))
 
 
-class CycleSample:
-    """One renewal cycle: the gap x to the next cluster head, the speed v,
-    and the derived sleep bookkeeping.
-
-    t_off = max((x - D)/v, 0), t_on = min(x, D)/v, so t_off + t_on is the
-    full cycle duration max(x, D)/v.  e_off is the energy saved while off
-    (zero if the station never sleeps), and p_save is the cycle-mean power
-    saved e_off / (t_off + t_on).
-    """
-
-    __slots__ = ("x", "v", "t_off", "t_on", "e_off", "p_save")
-
-    def __init__(self, x: float, v: float, params: ModelParams):
-        self.x = x
-        self.v = v
-        self.t_off = max((x - params.D) / v, 0.0)
-        self.t_on = min(x, params.D) / v
-        self.e_off = (params.P0 * self.t_off - params.Ec
-                      if self.t_off > 0.0 else 0.0)
-        self.p_save = self.e_off / (self.t_off + self.t_on)
-
-    def __repr__(self):
-        return (f"CycleSample(x={self.x!r}, v={self.v!r}, "
-                f"t_off={self.t_off!r}, t_on={self.t_on!r}, "
-                f"e_off={self.e_off!r}, p_save={self.p_save!r})")
-
-
 @dataclass(frozen=True)
 class CycleBatch:
-    """Vectorized collection of renewal cycles (one array per field)."""
+    """Vectorized collection of renewal cycles, one array per field.
+
+    Each cycle has the gap x to the next cluster head and the speed v;
+    t_off = max((x - D)/v, 0) and t_on = min(x, D)/v, so t_off + t_on is
+    the full cycle duration max(x, D)/v.  e_off is the energy saved while
+    off (zero if the station never sleeps), and p_save is the cycle-mean
+    power saved e_off / (t_off + t_on).
+    """
 
     x: np.ndarray
     v: np.ndarray
@@ -158,16 +136,6 @@ class CycleBatch:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def __getitem__(self, i: int) -> CycleSample:
-        sample = CycleSample.__new__(CycleSample)
-        sample.x = float(self.x[i])
-        sample.v = float(self.v[i])
-        sample.t_off = float(self.t_off[i])
-        sample.t_on = float(self.t_on[i])
-        sample.e_off = float(self.e_off[i])
-        sample.p_save = float(self.p_save[i])
-        return sample
 
 
 def sample_snapshot(params: ModelParams, window_length: float,
@@ -281,14 +249,6 @@ def sample_cycles(params: ModelParams, n: int,
                       e_off=e_off, p_save=p_save)
 
 
-def sample_cycle(params: ModelParams,
-                 rng: Union[RngSpec, np.random.Generator],
-                 fidelity: Optional[Fidelity] = None) -> CycleSample:
-    """Draw one renewal cycle (see sample_cycles)."""
-    batch = sample_cycles(params, 1, rng, fidelity)
-    return batch[0]
-
-
 @dataclass(frozen=True)
 class EnergyEstimate:
     """Monte Carlo estimates of the energy figures, with standard errors.
@@ -321,13 +281,9 @@ def _mean_se(values: np.ndarray) -> tuple:
     return mean, float(np.std(values, ddof=1) / math.sqrt(n))
 
 
-def estimate_energy(samples: Union[CycleBatch, Sequence[CycleSample]],
+def estimate_energy(samples: CycleBatch,
                     params: ModelParams) -> EnergyEstimate:
     """Estimate the energy figures from at least 1000 renewal cycles."""
-    if not isinstance(samples, CycleBatch):
-        arrays = {field: np.array([getattr(s, field) for s in samples])
-                  for field in ("x", "v", "t_off", "t_on", "e_off", "p_save")}
-        samples = CycleBatch(**arrays)
     n = len(samples)
     if n < 1000:
         raise ValueError(f"need at least 1000 cycles, got {n}")

@@ -5,28 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepnet.analytic import (AnalyticError, ChGapDistribution,
-                               NoSleepOpportunityError, baseline_power_saved,
-                               ch_gap_pdf, ch_gap_pdf_closed_form,
-                               ch_gap_pdf_quadrature, cluster_len_pdf,
+from sleepnet.analytic import (ChGapDistribution, NoSleepOpportunityError,
+                               _cluster_len_pdf_grid, baseline_power_saved,
+                               ch_gap_pdf, ch_gap_pdf_quadrature,
                                cluster_span_decay_rate, cycle_power_saved,
                                energy_figures, expected_ch_gap,
                                expected_power_saved, expected_sleep_time,
-                               gap_tail_rate, intercluster_gap_pdf,
-                               speed_pdf)
-from sleepnet.numerics import integrate_adaptive, trunc_exp_nfold_pdf
-from sleepnet.params import CANONICAL, KMH, Fidelity
+                               gap_tail_rate, intercluster_gap_pdf)
+from sleepnet.numerics import DEFAULT_SPEC, _adaptive_simpson_stack
+from sleepnet.params import CANONICAL, KMH
 
-from conftest import assert_close, rng_for_test
-
-
-class TestSpeedPdf:
-    def test_uniform_density(self):
-        inside = 0.5 * (CANONICAL.a + CANONICAL.b)
-        assert speed_pdf(inside, CANONICAL) == pytest.approx(
-            1.0 / (CANONICAL.b - CANONICAL.a))
-        assert speed_pdf(CANONICAL.a - 1.0, CANONICAL) == 0.0
-        assert speed_pdf(CANONICAL.b + 1.0, CANONICAL) == 0.0
+from conftest import assert_close
+from oracles import (ch_gap_pdf_closed_form, gap_cdf_decimal,
+                     trunc_exp_nfold_pdf)
 
 
 class TestInterclusterGapPdf:
@@ -37,9 +28,9 @@ class TestInterclusterGapPdf:
             rho * math.exp(-rho * 100.0))
 
     def test_mass_one(self):
-        mass = integrate_adaptive(
-            lambda x: intercluster_gap_pdf(x, CANONICAL),
-            CANONICAL.r0, CANONICAL.r0 + 5000.0)
+        mass = _adaptive_simpson_stack(
+            lambda xs: intercluster_gap_pdf(xs, CANONICAL),
+            np.array([CANONICAL.r0, CANONICAL.r0 + 5000.0]), DEFAULT_SPEC)
         assert_close(mass, 1.0, rel=1e-8, label="inter-cluster gap mass")
 
     def test_no_underflow_warnings(self):
@@ -107,21 +98,19 @@ class TestClusterLenPdf:
         # sample off exact multiples of r0: the trapezoid oracle is first
         # order right at those points (both convolution factors jump there)
         for i in range(96, 6 * per, 192):
-            ours = cluster_len_pdf(float(grid[i]), params)
-            assert_close(ours.value, mix[i], rel=5e-4,
+            ours, _ = _cluster_len_pdf_grid(grid[i], rho, r0)
+            assert_close(ours[0], mix[i], rel=5e-4,
                          abs_tol=1e-12 * rho,
                          label=f"span pdf at x0={grid[i]:.1f}")
-
-    def test_flag_on_catastrophic_cancellation(self):
-        result = cluster_len_pdf(100.0, CANONICAL)
-        assert result.flagged == (result.cancellation_index > 1e6)
 
     def test_support_boundary(self):
         # the short-span limit equals the two-vehicle value, confirming the
         # density describes clusters of at least two vehicles
         limit = CANONICAL.rho / math.expm1(CANONICAL.rho_r0)
-        assert cluster_len_pdf(0.0, CANONICAL).value == pytest.approx(limit)
-        assert cluster_len_pdf(-5.0, CANONICAL).value == 0.0
+        values, _ = _cluster_len_pdf_grid([0.0, -5.0], CANONICAL.rho,
+                                          CANONICAL.r0)
+        assert values[0] == pytest.approx(limit)
+        assert values[1] == 0.0
 
 
 class TestChGapPdf:
@@ -132,10 +121,18 @@ class TestChGapPdf:
             assert ch_gap_pdf(50.0, params) == 0.0
 
     def test_first_branch_self_check_passes(self):
-        params = CANONICAL.replace(fidelity="paper")
-        for x in np.linspace(CANONICAL.r0, 2 * CANONICAL.r0, 20,
-                             endpoint=False):
-            assert ch_gap_pdf(float(x), params) >= 0.0
+        # the closed form on [r0, 2r0) against the composition quadrature,
+        # on the 9-cell grid and the fig2 corners
+        cells = [(rho, r0) for rho in (0.005, 0.02, 0.08)
+                 for r0 in (100.0, 200.0, 400.0)]
+        for rho, r0 in cells + [(1e-3, 50.0), (0.2, 200.0)]:
+            params = CANONICAL.replace(rho=rho, r0=r0, fidelity="paper")
+            for x in np.linspace(r0, 2.0 * r0, 12, endpoint=False)[1:]:
+                assert_close(ch_gap_pdf(float(x), params),
+                             ch_gap_pdf_quadrature(float(x), params),
+                             abs_tol=1e-10,
+                             label=f"first branch rho={rho} r0={r0} "
+                                   f"x={x:.1f}")
 
     def test_corrected_is_mixture(self):
         params = CANONICAL
@@ -250,6 +247,15 @@ class TestExpectations:
         with pytest.raises(ValueError):
             cycle_power_saved(1000.0, 0.0, CANONICAL)
 
+    def test_sleep_probability_at_ceiling_matches_decimal_cdf(self):
+        # at rho*r0 = 32, F(D) ~ 4e-13: 1 - P{X>D} keeps its digits only
+        # when P{X>D} is taken as 1 - F(D), not integrated over the tail
+        params = CANONICAL.replace(rho=0.08, r0=400.0)
+        figures = energy_figures(params)
+        assert_close(1.0 - figures.prob_sleep,
+                     gap_cdf_decimal(params.D, params.rho, params.r0),
+                     rel=1e-3, label="F(D) at rho=0.08 r0=400")
+
     def test_no_sleep_opportunity(self):
         params = CANONICAL.replace(D=1e9)
         with pytest.raises(NoSleepOpportunityError):
@@ -279,8 +285,8 @@ class TestExpectations:
             return rho * np.exp(-rho * x) * (
                 params.P0 * (x - D) - params.Ec * params.mean_speed) / x
 
-        direct = integrate_adaptive(integrand, D, D + 4000.0) \
-            + integrate_adaptive(integrand, D + 4000.0, D + 20000.0)
+        direct = _adaptive_simpson_stack(
+            integrand, np.array([D, D + 4000.0, D + 20000.0]), DEFAULT_SPEC)
         assert_close(baseline_power_saved(params), direct, rel=1e-6,
                      label="baseline power saved")
 

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepnet.numerics import integrate_adaptive
+from sleepnet.numerics import DEFAULT_SPEC, _adaptive_simpson_stack
 from sleepnet.params import (CANONICAL, KMH, Fidelity, ModelParams,
                              ParamError, parse_speed)
 
@@ -69,7 +70,8 @@ class TestModelParams:
     def test_mean_inv_speed_vs_quadrature(self):
         # E[1/V] for V ~ uniform(a, b), against direct integration
         a, b = CANONICAL.a, CANONICAL.b
-        quad = integrate_adaptive(lambda v: 1.0 / (v * (b - a)), a, b)
+        quad = _adaptive_simpson_stack(lambda v: 1.0 / (v * (b - a)),
+                                       np.array([a, b]), DEFAULT_SPEC)
         assert_close(CANONICAL.mean_inv_speed, quad, rel=1e-9,
                      label="mean inverse speed")
 

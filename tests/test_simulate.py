@@ -7,7 +7,7 @@ from sleepnet.analytic import ChGapDistribution, energy_figures
 from sleepnet.params import CANONICAL, KMH
 from sleepnet.simulate import (CycleBatch, RngSpec, WindowTooSmallError,
                                ch_gap_samples, estimate_energy,
-                               extract_clusters, run_timeline, sample_cycle,
+                               extract_clusters, run_timeline,
                                sample_cycles, sample_snapshot, Snapshot)
 
 from conftest import assert_close
@@ -132,12 +132,6 @@ class TestSampleCycles:
             target = energy_figures(params).expected_gap
             assert abs(batch.x.mean() - target) <= 4.0 * se
 
-    def test_single_draw_matches_batch(self):
-        single = sample_cycle(CANONICAL, RngSpec(8))
-        batch = sample_cycles(CANONICAL, 1, RngSpec(8))
-        assert single.x == batch.x[0]
-        assert single.t_off == batch.t_off[0]
-
     def test_fidelity_argument_overrides(self):
         base = sample_cycles(CANONICAL, 1_000, RngSpec(9))
         forced = sample_cycles(CANONICAL.replace(fidelity="paper"), 1_000,
@@ -177,13 +171,6 @@ class TestEstimateEnergy:
                                               RngSpec(13)), CANONICAL)
         ratio = small.expected_power_saved_se / large.expected_power_saved_se
         assert ratio == pytest.approx(2.0, rel=0.10)
-
-    def test_accepts_sample_sequence(self):
-        batch = sample_cycles(CANONICAL, 1_000, RngSpec(14))
-        samples = [batch[i] for i in range(len(batch))]
-        est_seq = estimate_energy(samples, CANONICAL)
-        est_batch = estimate_energy(batch, CANONICAL)
-        assert est_seq.expected_gap == pytest.approx(est_batch.expected_gap)
 
     def test_duty_cycle_is_time_fraction(self):
         batch = sample_cycles(CANONICAL, 10_000, RngSpec(15))
