@@ -27,6 +27,11 @@ The gap density has three branches: a closed form on [r0, 2r0), the
 composition quadrature above it, and the exact two-pole tail expansion
 far out.  The closed form and the tail are checked against the quadrature
 route by the test suite, not at run time.
+
+Evaluation is batched: the density takes an array of points, picks each
+point's branch by mask, and runs the quadrature of all points in one
+adaptive-Simpson pass, each point owning its own panels and tolerances.
+``ChGapDistribution`` hands every grid of uncached points to it at once.
 """
 
 from __future__ import annotations
@@ -198,18 +203,19 @@ def _cluster_len_pdf_grid(x0, rho: float, r0: float):
     return value, canc
 
 
-def _gap_pdf_quad(x: float, params: ModelParams) -> float:
+def _gap_pdf_quad(x, params: ModelParams) -> np.ndarray:
     """Gap density by split-panel quadrature of the span/exponential
-    convolution (the composition route; no closed forms involved).
+    convolution (the composition route; no closed forms involved), at an
+    array of points; every point is one owner of a single batched
+    adaptive-Simpson pass.
 
     Integration runs in the shifted coordinate w = x_hi - x0 so the
     exponential weight is always exp(-rho w) with small w, immune to
     overflow and to cancellation in x_hi - x0 at 1e15 m scales.
     """
     rho, r0 = params.rho, params.r0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     u = x - r0
-    if u <= 0.0:
-        return 0.0
     alpha = rho * r0
     lam = cluster_span_decay_rate(rho, r0)
 
@@ -217,44 +223,51 @@ def _gap_pdf_quad(x: float, params: ModelParams) -> float:
     ell = -math.log1p(-math.exp(-alpha)) if alpha < 700 else math.exp(-alpha)
     support = r0 * (1.0 + _EFOLDS / max(ell, 1e-300))
 
-    x_hi = min(u, support)
+    x_hi = np.minimum(u, support)
     if lam > rho:
-        x_hi = min(x_hi, _EFOLDS / (lam - rho))
+        x_hi = np.minimum(x_hi, _EFOLDS / (lam - rho))
     if rho > lam:
-        x_lo = max(0.0, x_hi - _EFOLDS / (rho - lam))
+        x_lo = np.maximum(0.0, x_hi - _EFOLDS / (rho - lam))
     else:
-        x_lo = 0.0
-
+        x_lo = np.zeros_like(x_hi)
     log_pref = -rho * (u - x_hi)
-    if log_pref < -745.0:
-        return 0.0
-
     w_max = x_hi - x_lo
-    if w_max <= 0.0:
-        return 0.0
-    # panel splits where the span density has its piece boundaries
-    j_lo = int(math.ceil(x_lo / r0))
-    j_hi = int(math.floor(x_hi / r0))
-    w_edges = [0.0]
-    for j in range(j_hi, max(j_lo, 1) - 1, -1):
-        w = x_hi - j * r0
-        if 0.0 < w < w_max:
-            w_edges.append(w)
-    w_edges.append(w_max)
-    edges = np.unique(np.asarray(w_edges))
 
-    def integrand(w):
-        span_vals, _ = _cluster_len_pdf_grid(x_hi - w, rho, r0)
+    out = np.zeros(len(x))
+    live = np.flatnonzero((u > 0.0) & (log_pref >= -745.0) & (w_max > 0.0))
+    if not len(live):
+        return out
+    x_hi, w_max = x_hi[live], w_max[live]
+    k = np.arange(len(live))
+
+    # panel splits where the span density has its piece boundaries:
+    # w = x_hi - j r0 for j from floor(x_hi/r0) down to max(ceil(x_lo/r0), 1)
+    j_hi = np.floor(x_hi / r0)
+    n_j = np.maximum(j_hi - np.maximum(np.ceil(x_lo[live] / r0), 1.0) + 1.0,
+                     0.0).astype(np.intp)
+    rep = np.repeat(k, n_j)
+    j = j_hi[rep] - (np.arange(len(rep)) - np.repeat(np.cumsum(n_j) - n_j,
+                                                     n_j))
+    w = x_hi[rep] - j * r0
+    inside = (w > 0.0) & (w < w_max[rep])
+    owner = np.concatenate([k, rep[inside], k])
+    edges = np.concatenate([np.zeros(len(k)), w[inside], w_max])
+    order = np.lexsort((edges, owner))
+
+    def integrand(w, own):
+        span_vals, _ = _cluster_len_pdf_grid(x_hi[own] - w, rho, r0)
         return span_vals * np.exp(-rho * w)
 
     # rounding-noise amplitude of one span-density evaluation: machine eps
     # times the magnitude of the series terms, largest at x0 = x_hi
     v_hi, c_hi = _cluster_len_pdf_grid(x_hi, rho, r0)
-    noise_scale = 30.0 * np.finfo(float).eps * float(c_hi[0] * abs(v_hi[0]))
+    noise_scale = 30.0 * np.finfo(float).eps * c_hi * np.abs(v_hi)
 
-    inner = _adaptive_simpson_stack(integrand, edges, _INNER_SPEC,
-                                    noise_scale=noise_scale)
-    return rho * math.exp(log_pref) * inner
+    inner = _adaptive_simpson_stack(integrand, edges[order], _INNER_SPEC,
+                                    noise_scale=noise_scale,
+                                    owner=owner[order])
+    out[live] = rho * np.exp(log_pref[live]) * inner
+    return out
 
 
 @functools.lru_cache(maxsize=4096)
@@ -278,11 +291,12 @@ def _gap_tail_switch(params: ModelParams) -> float:
     return r0 + 32.0 / gap
 
 
-def _safe_exp(z: float) -> float:
-    return math.exp(z) if z > -745.0 else 0.0
+def _safe_exp(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(z > -745.0, np.exp(np.maximum(z, -745.0)), 0.0)
 
 
-def _gap_pdf_tail(x: float, params: ModelParams) -> float:
+def _gap_pdf_tail(x, params: ModelParams):
     """Exact two-real-pole tail of the corrected-law gap density.
 
     f(x) = A1 exp(-lambda0 x) + A2 exp(-rho x) with residues
@@ -295,8 +309,8 @@ def _gap_pdf_tail(x: float, params: ModelParams) -> float:
     rho, r0 = params.rho, params.r0
     alpha = rho * r0
     if abs(alpha - 1.0) <= 1e-6:
-        return max(_safe_exp(-rho * x) * (2.0 * x / r0 ** 2
-                                          - 4.0 / (3.0 * r0)), 0.0)
+        return np.maximum(_safe_exp(-rho * x) * (2.0 * x / r0 ** 2
+                                                 - 4.0 / (3.0 * r0)), 0.0)
     lam0 = cluster_span_decay_rate(rho, r0)
     a1 = lam0 / (1.0 - lam0 * r0)
     a2 = rho / (1.0 - alpha)
@@ -305,71 +319,85 @@ def _gap_pdf_tail(x: float, params: ModelParams) -> float:
     else:
         pos, rate_pos, neg, rate_neg = a2, rho, a1, lam0
     ln_ratio = math.log(-neg / pos) - (rate_neg - rate_pos) * x
-    if ln_ratio > 600.0:
-        value = pos * _safe_exp(-rate_pos * x) + neg * _safe_exp(-rate_neg * x)
-    else:
-        value = -pos * _safe_exp(-rate_pos * x) * math.expm1(ln_ratio)
-    return max(value, 0.0)
+    value = np.where(
+        ln_ratio > 600.0,
+        pos * _safe_exp(-rate_pos * x) + neg * _safe_exp(-rate_neg * x),
+        -pos * _safe_exp(-rate_pos * x) * np.expm1(np.minimum(ln_ratio,
+                                                              600.0)))
+    return np.maximum(value, 0.0)
 
 
-def _gap_pdf_tail_paper(x: float, params: ModelParams) -> float:
+def _gap_pdf_tail_paper(x, params: ModelParams):
     """Two-pole tail restated for the paper fidelity: remove the
     single-vehicle component exp(-rho r0) f_x1(x) = rho exp(-rho x)."""
     p_single = math.exp(-params.rho * params.r0)
     corr = _gap_pdf_tail(x, params)
-    return max((corr - params.rho * _safe_exp(-params.rho * x))
-               / (1.0 - p_single), 0.0)
+    return np.maximum((corr - params.rho * _safe_exp(-params.rho * x))
+                      / (1.0 - p_single), 0.0)
 
 
-def _gap_pdf_first_branch(x: float, params: ModelParams) -> float:
+def _gap_pdf_first_branch(x, params: ModelParams):
     """Closed form on [r0, 2r0): rho (1 - e^{-rho(x-r0)})/(e^{rho r0} - 1)."""
     rho, r0 = params.rho, params.r0
     alpha = rho * r0
-    return rho * (-math.expm1(-rho * (x - r0))) * math.exp(-alpha) \
+    return rho * (-np.expm1(-rho * (x - r0))) * math.exp(-alpha) \
         / (-math.expm1(-alpha))
 
 
-def _gap_pdf_paper(x: float, params: ModelParams) -> float:
-    r0 = params.r0
-    if x <= r0:
-        return 0.0
-    if x < 2.0 * r0:
-        return _gap_pdf_first_branch(x, params)
-    if x >= _gap_tail_switch(params):
-        return _gap_pdf_tail_paper(x, params)
-    return _gap_pdf_quad(x, params)
+def _gap_pdf_paper(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Paper-fidelity density at points above r0, each branch applied to
+    the points it covers in one call."""
+    out = np.empty(len(x))
+    first = x < 2.0 * params.r0
+    tail = ~first & (x >= _gap_tail_switch(params))
+    quad = ~first & ~tail
+    out[first] = _gap_pdf_first_branch(x[first], params)
+    out[tail] = _gap_pdf_tail_paper(x[tail], params)
+    out[quad] = _gap_pdf_quad(x[quad], params)
+    return out
 
 
-def ch_gap_pdf(x: float, params: ModelParams) -> float:
-    """Density of the distance X between adjacent cluster heads, in 1/m.
+def _gap_pdf_mix(x, params: ModelParams, paper_pdf):
+    """Zero at and below r0, ``paper_pdf`` above it, and in the corrected
+    fidelity the single-vehicle-cluster component mixed in with weight
+    exp(-rho r0).  Array in, array out; a 0-d input gives a float."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.zeros(len(flat))
+    above = flat > params.r0
+    if np.any(above):
+        xa = flat[above]
+        paper = paper_pdf(xa, params)
+        if params.fidelity is Fidelity.PAPER:
+            out[above] = paper
+        else:
+            p_single = math.exp(-params.rho * params.r0)
+            out[above] = p_single * intercluster_gap_pdf(xa, params) \
+                + (1.0 - p_single) * paper
+    if x.ndim == 0:
+        return float(out[0])
+    return out.reshape(x.shape)
+
+
+def ch_gap_pdf(x, params: ModelParams):
+    """Density of the distance X between adjacent cluster heads, in 1/m,
+    at a point or an array of points (a 0-d input returns a float).
 
     Zero below r0.  On [r0, 2r0) the closed form is used; the test suite
-    checks it against ch_gap_pdf_quadrature to 1e-10.  The corrected
-    fidelity adds the single-vehicle-cluster component with weight
-    exp(-rho r0).
+    checks it against ch_gap_pdf_quadrature to 1e-10.  Beyond
+    ``_gap_tail_switch`` the two-pole tail is used, and in between the
+    composition quadrature, all points of an array in one batched pass.
+    The corrected fidelity adds the single-vehicle-cluster component with
+    weight exp(-rho r0).
     """
-    rho, r0 = params.rho, params.r0
-    if x <= r0:
-        return 0.0
-    paper = _gap_pdf_paper(x, params)
-    if params.fidelity is Fidelity.PAPER:
-        return paper
-    p_single = math.exp(-rho * r0)
-    return p_single * float(intercluster_gap_pdf(x, params)) \
-        + (1.0 - p_single) * paper
+    return _gap_pdf_mix(x, params, _gap_pdf_paper)
 
 
-def ch_gap_pdf_quadrature(x: float, params: ModelParams) -> float:
+def ch_gap_pdf_quadrature(x, params: ModelParams):
     """Pure composition-quadrature gap density (no closed-form branches);
-    the reference the closed forms are checked against."""
-    if x <= params.r0:
-        return 0.0
-    paper = _gap_pdf_quad(x, params)
-    if params.fidelity is Fidelity.PAPER:
-        return paper
-    p_single = math.exp(-params.rho * params.r0)
-    return p_single * float(intercluster_gap_pdf(x, params)) \
-        + (1.0 - p_single) * paper
+    the reference the closed forms are checked against.  Takes a point or
+    an array of points, as ch_gap_pdf does."""
+    return _gap_pdf_mix(x, params, _gap_pdf_quad)
 
 
 class ChGapDistribution:
@@ -379,8 +407,11 @@ class ChGapDistribution:
     of r0, then geometrically growing spans) and extends them until the
     newest panel carries less than ``DEFAULT_SPEC.tail_mass_tol`` of the
     running total.
-    Immutable after construction; pdf/cdf evaluations are cached and safe
-    to share across threads once built.
+    The panels and their masses are fixed at construction, but evaluation
+    is not read-only: every pdf value computed is kept in a per-instance
+    dict, which grows as the instance is used, because the nested
+    panel-doubling grids and repeated integrals re-visit about half of
+    their nodes.
     """
 
     def __init__(self, params: ModelParams):
@@ -393,16 +424,18 @@ class ChGapDistribution:
     # -- evaluation ------------------------------------------------------
 
     def pdf(self, x: float) -> float:
-        x = float(x)
-        got = self._pdf_cache.get(x)
-        if got is None:
-            got = ch_gap_pdf(x, self.params)
-            self._pdf_cache[x] = got
-        return got
+        return float(self._pdf_vec([x])[0])
 
-    def _pdf_vec(self, xs: np.ndarray) -> np.ndarray:
-        return np.fromiter((self.pdf(x) for x in xs), dtype=float,
-                           count=len(xs))
+    def _pdf_vec(self, xs) -> np.ndarray:
+        """pdf at each of ``xs``, evaluating all cache misses in one
+        ch_gap_pdf call."""
+        cache = self._pdf_cache
+        keys = np.asarray(xs, dtype=float).tolist()
+        missing = [x for x in dict.fromkeys(keys) if x not in cache]
+        if missing:
+            values = ch_gap_pdf(np.asarray(missing), self.params)
+            cache.update(zip(missing, values.tolist()))
+        return np.array([cache[x] for x in keys])
 
     def cdf(self, x: float) -> float:
         x = float(x)
@@ -527,10 +560,12 @@ def _sleep_integrals(params: ModelParams, dist: ChGapDistribution):
     """(P{X>D}, integral (x-D) f dx, integral f/x dx), all from D up.
 
     P{X>D} is taken as 1 - F(D), which keeps the shortfall's relative
-    precision where F(D) is tiny; past the truncation point all are zero.
+    precision where F(D) is tiny, clamped to [0, 1] because the truncated
+    mass can exceed 1 by its quadrature error; past the truncation point
+    all are zero.
     """
     D = params.D
-    prob = 1.0 - dist.cdf(D) if D < dist.x_max else 0.0
+    prob = min(max(1.0 - dist.cdf(D), 0.0), 1.0) if D < dist.x_max else 0.0
     m_excess = dist.integral(lambda xs: xs - D, lo=D)
     inv = dist.integral(lambda xs: 1.0 / xs, lo=D)
     return prob, m_excess, inv

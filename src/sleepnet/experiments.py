@@ -355,12 +355,13 @@ def emit_table(table: Union[SweepTable, ValidationReport],
 def speed_sensitivity(params: ModelParams) -> float:
     """How much the speed distribution matters for the expected power
     saved: |E_Psave(uniform a..b) - E_Psave(degenerate mean speed)|
-    normalized by P0 * P{X > D}."""
+    normalized by P0 * P{X > D}.  The gap law does not depend on the
+    speeds, so both figures share one distribution."""
     dist = ChGapDistribution(params)
     figures = energy_figures(params, dist)
     v = params.mean_speed
     degenerate = params.replace(a=v * (1.0 - 1e-9), b=v * (1.0 + 1e-9))
-    flat = energy_figures(degenerate, ChGapDistribution(degenerate))
+    flat = energy_figures(degenerate, dist)
     scale = params.P0 * figures.prob_sleep
     if scale == 0.0:
         return 0.0

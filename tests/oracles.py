@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sleepnet.analytic import _gap_pdf_paper
+from sleepnet.analytic import ch_gap_pdf
 from sleepnet.numerics import _neumaier_step
-from sleepnet.params import ModelParams
+from sleepnet.params import Fidelity, ModelParams
 
 
 def compensated_sum(terms) -> tuple[float, float]:
@@ -60,7 +60,7 @@ def ch_gap_pdf_closed_form(x: float, params: ModelParams) -> ClosedFormGap:
     rho, r0 = params.rho, params.r0
     if x < 2.0 * r0:
         raise ValueError("closed form applies for x >= 2*r0 only")
-    reference = _gap_pdf_paper(x, params)
+    reference = ch_gap_pdf(x, params.replace(fidelity=Fidelity.PAPER))
     if rho * x > 600.0 or x / r0 > 60.0:
         # terms leave double range before cancelling; unevaluable as printed
         return ClosedFormGap(math.nan, True, reference)

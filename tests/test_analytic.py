@@ -134,6 +134,30 @@ class TestChGapPdf:
                              label=f"first branch rho={rho} r0={r0} "
                                    f"x={x:.1f}")
 
+    def test_batch_matches_pointwise(self):
+        # one array call against one call per point, over every branch:
+        # below r0, the closed form on [r0, 2r0), the quadrature and the
+        # two-pole tail past the switch point
+        from sleepnet.analytic import _gap_tail_switch
+        for rho in (0.005, 0.02, 0.08):
+            for r0 in (100.0, 200.0, 400.0):
+                for fid in ("paper", "corrected"):
+                    params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fid)
+                    switch = _gap_tail_switch(params)
+                    assert 2.0 * r0 < switch < math.inf
+                    xs = np.concatenate([
+                        [0.5 * r0, r0], np.linspace(r0, 2.0 * r0, 5)[1:],
+                        np.linspace(2.0 * r0, switch, 7, endpoint=False),
+                        switch * np.array([1.0, 1.5, 3.0])])
+                    batch = ch_gap_pdf(xs, params)
+                    single = [ch_gap_pdf(float(x), params) for x in xs]
+                    assert isinstance(single[0], float)
+                    assert batch.shape == xs.shape
+                    for x, b, s in zip(xs, batch, single):
+                        assert_close(b, s, rel=1e-14,
+                                     label=f"{fid} rho={rho} r0={r0} "
+                                           f"x={x:.6g}")
+
     def test_corrected_is_mixture(self):
         params = CANONICAL
         paper = CANONICAL.replace(fidelity="paper")
@@ -255,6 +279,18 @@ class TestExpectations:
         assert_close(1.0 - figures.prob_sleep,
                      gap_cdf_decimal(params.D, params.rho, params.r0),
                      rel=1e-3, label="F(D) at rho=0.08 r0=400")
+
+    def test_sleep_probability_clamped_near_truncation(self):
+        # the truncated mass exceeds 1 by quadrature error, so 1 - F(D)
+        # must be clamped to stay a probability
+        for fid in ("paper", "corrected"):
+            params = CANONICAL.replace(fidelity=fid)
+            dist = ChGapDistribution(params)
+            for frac in (0.5, 0.9):
+                at_d = params.replace(D=frac * dist.x_max)
+                figures = energy_figures(at_d, dist)
+                assert 0.0 <= figures.prob_sleep <= 1.0, (fid, frac)
+                assert figures.expected_sleep_time is None, (fid, frac)
 
     def test_no_sleep_opportunity(self):
         params = CANONICAL.replace(D=1e9)

@@ -35,6 +35,21 @@ class TestIntegrateAdaptive:
                                         DEFAULT_SPEC)
         assert_close(value, exact, rel=1e-12, label="kinked integrand")
 
+    def test_owners_match_separate_calls(self):
+        # two integrals with different panels and integrands in one pass;
+        # per-owner state makes each the integral its own call gives (the
+        # second owner's 20 panels take the grouped pairwise-sum path)
+        e0, e1 = np.array([0.0, 0.5, 2.0]), np.linspace(-1.0, 4.0, 21)
+        f0 = np.exp
+        f1 = lambda x: np.abs(x - 0.3) * np.cos(x)
+        both = _adaptive_simpson_stack(
+            lambda x, own: np.where(own == 0, f0(x), f1(x)),
+            np.concatenate([e0, e1]), DEFAULT_SPEC,
+            owner=np.repeat([0, 1], [len(e0), len(e1)]))
+        assert both.tolist() == [
+            _adaptive_simpson_stack(f0, e0, DEFAULT_SPEC),
+            _adaptive_simpson_stack(f1, e1, DEFAULT_SPEC)]
+
     def test_rejects_empty_interval(self):
         for edges in ([1.0, 1.0], [0.0, 1.0, 0.5]):
             with pytest.raises(ValueError):
