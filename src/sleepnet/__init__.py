@@ -4,11 +4,10 @@ event-driven simulators, and experiment sweeps."""
 
 from .analytic import (AnalyticError, ChGapDistribution, EnergyFigures,
                        NoSleepOpportunityError, baseline_power_saved,
-                       ch_gap_pdf, ch_gap_pdf_quadrature,
-                       cluster_span_decay_rate, cycle_power_saved,
-                       energy_figures, expected_ch_gap, expected_power_saved,
-                       expected_sleep_time, gap_tail_rate,
-                       intercluster_gap_pdf)
+                       ch_gap_pdf, cluster_span_decay_rate,
+                       cycle_power_saved, energy_figures, expected_ch_gap,
+                       expected_power_saved, expected_sleep_time,
+                       gap_tail_rate, intercluster_gap_pdf)
 from .numerics import QuadratureError, exp_integral_e1
 from .params import (CANONICAL, KMH, Fidelity, ModelParams, ParamError,
                      parse_speed)

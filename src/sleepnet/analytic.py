@@ -11,27 +11,27 @@ vehicle) cluster-span density alone; "corrected" mixes in the
 single-vehicle atom with weight exp(-rho*r0) so the law matches the
 generative model exactly.
 
-Numerical care, in three places:
+The corrected gap density f solves the linear delay equation
+f'(x) = -lam f(x - r0), lam = rho exp(-rho*r0), with f = 0 below r0 and
+f = lam on [r0, 2r0) (the delayed exponential); the paper density is
+(f - lam exp(-rho (x - r0))) / (1 - exp(-rho*r0)).  It has three branches:
 
-* the cluster-span density is an alternating series whose terms can dwarf
-  the result; terms are built in log space and combined with compensated
-  summation, with a cancellation diagnostic per point;
-* the gap density is evaluated in the shifted form
-  rho * integral f_x0(x_hi - w) e^{-rho w} dw, never as
-  e^{-rho x} * integral e^{+rho x0} (...), so nothing overflows even when
-  rho*r0 is large and the distribution lives at 1e15 m scales;
-* truncation points come from the exact exponential tail rate of X, the
-  nontrivial root of theta = rho * exp(-(rho - theta) r0).
+* a closed form on [r0, 2r0);
+* the method of steps up to ``_gap_tail_switch``: on each r0-segment f is
+  lam times a polynomial in the segment's local coordinate, whose
+  coefficients follow from the previous segment's by one integration;
+* the exact two-pole tail expansion past the switch.
 
-The gap density has three branches: a closed form on [r0, 2r0), the
-composition quadrature above it, and the exact two-pole tail expansion
-far out.  The closed form and the tail are checked against the quadrature
-route by the test suite, not at run time.
+The test suite checks all three against independent oracles (the
+composition quadrature of the span series and an 80-digit decimal
+evaluation of the delayed exponential), not at run time.  Truncation
+points come from the exact exponential tail rate of X, the nontrivial
+root of theta = rho * exp(-(rho - theta) r0).
 
-Evaluation is batched: the density takes an array of points, picks each
-point's branch by mask, and runs the quadrature of all points in one
-adaptive-Simpson pass, each point owning its own panels and tolerances.
-``ChGapDistribution`` hands every grid of uncached points to it at once.
+Evaluation is batched: the density takes an array of points and picks
+each point's branch by mask.  ``ChGapDistribution`` hands every grid of
+uncached points to it at once and integrates it by panel-doubling
+Simpson.
 """
 
 from __future__ import annotations
@@ -42,16 +42,18 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .numerics import (DEFAULT_SPEC, QuadratureError, QuadratureSpec,
-                       _adaptive_simpson_stack, _neumaier_step,
-                       exp_integral_e1, integrate_panel_doubling)
+from .numerics import (QuadratureError, _neumaier_step, exp_integral_e1,
+                       integrate_panel_doubling)
 from .params import Fidelity, ModelParams
 
-#: Quadrature settings for the inner (single pdf evaluation) integrals.
-#: Relative-accuracy driven: pdf values span hundreds of decades.
-_INNER_SPEC = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-9,
-                             max_subdivisions=48)
+#: Tolerances of the panel-doubling integrals against the gap density.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+#: The gap distribution is truncated where the newest panel carries less
+#: than this share of the running mass.
+_TAIL_MASS_TOL = 1e-9
 
 #: e-foldings of headroom kept when windowing exponentially weighted
 #: integrands; contributions beyond are < exp(-52) relative.
@@ -146,130 +148,6 @@ def gap_tail_rate(rho: float, r0: float) -> float:
     return min(cluster_span_decay_rate(rho, r0), rho)
 
 
-def _cluster_len_pdf_grid(x0, rho: float, r0: float):
-    """Conditional cluster-span density and cancellation diagnostic, vectorized.
-
-    The alternating series is evaluated in log space (so neither the
-    u^(m-1) powers nor the exp(-rho m r0) factors can overflow) as a
-    terms-by-points matrix, rescaled by the per-point maximum exponent and
-    combined with pairwise summation.  The number of retained terms is
-    bounded through the single hump of the term magnitudes at
-    m* ~ rho x exp(-rho r0).
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    alpha = rho * r0
-    n = len(x0)
-    live = x0 >= 0.0
-    if not np.any(live):
-        return np.zeros(n), np.ones(n)
-
-    # ln of rho/(e^alpha - 1), overflow-safe for any alpha
-    ln_pref = math.log(rho) - alpha - math.log1p(-math.exp(-alpha)) \
-        if alpha < 700 else math.log(rho) - alpha
-
-    max_floor = int(np.max(np.floor(x0[live] / r0)))
-    hump = rho * float(np.max(x0[live])) * math.exp(-min(alpha, 700.0))
-    m_max = min(max_floor, int(math.ceil(hump + 40.0 * math.sqrt(hump + 4.0)
-                                         + 60.0)))
-    if m_max < 1:
-        value = np.where(live, math.exp(ln_pref), 0.0)
-        return value, np.ones(n)
-
-    m = np.arange(1, m_max + 1, dtype=float)[:, None]
-    ln_fact = np.concatenate([[0.0], np.cumsum(np.log(m[:, 0]))])
-    u = rho * (x0[None, :] - m * r0)
-    ok = u > 0.0
-    first = (m == 1.0) & (u >= 0.0)
-    u_safe = np.where(ok, u, 1.0)
-    with np.errstate(over="ignore"):
-        ln_t = np.where(m == 1.0, 0.0, (m - 1.0) * np.log(u_safe)) \
-            + np.log(u_safe + m) - alpha * m - ln_fact[1:, None]
-        ln_t = np.where(first, np.log1p(np.maximum(u, 0.0)) - alpha, ln_t)
-    ln_t = np.where(ok | first, ln_t, -np.inf)
-
-    # scale by the per-point peak exponent (the m = 0 term contributes
-    # exponent 0) and combine with alternating signs
-    peak = np.maximum(ln_t.max(axis=0), 0.0)
-    with np.errstate(invalid="ignore"):
-        w = np.exp(ln_t - peak[None, :])
-    w[~(ok | first)] = 0.0
-    signs = np.where(np.arange(1, m_max + 1) % 2 == 1, -1.0, 1.0)[:, None]
-    total = np.exp(-peak) + np.sum(signs * w, axis=0)
-    abs_sum = np.exp(-peak) + np.sum(w, axis=0)
-
-    with np.errstate(over="ignore"):
-        value = np.where(live, np.exp(ln_pref + peak) * total, 0.0)
-    canc = np.where(live, abs_sum / np.maximum(np.abs(total), 1e-300), 1.0)
-    return value, canc
-
-
-def _gap_pdf_quad(x, params: ModelParams) -> np.ndarray:
-    """Gap density by split-panel quadrature of the span/exponential
-    convolution (the composition route; no closed forms involved), at an
-    array of points; every point is one owner of a single batched
-    adaptive-Simpson pass.
-
-    Integration runs in the shifted coordinate w = x_hi - x0 so the
-    exponential weight is always exp(-rho w) with small w, immune to
-    overflow and to cancellation in x_hi - x0 at 1e15 m scales.
-    """
-    rho, r0 = params.rho, params.r0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = x - r0
-    alpha = rho * r0
-    lam = cluster_span_decay_rate(rho, r0)
-
-    # effective support of the span density: geometric cluster-size tail
-    ell = -math.log1p(-math.exp(-alpha)) if alpha < 700 else math.exp(-alpha)
-    support = r0 * (1.0 + _EFOLDS / max(ell, 1e-300))
-
-    x_hi = np.minimum(u, support)
-    if lam > rho:
-        x_hi = np.minimum(x_hi, _EFOLDS / (lam - rho))
-    if rho > lam:
-        x_lo = np.maximum(0.0, x_hi - _EFOLDS / (rho - lam))
-    else:
-        x_lo = np.zeros_like(x_hi)
-    log_pref = -rho * (u - x_hi)
-    w_max = x_hi - x_lo
-
-    out = np.zeros(len(x))
-    live = np.flatnonzero((u > 0.0) & (log_pref >= -745.0) & (w_max > 0.0))
-    if not len(live):
-        return out
-    x_hi, w_max = x_hi[live], w_max[live]
-    k = np.arange(len(live))
-
-    # panel splits where the span density has its piece boundaries:
-    # w = x_hi - j r0 for j from floor(x_hi/r0) down to max(ceil(x_lo/r0), 1)
-    j_hi = np.floor(x_hi / r0)
-    n_j = np.maximum(j_hi - np.maximum(np.ceil(x_lo[live] / r0), 1.0) + 1.0,
-                     0.0).astype(np.intp)
-    rep = np.repeat(k, n_j)
-    j = j_hi[rep] - (np.arange(len(rep)) - np.repeat(np.cumsum(n_j) - n_j,
-                                                     n_j))
-    w = x_hi[rep] - j * r0
-    inside = (w > 0.0) & (w < w_max[rep])
-    owner = np.concatenate([k, rep[inside], k])
-    edges = np.concatenate([np.zeros(len(k)), w[inside], w_max])
-    order = np.lexsort((edges, owner))
-
-    def integrand(w, own):
-        span_vals, _ = _cluster_len_pdf_grid(x_hi[own] - w, rho, r0)
-        return span_vals * np.exp(-rho * w)
-
-    # rounding-noise amplitude of one span-density evaluation: machine eps
-    # times the magnitude of the series terms, largest at x0 = x_hi
-    v_hi, c_hi = _cluster_len_pdf_grid(x_hi, rho, r0)
-    noise_scale = 30.0 * np.finfo(float).eps * c_hi * np.abs(v_hi)
-
-    inner = _adaptive_simpson_stack(integrand, edges[order], _INNER_SPEC,
-                                    noise_scale=noise_scale,
-                                    owner=owner[order])
-    out[live] = rho * np.exp(log_pref[live]) * inner
-    return out
-
-
 @functools.lru_cache(maxsize=4096)
 def _gap_tail_switch(params: ModelParams) -> float:
     """Abscissa beyond which the exact two-pole tail expansion is used.
@@ -279,7 +157,8 @@ def _gap_tail_switch(params: ModelParams) -> float:
     inter-cluster exponential).  Every other pole decays faster than
     exp(-mu2 x) with mu2 = (alpha + ln(2 pi / alpha))/r0, so 32 e-foldings
     past the switch point the two-pole sum is accurate to ~1e-14.  Below
-    the switch the series/quadrature route is itself well conditioned.
+    the switch the density is taken from its delay equation by the method
+    of steps, one polynomial per r0-segment.
     """
     rho, r0 = params.rho, params.r0
     alpha = rho * r0
@@ -336,38 +215,79 @@ def _gap_pdf_tail_paper(x, params: ModelParams):
                       / (1.0 - p_single), 0.0)
 
 
-def _gap_pdf_first_branch(x, params: ModelParams):
-    """Closed form on [r0, 2r0): rho (1 - e^{-rho(x-r0)})/(e^{rho r0} - 1)."""
-    rho, r0 = params.rho, params.r0
-    alpha = rho * r0
-    return rho * (-np.expm1(-rho * (x - r0))) * math.exp(-alpha) \
-        / (-math.expm1(-alpha))
+@functools.lru_cache(maxsize=4096)
+def _gap_segment_polys(params: ModelParams) -> tuple:
+    """Method-of-steps polynomials of the corrected gap density.
+
+    On the r0-segment k, x = r0 (k + 1 + t) with t in [0, 1), the density
+    is lam p_k(t), lam = rho e^{-rho r0}.  The delay equation
+    f'(x) = -lam f(x - r0), started from f = lam on [r0, 2r0), gives
+    p_0 = 1 and p_{k+1}(t) = p_k(1) - rho r0 e^{-rho r0} integral_0^t p_k.
+    Returns the monomial coefficients of p_k for every segment below
+    ``_gap_tail_switch``.  The sum of the coefficients' magnitudes stays
+    within a factor 7 of p_k(1) (the worst case is near rho r0 = 1, where
+    the switch is farthest out, at about 18 r0), so evaluation at t in
+    [0, 1) loses at most one digit to cancellation.
+    """
+    c = params.rho_r0 * math.exp(-params.rho_r0)
+    polys = [np.ones(1)]
+    for _ in range(1, int(_gap_tail_switch(params) / params.r0)):
+        p = polys[-1]
+        nxt = -c * P.polyint(p)
+        nxt[0] = P.polyval(1.0, p)
+        polys.append(nxt)
+    return tuple(polys)
 
 
 def _gap_pdf_paper(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Paper-fidelity density at points above r0, each branch applied to
-    the points it covers in one call."""
+    the points it covers in one call.
+
+    On [r0, 2r0) the closed form rho (1 - e^{-rho(x-r0)})/(e^{rho r0} - 1);
+    below ``_gap_tail_switch`` (f - lam e^{-rho(x-r0)})/(1 - e^{-rho r0})
+    with the corrected density f = lam p_k(t) of ``_gap_segment_polys``,
+    one polynomial evaluation per segment; past the switch the two-pole
+    tail.
+    """
+    rho, r0 = params.rho, params.r0
+    alpha = rho * r0
+    lam = rho * math.exp(-alpha)
     out = np.empty(len(x))
-    first = x < 2.0 * params.r0
+    first = x < 2.0 * r0
     tail = ~first & (x >= _gap_tail_switch(params))
-    quad = ~first & ~tail
-    out[first] = _gap_pdf_first_branch(x[first], params)
+    out[first] = rho * (-np.expm1(-rho * (x[first] - r0))) \
+        * math.exp(-alpha) / (-math.expm1(-alpha))
     out[tail] = _gap_pdf_tail_paper(x[tail], params)
-    out[quad] = _gap_pdf_quad(x[quad], params)
+    steps = np.flatnonzero(~first & ~tail)
+    y = x[steps] / r0
+    seg = np.floor(y).astype(np.intp) - 1
+    polys = _gap_segment_polys(params)
+    for k in np.unique(seg):
+        on = seg == k
+        f = P.polyval(y[on] - (k + 1), polys[k])
+        out[steps[on]] = lam * (f - np.exp(-rho * (x[steps[on]] - r0))) \
+            / (-math.expm1(-alpha))
     return out
 
 
-def _gap_pdf_mix(x, params: ModelParams, paper_pdf):
-    """Zero at and below r0, ``paper_pdf`` above it, and in the corrected
-    fidelity the single-vehicle-cluster component mixed in with weight
-    exp(-rho r0).  Array in, array out; a 0-d input gives a float."""
+def ch_gap_pdf(x, params: ModelParams):
+    """Density of the distance X between adjacent cluster heads, in 1/m,
+    at a point or an array of points (a 0-d input returns a float).
+
+    Zero at and below r0.  Above it the paper-fidelity density: the closed
+    form on [r0, 2r0), the method-of-steps solution of the delay equation
+    f'(x) = -rho e^{-rho r0} f(x - r0) up to ``_gap_tail_switch``, and the
+    two-pole tail past it, all points of an array in one pass.  The
+    corrected fidelity mixes in the single-vehicle-cluster component with
+    weight exp(-rho r0).
+    """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     out = np.zeros(len(flat))
     above = flat > params.r0
     if np.any(above):
         xa = flat[above]
-        paper = paper_pdf(xa, params)
+        paper = _gap_pdf_paper(xa, params)
         if params.fidelity is Fidelity.PAPER:
             out[above] = paper
         else:
@@ -379,34 +299,14 @@ def _gap_pdf_mix(x, params: ModelParams, paper_pdf):
     return out.reshape(x.shape)
 
 
-def ch_gap_pdf(x, params: ModelParams):
-    """Density of the distance X between adjacent cluster heads, in 1/m,
-    at a point or an array of points (a 0-d input returns a float).
-
-    Zero below r0.  On [r0, 2r0) the closed form is used; the test suite
-    checks it against ch_gap_pdf_quadrature to 1e-10.  Beyond
-    ``_gap_tail_switch`` the two-pole tail is used, and in between the
-    composition quadrature, all points of an array in one batched pass.
-    The corrected fidelity adds the single-vehicle-cluster component with
-    weight exp(-rho r0).
-    """
-    return _gap_pdf_mix(x, params, _gap_pdf_paper)
-
-
-def ch_gap_pdf_quadrature(x, params: ModelParams):
-    """Pure composition-quadrature gap density (no closed-form branches);
-    the reference the closed forms are checked against.  Takes a point or
-    an array of points, as ch_gap_pdf does."""
-    return _gap_pdf_mix(x, params, _gap_pdf_quad)
-
-
 class ChGapDistribution:
     """Evaluable pdf/cdf of the cluster-head gap X, truncated by tail mass.
 
     Construction lays out integration panels (piece boundaries at multiples
     of r0, then geometrically growing spans) and extends them until the
-    newest panel carries less than ``DEFAULT_SPEC.tail_mass_tol`` of the
-    running total.
+    newest panel carries less than ``_TAIL_MASS_TOL`` of the running total.
+    Panel masses, the cdf and every expectation integrate ``ch_gap_pdf``
+    by panel-doubling Simpson to ``_ABS_TOL``/``_REL_TOL``.
     The panels and their masses are fixed at construction, but evaluation
     is not read-only: every pdf value computed is kept in a per-instance
     dict, which grows as the instance is used, because the nested
@@ -448,7 +348,7 @@ class ChGapDistribution:
         if x > self._edges[i]:
             partial = integrate_panel_doubling(
                 self._pdf_vec, float(self._edges[i]), x,
-                abs_tol=DEFAULT_SPEC.abs_tol, rel_tol=DEFAULT_SPEC.rel_tol)
+                abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
         return float(self._cum[i] + partial)
 
     @property
@@ -474,8 +374,7 @@ class ChGapDistribution:
         total, comp = 0.0, 0.0
         for a, b in zip(edges, edges[1:]):
             part = integrate_panel_doubling(
-                f, float(a), float(b), abs_tol=DEFAULT_SPEC.abs_tol,
-                rel_tol=DEFAULT_SPEC.rel_tol)
+                f, float(a), float(b), abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
             total, comp = _neumaier_step(total, comp, part)
         return total + comp
 
@@ -483,8 +382,7 @@ class ChGapDistribution:
 
     def _panel_mass(self, lo: float, hi: float) -> float:
         return integrate_panel_doubling(self._pdf_vec, lo, hi,
-                                        abs_tol=DEFAULT_SPEC.abs_tol,
-                                        rel_tol=DEFAULT_SPEC.rel_tol)
+                                        abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
 
     def _build_panels(self):
         rho, r0 = self.params.rho, self.params.r0
@@ -512,7 +410,7 @@ class ChGapDistribution:
             edges.append(new)
             masses.append(mss)
             total, comp = _neumaier_step(total, comp, mss)
-            if mss < DEFAULT_SPEC.tail_mass_tol * max(total + comp, 1e-300):
+            if mss < _TAIL_MASS_TOL * max(total + comp, 1e-300):
                 break
         else:
             raise QuadratureError("gap-distribution tail mass not converging",

@@ -6,8 +6,13 @@
 - ``trunc_exp_pdf`` / ``trunc_exp_nfold_pdf``: the truncated-exponential
   intra-cluster gap and its n-fold convolution, for the span-density
   oracle;
-- ``gap_cdf_decimal``: F(x) = P{X <= x} of the corrected gap law by its
-  delayed-exponential series in 80-digit decimal arithmetic.
+- ``cluster_len_pdf_grid`` / ``gap_pdf_composition``: the cluster-span
+  density by its alternating series, and the gap density as the
+  convolution of that span with the inter-cluster exponential, integrated
+  numerically (the composition route, no delay equation involved);
+- ``gap_pdf_decimal`` / ``gap_cdf_decimal``: the density and F(x) of the
+  gap law by the delayed-exponential series in 80-digit decimal
+  arithmetic.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sleepnet.analytic import ch_gap_pdf
-from sleepnet.numerics import _neumaier_step
+from sleepnet.analytic import ch_gap_pdf, intercluster_gap_pdf
+from sleepnet.numerics import _neumaier_step, integrate_panel_doubling
 from sleepnet.params import Fidelity, ModelParams
 
 
@@ -135,6 +140,116 @@ def trunc_exp_nfold_pdf(n: int, rho: float, r0: float,
         out[0] = 0.0
         out_w = out
     return out
+
+
+def cluster_len_pdf_grid(x0, rho: float, r0: float) -> np.ndarray:
+    """Conditional (>= 2 vehicle) cluster-span density at an array of x0.
+
+    The alternating series is evaluated in log space (so neither the
+    u^(m-1) powers nor the exp(-rho m r0) factors can overflow) as a
+    terms-by-points matrix, rescaled by the per-point maximum exponent
+    and combined with pairwise summation.  The number of
+    retained terms is bounded through the single hump of the term
+    magnitudes at m* ~ rho x exp(-rho r0).
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    alpha = rho * r0
+    live = x0 >= 0.0
+    if not np.any(live):
+        return np.zeros(len(x0))
+
+    # ln of rho/(e^alpha - 1), overflow-safe for any alpha
+    ln_pref = math.log(rho) - alpha - math.log1p(-math.exp(-alpha)) \
+        if alpha < 700 else math.log(rho) - alpha
+
+    max_floor = int(np.max(np.floor(x0[live] / r0)))
+    hump = rho * float(np.max(x0[live])) * math.exp(-min(alpha, 700.0))
+    m_max = min(max_floor, int(math.ceil(hump + 40.0 * math.sqrt(hump + 4.0)
+                                         + 60.0)))
+    if m_max < 1:
+        return np.where(live, math.exp(ln_pref), 0.0)
+
+    m = np.arange(1, m_max + 1, dtype=float)[:, None]
+    ln_fact = np.concatenate([[0.0], np.cumsum(np.log(m[:, 0]))])
+    u = rho * (x0[None, :] - m * r0)
+    ok = u > 0.0
+    first = (m == 1.0) & (u >= 0.0)
+    u_safe = np.where(ok, u, 1.0)
+    with np.errstate(over="ignore"):
+        ln_t = np.where(m == 1.0, 0.0, (m - 1.0) * np.log(u_safe)) \
+            + np.log(u_safe + m) - alpha * m - ln_fact[1:, None]
+        ln_t = np.where(first, np.log1p(np.maximum(u, 0.0)) - alpha, ln_t)
+    ln_t = np.where(ok | first, ln_t, -np.inf)
+
+    # scale by the per-point peak exponent (the m = 0 term contributes
+    # exponent 0) and combine with alternating signs
+    peak = np.maximum(ln_t.max(axis=0), 0.0)
+    with np.errstate(invalid="ignore"):
+        w = np.exp(ln_t - peak[None, :])
+    w[~(ok | first)] = 0.0
+    signs = np.where(np.arange(1, m_max + 1) % 2 == 1, -1.0, 1.0)[:, None]
+    total = np.exp(-peak) + np.sum(signs * w, axis=0)
+    with np.errstate(over="ignore"):
+        return np.where(live, np.exp(ln_pref + peak) * total, 0.0)
+
+
+def gap_pdf_composition(x: float, params: ModelParams) -> float:
+    """Gap density at one point by the composition route.
+
+    The paper density is rho integral_0^{x-r0} span(x0) e^{-rho(x-r0-x0)} dx0
+    with the span density of ``cluster_len_pdf_grid``; it is integrated by
+    panel-doubling Simpson over pieces that end at the span density's
+    jumps and kinks (multiples of r0) and are at most 2/rho wide, so each
+    piece is smooth and its exponential weight moderate.  The corrected
+    fidelity mixes in the single-vehicle-cluster component with weight
+    exp(-rho r0).
+    """
+    rho, r0 = params.rho, params.r0
+    u = x - r0
+    if u <= 0.0:
+        return 0.0
+    n_sub = max(1, math.ceil(rho * r0 / 2.0))
+    grid = r0 * (np.arange(math.ceil(u / r0 * n_sub) + 1) / n_sub)
+    edges = np.append(grid[grid < u], u)
+    pieces = [integrate_panel_doubling(
+        lambda x0: cluster_len_pdf_grid(x0, rho, r0) * np.exp(-rho * (u - x0)),
+        float(lo), float(hi), abs_tol=1e-300, rel_tol=1e-13)
+        for lo, hi in zip(edges, edges[1:])]
+    paper = rho * math.fsum(pieces)
+    if params.fidelity is Fidelity.PAPER:
+        return paper
+    p_single = math.exp(-rho * r0)
+    return p_single * intercluster_gap_pdf(x, params) \
+        + (1.0 - p_single) * paper
+
+
+def gap_pdf_decimal(x: float, rho: float, r0: float,
+                    fidelity=Fidelity.CORRECTED) -> float:
+    """Density of the cluster-head gap X at x > r0 by its delayed-
+    exponential series.
+
+    The corrected density is
+    f(x) = lam * sum_{k: x > (k+1) r0} (-lam (x - (k+1) r0))^k / k!
+    with lam = rho e^{-rho r0}; the paper density is
+    (f(x) - lam e^{-rho (x - r0)}) / (1 - e^{-rho r0}).  Both are
+    evaluated in 80-digit decimal arithmetic.
+    """
+    if not x > r0:
+        raise ValueError("the delayed-exponential series needs x > r0")
+    with localcontext() as ctx:
+        ctx.prec = 80
+        rho_d, r0_d, x_d = Decimal(rho), Decimal(r0), Decimal(x)
+        lam = rho_d * (-rho_d * r0_d).exp()
+        total = Decimal(0)
+        k = 0
+        while x_d > (k + 1) * r0_d:
+            total += (-lam * (x_d - (k + 1) * r0_d)) ** k / math.factorial(k)
+            k += 1
+        f = lam * total
+        if Fidelity(fidelity) is Fidelity.PAPER:
+            f = (f - lam * (-rho_d * (x_d - r0_d)).exp()) \
+                / (1 - (-rho_d * r0_d).exp())
+        return float(f)
 
 
 def gap_cdf_decimal(x: float, rho: float, r0: float) -> float:

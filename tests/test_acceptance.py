@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from sleepnet.analytic import (ChGapDistribution, baseline_power_saved,
-                               ch_gap_pdf, ch_gap_pdf_quadrature,
-                               energy_figures)
+                               ch_gap_pdf, energy_figures)
 from sleepnet.cli import main as cli_main
 from sleepnet.experiments import (SweepGrid, figure_preset, run_sweep,
                                   speed_sensitivity)
@@ -23,6 +22,8 @@ from sleepnet.params import CANONICAL, KMH
 from sleepnet.simulate import (RngSpec, ch_gap_samples, estimate_energy,
                                extract_clusters, run_timeline,
                                sample_cycles, sample_snapshot)
+
+from oracles import gap_pdf_composition
 
 GRID_RHO = (0.005, 0.02, 0.08)
 GRID_R0 = (100.0, 200.0, 400.0)
@@ -46,7 +47,7 @@ class TestAcceptance:
         worst = 0.0
         for x in xs:
             closed = ch_gap_pdf(float(x), params)
-            quad = ch_gap_pdf_quadrature(float(x), params)
+            quad = gap_pdf_composition(float(x), params)
             worst = max(worst, abs(closed - quad))
         elapsed = time.perf_counter() - start
         ok = worst < 1e-10 and elapsed < 5.0

@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sleepnet.analytic import (ChGapDistribution, NoSleepOpportunityError,
-                               _cluster_len_pdf_grid, baseline_power_saved,
-                               ch_gap_pdf, ch_gap_pdf_quadrature,
-                               cluster_span_decay_rate, cycle_power_saved,
-                               energy_figures, expected_ch_gap,
-                               expected_power_saved, expected_sleep_time,
-                               gap_tail_rate, intercluster_gap_pdf)
-from sleepnet.numerics import DEFAULT_SPEC, _adaptive_simpson_stack
+                               _gap_tail_switch, baseline_power_saved,
+                               ch_gap_pdf, cluster_span_decay_rate,
+                               cycle_power_saved, energy_figures,
+                               expected_ch_gap, expected_power_saved,
+                               expected_sleep_time, gap_tail_rate,
+                               intercluster_gap_pdf)
+from sleepnet.numerics import integrate_panel_doubling
 from sleepnet.params import CANONICAL, KMH
 
 from conftest import assert_close
-from oracles import (ch_gap_pdf_closed_form, gap_cdf_decimal,
+from oracles import (ch_gap_pdf_closed_form, cluster_len_pdf_grid,
+                     gap_cdf_decimal, gap_pdf_composition, gap_pdf_decimal,
                      trunc_exp_nfold_pdf)
 
 
@@ -28,9 +29,9 @@ class TestInterclusterGapPdf:
             rho * math.exp(-rho * 100.0))
 
     def test_mass_one(self):
-        mass = _adaptive_simpson_stack(
+        mass = integrate_panel_doubling(
             lambda xs: intercluster_gap_pdf(xs, CANONICAL),
-            np.array([CANONICAL.r0, CANONICAL.r0 + 5000.0]), DEFAULT_SPEC)
+            CANONICAL.r0, CANONICAL.r0 + 5000.0, abs_tol=1e-10, rel_tol=1e-8)
         assert_close(mass, 1.0, rel=1e-8, label="inter-cluster gap mass")
 
     def test_no_underflow_warnings(self):
@@ -98,7 +99,7 @@ class TestClusterLenPdf:
         # sample off exact multiples of r0: the trapezoid oracle is first
         # order right at those points (both convolution factors jump there)
         for i in range(96, 6 * per, 192):
-            ours, _ = _cluster_len_pdf_grid(grid[i], rho, r0)
+            ours = cluster_len_pdf_grid(grid[i], rho, r0)
             assert_close(ours[0], mix[i], rel=5e-4,
                          abs_tol=1e-12 * rho,
                          label=f"span pdf at x0={grid[i]:.1f}")
@@ -107,8 +108,8 @@ class TestClusterLenPdf:
         # the short-span limit equals the two-vehicle value, confirming the
         # density describes clusters of at least two vehicles
         limit = CANONICAL.rho / math.expm1(CANONICAL.rho_r0)
-        values, _ = _cluster_len_pdf_grid([0.0, -5.0], CANONICAL.rho,
-                                          CANONICAL.r0)
+        values = cluster_len_pdf_grid([0.0, -5.0], CANONICAL.rho,
+                                      CANONICAL.r0)
         assert values[0] == pytest.approx(limit)
         assert values[1] == 0.0
 
@@ -121,7 +122,7 @@ class TestChGapPdf:
             assert ch_gap_pdf(50.0, params) == 0.0
 
     def test_first_branch_self_check_passes(self):
-        # the closed form on [r0, 2r0) against the composition quadrature,
+        # the closed form on [r0, 2r0) against the composition route,
         # on the 9-cell grid and the fig2 corners
         cells = [(rho, r0) for rho in (0.005, 0.02, 0.08)
                  for r0 in (100.0, 200.0, 400.0)]
@@ -129,16 +130,15 @@ class TestChGapPdf:
             params = CANONICAL.replace(rho=rho, r0=r0, fidelity="paper")
             for x in np.linspace(r0, 2.0 * r0, 12, endpoint=False)[1:]:
                 assert_close(ch_gap_pdf(float(x), params),
-                             ch_gap_pdf_quadrature(float(x), params),
+                             gap_pdf_composition(float(x), params),
                              abs_tol=1e-10,
                              label=f"first branch rho={rho} r0={r0} "
                                    f"x={x:.1f}")
 
     def test_batch_matches_pointwise(self):
         # one array call against one call per point, over every branch:
-        # below r0, the closed form on [r0, 2r0), the quadrature and the
-        # two-pole tail past the switch point
-        from sleepnet.analytic import _gap_tail_switch
+        # below r0, the closed form on [r0, 2r0), the method of steps and
+        # the two-pole tail past the switch point
         for rho in (0.005, 0.02, 0.08):
             for r0 in (100.0, 200.0, 400.0):
                 for fid in ("paper", "corrected"):
@@ -154,9 +154,7 @@ class TestChGapPdf:
                     assert isinstance(single[0], float)
                     assert batch.shape == xs.shape
                     for x, b, s in zip(xs, batch, single):
-                        assert_close(b, s, rel=1e-14,
-                                     label=f"{fid} rho={rho} r0={r0} "
-                                           f"x={x:.6g}")
+                        assert b == s, (fid, rho, r0, x)
 
     def test_corrected_is_mixture(self):
         params = CANONICAL
@@ -173,22 +171,36 @@ class TestChGapPdf:
             params = CANONICAL.replace(fidelity=fid)
             for x in (300.0, 700.0, 1500.0, 3000.0):
                 assert_close(ch_gap_pdf(x, params),
-                             ch_gap_pdf_quadrature(x, params),
+                             gap_pdf_composition(x, params),
                              rel=1e-8, label=f"{fid} gap pdf at x={x}")
 
+    def test_matches_decimal_delayed_exponential(self):
+        # every branch below the tail switch against the 80-digit series,
+        # on the 9-cell grid and at rho*r0 = 1, where the switch is
+        # farthest out (about 18 r0)
+        cells = [(rho, r0) for rho in (0.005, 0.02, 0.08)
+                 for r0 in (100.0, 200.0, 400.0)] + [(0.02, 50.0)]
+        for rho, r0 in cells:
+            for fid in ("paper", "corrected"):
+                params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fid)
+                switch = _gap_tail_switch(params)
+                xs = np.linspace(1.003 * r0, switch, 60, endpoint=False)
+                for x, value in zip(xs, ch_gap_pdf(xs, params)):
+                    assert_close(value,
+                                 gap_pdf_decimal(float(x), rho, r0, fid),
+                                 rel=1e-13,
+                                 label=f"{fid} rho={rho} r0={r0} "
+                                       f"x/r0={x / r0:.4f}")
+
     def test_tail_expansion_agrees_with_quadrature(self):
-        # composition quadrature and the resolvent-pole tail overlap in a
+        # the composition route and the resolvent-pole tail overlap in a
         # window below the switch point; they must agree there
-        from sleepnet.analytic import (_gap_pdf_quad, _gap_pdf_tail,
-                                       _gap_tail_switch)
+        from sleepnet.analytic import _gap_pdf_tail
         for rho, r0 in ((0.005, 100.0), (0.02, 200.0)):
             params = CANONICAL.replace(rho=rho, r0=r0)
             x = 0.9 * _gap_tail_switch(params)
             assert_close(_gap_pdf_tail(x, params),
-                         (math.exp(-rho * r0)
-                          * intercluster_gap_pdf(x, params)
-                          + (1.0 - math.exp(-rho * r0))
-                          * _gap_pdf_quad(x, params)),
+                         gap_pdf_composition(x, params),
                          rel=1e-6, label=f"tail overlap rho={rho} r0={r0}")
 
     @given(st.floats(min_value=201.0, max_value=5000.0))
@@ -321,8 +333,10 @@ class TestExpectations:
             return rho * np.exp(-rho * x) * (
                 params.P0 * (x - D) - params.Ec * params.mean_speed) / x
 
-        direct = _adaptive_simpson_stack(
-            integrand, np.array([D, D + 4000.0, D + 20000.0]), DEFAULT_SPEC)
+        direct = sum(integrate_panel_doubling(integrand, lo, hi,
+                                              abs_tol=1e-10, rel_tol=1e-8)
+                     for lo, hi in ((D, D + 4000.0),
+                                    (D + 4000.0, D + 20000.0)))
         assert_close(baseline_power_saved(params), direct, rel=1e-6,
                      label="baseline power saved")
 

@@ -5,68 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepnet.numerics import (DEFAULT_SPEC, QuadratureError,
-                               QuadratureSpec, _adaptive_simpson_stack,
-                               exp_integral_e1, integrate_panel_doubling)
+from sleepnet.numerics import exp_integral_e1, integrate_panel_doubling
 
 from conftest import assert_close, rng_for_test
 from oracles import compensated_sum, trunc_exp_nfold_pdf, trunc_exp_pdf
-
-
-class TestIntegrateAdaptive:
-    """The adaptive Simpson stack behind the gap density's quadrature."""
-
-    def test_polynomial_exact(self):
-        # antiderivative of 3x^2 + 2x is x^3 + x^2
-        value = _adaptive_simpson_stack(lambda x: 3 * x ** 2 + 2 * x,
-                                        np.array([0.0, 2.0]), DEFAULT_SPEC)
-        assert_close(value, 12.0, rel=1e-12, label="cubic antiderivative")
-
-    def test_exponential(self):
-        value = _adaptive_simpson_stack(np.exp, np.array([0.0, 1.0]),
-                                        DEFAULT_SPEC)
-        assert_close(value, math.e - 1.0, abs_tol=1e-9, label="exp integral")
-
-    def test_split_points_handle_kink(self):
-        # the kink sits on a panel edge, so no panel sees it
-        f = lambda x: np.abs(x - 0.3)
-        exact = 0.5 * 0.3 ** 2 + 0.5 * 0.7 ** 2
-        value = _adaptive_simpson_stack(f, np.array([0.0, 0.3, 1.0]),
-                                        DEFAULT_SPEC)
-        assert_close(value, exact, rel=1e-12, label="kinked integrand")
-
-    def test_owners_match_separate_calls(self):
-        # two integrals with different panels and integrands in one pass;
-        # per-owner state makes each the integral its own call gives (the
-        # second owner's 20 panels take the grouped pairwise-sum path)
-        e0, e1 = np.array([0.0, 0.5, 2.0]), np.linspace(-1.0, 4.0, 21)
-        f0 = np.exp
-        f1 = lambda x: np.abs(x - 0.3) * np.cos(x)
-        both = _adaptive_simpson_stack(
-            lambda x, own: np.where(own == 0, f0(x), f1(x)),
-            np.concatenate([e0, e1]), DEFAULT_SPEC,
-            owner=np.repeat([0, 1], [len(e0), len(e1)]))
-        assert both.tolist() == [
-            _adaptive_simpson_stack(f0, e0, DEFAULT_SPEC),
-            _adaptive_simpson_stack(f1, e1, DEFAULT_SPEC)]
-
-    def test_rejects_empty_interval(self):
-        for edges in ([1.0, 1.0], [0.0, 1.0, 0.5]):
-            with pytest.raises(ValueError):
-                _adaptive_simpson_stack(np.exp, np.array(edges), DEFAULT_SPEC)
-
-    def test_nonconvergence_raises_with_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300,
-                              max_subdivisions=4)
-        rng = rng_for_test(0)
-        noise = rng.normal(size=257)
-
-        def rough(x):
-            return np.interp(x, np.linspace(0, 1, 257), noise)
-
-        with pytest.raises(QuadratureError) as exc_info:
-            _adaptive_simpson_stack(rough, np.array([0.0, 1.0]), spec)
-        assert math.isfinite(exc_info.value.estimate)
 
 
 class TestIntegratePanelDoubling:
@@ -94,11 +36,11 @@ class TestExpIntegralE1:
     def test_against_defining_integral(self):
         # independent route: E1(z) = int_z^inf exp(-t)/t dt, cut at z + 60
         # where the dropped tail is below e^-60 relative
-        spec = QuadratureSpec(abs_tol=1e-18, rel_tol=1e-10)
         for z in (0.05, 0.3, 1.0, 2.5, 8.0, 20.0):
-            quad = _adaptive_simpson_stack(
-                lambda t: np.exp(-t) / t, np.geomspace(z, z + 60.0, 24),
-                spec)
+            edges = np.geomspace(z, z + 60.0, 24)
+            quad = sum(integrate_panel_doubling(
+                lambda t: np.exp(-t) / t, lo, hi, abs_tol=1e-18,
+                rel_tol=1e-10) for lo, hi in zip(edges, edges[1:]))
             assert_close(exp_integral_e1(z), quad, rel=1e-6,
                          label=f"E1({z})")
 
@@ -157,8 +99,8 @@ class TestCompensatedSum:
 class TestTruncExp:
     def test_pdf_mass_one(self):
         rho, r0 = 0.01, 200.0
-        mass = _adaptive_simpson_stack(lambda x: trunc_exp_pdf(x, rho, r0),
-                                       np.array([0.0, r0]), DEFAULT_SPEC)
+        mass = integrate_panel_doubling(lambda x: trunc_exp_pdf(x, rho, r0),
+                                        0.0, r0, abs_tol=1e-10, rel_tol=1e-8)
         assert_close(mass, 1.0, rel=1e-10, label="truncated-exp mass")
 
     def test_pdf_zero_outside(self):
@@ -170,7 +112,7 @@ class TestTruncExp:
         rho, r0 = 0.005, 200.0
         grid = np.linspace(0.0, 2 * r0, 4097)
         pdf = trunc_exp_nfold_pdf(2, rho, r0, grid)
-        mass = float(np.trapezoid(pdf, grid))
+        mass = float(np.sum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)))
         assert_close(mass, 1.0, abs_tol=1e-6, label="2-fold mass")
         assert pdf[0] == 0.0
         assert np.all(pdf >= 0.0)
