@@ -3,11 +3,9 @@ network: closed-form distribution analysis, independent Monte Carlo and
 event-driven simulators, and experiment sweeps."""
 
 from .analytic import (AnalyticError, ChGapDistribution, EnergyFigures,
-                       NoSleepOpportunityError, baseline_power_saved,
-                       ch_gap_pdf, cluster_span_decay_rate,
-                       cycle_power_saved, energy_figures, expected_ch_gap,
-                       expected_power_saved, expected_sleep_time,
-                       gap_tail_rate, intercluster_gap_pdf)
+                       baseline_power_saved, ch_gap_pdf,
+                       cluster_span_decay_rate, energy_figures,
+                       expected_ch_gap, gap_tail_rate, intercluster_gap_pdf)
 from .numerics import QuadratureError, exp_integral_e1
 from .params import (CANONICAL, KMH, Fidelity, ModelParams, ParamError,
                      parse_speed)
@@ -21,4 +19,4 @@ from .simulate import (ClusterSet, CycleBatch, EnergyEstimate, RngSpec,
 from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, SweepRow,
                           SweepTable, ValidationReport, ValidationRow,
                           emit_table, figure_preset, run_sweep,
-                          run_validation, speed_sensitivity)
+                          run_validation)

@@ -3,8 +3,12 @@
 The central object is the distance X between two adjacent cluster heads,
 X = x0 + x1: the span x0 of a cluster (a geometric number of gaps, each an
 exponential conditioned to be at most r0) plus the inter-cluster gap x1
-(r0 plus a fresh exponential).  Everything downstream -- sleep-time and
-power-saving expectations -- is an integral against the density of X.
+(r0 plus a fresh exponential).  Everything downstream is an integral
+against the density of X: ``energy_figures`` takes P{X>D}, E[X - D; X>D]
+and E[1/X; X>D] from one distribution, and ``_power_saved`` turns the
+first and last into E[P_save], the expectation of the per-cycle
+bookkeeping in ``simulate._cycle_energy``; the no-relay baseline uses the
+same expression with X exponential.
 
 Two fidelities are supported.  "paper" composes the conditional (>= 2
 vehicle) cluster-span density alone; "corrected" mixes in the
@@ -62,10 +66,6 @@ _EFOLDS = 52.0
 
 class AnalyticError(ArithmeticError):
     """An internal consistency check of the analytic machinery failed."""
-
-
-class NoSleepOpportunityError(RuntimeError):
-    """P{X > D} is numerically zero: the BS never gets to sleep."""
 
 
 def intercluster_gap_pdf(x1, params: ModelParams):
@@ -158,16 +158,16 @@ def _gap_tail_switch(params: ModelParams) -> float:
     exp(-mu2 x) with mu2 = (alpha + ln(2 pi / alpha))/r0, so 32 e-foldings
     past the switch point the two-pole sum is accurate to ~1e-14.  Below
     the switch the density is taken from its delay equation by the method
-    of steps, one polynomial per r0-segment.
+    of steps, one polynomial per r0-segment.  mu2 exceeds both real poles
+    (by ln(2 pi/alpha)/r0 > 0 for alpha < 1, by more than
+    (1 - theta r0)/r0 > 0 above), so the switch is finite, at most about
+    18.4 r0 (near alpha = 1).
     """
     rho, r0 = params.rho, params.r0
     alpha = rho * r0
     lam0 = cluster_span_decay_rate(rho, r0)
     mu2 = (alpha + math.log(2.0 * math.pi / alpha)) / r0
-    gap = mu2 - min(lam0, rho)
-    if gap <= 0.0:
-        return math.inf
-    return r0 + 32.0 / gap
+    return r0 + 32.0 / (mu2 - min(lam0, rho))
 
 
 def _safe_exp(z):
@@ -431,7 +431,6 @@ class EnergyFigures:
     expected_sleep_time: Optional[float]     # E[T_off | sleep occurs], s
     expected_power_saved: float              # E[P_save], W
     mean_speed: float                        # E[V], m/s
-    mean_inv_gap: float                      # integral_D^inf f(x)/x dx, 1/m
 
 
 def expected_ch_gap(params: ModelParams,
@@ -454,52 +453,14 @@ def expected_ch_gap(params: ModelParams,
     return m1
 
 
-def _sleep_integrals(params: ModelParams, dist: ChGapDistribution):
-    """(P{X>D}, integral (x-D) f dx, integral f/x dx), all from D up.
+def _power_saved(params: ModelParams, prob: float, inv: float) -> float:
+    """E[P_save] = P0 P{X>D} - (P0 D + Ec E[V]) E[1/X; X>D].
 
-    P{X>D} is taken as 1 - F(D), which keeps the shortfall's relative
-    precision where F(D) is tiny, clamped to [0, 1] because the truncated
-    mass can exceed 1 by its quadrature error; past the truncation point
-    all are zero.
+    A cycle with gap x > D at speed v sleeps (x - D)/v and pays Ec once,
+    so its mean power is P0 (x - D)/x - Ec v/x; the speed enters only
+    through E[V] because it is independent of the gap.  ``prob`` is
+    P{X>D} and ``inv`` is E[1/X; X>D].
     """
-    D = params.D
-    prob = min(max(1.0 - dist.cdf(D), 0.0), 1.0) if D < dist.x_max else 0.0
-    m_excess = dist.integral(lambda xs: xs - D, lo=D)
-    inv = dist.integral(lambda xs: 1.0 / xs, lo=D)
-    return prob, m_excess, inv
-
-
-def expected_sleep_time(params: ModelParams,
-                        dist: Optional[ChGapDistribution] = None) -> float:
-    """E[T_off] given a sleep period occurs: E[1/V] * E[X - D | X > D]."""
-    dist = dist or ChGapDistribution(params)
-    prob, m_excess, _ = _sleep_integrals(params, dist)
-    if prob < 1e-12:
-        raise NoSleepOpportunityError(
-            f"P(X > D) = {prob!r} at D={params.D}: no sleep opportunity")
-    return params.mean_inv_speed * m_excess / prob
-
-
-def cycle_power_saved(x: float, v: float, params: ModelParams) -> float:
-    """Power saved over one renewal cycle with gap x and speed v.
-
-    Zero when the gap never clears the coverage width; possibly negative
-    when the sleep is too short to amortize the switching energy (reported
-    as computed, not clamped).
-    """
-    if v <= 0:
-        raise ValueError("speed must be positive")
-    if x <= params.D:
-        return 0.0
-    t_off = (x - params.D) / v
-    return (t_off * params.P0 - params.Ec) / (x / v)
-
-
-def expected_power_saved(params: ModelParams,
-                         dist: Optional[ChGapDistribution] = None) -> float:
-    """Unconditional per-cycle expected power saved, in W."""
-    dist = dist or ChGapDistribution(params)
-    prob, _, inv = _sleep_integrals(params, dist)
     return params.P0 * prob - params.P0 * params.D * inv \
         - params.Ec * params.mean_speed * inv
 
@@ -508,31 +469,34 @@ def baseline_power_saved(params: ModelParams) -> float:
     """Expected power saved without vehicle-to-vehicle relaying.
 
     The r0 -> 0 limit: every vehicle is its own cluster head and X is
-    exponential(rho), so the tail integrals reduce to the exponential
-    integral E1.
+    exponential(rho), so P{X>D} = e^{-rho D} and E[1/X; X>D] reduces to
+    rho E1(rho D) with the exponential integral E1.
     """
-    rho, D = params.rho, params.D
-    z = rho * D
+    z = params.rho * params.D
     tail = math.exp(-z) if z < 745.0 else 0.0
-    e1 = exp_integral_e1(z)
-    return params.P0 * tail \
-        - (params.P0 * D + params.Ec * params.mean_speed) * rho * e1
+    return _power_saved(params, tail, params.rho * exp_integral_e1(z))
 
 
 def energy_figures(params: ModelParams,
                    dist: Optional[ChGapDistribution] = None) -> EnergyFigures:
     """All analytic outputs at one parameter point, sharing one distribution
-    (and thus one truncation point, keeping P{X>D} + F(D) consistent)."""
+    (and thus one truncation point, keeping P{X>D} + F(D) consistent).
+
+    P{X>D} is taken as 1 - F(D), which keeps the shortfall's relative
+    precision where F(D) is tiny, clamped to [0, 1] because the truncated
+    mass can exceed 1 by its quadrature error; past the truncation point
+    it is zero.  E[T_off] = E[1/V] E[X - D; X > D] / P{X>D} is None when
+    P{X>D} < 1e-12.
+    """
     dist = dist or ChGapDistribution(params)
-    prob, m_excess, inv = _sleep_integrals(params, dist)
+    D = params.D
+    prob = min(max(1.0 - dist.cdf(D), 0.0), 1.0) if D < dist.x_max else 0.0
+    m_excess = dist.integral(lambda xs: xs - D, lo=D)
+    inv = dist.integral(lambda xs: 1.0 / xs, lo=D)
     gap = expected_ch_gap(params, dist)
-    if prob < 1e-12:
-        sleep_time = None
-    else:
-        sleep_time = params.mean_inv_speed * m_excess / prob
-    power = params.P0 * prob - params.P0 * params.D * inv \
-        - params.Ec * params.mean_speed * inv
+    sleep_time = (params.mean_inv_speed * m_excess / prob
+                  if prob >= 1e-12 else None)
     return EnergyFigures(expected_gap=gap, prob_sleep=prob,
                          expected_sleep_time=sleep_time,
-                         expected_power_saved=power,
-                         mean_speed=params.mean_speed, mean_inv_gap=inv)
+                         expected_power_saved=_power_saved(params, prob, inv),
+                         mean_speed=params.mean_speed)

@@ -16,20 +16,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Dict, List, Optional
 
-from .analytic import (AnalyticError, NoSleepOpportunityError,
-                       baseline_power_saved, energy_figures)
+from .analytic import baseline_power_saved, energy_figures
 from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, emit_table,
                           figure_preset, run_sweep, run_validation)
-from .numerics import QuadratureError
 from .params import (CANONICAL, Fidelity, ModelParams, ParamError,
                      parse_speed)
-from .simulate import (RngSpec, WindowTooSmallError, estimate_energy,
-                       run_timeline, sample_cycles)
+from .simulate import RngSpec, estimate_energy, run_timeline, sample_cycles
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -430,12 +426,9 @@ def main(argv=None, out=None) -> int:
         return fail(EXIT_CONFIG_ERROR, "config", exc)
     try:
         return _COMMANDS[args.command](args, config, out)
-    except (ParamError, ConfigError, WindowTooSmallError) as exc:
+    except ValueError as exc:  # ParamError, ConfigError, WindowTooSmallError
         return fail(EXIT_CONFIG_ERROR, "config", exc)
-    except ValueError as exc:
-        return fail(EXIT_CONFIG_ERROR, "config", exc)
-    except (QuadratureError, AnalyticError, NoSleepOpportunityError,
-            ArithmeticError) as exc:
+    except ArithmeticError as exc:
         return fail(EXIT_NUMERIC_FAILURE, "numeric", exc)
 
 

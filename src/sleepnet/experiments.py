@@ -19,9 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import __version__ as _version
-from .analytic import (ChGapDistribution, NoSleepOpportunityError,
-                       baseline_power_saved, energy_figures)
-from .params import CANONICAL, KMH, Fidelity, ModelParams
+from .analytic import baseline_power_saved, energy_figures
+from .params import CANONICAL, Fidelity, ModelParams
 from .simulate import RngSpec, estimate_energy, sample_cycles
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "run_sweep",
     "run_validation",
     "emit_table",
-    "speed_sensitivity",
     "figure_preset",
     "FIGURE_PRESETS",
 ]
@@ -235,25 +233,20 @@ def _validation_cell(args) -> List[ValidationRow]:
         }
         for metric in VALIDATION_METRICS:
             value, stderr = mc[metric]
-            target = analytic[(fidelity.value, metric)]
+            target = float(analytic[(fidelity.value, metric)])
             if value is None or stderr is None:
-                rows.append(ValidationRow(
-                    rho=rho, r0=r0, D=params.D, a=params.a, b=params.b,
-                    P0=params.P0, Ec=params.Ec, fidelity=fidelity.value,
-                    metric=metric, value=math.nan, stderr=None,
-                    status="no sleep opportunity", analytic=float(target),
-                    z=math.nan, passed=False,
-                    fidelity_gap=float(gaps[metric])))
-                continue
-            value, stderr, target = float(value), float(stderr), float(target)
-            z = (value - target) / stderr if stderr > 0.0 else (
-                0.0 if value == target else math.inf)
-            passed = bool(math.isfinite(z) and abs(z) <= 3.0)
+                value, stderr, z = math.nan, None, math.nan
+                status = "no sleep opportunity"
+            else:
+                value, stderr, status = float(value), float(stderr), "ok"
+                z = (value - target) / stderr if stderr > 0.0 else (
+                    0.0 if value == target else math.inf)
             rows.append(ValidationRow(
                 rho=rho, r0=r0, D=params.D, a=params.a, b=params.b,
                 P0=params.P0, Ec=params.Ec, fidelity=fidelity.value,
-                metric=metric, value=value, stderr=stderr, status="ok",
-                analytic=target, z=z, passed=passed,
+                metric=metric, value=value, stderr=stderr, status=status,
+                analytic=target, z=z,
+                passed=bool(math.isfinite(z) and abs(z) <= 3.0),
                 fidelity_gap=float(gaps[metric])))
     return rows
 
@@ -350,23 +343,6 @@ def emit_table(table: Union[SweepTable, ValidationReport],
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(
             "utf-8")
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
-
-
-def speed_sensitivity(params: ModelParams) -> float:
-    """How much the speed distribution matters for the expected power
-    saved: |E_Psave(uniform a..b) - E_Psave(degenerate mean speed)|
-    normalized by P0 * P{X > D}.  The gap law does not depend on the
-    speeds, so both figures share one distribution."""
-    dist = ChGapDistribution(params)
-    figures = energy_figures(params, dist)
-    v = params.mean_speed
-    degenerate = params.replace(a=v * (1.0 - 1e-9), b=v * (1.0 + 1e-9))
-    flat = energy_figures(degenerate, dist)
-    scale = params.P0 * figures.prob_sleep
-    if scale == 0.0:
-        return 0.0
-    return abs(figures.expected_power_saved
-               - flat.expected_power_saved) / scale
 
 
 def _log_spaced(lo: float, hi: float, n: int) -> Tuple[float, ...]:

@@ -1,9 +1,12 @@
 """Generative-model engines independent of the closed-form route:
 
-- a renewal-cycle sampler drawing (cluster-head gap, speed) pairs and the
-  per-cycle energy bookkeeping,
+- a renewal-cycle sampler drawing (cluster-head gap, speed) pairs, with
+  the per-cycle energy bookkeeping (``_cycle_energy``) that the
+  common-speed timeline shares,
 - a spatial Poisson snapshot sampler with cluster extraction, and
-- a time-domain event-driven base-station sleep/wake simulator.
+- a time-domain base-station sleep/wake simulator, vectorised at a common
+  speed and event-driven at per-vehicle speeds; both modes charge the run
+  through ``_timeline_report``.
 
 All samplers are pure functions of an RngSpec: identical (master_seed,
 stream_id) pairs reproduce bit-identical sample streams, so parallel
@@ -118,14 +121,9 @@ class ClusterSet:
 
 @dataclass(frozen=True)
 class CycleBatch:
-    """Vectorized collection of renewal cycles, one array per field.
-
-    Each cycle has the gap x to the next cluster head and the speed v;
-    t_off = max((x - D)/v, 0) and t_on = min(x, D)/v, so t_off + t_on is
-    the full cycle duration max(x, D)/v.  e_off is the energy saved while
-    off (zero if the station never sleeps), and p_save is the cycle-mean
-    power saved e_off / (t_off + t_on).
-    """
+    """Vectorized collection of renewal cycles, one array per field: the
+    gap x to the next cluster head, the speed v, and the per-cycle
+    bookkeeping t_off, t_on, e_off and p_save of ``_cycle_energy``."""
 
     x: np.ndarray
     v: np.ndarray
@@ -195,6 +193,22 @@ def _trunc_exp_stats(rho: float, r0: float) -> tuple:
     return mean, var
 
 
+def _cycle_energy(x, v, params: ModelParams) -> tuple:
+    """Energy bookkeeping of renewal cycles with gaps x and speeds v.
+
+    Returns (t_off, t_on, e_off, p_save), elementwise: the station sleeps
+    t_off = max((x - D)/v, 0) and is on t_on = min(x, D)/v; a cycle that
+    sleeps saves e_off = P0 t_off - Ec (one switching cost, possibly
+    negative when the sleep is too short to amortize it), one that does
+    not saves nothing; p_save = e_off / (t_off + t_on) is its mean power.
+    """
+    t_off = np.maximum((x - params.D) / v, 0.0)
+    t_on = np.minimum(x, params.D) / v
+    e_off = np.where(t_off > 0.0, params.P0 * t_off - params.Ec, 0.0)
+    p_save = e_off / (t_off + t_on)
+    return t_off, t_on, e_off, p_save
+
+
 def sample_cycles(params: ModelParams, n: int,
                   rng: Union[RngSpec, np.random.Generator],
                   fidelity: Optional[Fidelity] = None) -> CycleBatch:
@@ -239,12 +253,7 @@ def sample_cycles(params: ModelParams, n: int,
     x1 = r0 + gen.exponential(1.0 / rho, size=n)
     x = x0 + x1
     v = gen.uniform(params.a, params.b, size=n)
-
-    t_off = np.maximum((x - params.D) / v, 0.0)
-    t_on = np.minimum(x, params.D) / v
-    sleeping = t_off > 0.0
-    e_off = np.where(sleeping, params.P0 * t_off - params.Ec, 0.0)
-    p_save = e_off / (t_off + t_on)
+    t_off, t_on, e_off, p_save = _cycle_energy(x, v, params)
     return CycleBatch(x=x, v=v, t_off=t_off, t_on=t_on,
                       e_off=e_off, p_save=p_save)
 
@@ -334,8 +343,37 @@ class TimelineReport:
     processed_time: Optional[float] = None
 
 
+def _timeline_report(params: ModelParams, duration: float,
+                     sleep_time: float, n_transitions: int,
+                     cycle_power: np.ndarray, complete: bool = True,
+                     processed: Optional[float] = None) -> TimelineReport:
+    """Charge a run Ec per off/on pair against its sleep, averaged over
+    ``processed`` seconds if given, else ``duration``; ``cycle_power``
+    holds the per-cycle power of the completed cycles, possibly none."""
+    energy_saved = sleep_time * params.P0 - (n_transitions / 2.0) * params.Ec
+    span = duration if processed is None else processed
+    if len(cycle_power):
+        cycle_mean, cycle_se = _mean_se(cycle_power)
+    else:
+        cycle_mean = cycle_se = None
+    return TimelineReport(
+        sim_duration=duration,
+        sleep_fraction=sleep_time / span,
+        n_transitions=n_transitions,
+        energy_saved=energy_saved,
+        mean_power_saved=energy_saved / span,
+        n_cycles=len(cycle_power),
+        cycle_mean_power_saved=cycle_mean,
+        cycle_mean_power_se=cycle_se,
+        complete=complete,
+        processed_time=processed)
+
+
 def _merge_intervals(starts: np.ndarray, ends: np.ndarray) -> tuple:
-    """Merge sorted, possibly overlapping [start, end] intervals."""
+    """Merge overlapping [start, end] intervals whose starts and ends are
+    both nondecreasing (as for equal-length intervals).  Each start is
+    compared with the previous end only, so an interval nested inside an
+    earlier one would wrongly open a new run."""
     if len(starts) == 0:
         return starts, ends
     new_run = np.concatenate(([True], starts[1:] > ends[:-1]))
@@ -347,15 +385,13 @@ def _merge_intervals(starts: np.ndarray, ends: np.ndarray) -> tuple:
 def _common_timeline(params: ModelParams, duration: float,
                      window_length: float, v: float,
                      gen: np.random.Generator) -> TimelineReport:
-    rho, r0, D = params.rho, params.r0, params.D
+    r0, D = params.r0, params.D
     required = v * duration + D + 2.0 * r0
     if window_length < required:
         raise WindowTooSmallError(window_length, required)
     snapshot = sample_snapshot(params, window_length, gen)
     clusters = extract_clusters(snapshot, r0)
-    center = window_length
-    entry_edge = center - D / 2.0
-
+    entry_edge = window_length - D / 2.0
     heads = clusters.head_positions[::-1]          # descending position
     t_in = (entry_edge - heads) / v                # ascending arrival time
     t_out = t_in + D / v
@@ -364,33 +400,15 @@ def _common_timeline(params: ModelParams, duration: float,
     starts = np.clip(starts, 0.0, duration)
     ends = np.clip(ends, 0.0, duration)
 
-    active_time = float(np.sum(ends - starts))
-    sleep_time = duration - active_time
+    sleep_time = duration - float(np.sum(ends - starts))
     n_transitions = int(np.count_nonzero((starts > 0.0) & (starts < duration))
                         + np.count_nonzero((ends > 0.0) & (ends < duration)))
-    energy_saved = sleep_time * params.P0 - (n_transitions / 2.0) * params.Ec
 
     full = (t_in >= 0.0) & (t_in <= duration)
-    cycle_gap = np.diff(heads[full])               # negative steps
-    gaps = -cycle_gap
-    n_cycles = len(gaps)
-    if n_cycles:
-        sleeping = gaps > D
-        e_off = np.where(sleeping,
-                         params.P0 * (gaps - D) / v - params.Ec, 0.0)
-        p_save = e_off * v / gaps
-        cycle_mean, cycle_se = _mean_se(p_save)
-    else:
-        cycle_mean = cycle_se = None
-    return TimelineReport(
-        sim_duration=duration,
-        sleep_fraction=sleep_time / duration,
-        n_transitions=n_transitions,
-        energy_saved=energy_saved,
-        mean_power_saved=energy_saved / duration,
-        n_cycles=n_cycles,
-        cycle_mean_power_saved=cycle_mean,
-        cycle_mean_power_se=cycle_se)
+    gaps = -np.diff(heads[full])                   # heads descend
+    p_save = _cycle_energy(gaps, v, params)[3]
+    return _timeline_report(params, duration, sleep_time, n_transitions,
+                            p_save)
 
 
 def _heterogeneous_state(positions: np.ndarray, speeds: np.ndarray,
@@ -442,7 +460,7 @@ def _next_event_time(pos: np.ndarray, spd: np.ndarray, is_head: np.ndarray,
 def _heterogeneous_timeline(params: ModelParams, duration: float,
                             window_length: float,
                             gen: np.random.Generator) -> TimelineReport:
-    rho, r0, D = params.rho, params.r0, params.D
+    r0, D = params.r0, params.D
     required = params.b * duration + D + 2.0 * r0
     if window_length < required:
         raise WindowTooSmallError(window_length, required)
@@ -473,20 +491,8 @@ def _heterogeneous_timeline(params: ModelParams, duration: float,
         if n_events > MAX_EVENTS and t < duration:
             complete = False
             break
-    processed = t
-    energy_saved = (sleep_time * params.P0
-                    - (n_transitions / 2.0) * params.Ec)
-    return TimelineReport(
-        sim_duration=duration,
-        sleep_fraction=sleep_time / processed if processed > 0.0 else 0.0,
-        n_transitions=n_transitions,
-        energy_saved=energy_saved,
-        mean_power_saved=energy_saved / processed if processed > 0.0 else 0.0,
-        n_cycles=0,
-        cycle_mean_power_saved=None,
-        cycle_mean_power_se=None,
-        complete=complete,
-        processed_time=processed)
+    return _timeline_report(params, duration, sleep_time, n_transitions,
+                            np.empty(0), complete=complete, processed=t)
 
 
 def run_timeline(params: ModelParams, duration: float, window_length: float,

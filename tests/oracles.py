@@ -12,7 +12,10 @@
   numerically (the composition route, no delay equation involved);
 - ``gap_pdf_decimal`` / ``gap_cdf_decimal``: the density and F(x) of the
   gap law by the delayed-exponential series in 80-digit decimal
-  arithmetic.
+  arithmetic;
+- ``timeline_active_intervals``: the exact active intervals of a base
+  station on a road of constant-speed vehicles, by interval algebra
+  instead of an event loop.
 """
 
 from __future__ import annotations
@@ -274,3 +277,60 @@ def gap_cdf_decimal(x: float, rho: float, r0: float) -> float:
             total += -term if k % 2 else term
             k += 1
         return float(total)
+
+
+def _union(intervals) -> list:
+    """Union of closed intervals given in any order, nested ones included:
+    each start is compared with the running maximum of the ends."""
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return merged
+
+
+def _subtract(lo: float, hi: float, holes) -> list:
+    """[lo, hi] minus the union of ``holes``, as a list of intervals."""
+    out = []
+    for h_lo, h_hi in _union(h for h in holes if h[1] > lo and h[0] < hi):
+        if h_lo > lo:
+            out.append((lo, h_lo))
+        lo = max(lo, h_hi)
+    if lo < hi:
+        out.append((lo, hi))
+    return out
+
+
+def timeline_active_intervals(positions, speeds, r0: float, lo: float,
+                              hi: float, duration: float) -> list:
+    """Intervals of [0, duration] during which some cluster head is inside
+    the coverage [lo, hi], for vehicles at ``positions`` at time 0 moving
+    at constant ``speeds`` (all positive).
+
+    Vehicle i is a cluster head while no vehicle is within (0, r0] ahead
+    of it.  Against vehicle j the gap (x_j - x_i) + (v_j - v_i) t is
+    linear in t, so j blocks i on one interval, always or never.  The
+    active time of i is its coverage interval minus the union of its
+    blocking intervals; the station's is the union over all vehicles.
+    Returns the merged [start, end] intervals clipped to [0, duration].
+    """
+    x = np.asarray(positions, dtype=float)
+    v = np.asarray(speeds, dtype=float)
+    active = []
+    for i in range(len(x)):
+        t_in = max((lo - x[i]) / v[i], 0.0)
+        t_out = min((hi - x[i]) / v[i], duration)
+        if t_in >= t_out:
+            continue
+        d = np.delete(x, i) - x[i]
+        w = np.delete(v, i) - v[i]
+        still = w == 0.0
+        holes = [(-math.inf, math.inf)] \
+            if np.any(still & (d > 0.0) & (d <= r0)) else []
+        t0 = -d[~still] / w[~still]             # gap reaches 0
+        t1 = (r0 - d[~still]) / w[~still]       # gap reaches r0
+        holes += zip(np.minimum(t0, t1).tolist(), np.maximum(t0, t1).tolist())
+        active += _subtract(t_in, t_out, holes)
+    return _union(active)

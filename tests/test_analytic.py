@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepnet.analytic import (ChGapDistribution, NoSleepOpportunityError,
-                               _gap_tail_switch, baseline_power_saved,
-                               ch_gap_pdf, cluster_span_decay_rate,
-                               cycle_power_saved, energy_figures,
-                               expected_ch_gap, expected_power_saved,
-                               expected_sleep_time, gap_tail_rate,
+from sleepnet.analytic import (ChGapDistribution, _gap_tail_switch,
+                               baseline_power_saved, ch_gap_pdf,
+                               cluster_span_decay_rate, energy_figures,
+                               expected_ch_gap, gap_tail_rate,
                                intercluster_gap_pdf)
 from sleepnet.numerics import integrate_panel_doubling
 from sleepnet.params import CANONICAL, KMH
+from sleepnet.simulate import RngSpec, _cycle_energy, sample_cycles
 
 from conftest import assert_close
 from oracles import (ch_gap_pdf_closed_form, cluster_len_pdf_grid,
@@ -156,6 +155,15 @@ class TestChGapPdf:
                     for x, b, s in zip(xs, batch, single):
                         assert b == s, (fid, rho, r0, x)
 
+    def test_tail_switch_finite_and_bounded(self):
+        # _gap_segment_polys builds one polynomial per r0 up to the switch
+        r0 = 200.0
+        for alpha in np.geomspace(1e-4, 200.0, 400):
+            params = CANONICAL.replace(rho=float(alpha) / r0, r0=r0)
+            switch = _gap_tail_switch(params)
+            assert math.isfinite(switch), alpha
+            assert r0 < switch <= 18.5 * r0, (alpha, switch / r0)
+
     def test_corrected_is_mixture(self):
         params = CANONICAL
         paper = CANONICAL.replace(fidelity="paper")
@@ -268,20 +276,20 @@ class TestExpectations:
         v = 60.0 * KMH
         params = CANONICAL.replace(a=v * (1 - 1e-9), b=v * (1 + 1e-9))
         dist = ChGapDistribution(params)
-        t_off = expected_sleep_time(params, dist)
+        t_off = energy_figures(params, dist).expected_sleep_time
         excess = dist.integral(lambda xs: xs - params.D, lo=params.D)
         prob = dist.integral(lo=params.D)
         assert_close(t_off, excess / prob / v, rel=1e-6,
                      label="degenerate-speed sleep time")
 
     def test_cycle_power_saved_branches(self):
-        assert cycle_power_saved(700.0, 16.0, CANONICAL) == 0.0
-        x, v = 1000.0, 16.0
-        expected = ((x - CANONICAL.D) / v * CANONICAL.P0 - CANONICAL.Ec) \
-            / (x / v)
-        assert cycle_power_saved(x, v, CANONICAL) == pytest.approx(expected)
-        with pytest.raises(ValueError):
-            cycle_power_saved(1000.0, 0.0, CANONICAL)
+        x = np.array([700.0, 1000.0])
+        t_off, t_on, e_off, p_save = _cycle_energy(x, 16.0, CANONICAL)
+        assert t_off[0] == 0.0 and e_off[0] == 0.0 and p_save[0] == 0.0
+        expected = ((x[1] - CANONICAL.D) / 16.0 * CANONICAL.P0
+                    - CANONICAL.Ec) / (x[1] / 16.0)
+        assert p_save[1] == pytest.approx(expected)
+        assert t_off[1] + t_on[1] == pytest.approx(x[1] / 16.0)
 
     def test_sleep_probability_at_ceiling_matches_decimal_cdf(self):
         # at rho*r0 = 32, F(D) ~ 4e-13: 1 - P{X>D} keeps its digits only
@@ -305,24 +313,32 @@ class TestExpectations:
                 assert figures.expected_sleep_time is None, (fid, frac)
 
     def test_no_sleep_opportunity(self):
-        params = CANONICAL.replace(D=1e9)
-        with pytest.raises(NoSleepOpportunityError):
-            expected_sleep_time(params)
+        figures = energy_figures(CANONICAL.replace(D=1e9))
+        assert figures.prob_sleep == 0.0
+        assert figures.expected_sleep_time is None
 
     def test_power_saved_upper_bound(self, canonical_dist):
-        power = expected_power_saved(CANONICAL, canonical_dist)
+        power = energy_figures(CANONICAL,
+                               canonical_dist).expected_power_saved
         prob = canonical_dist.integral(lo=CANONICAL.D)
         assert 0.0 < power < CANONICAL.P0 * prob
 
     def test_energy_figures_consistent(self, canonical_dist):
-        figures = energy_figures(CANONICAL, canonical_dist)
+        # against the defining integrals, each taken over (D, x_max) here
+        params, dist = CANONICAL, canonical_dist
+        D = params.D
+        figures = energy_figures(params, dist)
+        prob = dist.integral(lo=D)
+        inv = dist.integral(lambda xs: 1.0 / xs, lo=D)
+        excess = dist.integral(lambda xs: xs - D, lo=D)
         assert figures.expected_gap == pytest.approx(
-            expected_ch_gap(CANONICAL, canonical_dist))
+            expected_ch_gap(params, dist))
         assert figures.expected_power_saved == pytest.approx(
-            expected_power_saved(CANONICAL, canonical_dist))
+            params.P0 * prob - (params.P0 * D
+                                + params.Ec * params.mean_speed) * inv)
         assert figures.expected_sleep_time == pytest.approx(
-            expected_sleep_time(CANONICAL, canonical_dist))
-        assert figures.mean_speed == CANONICAL.mean_speed
+            params.mean_inv_speed * excess / prob)
+        assert figures.mean_speed == params.mean_speed
 
     def test_baseline_matches_quadrature(self):
         # independent route: integrate the exponential gap law directly
@@ -342,11 +358,8 @@ class TestExpectations:
 
     def test_mean_of_cycle_power_matches_expectation(self, canonical_dist):
         # Monte Carlo of the per-cycle formula against the closed form
-        from sleepnet.simulate import RngSpec, sample_cycles
-        batch = sample_cycles(CANONICAL, 50_000, RngSpec(17))
-        values = np.array([cycle_power_saved(float(x), float(v), CANONICAL)
-                           for x, v in zip(batch.x, batch.v)])
+        values = sample_cycles(CANONICAL, 50_000, RngSpec(17)).p_save
         se = values.std(ddof=1) / math.sqrt(len(values))
-        assert abs(values.mean()
-                   - expected_power_saved(CANONICAL, canonical_dist)) \
-            <= 4.0 * se
+        target = energy_figures(CANONICAL,
+                                canonical_dist).expected_power_saved
+        assert abs(values.mean() - target) <= 4.0 * se

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sleepnet.cli import (EXIT_CONFIG_ERROR, EXIT_OK,
+from sleepnet.cli import (EXIT_CONFIG_ERROR, EXIT_NUMERIC_FAILURE, EXIT_OK,
                           EXIT_VALIDATION_FAILED, ConfigError, main,
                           read_config)
 
@@ -74,6 +74,14 @@ class TestAnalyticCommand:
     def test_bad_param_is_config_error(self):
         code, _ = run_cli(["analytic", "--rho", "-1"])
         assert code == EXIT_CONFIG_ERROR
+
+    def test_arithmetic_failure_is_numeric_error(self, capsys):
+        # at rho*r0 = 1000 the gap law's tail rate underflows to zero
+        code, _ = run_cli(["analytic", "--r0", "1e5", "--json-errors"])
+        assert code == EXIT_NUMERIC_FAILURE
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "numeric"
+        assert doc["exit_code"] == EXIT_NUMERIC_FAILURE
 
 
 class TestSimulateCommand:

@@ -9,12 +9,9 @@ from sleepnet.analytic import energy_figures
 from sleepnet.experiments import (CSV_COLUMNS, FIGURE_PRESETS, JSON_SCHEMA,
                                   METRICS, VALIDATION_EXTRA_COLUMNS,
                                   SweepGrid, emit_table, figure_preset,
-                                  run_sweep, run_validation,
-                                  speed_sensitivity)
+                                  run_sweep, run_validation)
 from sleepnet.params import CANONICAL
 from sleepnet.simulate import RngSpec
-
-from conftest import assert_close
 
 SMALL_GRID = SweepGrid(rho_values=(0.01, 0.02), r0_values=(100.0, 200.0))
 
@@ -157,13 +154,6 @@ class TestRunValidation:
         doc = json.loads(emit_table(report, format="json"))
         assert doc["all_passed"] is True
         assert doc["meta"]["master_seed"] == 3
-
-
-class TestSpeedSensitivity:
-    def test_uniform_vs_degenerate_is_negligible(self):
-        # expected power saved depends on the speed law only through its
-        # mean and a switching term, so widening the band changes nothing
-        assert speed_sensitivity(CANONICAL) < 1e-6
 
 
 class TestFigurePresets:
