@@ -50,7 +50,7 @@ from numpy.polynomial import polynomial as P
 
 from .numerics import (QuadratureError, _neumaier_step, exp_integral_e1,
                        integrate_panel_doubling)
-from .params import Fidelity, ModelParams
+from .params import Fidelity, ModelParams, check_density
 
 #: Tolerances of the panel-doubling integrals against the gap density.
 _ABS_TOL = 1e-10
@@ -315,6 +315,7 @@ class ChGapDistribution:
     """
 
     def __init__(self, params: ModelParams):
+        check_density(params)
         self.params = params
         self.tail_rate = gap_tail_rate(params.rho, params.r0)
         self._pdf_cache: dict[float, float] = {}

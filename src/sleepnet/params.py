@@ -26,6 +26,23 @@ class ParamError(ValueError):
         super().__init__(f"parameter '{field_name}': {constraint}")
 
 
+#: Largest rho*r0 the gap law and the cycle sampler accept.  Beyond it the
+#: single-vehicle probability exp(-rho*r0) nears the double underflow
+#: (exact 0 past 745) and the gap law's scale exp(rho*r0)/rho the overflow.
+RHO_R0_LIMIT = 700.0
+
+
+def check_density(params: "ModelParams") -> None:
+    """Raise ArithmeticError, naming rho, r0 and the limit, when rho*r0
+    exceeds RHO_R0_LIMIT."""
+    alpha = params.rho * params.r0
+    if alpha > RHO_R0_LIMIT:
+        raise ArithmeticError(
+            f"rho*r0 = {alpha!r} (rho={params.rho!r}, r0={params.r0!r}) "
+            f"exceeds the limit {RHO_R0_LIMIT!r}: the single-vehicle "
+            f"probability exp(-rho*r0) is too close to double underflow")
+
+
 class Fidelity(str, enum.Enum):
     """Which cluster-length law backs the gap distribution.
 

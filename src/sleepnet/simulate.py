@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .params import Fidelity, ModelParams
+from .params import Fidelity, ModelParams, check_density
 
 __all__ = [
     "RngSpec",
@@ -43,6 +43,10 @@ __all__ = [
 #: clusters use a moment-matched normal for the gap sum (exact mean and
 #: variance, shape error O(1/size)).
 DIRECT_SUM_LIMIT = 256
+
+#: Intra-cluster gaps drawn at once by the direct-sum branch of
+#: ``sample_cycles``.
+_GAP_CHUNK = 1 << 16
 
 #: Hard cap on processed events in the heterogeneous timeline.
 MAX_EVENTS = 100_000_000
@@ -209,6 +213,36 @@ def _cycle_energy(x, v, params: ModelParams) -> tuple:
     return t_off, t_on, e_off, p_save
 
 
+def _direct_spans(gen: np.random.Generator, counts: np.ndarray,
+                  rho: float, r0: float) -> np.ndarray:
+    """Spans of clusters with counts[i] >= 1 intra-cluster gaps each.
+
+    The gaps are -log1p(-u q)/rho with q = 1 - exp(-rho r0), drawn in
+    stream order in chunks that end on cluster boundaries and hold at most
+    _GAP_CHUNK gaps (one cluster, at most DIRECT_SUM_LIMIT, if larger),
+    through one reused buffer.
+    """
+    q = -math.expm1(-rho * r0)
+    ends = np.cumsum(counts)
+    spans = np.empty(len(counts))
+    buf = np.empty(min(int(ends[-1]), max(_GAP_CHUNK, DIRECT_SUM_LIMIT)))
+    start = base = 0
+    while start < len(counts):
+        stop = max(int(np.searchsorted(ends, base + _GAP_CHUNK, "right")),
+                   start + 1)
+        g = buf[:int(ends[stop - 1]) - base]
+        # random() yields the doubles uniform() would, and negating q and
+        # rho instead of the results rounds identically
+        gen.random(out=g)
+        np.multiply(g, -q, out=g)
+        np.log1p(g, out=g)
+        np.divide(g, -rho, out=g)
+        offsets = np.concatenate(([0], ends[start:stop - 1] - base))
+        spans[start:stop] = np.add.reduceat(g, offsets)
+        start, base = stop, int(ends[stop - 1])
+    return spans
+
+
 def sample_cycles(params: ModelParams, n: int,
                   rng: Union[RngSpec, np.random.Generator],
                   fidelity: Optional[Fidelity] = None) -> CycleBatch:
@@ -221,7 +255,13 @@ def sample_cycles(params: ModelParams, n: int,
     fidelity conditions the cluster size on >= 2 vehicles.  Clusters
     larger than DIRECT_SUM_LIMIT use a moment-matched normal for the span
     (clamped to the span's support).
+
+    Memory is O(n) plus one fixed chunk of gaps, independent of cluster
+    size: the intra-cluster gaps are drawn and summed chunk by chunk.
+    Raises ArithmeticError, before any draw, when rho*r0 exceeds
+    RHO_R0_LIMIT.
     """
+    check_density(params)
     gen = _as_generator(rng)
     fidelity = Fidelity(fidelity) if fidelity is not None else params.fidelity
     rho, r0 = params.rho, params.r0
@@ -234,14 +274,8 @@ def sample_cycles(params: ModelParams, n: int,
     x0 = np.zeros(n)
     small = n_gaps <= DIRECT_SUM_LIMIT
     direct = small & (n_gaps > 0)
-    counts = n_gaps[direct]
-    total = int(counts.sum())
-    if total:
-        q = -math.expm1(-rho * r0)
-        u = gen.uniform(size=total)
-        gaps = -np.log1p(-u * q) / rho
-        offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-        x0[direct] = np.add.reduceat(gaps, offsets)
+    if np.any(direct):
+        x0[direct] = _direct_spans(gen, n_gaps[direct], rho, r0)
     big = ~small
     n_big = int(np.count_nonzero(big))
     if n_big:

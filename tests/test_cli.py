@@ -76,15 +76,25 @@ class TestAnalyticCommand:
         assert code == EXIT_CONFIG_ERROR
 
     def test_arithmetic_failure_is_numeric_error(self, capsys):
-        # at rho*r0 = 1000 the gap law's tail rate underflows to zero
+        # at rho*r0 = 1000 exp(-rho*r0) underflows to zero
         code, _ = run_cli(["analytic", "--r0", "1e5", "--json-errors"])
         assert code == EXIT_NUMERIC_FAILURE
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"] == "numeric"
         assert doc["exit_code"] == EXIT_NUMERIC_FAILURE
+        assert "rho=" in doc["message"] and "r0=" in doc["message"]
 
 
 class TestSimulateCommand:
+    def test_arithmetic_failure_is_numeric_error(self, capsys):
+        code, _ = run_cli(["simulate", "--mode", "cycles", "--r0", "1e5",
+                           "--json-errors"])
+        assert code == EXIT_NUMERIC_FAILURE
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "numeric"
+        assert doc["exit_code"] == EXIT_NUMERIC_FAILURE
+        assert "rho=" in doc["message"] and "r0=" in doc["message"]
+
     def test_cycles_deterministic(self):
         argv = ["simulate", "--n", "20000", "--seed", "42",
                 "--format", "json"]

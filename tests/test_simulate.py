@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from sleepnet import simulate
 from sleepnet.analytic import energy_figures
 from sleepnet.params import CANONICAL, KMH
 from sleepnet.simulate import (CycleBatch, RngSpec, WindowTooSmallError,
@@ -144,6 +147,44 @@ class TestSampleCycles:
         paper = sample_cycles(CANONICAL, 100_000, RngSpec(10),
                               fidelity="paper")
         assert paper.x.mean() > corrected.x.mean()
+
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    @pytest.mark.parametrize("rho, r0", [(0.005, 100.0), (0.02, 200.0),
+                                         (0.08, 100.0)])
+    def test_chunk_size_does_not_change_draws(self, monkeypatch, rho, r0,
+                                              fidelity):
+        # a chunk of 5 gaps is smaller than many single clusters; 2^30
+        # holds the whole batch.  At rho*r0 = 8 direct clusters mix with
+        # normal-approximated ones.
+        params = CANONICAL.replace(rho=rho, r0=r0)
+        batches = []
+        for chunk in (5, 1 << 30):
+            monkeypatch.setattr(simulate, "_GAP_CHUNK", chunk)
+            batches.append(sample_cycles(params, 20_000, RngSpec(11),
+                                         fidelity=fidelity))
+        for f in fields(CycleBatch):
+            assert np.array_equal(getattr(batches[0], f.name),
+                                  getattr(batches[1], f.name)), f.name
+
+    def test_memory_independent_of_cluster_size(self):
+        # about 54 intra-cluster gaps a cycle at rho*r0 = 4: drawing them
+        # all at once would peak near 20x the batch itself
+        params = CANONICAL.replace(rho=0.02, r0=200.0)
+        tracemalloc.start()
+        try:
+            batch = sample_cycles(params, 200_000, RngSpec(12),
+                                  fidelity="paper")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(getattr(batch, f.name).nbytes for f in fields(batch))
+        assert peak <= 3 * nbytes
+
+    def test_extreme_density_raises_before_drawing(self):
+        gen = RngSpec(13).generator()
+        with pytest.raises(ArithmeticError, match=r"rho=.*r0="):
+            sample_cycles(CANONICAL.replace(r0=1e5), 1_000, gen)
+        assert gen.random() == RngSpec(13).generator().random()
 
 
 class TestEstimateEnergy:
