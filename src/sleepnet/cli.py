@@ -23,9 +23,9 @@ from typing import Dict, List, Optional
 from .analytic import baseline_power_saved, energy_figures
 from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, emit_table,
                           figure_preset, run_sweep, run_validation)
-from .params import (CANONICAL, Fidelity, ModelParams, ParamError,
-                     parse_speed)
-from .simulate import RngSpec, estimate_energy, run_timeline, sample_cycles
+from .params import CANONICAL, Fidelity, ModelParams, ParamError, parse_speed
+from .simulate import (RngSpec, default_window, estimate_energy,
+                       run_timeline, sample_cycles)
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -33,7 +33,9 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_FAILURE = 3
 
 _PARAM_KEYS = ("rho", "r0", "D", "P0", "Ec")
-_SPEED_KEYS = ("a", "b", "v")
+
+#: Keys a config file cannot set: the subcommand and the per-run flags.
+_NOT_CONFIG = ("command", "config", "format", "out", "json_errors")
 
 
 class ConfigError(ValueError):
@@ -70,48 +72,26 @@ def read_config(path: str) -> Dict[str, str]:
     return values
 
 
-def _parse_float_list(text: str, key: str) -> List[float]:
+def float_list(text: str) -> List[float]:
+    """Parse a comma list of numbers, optionally in brackets."""
     inner = text.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    try:
-        return [float(part) for part in inner.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"parameter '{key}': {exc}") from None
+    return [float(part) for part in inner.split(",") if part.strip()]
 
 
-def _merged_option(args, config: Dict[str, str], key: str,
-                   default=None) -> Optional[str]:
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return str(flag_value)
-    if key in config:
-        return config[key]
-    return None if default is None else str(default)
-
-
-def build_params(args, config: Dict[str, str]) -> ModelParams:
-    """Assemble ModelParams from defaults, config file, and flags."""
-    kwargs = {}
-    for key in _PARAM_KEYS:
-        text = _merged_option(args, config, key)
-        if text is not None:
-            try:
-                kwargs[key] = float(text)
-            except ValueError:
-                raise ParamError(key, f"not a number: {text!r}") from None
+def build_params(args) -> ModelParams:
+    """Assemble ModelParams from the parsed options; speeds not given stay
+    CANONICAL's."""
+    kwargs = {key: getattr(args, key) for key in _PARAM_KEYS}
     for key in ("a", "b"):
-        text = _merged_option(args, config, key)
-        if text is not None:
-            kwargs[key] = parse_speed(text)
-    fidelity = _merged_option(args, config, "fidelity")
-    if fidelity is not None:
-        try:
-            kwargs["fidelity"] = Fidelity(fidelity)
-        except ValueError:
-            raise ParamError(
-                "fidelity", f"must be 'paper' or 'corrected', "
-                f"got {fidelity!r}") from None
+        if getattr(args, key) is not None:
+            kwargs[key] = parse_speed(getattr(args, key))
+    try:
+        kwargs["fidelity"] = Fidelity(args.fidelity)
+    except ValueError:
+        raise ParamError("fidelity", f"must be 'paper' or 'corrected', "
+                         f"got {args.fidelity!r}") from None
     return CANONICAL.replace(**kwargs)
 
 
@@ -135,6 +115,15 @@ def _write_output(data: bytes, path: Optional[str], out) -> None:
         out.write(data.decode("utf-8"))
 
 
+def _write_doc(doc: Dict[str, object], lines: List[str], args, out) -> None:
+    """Write `doc` as JSON, or `lines` as text, to --out or `out`."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join(lines) + "\n"
+    _write_output(text.encode("utf-8"), args.out, out)
+
+
 def _figures_doc(figures, params: ModelParams) -> Dict[str, object]:
     return {
         "expected_gap_m": figures.expected_gap,
@@ -147,31 +136,22 @@ def _figures_doc(figures, params: ModelParams) -> Dict[str, object]:
     }
 
 
-def cmd_analytic(args, config: Dict[str, str], out) -> int:
-    params = build_params(args, config)
+def cmd_analytic(args, out) -> int:
+    params = build_params(args)
     echo_config("analytic", params, {}, out)
     figures = energy_figures(params)
     doc = _figures_doc(figures, params)
-    if args.format == "json":
-        data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-        _write_output(data, args.out, out)
-        return EXIT_OK
     sleep = ("none (no sleep opportunity)"
              if figures.expected_sleep_time is None
              else f"{figures.expected_sleep_time:.6g} s")
-    lines = [
+    _write_doc(doc, [
         f"E[X]            = {figures.expected_gap:.6g} m",
         f"P(X > D)        = {figures.prob_sleep:.6g}",
         f"E[T_off]        = {sleep}",
         f"E[P_save]       = {figures.expected_power_saved:.6g} W",
         f"baseline P_save = {doc['baseline_power_saved_W']:.6g} W",
         f"fidelity        = {params.fidelity.value}",
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_output(text.encode("utf-8"), args.out, out)
-    else:
-        out.write(text)
+    ], args, out)
     return EXIT_OK
 
 
@@ -204,92 +184,56 @@ def _timeline_doc(report) -> Dict[str, object]:
     }
 
 
-def cmd_simulate(args, config: Dict[str, str], out) -> int:
-    params = build_params(args, config)
-    mode = _merged_option(args, config, "mode", "cycles")
-    seed = int(_merged_option(args, config, "seed", 0))
+def cmd_simulate(args, out) -> int:
+    params = build_params(args)
+    mode, seed = args.mode, args.seed
     rng = RngSpec(master_seed=seed, stream_id=0)
     if mode == "cycles":
-        n = int(_merged_option(args, config, "n", 100_000))
-        echo_config("simulate", params, {"mode": mode, "n": n,
+        echo_config("simulate", params, {"mode": mode, "n": args.n,
                                          "seed": seed}, out)
-        batch = sample_cycles(params, n, rng)
+        batch = sample_cycles(params, args.n, rng)
         doc = _estimate_doc(estimate_energy(batch, params))
     elif mode in ("timeline-common", "timeline-heterogeneous"):
-        duration = float(_merged_option(args, config, "duration", 86_400))
-        v_text = _merged_option(args, config, "v")
-        v = parse_speed(v_text) if v_text is not None else None
-        speed_mode = "common" if mode == "timeline-common" \
-            else "heterogeneous"
-        if speed_mode == "common":
-            if v is None:
-                raise ParamError("v", "timeline-common requires --v "
-                                 "(e.g. 60kmh)")
-            travel = v
-        else:
-            travel = params.b
-        window_text = _merged_option(args, config, "window_length")
-        if window_text is None:
-            window = (travel * duration + params.D + 2.0 * params.r0
-                      + 50.0 * max(1.0 / params.rho, params.r0))
-        else:
-            window = float(window_text)
+        v = parse_speed(args.v) if args.v is not None else None
+        speed_mode = mode.removeprefix("timeline-")
+        if speed_mode == "common" and v is None:
+            raise ParamError("v", "timeline-common requires --v "
+                             "(e.g. 60kmh)")
+        window = (default_window(params, args.duration, speed_mode, v)
+                  if args.window_length is None else args.window_length)
         echo_config("simulate", params,
-                    {"mode": mode, "duration": duration,
+                    {"mode": mode, "duration": args.duration,
                      "window_length": window, "v": v, "seed": seed}, out)
-        report = run_timeline(params, duration, window, speed_mode, rng,
+        report = run_timeline(params, args.duration, window, speed_mode, rng,
                               v=v)
         doc = _timeline_doc(report)
     else:
         raise ConfigError(f"unknown mode {mode!r}; expected 'cycles', "
                           "'timeline-common', or 'timeline-heterogeneous'")
     doc["seed"] = seed
-    if args.format == "json":
-        data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-        _write_output(data, args.out, out)
-        return EXIT_OK
-    lines = [f"{key} = {value!r}" for key, value in doc.items()]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_output(text.encode("utf-8"), args.out, out)
-    else:
-        out.write(text)
+    _write_doc(doc, [f"{key} = {value!r}" for key, value in doc.items()],
+               args, out)
     return EXIT_OK
 
 
-def _build_grid(args, config: Dict[str, str],
-                params: ModelParams, default_metrics) -> SweepGrid:
-    rho_text = _merged_option(args, config, "rho_values",
-                              "0.005,0.02,0.08")
-    r0_text = _merged_option(args, config, "r0_values", "100,200,400")
-    metrics_text = _merged_option(args, config, "metrics")
-    metrics = (tuple(m.strip() for m in metrics_text.split(","))
-               if metrics_text else tuple(default_metrics))
-    return SweepGrid(rho_values=_parse_float_list(rho_text, "rho_values"),
-                     r0_values=_parse_float_list(r0_text, "r0_values"),
-                     fixed=params, metrics=metrics)
+def _workers(args) -> Optional[int]:
+    value = (os.environ.get("SLEEPNET_WORKERS") if args.workers is None
+             else args.workers)
+    return int(value) if value is not None else None
 
 
-def _workers(args, config: Dict[str, str]) -> Optional[int]:
-    text = _merged_option(args, config, "workers",
-                          os.environ.get("SLEEPNET_WORKERS"))
-    return int(text) if text is not None else None
-
-
-def cmd_validate(args, config: Dict[str, str], out) -> int:
-    params = build_params(args, config)
-    grid = _build_grid(args, config, params, ("E_X", "E_Toff", "E_Psave"))
-    n = int(_merged_option(args, config, "n", 100_000))
-    seed = int(_merged_option(args, config, "seed", 0))
-    mc_fidelity = _merged_option(args, config, "mc_fidelity")
-    sampler = Fidelity(mc_fidelity) if mc_fidelity else None
+def cmd_validate(args, out) -> int:
+    params = build_params(args)
+    grid = SweepGrid(rho_values=args.rho_values, r0_values=args.r0_values,
+                     fixed=params)
+    sampler = Fidelity(args.mc_fidelity) if args.mc_fidelity else None
     echo_config("validate", params,
                 {"rho_values": list(grid.rho_values),
                  "r0_values": list(grid.r0_values),
-                 "n": n, "seed": seed,
-                 "mc_fidelity": mc_fidelity or "matched"}, out)
-    report = run_validation(grid, n, RngSpec(seed),
-                            workers=_workers(args, config),
+                 "n": args.n, "seed": args.seed,
+                 "mc_fidelity": args.mc_fidelity or "matched"}, out)
+    report = run_validation(grid, args.n, RngSpec(args.seed),
+                            workers=_workers(args),
                             sampler_fidelity=sampler)
     _write_output(emit_table(report, args.format), args.out, out)
     if not report.all_passed:
@@ -306,13 +250,11 @@ def cmd_validate(args, config: Dict[str, str], out) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, config: Dict[str, str], out) -> int:
-    params = build_params(args, config)
-    workers = _workers(args, config)
-    preset_text = _merged_option(args, config, "preset")
-    ext = "json" if args.format == "json" else "csv"
-    if preset_text:
-        presets = [p.strip() for p in preset_text.split(",") if p.strip()]
+def cmd_sweep(args, out) -> int:
+    params = build_params(args)
+    workers = _workers(args)
+    if args.preset:
+        presets = [p.strip() for p in args.preset.split(",") if p.strip()]
         for preset in presets:
             grid = figure_preset(preset, params)
             echo_config("sweep", params,
@@ -320,11 +262,13 @@ def cmd_sweep(args, config: Dict[str, str], out) -> int:
             table = run_sweep(grid, workers=workers)
             path = args.out
             if path is None or len(presets) > 1:
-                base = path or "sweep"
-                path = f"{base}_{preset}.{ext}"
+                path = f"{path or 'sweep'}_{preset}.{args.format}"
             _write_output(emit_table(table, args.format), path, out)
         return EXIT_OK
-    grid = _build_grid(args, config, params, METRICS)
+    metrics = (tuple(m.strip() for m in args.metrics.split(","))
+               if args.metrics else METRICS)
+    grid = SweepGrid(rho_values=args.rho_values, r0_values=args.r0_values,
+                     fixed=params, metrics=metrics)
     echo_config("sweep", params,
                 {"rho_values": list(grid.rho_values),
                  "r0_values": list(grid.r0_values),
@@ -334,25 +278,36 @@ def cmd_sweep(args, config: Dict[str, str], out) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=int, default=0,
                         help="master RNG seed (simulate, validate)")
-    parser.add_argument("--fidelity", choices=["paper", "corrected"])
-    parser.add_argument("--format", choices=["csv", "json", "text"],
-                        default=None)
+    parser.add_argument("--fidelity", choices=["paper", "corrected"],
+                        default=CANONICAL.fidelity.value)
+    parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", help="output path")
     parser.add_argument("--workers", type=int,
                         help="worker processes for sweeps/validation")
     parser.add_argument("--json-errors", action="store_true",
                         help="report failures as JSON on stderr")
     for key in _PARAM_KEYS:
-        parser.add_argument(f"--{key}", type=float)
+        parser.add_argument(f"--{key}", type=float,
+                            default=getattr(CANONICAL, key))
     parser.add_argument("--a", help="minimum speed, e.g. 40kmh")
     parser.add_argument("--b", help="maximum speed, e.g. 80kmh")
 
 
-def make_parser() -> argparse.ArgumentParser:
+def _add_grid(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rho-values", dest="rho_values", type=float_list,
+                        default="0.005,0.02,0.08")
+    parser.add_argument("--r0-values", dest="r0_values", type=float_list,
+                        default="100,200,400")
+
+
+def make_parser(config: Optional[Dict[str, str]] = None
+                ) -> argparse.ArgumentParser:
+    """The sleepnet parser; `config` values become the subcommands'
+    defaults, converted like the flags they name."""
     parser = argparse.ArgumentParser(
         prog="sleepnet",
         description="Base-station sleep-scheduling energy model: "
@@ -360,35 +315,40 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form energy figures")
-    _add_common(p)
+    _add_common(p, ("text", "json"))
 
     p = sub.add_parser("simulate", help="Monte Carlo cycles or timeline")
-    _add_common(p)
+    _add_common(p, ("text", "json"))
     p.add_argument("--mode", choices=["cycles", "timeline-common",
-                                      "timeline-heterogeneous"])
-    p.add_argument("--n", type=int, help="number of renewal cycles")
-    p.add_argument("--duration", type=float, help="timeline length, s")
+                                      "timeline-heterogeneous"],
+                   default="cycles")
+    p.add_argument("--n", type=int, default=100_000,
+                   help="number of renewal cycles")
+    p.add_argument("--duration", type=float, default=86_400.0,
+                   help="timeline length, s")
     p.add_argument("--window-length", dest="window_length", type=float,
                    help="road window length, m")
     p.add_argument("--v", help="common-mode speed, e.g. 60kmh")
 
     p = sub.add_parser("validate", help="analytic vs Monte Carlo report")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="cycles per cell")
-    p.add_argument("--rho-values", dest="rho_values")
-    p.add_argument("--r0-values", dest="r0_values")
+    _add_common(p, ("csv", "json"))
+    p.add_argument("--n", type=int, default=100_000, help="cycles per cell")
+    _add_grid(p)
     p.add_argument("--mc-fidelity", dest="mc_fidelity",
                    choices=["paper", "corrected"],
                    help="force the sampler fidelity (negative control)")
 
     p = sub.add_parser("sweep", help="figure-data tables")
-    _add_common(p)
+    _add_common(p, ("csv", "json"))
     p.add_argument("--preset", help="comma list from: "
                    + ", ".join(FIGURE_PRESETS))
-    p.add_argument("--rho-values", dest="rho_values")
-    p.add_argument("--r0-values", dest="r0_values")
+    _add_grid(p)
     p.add_argument("--metrics", help="comma list from: " + ", ".join(METRICS))
 
+    defaults = {key: value for key, value in (config or {}).items()
+                if key not in _NOT_CONFIG}
+    for p in sub.choices.values():
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -402,18 +362,9 @@ _COMMANDS = {
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = "csv" if args.command in ("validate", "sweep") \
-            else "text"
-    if args.command in ("validate", "sweep") and args.format == "text":
-        print("error: --format text is not available for this command",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
 
     def fail(code: int, kind: str, exc: Exception) -> int:
-        if getattr(args, "json_errors", False):
+        if args.json_errors:
             doc = {"error": kind, "message": str(exc), "exit_code": code}
             print(json.dumps(doc, sort_keys=True), file=sys.stderr)
         else:
@@ -421,19 +372,19 @@ def main(argv=None, out=None) -> int:
         return code
 
     try:
-        config = read_config(args.config) if args.config else {}
+        args = make_parser().parse_args(argv)
+        if args.config:
+            args = make_parser(read_config(args.config)).parse_args(argv)
+    except SystemExit as exc:  # argparse: a bad command line, or --help
+        return exc.code
     except (OSError, ConfigError) as exc:
         return fail(EXIT_CONFIG_ERROR, "config", exc)
     try:
-        return _COMMANDS[args.command](args, config, out)
+        return _COMMANDS[args.command](args, out)
     except ValueError as exc:  # ParamError, ConfigError, WindowTooSmallError
         return fail(EXIT_CONFIG_ERROR, "config", exc)
     except ArithmeticError as exc:
         return fail(EXIT_NUMERIC_FAILURE, "numeric", exc)
-
-
-def console_main() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -49,6 +49,12 @@ VALIDATION_EXTRA_COLUMNS = ("analytic", "z", "passed", "fidelity_gap")
 
 JSON_SCHEMA = "sleepnet-sweep/1"
 
+#: The EnergyFigures field behind each analytic metric but baseline_Psave;
+#: EnergyEstimate names its Monte Carlo twin the same, with "_se" for the
+#: standard error.
+_FIELDS = {"E_X": "expected_gap", "E_Toff": "expected_sleep_time",
+           "E_Psave": "expected_power_saved", "prob_sleep": "prob_sleep"}
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -103,19 +109,9 @@ class SweepTable:
 
 
 @dataclass(frozen=True)
-class ValidationRow:
-    rho: float
-    r0: float
-    D: float
-    a: float
-    b: float
-    P0: float
-    Ec: float
-    fidelity: str
-    metric: str
-    value: float                 # Monte Carlo estimate
-    stderr: Optional[float]
-    status: str
+class ValidationRow(SweepRow):
+    """A SweepRow whose value is the Monte Carlo estimate."""
+
     analytic: float
     z: float
     passed: bool
@@ -134,34 +130,24 @@ def _cell_metrics(params: ModelParams,
     """(metric, value, status) triples for one cell; failures are recorded
     in-row and never propagate."""
     out = []
-    figures = None
-    figures_err = None
+    figures = error = None
     if any(m != "baseline_Psave" for m in metrics):
         try:
             figures = energy_figures(params)
         except Exception as exc:
-            figures_err = f"error: {exc}"
+            error = f"error: {exc}"
     for metric in metrics:
-        try:
-            if metric == "baseline_Psave":
+        if metric == "baseline_Psave":
+            try:
                 out.append((metric, baseline_power_saved(params), "ok"))
-                continue
-            if figures is None:
-                out.append((metric, math.nan, figures_err))
-                continue
-            if metric == "E_X":
-                out.append((metric, figures.expected_gap, "ok"))
-            elif metric == "E_Toff":
-                if figures.expected_sleep_time is None:
-                    out.append((metric, math.nan, "no sleep opportunity"))
-                else:
-                    out.append((metric, figures.expected_sleep_time, "ok"))
-            elif metric == "E_Psave":
-                out.append((metric, figures.expected_power_saved, "ok"))
-            elif metric == "prob_sleep":
-                out.append((metric, figures.prob_sleep, "ok"))
-        except Exception as exc:
-            out.append((metric, math.nan, f"error: {exc}"))
+            except Exception as exc:
+                out.append((metric, math.nan, f"error: {exc}"))
+            continue
+        value = None if figures is None else getattr(figures, _FIELDS[metric])
+        if value is None:   # figures failed, or E_Toff had no sleep
+            out.append((metric, math.nan, error or "no sleep opportunity"))
+        else:
+            out.append((metric, value, "ok"))
     return out
 
 
@@ -225,14 +211,9 @@ def _validation_cell(args) -> List[ValidationRow]:
         batch = sample_cycles(params, n_cycles, rng,
                               fidelity=sampler_fidelity)
         est = estimate_energy(batch, params)
-        mc = {
-            "E_X": (est.expected_gap, est.expected_gap_se),
-            "E_Toff": (est.expected_sleep_time, est.expected_sleep_time_se),
-            "E_Psave": (est.expected_power_saved,
-                        est.expected_power_saved_se),
-        }
         for metric in VALIDATION_METRICS:
-            value, stderr = mc[metric]
+            value = getattr(est, _FIELDS[metric])
+            stderr = getattr(est, _FIELDS[metric] + "_se")
             target = float(analytic[(fidelity.value, metric)])
             if value is None or stderr is None:
                 value, stderr, z = math.nan, None, math.nan

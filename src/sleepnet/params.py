@@ -32,15 +32,16 @@ class ParamError(ValueError):
 RHO_R0_LIMIT = 700.0
 
 
-def check_density(params: "ModelParams") -> None:
-    """Raise ArithmeticError, naming rho, r0 and the limit, when rho*r0
-    exceeds RHO_R0_LIMIT."""
+def check_density(params: "ModelParams", limit: float = RHO_R0_LIMIT,
+                  reason: str = "the single-vehicle probability "
+                  "exp(-rho*r0) is too close to double underflow") -> None:
+    """Raise ArithmeticError, naming rho, r0, the limit and the reason,
+    when rho*r0 exceeds limit."""
     alpha = params.rho * params.r0
-    if alpha > RHO_R0_LIMIT:
+    if alpha > limit:
         raise ArithmeticError(
             f"rho*r0 = {alpha!r} (rho={params.rho!r}, r0={params.r0!r}) "
-            f"exceeds the limit {RHO_R0_LIMIT!r}: the single-vehicle "
-            f"probability exp(-rho*r0) is too close to double underflow")
+            f"exceeds the limit {limit!r}: {reason}")
 
 
 class Fidelity(str, enum.Enum):

@@ -37,12 +37,18 @@ __all__ = [
     "sample_cycles",
     "estimate_energy",
     "run_timeline",
+    "default_window",
 ]
 
 #: Cluster sizes up to this draw every intra-cluster gap explicitly; larger
 #: clusters use a moment-matched normal for the gap sum (exact mean and
 #: variance, shape error O(1/size)).
 DIRECT_SUM_LIMIT = 256
+
+#: Largest rho*r0 ``sample_cycles`` accepts.  The cluster size is geometric
+#: with mean exp(rho*r0), and its int64 draw saturates at 2^63 - 1 beyond
+#: this (0.5 % of draws at rho*r0 = 42, 14 % at 43, nearly all at 50).
+SAMPLER_RHO_R0_LIMIT = 40.0
 
 #: Intra-cluster gaps drawn at once by the direct-sum branch of
 #: ``sample_cycles``.
@@ -140,6 +146,10 @@ class CycleBatch:
         return len(self.x)
 
 
+def _snapshot_window(params: ModelParams) -> float:
+    return 50.0 * max(1.0 / params.rho, params.r0)
+
+
 def sample_snapshot(params: ModelParams, window_length: float,
                     rng: Union[RngSpec, np.random.Generator]) -> Snapshot:
     """Draw one homogeneous-Poisson road snapshot.
@@ -148,7 +158,7 @@ def sample_snapshot(params: ModelParams, window_length: float,
     then sorted; speeds i.i.d. uniform(a, b).  The window must be at least
     50 * max(1/rho, r0) so edge censoring leaves enough interior.
     """
-    required = 50.0 * max(1.0 / params.rho, params.r0)
+    required = _snapshot_window(params)
     if window_length < required:
         raise WindowTooSmallError(window_length, required)
     gen = _as_generator(rng)
@@ -259,9 +269,11 @@ def sample_cycles(params: ModelParams, n: int,
     Memory is O(n) plus one fixed chunk of gaps, independent of cluster
     size: the intra-cluster gaps are drawn and summed chunk by chunk.
     Raises ArithmeticError, before any draw, when rho*r0 exceeds
-    RHO_R0_LIMIT.
+    SAMPLER_RHO_R0_LIMIT.
     """
-    check_density(params)
+    check_density(params, SAMPLER_RHO_R0_LIMIT,
+                  "the geometric cluster size, of mean exp(rho*r0), "
+                  "saturates at the int64 maximum")
     gen = _as_generator(rng)
     fidelity = Fidelity(fidelity) if fidelity is not None else params.fidelity
     rho, r0 = params.rho, params.r0
@@ -416,13 +428,27 @@ def _merge_intervals(starts: np.ndarray, ends: np.ndarray) -> tuple:
     return merged_starts, merged_ends
 
 
+def _timeline_window(params: ModelParams, duration: float,
+                     speed_mode: str, v: Optional[float]) -> float:
+    """Shortest window a timeline accepts: the road its fastest vehicle
+    (speed v in common mode, b in heterogeneous mode) covers in duration,
+    plus D and 2 r0."""
+    speed = v if speed_mode == "common" else params.b
+    return speed * duration + params.D + 2.0 * params.r0
+
+
+def default_window(params: ModelParams, duration: float, speed_mode: str,
+                   v: Optional[float] = None) -> float:
+    """The timeline's shortest window plus the snapshot's
+    50 * max(1/rho, r0) of interior."""
+    return (_timeline_window(params, duration, speed_mode, v)
+            + _snapshot_window(params))
+
+
 def _common_timeline(params: ModelParams, duration: float,
                      window_length: float, v: float,
                      gen: np.random.Generator) -> TimelineReport:
     r0, D = params.r0, params.D
-    required = v * duration + D + 2.0 * r0
-    if window_length < required:
-        raise WindowTooSmallError(window_length, required)
     snapshot = sample_snapshot(params, window_length, gen)
     clusters = extract_clusters(snapshot, r0)
     entry_edge = window_length - D / 2.0
@@ -495,9 +521,6 @@ def _heterogeneous_timeline(params: ModelParams, duration: float,
                             window_length: float,
                             gen: np.random.Generator) -> TimelineReport:
     r0, D = params.r0, params.D
-    required = params.b * duration + D + 2.0 * r0
-    if window_length < required:
-        raise WindowTooSmallError(window_length, required)
     snapshot = sample_snapshot(params, window_length, gen)
     positions, speeds = snapshot.positions, snapshot.speeds
     center = window_length
@@ -541,16 +564,21 @@ def run_timeline(params: ModelParams, duration: float, window_length: float,
     In `heterogeneous` mode each vehicle keeps its own sampled speed and
     cluster membership is recomputed at every event (gap crossings and
     edge crossings); the run stops early with complete=False if it exceeds
-    MAX_EVENTS events.
+    MAX_EVENTS events.  window_length must reach the road the fastest
+    vehicle covers in duration plus D + 2 r0, and sample_snapshot's
+    minimum; default_window is their sum.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
+    if speed_mode not in ("common", "heterogeneous"):
+        raise ValueError(f"unknown speed_mode {speed_mode!r}; "
+                         "expected 'common' or 'heterogeneous'")
+    if speed_mode == "common" and (v is None or v <= 0.0):
+        raise ValueError("common mode requires a positive speed v")
+    required = _timeline_window(params, duration, speed_mode, v)
+    if window_length < required:
+        raise WindowTooSmallError(window_length, required)
     gen = _as_generator(rng)
     if speed_mode == "common":
-        if v is None or v <= 0.0:
-            raise ValueError("common mode requires a positive speed v")
         return _common_timeline(params, duration, window_length, v, gen)
-    if speed_mode == "heterogeneous":
-        return _heterogeneous_timeline(params, duration, window_length, gen)
-    raise ValueError(f"unknown speed_mode {speed_mode!r}; "
-                     "expected 'common' or 'heterogeneous'")
+    return _heterogeneous_timeline(params, duration, window_length, gen)

@@ -74,7 +74,7 @@ class TestAcceptance:
                "cycles, so the plain-sample mean is biased low while its "
                "empirical standard error collapses; the 3-SE comparison "
                "then fails even though the two routes agree to 1e-11 "
-               "relative (see ROADMAP.md, open item 3)")
+               "relative (see ROADMAP.md, open item 4)")
     def test_03_analytic_vs_monte_carlo_grid(self):
         start = time.perf_counter()
         worst = 0.0

@@ -142,6 +142,72 @@ class TestSimulateCommand:
         code, _ = run_cli(["simulate", "--config", str(path)])
         assert code == EXIT_CONFIG_ERROR
 
+    def test_sampler_density_limit_is_numeric_error(self, capsys):
+        # rho*r0 = 50: the geometric cluster-size draw would saturate
+        code, text = run_cli(["simulate", "--mode", "cycles", "--rho",
+                              "0.02", "--r0", "2500", "--json-errors"])
+        assert code == EXIT_NUMERIC_FAILURE
+        assert "n_cycles" not in text
+        message = json.loads(capsys.readouterr().err)["message"]
+        for part in ("rho=0.02", "r0=2500.0", "rho*r0 = 50.0", "limit 40.0"):
+            assert part in message
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+def test_text_commands_reject_csv(command):
+    code, text = run_cli([command, "--format", "csv"])
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+
+
+_VALIDATE = ["validate", "--rho-values", "0.02", "--r0-values", "200"]
+_TIMELINE = ["simulate", "--mode", "timeline-common"]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("argv, key, value", [
+        (["simulate", "--seed", "1"], "n", "20000"),
+        (["simulate", "--n", "20000"], "seed", "3"),
+        (["simulate", "--duration", "50", "--seed", "2"], "mode",
+         "timeline-heterogeneous"),
+        (_TIMELINE + ["--v", "60kmh"], "duration", "500"),
+        (_TIMELINE + ["--duration", "500"], "v", "60kmh"),
+        (_TIMELINE + ["--v", "60kmh", "--duration", "500"], "window_length",
+         "20000"),
+        (_VALIDATE, "n", "10000"),
+        (_VALIDATE + ["--n", "10000"], "seed", "4"),
+        (_VALIDATE + ["--n", "10000"], "mc_fidelity", "paper"),
+        (["validate", "--r0-values", "200", "--n", "10000"], "rho_values",
+         "0.02"),
+        (["validate", "--rho-values", "0.02", "--n", "10000"], "r0_values",
+         "[100, 200]"),
+        (["sweep"], "preset", "fig5"),
+        (["sweep", "--rho-values", "0.02", "--r0-values", "200"], "metrics",
+         "E_X,prob_sleep"),
+    ])
+    def test_config_matches_flag(self, tmp_path, monkeypatch, argv, key,
+                                 value):
+        monkeypatch.chdir(tmp_path)   # the sweep preset writes a file
+        path = tmp_path / "run.conf"
+        path.write_text(f"{key} = {value}\n")
+        by_flag = run_cli(argv + ["--" + key.replace("_", "-"), value])
+        by_config = run_cli(argv + ["--config", str(path)])
+        assert by_config == by_flag
+
+    def test_flag_beats_config(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("n = 30000\nseed = 8\n")
+        code, text = run_cli(["simulate", "--config", str(path),
+                              "--n", "20000"])
+        assert code == EXIT_OK
+        assert "n = 20000\n" in text and "seed = 8\n" in text
+
+    def test_keys_naming_no_option_are_ignored(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("command = sweep\nmetrics = E_X\nwidth = 3\n")
+        assert (run_cli(["analytic", "--config", str(path)])
+                == run_cli(["analytic"]))
+
 
 class TestValidateCommand:
     def test_passes_on_small_grid(self):

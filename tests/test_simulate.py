@@ -330,7 +330,7 @@ class TestTimelineOracle:
     @pytest.mark.xfail(strict=True, reason=(
         "the heterogeneous event loop evaluates the state at a crossing "
         "instant and drops a follow-up crossing under 1e-9 s away, so a "
-        "flip waits for the next unrelated event (ROADMAP open item 4)"))
+        "flip waits for the next unrelated event (ROADMAP open item 3)"))
     def test_heterogeneous_matches_exact_intervals(self):
         p = CANONICAL
         duration = 800.0
