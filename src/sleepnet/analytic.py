@@ -33,9 +33,9 @@ points come from the exact exponential tail rate of X, the nontrivial
 root of theta = rho * exp(-(rho - theta) r0).
 
 Evaluation is batched: the density takes an array of points and picks
-each point's branch by mask.  ``ChGapDistribution`` hands every grid of
-uncached points to it at once and integrates it by panel-doubling
-Simpson.
+each point's branch by mask.  ``ChGapDistribution`` integrates it by
+panel-doubling Simpson with all panels of one integral in one batch, so
+each doubling level costs one density call for all of them.
 """
 
 from __future__ import annotations
@@ -306,37 +306,27 @@ class ChGapDistribution:
     of r0, then geometrically growing spans) and extends them until the
     newest panel carries less than ``_TAIL_MASS_TOL`` of the running total.
     Panel masses, the cdf and every expectation integrate ``ch_gap_pdf``
-    by panel-doubling Simpson to ``_ABS_TOL``/``_REL_TOL``.
-    The panels and their masses are fixed at construction, but evaluation
-    is not read-only: every pdf value computed is kept in a per-instance
-    dict, which grows as the instance is used, because the nested
-    panel-doubling grids and repeated integrals re-visit about half of
-    their nodes.
+    by panel-doubling Simpson to ``_ABS_TOL``/``_REL_TOL``, all panels of
+    one integral in one batched quadrature.  The instance keeps no cache:
+    it is read-only after construction.
     """
 
     def __init__(self, params: ModelParams):
         check_density(params)
         self.params = params
         self.tail_rate = gap_tail_rate(params.rho, params.r0)
-        self._pdf_cache: dict[float, float] = {}
         self._build_panels()
         self.x_max = float(self._edges[-1])
 
     # -- evaluation ------------------------------------------------------
 
-    def pdf(self, x: float) -> float:
-        return float(self._pdf_vec([x])[0])
+    def pdf(self, x):
+        """``ch_gap_pdf`` at a point (a float) or an array of points."""
+        return ch_gap_pdf(x, self.params)
 
-    def _pdf_vec(self, xs) -> np.ndarray:
-        """pdf at each of ``xs``, evaluating all cache misses in one
-        ch_gap_pdf call."""
-        cache = self._pdf_cache
-        keys = np.asarray(xs, dtype=float).tolist()
-        missing = [x for x in dict.fromkeys(keys) if x not in cache]
-        if missing:
-            values = ch_gap_pdf(np.asarray(missing), self.params)
-            cache.update(zip(missing, values.tolist()))
-        return np.array([cache[x] for x in keys])
+    def _quad(self, f, lo, hi):
+        return integrate_panel_doubling(f, lo, hi, abs_tol=_ABS_TOL,
+                                        rel_tol=_REL_TOL)
 
     def cdf(self, x: float) -> float:
         x = float(x)
@@ -347,9 +337,7 @@ class ChGapDistribution:
         i = int(np.searchsorted(self._edges, x, side="right")) - 1
         partial = 0.0
         if x > self._edges[i]:
-            partial = integrate_panel_doubling(
-                self._pdf_vec, float(self._edges[i]), x,
-                abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
+            partial = self._quad(self.pdf, float(self._edges[i]), x)
         return float(self._cum[i] + partial)
 
     @property
@@ -361,37 +349,30 @@ class ChGapDistribution:
                  lo: Optional[float] = None) -> float:
         """Integral of weight(x) * pdf(x) from max(lo, r0) to x_max.
 
-        ``weight`` takes an ndarray; None means unit weight.
+        ``weight`` takes an ndarray; None means unit weight.  The panels
+        are integrated in one batch and summed in order, compensated.
         """
         lo = self.params.r0 if lo is None else max(lo, self.params.r0)
         if lo >= self.x_max:
             return 0.0
-        edges = self._edges[self._edges > lo]
-        edges = np.concatenate([[lo], edges])
-        if weight is None:
-            f = self._pdf_vec
-        else:
-            f = lambda xs: weight(xs) * self._pdf_vec(xs)
+        edges = np.concatenate([[lo], self._edges[self._edges > lo]])
+        f = self.pdf if weight is None \
+            else lambda xs: weight(xs) * self.pdf(xs)
+        parts = self._quad(f, edges[:-1], edges[1:])
         total, comp = 0.0, 0.0
-        for a, b in zip(edges, edges[1:]):
-            part = integrate_panel_doubling(
-                f, float(a), float(b), abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
+        for part in parts.tolist():
             total, comp = _neumaier_step(total, comp, part)
         return total + comp
 
     # -- construction ----------------------------------------------------
-
-    def _panel_mass(self, lo: float, hi: float) -> float:
-        return integrate_panel_doubling(self._pdf_vec, lo, hi,
-                                        abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
 
     def _build_panels(self):
         rho, r0 = self.params.rho, self.params.r0
         alpha = rho * r0
         ell = -math.log1p(-math.exp(-alpha)) if alpha < 700 \
             else math.exp(-alpha)
-        support = r0 * (1.0 + _EFOLDS / max(ell, 1e-300))
-        n_kinks = int(min(max(4.0, math.ceil(support / r0) + 1,),
+        support = 1.0 + _EFOLDS / max(ell, 1e-300)     # in units of r0
+        n_kinks = int(min(max(4.0, math.ceil(support) + 1,),
                           max(4.0, math.ceil(_EFOLDS / max(alpha, 1e-9))),
                           120.0))
         edges = [r0 * j for j in range(1, n_kinks + 1)]
@@ -399,15 +380,23 @@ class ChGapDistribution:
         # the mass-driven stopping rule
         while edges[-1] - r0 < 10.0 / self.tail_rate:
             edges.append(r0 + 2.0 * (edges[-1] - r0))
+        overflow = ArithmeticError(
+            f"rho*r0 = {alpha!r} (rho={rho!r}, r0={r0!r}): the gap law's "
+            f"tail decays at {self.tail_rate!r} per m, too slowly for its "
+            f"panel edges to stay below the largest double")
+        if not math.isfinite(2.0 * edges[-1]):   # the first tail edge
+            raise overflow
 
-        masses = [self._panel_mass(a, b) for a, b in zip(edges, edges[1:])]
+        masses = self._quad(self.pdf, edges[:-1], edges[1:]).tolist()
         total, comp = 0.0, 0.0
         for mss in masses:
             total, comp = _neumaier_step(total, comp, mss)
 
         for _ in range(40):
             new = r0 + 2.0 * (edges[-1] - r0)
-            mss = self._panel_mass(edges[-1], new)
+            if not math.isfinite(new):
+                raise overflow
+            mss = self._quad(self.pdf, edges[-1], new)
             edges.append(new)
             masses.append(mss)
             total, comp = _neumaier_step(total, comp, mss)

@@ -1,5 +1,6 @@
-"""Numerical substrate: panel-doubling Simpson quadrature, compensated
-accumulation and the exponential integral.
+"""Numerical substrate: panel-doubling Simpson quadrature over one panel
+or a batch of panels, compensated accumulation and the exponential
+integral.
 
 Everything here is a pure function of its arguments and deterministic,
 so it is safe to call from any number of workers concurrently.
@@ -18,8 +19,8 @@ class QuadratureError(ArithmeticError):
     """Quadrature did not converge; carries the best available estimate."""
 
     def __init__(self, message: str, estimate: float = math.nan):
-        super().__init__(f"{message} (best estimate {estimate!r})")
-        self.estimate = estimate
+        self.estimate = float(estimate)
+        super().__init__(f"{message} (best estimate {self.estimate!r})")
 
 
 def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
@@ -31,46 +32,55 @@ def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
     return t, c
 
 
-def integrate_panel_doubling(fv, lo: float, hi: float, *,
-                             abs_tol: float, rel_tol: float,
-                             max_points: int = 16384) -> float:
-    """Integrate a smooth integrand over one panel by composite Simpson
-    with grid doubling and Richardson extrapolation.
+def integrate_panel_doubling(fv, lo, hi, *, abs_tol: float, rel_tol: float,
+                             max_points: int = 16384):
+    """Integrate a smooth integrand over each panel [lo, hi] by composite
+    Simpson with grid doubling and Richardson extrapolation.
 
-    Unlike depth-adaptive splitting this scheme detects the rounding-noise
-    plateau of the integrand: when doubling stops improving the defect the
-    current extrapolation is returned instead of refining forever.  Meant
-    for integrands whose evaluations are themselves quadratures, accurate
-    only to some absolute noise level.
+    ``lo`` and ``hi`` are floats (one panel, a float is returned) or
+    equal-length arrays (one value per panel).  Each call of ``fv`` takes
+    the nodes of every unconverged panel at the current level as one flat
+    array, so a batch costs one integrand call per doubling level; every
+    panel keeps its own convergence, noise-floor and ``max_points`` tests
+    and gets the same bits as a call of its own.  Unlike depth-adaptive
+    splitting this scheme detects the rounding-noise plateau of the
+    integrand: when doubling stops improving the defect the current
+    extrapolation is returned instead of refining forever, so integrands
+    accurate only to some absolute noise level still return.
     """
-    if not (hi > lo):
+    scalar = np.ndim(lo) == 0
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float),
+                           np.asarray(hi, dtype=float))
+    if not np.all(hi > lo):
         raise ValueError("require hi > lo")
     width = hi - lo
-    prev = None
-    prev_err = math.inf
+    value = np.empty(len(lo))
+    # nan until a level is done: comparisons with it are false
+    prev, prev_err = np.full(len(lo), math.nan), np.full(len(lo), math.nan)
+    todo = np.arange(len(lo))          # panels not yet converged
     n = 8
     while n <= max_points:
-        xs = np.linspace(lo, hi, n + 1)
-        xs[0] += width * 2.0 ** -40     # jump-at-edge tolerance
-        xs[-1] -= width * 2.0 ** -40
-        ys = fv(xs)
+        w = width[todo]
+        xs = np.linspace(lo[todo], hi[todo], n + 1, axis=1)
+        xs[:, 0] += w * 2.0 ** -40     # jump-at-edge tolerance
+        xs[:, -1] -= w * 2.0 ** -40
+        ys = fv(xs.reshape(-1)).reshape(xs.shape)
         if not np.all(np.isfinite(ys)):
-            raise QuadratureError("integrand returned a non-finite value",
-                                  math.nan)
-        h = width / n
-        s = h / 3.0 * (ys[0] + ys[-1] + 4.0 * float(np.sum(ys[1:-1:2]))
-                       + 2.0 * float(np.sum(ys[2:-1:2])))
-        if prev is not None:
-            err = abs(s - prev) / 15.0
-            value = s + (s - prev) / 15.0
-            if err <= max(abs_tol, rel_tol * abs(s)):
-                return value
-            if n >= 64 and err >= 0.25 * prev_err:
-                return value            # defect stopped shrinking: noise floor
-            prev_err = err
-        prev = s
+            raise QuadratureError("integrand returned a non-finite value")
+        s = w / n / 3.0 * (ys[:, 0] + ys[:, -1]
+                           + 4.0 * ys[:, 1:-1:2].sum(axis=1)
+                           + 2.0 * ys[:, 2:-1:2].sum(axis=1))
+        err = np.abs(s - prev[todo]) / 15.0
+        value[todo] = s + (s - prev[todo]) / 15.0
+        done = err <= np.maximum(abs_tol, rel_tol * np.abs(s))
+        if n >= 64:                    # defect stopped shrinking: noise floor
+            done |= err >= 0.25 * prev_err[todo]
+        prev[todo], prev_err[todo] = s, err
+        todo = todo[~done]
+        if not len(todo):
+            return float(value[0]) if scalar else value
         n *= 2
-    raise QuadratureError("panel refinement exhausted", prev)
+    raise QuadratureError("panel refinement exhausted", prev[todo[0]])
 
 
 def exp_integral_e1(z: float) -> float:

@@ -13,6 +13,8 @@
 - ``gap_pdf_decimal`` / ``gap_cdf_decimal``: the density and F(x) of the
   gap law by the delayed-exponential series in 80-digit decimal
   arithmetic;
+- ``integrate_panels_one_by_one``: ``integrate_panel_doubling`` called
+  once per panel, the reference its batched form must match bit for bit;
 - ``timeline_active_intervals``: the exact active intervals of a base
   station on a road of constant-speed vehicles, by interval algebra
   instead of an event loop.
@@ -224,6 +226,16 @@ def gap_pdf_composition(x: float, params: ModelParams) -> float:
     p_single = math.exp(-rho * r0)
     return p_single * intercluster_gap_pdf(x, params) \
         + (1.0 - p_single) * paper
+
+
+def integrate_panels_one_by_one(fv, lo, hi, **tolerances):
+    """``integrate_panel_doubling`` with array bounds, as a loop of
+    one-panel calls."""
+    if np.ndim(lo) == 0:
+        return integrate_panel_doubling(fv, lo, hi, **tolerances)
+    return np.array([integrate_panel_doubling(fv, float(a), float(b),
+                                              **tolerances)
+                     for a, b in zip(lo, hi)])
 
 
 def gap_pdf_decimal(x: float, rho: float, r0: float,

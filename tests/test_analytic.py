@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sleepnet import analytic
 from sleepnet.analytic import (ChGapDistribution, _gap_tail_switch,
                                baseline_power_saved, ch_gap_pdf,
                                cluster_span_decay_rate, energy_figures,
@@ -17,7 +18,7 @@ from sleepnet.simulate import RngSpec, _cycle_energy, sample_cycles
 from conftest import assert_close
 from oracles import (ch_gap_pdf_closed_form, cluster_len_pdf_grid,
                      gap_cdf_decimal, gap_pdf_composition, gap_pdf_decimal,
-                     trunc_exp_nfold_pdf)
+                     integrate_panels_one_by_one, trunc_exp_nfold_pdf)
 
 
 class TestInterclusterGapPdf:
@@ -256,6 +257,29 @@ class TestChGapDistribution:
         prob = canonical_dist.integral(lo=CANONICAL.D)
         assert_close(prob, 1.0 - canonical_dist.cdf(CANONICAL.D),
                      abs_tol=1e-9, label="tail probability consistency")
+
+
+_BATCH_CELLS = [(rho, r0) for rho in (0.005, 0.02, 0.08)
+                for r0 in (100.0, 200.0, 400.0)] + [(1e-3, 50.0), (0.2, 200.0)]
+
+
+@pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+@pytest.mark.parametrize("rho,r0", _BATCH_CELLS)
+def test_batched_panels_match_one_by_one(monkeypatch, rho, r0, fidelity):
+    # every panel of an integral in one quadrature call gives the same
+    # bits as one call per panel
+    params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
+
+    def outputs():
+        dist = ChGapDistribution(params)
+        return (energy_figures(params, dist), dist.total_mass,
+                dist.integral(lambda xs: 1.0 / xs, lo=params.D),
+                dist.integral(lo=1.5 * r0))
+
+    batched = outputs()
+    monkeypatch.setattr(analytic, "integrate_panel_doubling",
+                        integrate_panels_one_by_one)
+    assert outputs() == batched
 
 
 class TestExpectations:

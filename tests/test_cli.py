@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import warnings
 
 import pytest
 
@@ -83,6 +85,35 @@ class TestAnalyticCommand:
         assert doc["error"] == "numeric"
         assert doc["exit_code"] == EXIT_NUMERIC_FAILURE
         assert "rho=" in doc["message"] and "r0=" in doc["message"]
+
+    @pytest.mark.parametrize("rho,r0", [("1e-3", "700000"),
+                                        ("1e-4", "7000000"),
+                                        ("1e-3", "699300")])
+    def test_panel_edge_overflow_is_numeric_error(self, capsys, rho, r0):
+        # at or below the rho*r0 limit, but the gap law's tail scale
+        # e^{rho r0}/rho puts its integration panels past the largest
+        # double: at r0 = 699300 only the second tail panel's edge overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli(["analytic", "--rho", rho, "--r0", r0,
+                                  "--json-errors"])
+        assert code == EXIT_NUMERIC_FAILURE
+        assert "prob_sleep" not in text
+        message = json.loads(capsys.readouterr().err)["message"]
+        for part in (f"rho={float(rho)!r}", f"r0={float(r0)!r}",
+                     f"rho*r0 = {float(rho) * float(r0)!r}"):
+            assert part in message
+
+    def test_small_rho_dense_cell_runs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli(["analytic", "--rho", "1e-3", "--r0",
+                                  "600000", "--format", "json"])
+        assert code == EXIT_OK
+        doc = json.loads(text.split("\n\n", 1)[1])
+        assert doc["prob_sleep"] == 1.0
+        assert doc["expected_gap_m"] == pytest.approx(math.exp(600.0) / 1e-3,
+                                                      rel=1e-8)
 
 
 class TestSimulateCommand:

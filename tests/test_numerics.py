@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepnet.numerics import exp_integral_e1, integrate_panel_doubling
+from sleepnet.numerics import (QuadratureError, exp_integral_e1,
+                               integrate_panel_doubling)
 
 from conftest import assert_close, rng_for_test
 from oracles import compensated_sum, trunc_exp_nfold_pdf, trunc_exp_pdf
@@ -30,6 +31,62 @@ class TestIntegratePanelDoubling:
                                          abs_tol=1e-15, rel_tol=1e-15)
         assert_close(value, -math.expm1(-5.0), rel=1e-9,
                      label="noisy exponential")
+
+    @staticmethod
+    def _mixed(x):
+        # [0, 1]: smooth; [10, 15]: exponential plus a deterministic
+        # 1e-9 jitter, which stops the defect at its noise floor;
+        # [20, 21]: a narrow peak that needs more than 1024 points
+        jitter = 1e-9 * np.sin(1e9 * x) * np.cos(3.7e8 * x)
+        return np.where(x < 5.0, np.sin(x),
+                        np.where(x < 17.0, np.exp(-x) + jitter,
+                                 1.0 / (1e-3 + (x - 20.4) ** 2)))
+
+    def test_batch_matches_single_panels(self):
+        lo, hi = np.array([0.0, 10.0, 20.0]), np.array([1.0, 15.0, 21.0])
+        tol = dict(abs_tol=1e-15, rel_tol=1e-13)
+        batch = integrate_panel_doubling(self._mixed, lo, hi, **tol)
+        levels = []
+        for k in range(3):
+            nodes = []
+
+            def counted(x):
+                nodes.append(len(x))
+                return self._mixed(x)
+
+            single = integrate_panel_doubling(counted, lo[k], hi[k], **tol)
+            assert batch[k] == single, k
+            levels.append(nodes[-1] - 1)
+        assert len(set(levels)) == 3 and levels[2] > 1024, levels
+
+    def test_scalar_call_returns_float(self):
+        value = integrate_panel_doubling(np.exp, 0.0, 1.0, abs_tol=1e-12,
+                                         rel_tol=1e-12)
+        assert type(value) is float
+
+    def test_empty_panel_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_panel_doubling(np.exp, [0.0, 2.0], [1.0, 2.0],
+                                     abs_tol=1e-12, rel_tol=1e-12)
+
+    def test_unconverged_panel_raises(self):
+        # the constant panel converges at once; the steep sine cannot meet
+        # the tolerance within 32 points, before the noise-floor test
+        def f(x):
+            return np.where(x < 5.0, 1.0, 1e6 * np.sin(x))
+
+        with pytest.raises(QuadratureError) as info:
+            integrate_panel_doubling(f, [0.0, 10.0], [1.0, 12.0],
+                                     abs_tol=1e-12, rel_tol=0.0,
+                                     max_points=32)
+        assert type(info.value.estimate) is float
+        assert str(info.value) == ("panel refinement exhausted (best "
+                                   f"estimate {info.value.estimate!r})")
+
+    def test_error_message_prints_plain_float(self):
+        err = QuadratureError("no luck", np.float64("nan"))
+        assert str(err) == "no luck (best estimate nan)"
+        assert type(err.estimate) is float
 
 
 class TestExpIntegralE1:
