@@ -2,7 +2,7 @@
 network: closed-form distribution analysis, independent Monte Carlo and
 event-driven simulators, and experiment sweeps."""
 
-from .analytic import (AnalyticError, ChGapDistribution, EnergyFigures,
+from .analytic import (ChGapDistribution, EnergyFigures,
                        baseline_power_saved, ch_gap_pdf,
                        cluster_span_decay_rate, energy_figures,
                        expected_ch_gap, gap_tail_rate, intercluster_gap_pdf)

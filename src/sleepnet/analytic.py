@@ -24,6 +24,7 @@ f = lam on [r0, 2r0) (the delayed exponential); the paper density is
 * the method of steps up to ``_gap_tail_switch``: on each r0-segment f is
   lam times a polynomial in the segment's local coordinate, whose
   coefficients follow from the previous segment's by one integration;
+  one cached table holds them all, evaluated in one Horner pass;
 * the exact two-pole tail expansion past the switch.
 
 The test suite checks all three against independent oracles (the
@@ -35,7 +36,8 @@ root of theta = rho * exp(-(rho - theta) r0).
 Evaluation is batched: the density takes an array of points and picks
 each point's branch by mask.  ``ChGapDistribution`` integrates it by
 panel-doubling Simpson with all panels of one integral in one batch, so
-each doubling level costs one density call for all of them.
+each doubling level costs one density call for all of them; E[X] needs
+no integral (``expected_ch_gap``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .numerics import (QuadratureError, _neumaier_step, exp_integral_e1,
+from .numerics import (QuadratureError, exp_integral_e1,
                        integrate_panel_doubling)
 from .params import Fidelity, ModelParams, check_density
 
@@ -64,10 +66,6 @@ _TAIL_MASS_TOL = 1e-9
 _EFOLDS = 52.0
 
 
-class AnalyticError(ArithmeticError):
-    """An internal consistency check of the analytic machinery failed."""
-
-
 def intercluster_gap_pdf(x1, params: ModelParams):
     """Density of the gap x1 between a cluster head and the next cluster's
     rear vehicle: r0 plus an exponential(rho)."""
@@ -78,9 +76,7 @@ def intercluster_gap_pdf(x1, params: ModelParams):
             x1 > r0,
             rho * np.exp(-rho * np.minimum(x1 - r0, 745.0 / rho)), 0.0)
     out = np.where(x1 - r0 > 745.0 / rho, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def _span_rate_factor(alpha: float) -> float:
@@ -216,27 +212,30 @@ def _gap_pdf_tail_paper(x, params: ModelParams):
 
 
 @functools.lru_cache(maxsize=4096)
-def _gap_segment_polys(params: ModelParams) -> tuple:
+def _gap_segment_polys(params: ModelParams) -> np.ndarray:
     """Method-of-steps polynomials of the corrected gap density.
 
     On the r0-segment k, x = r0 (k + 1 + t) with t in [0, 1), the density
     is lam p_k(t), lam = rho e^{-rho r0}.  The delay equation
     f'(x) = -lam f(x - r0), started from f = lam on [r0, 2r0), gives
     p_0 = 1 and p_{k+1}(t) = p_k(1) - rho r0 e^{-rho r0} integral_0^t p_k.
-    Returns the monomial coefficients of p_k for every segment below
-    ``_gap_tail_switch``.  The sum of the coefficients' magnitudes stays
-    within a factor 7 of p_k(1) (the worst case is near rho r0 = 1, where
-    the switch is farthest out, at about 18 r0), so evaluation at t in
-    [0, 1) loses at most one digit to cancellation.
+    Returns one read-only table whose row k holds the monomial
+    coefficients of p_k (degree k, zero-padded), one row for every segment
+    below ``_gap_tail_switch``.  The sum of the coefficients' magnitudes
+    stays within a factor 7 of p_k(1) (the worst case is near
+    rho r0 = 1, where the switch is farthest out, at about 18 r0), so
+    evaluation at t in [0, 1) loses at most one digit to cancellation.
     """
     c = params.rho_r0 * math.exp(-params.rho_r0)
-    polys = [np.ones(1)]
-    for _ in range(1, int(_gap_tail_switch(params) / params.r0)):
-        p = polys[-1]
-        nxt = -c * P.polyint(p)
-        nxt[0] = P.polyval(1.0, p)
-        polys.append(nxt)
-    return tuple(polys)
+    n = max(int(_gap_tail_switch(params) / params.r0), 1)
+    table = np.zeros((n, n))
+    table[0, 0] = 1.0
+    for k in range(1, n):
+        p = table[k - 1, :k]
+        table[k, :k + 1] = -c * P.polyint(p)
+        table[k, 0] = P.polyval(1.0, p)
+    table.flags.writeable = False
+    return table
 
 
 def _gap_pdf_paper(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -246,27 +245,31 @@ def _gap_pdf_paper(x: np.ndarray, params: ModelParams) -> np.ndarray:
     On [r0, 2r0) the closed form rho (1 - e^{-rho(x-r0)})/(e^{rho r0} - 1);
     below ``_gap_tail_switch`` (f - lam e^{-rho(x-r0)})/(1 - e^{-rho r0})
     with the corrected density f = lam p_k(t) of ``_gap_segment_polys``,
-    one polynomial evaluation per segment; past the switch the two-pole
-    tail.
+    all such points in one Horner pass in ``P.polyval``'s order; past the
+    switch the two-pole tail.
     """
     rho, r0 = params.rho, params.r0
     alpha = rho * r0
-    lam = rho * math.exp(-alpha)
     out = np.empty(len(x))
     first = x < 2.0 * r0
     tail = ~first & (x >= _gap_tail_switch(params))
     out[first] = rho * (-np.expm1(-rho * (x[first] - r0))) \
         * math.exp(-alpha) / (-math.expm1(-alpha))
     out[tail] = _gap_pdf_tail_paper(x[tail], params)
-    steps = np.flatnonzero(~first & ~tail)
-    y = x[steps] / r0
+    steps = ~first & ~tail
+    if not np.any(steps):
+        return out
+    xs = x[steps]
+    y = xs / r0
     seg = np.floor(y).astype(np.intp) - 1
-    polys = _gap_segment_polys(params)
-    for k in np.unique(seg):
-        on = seg == k
-        f = P.polyval(y[on] - (k + 1), polys[k])
-        out[steps[on]] = lam * (f - np.exp(-rho * (x[steps[on]] - r0))) \
-            / (-math.expm1(-alpha))
+    t = y - (seg + 1)
+    top = int(seg.max())                  # columns past it are all zero
+    coef = _gap_segment_polys(params)[seg, :top + 1]
+    f = np.zeros(len(xs))
+    for j in range(top, -1, -1):
+        f = coef[:, j] + f * t
+    out[steps] = rho * math.exp(-alpha) * (f - np.exp(-rho * (xs - r0))) \
+        / (-math.expm1(-alpha))
     return out
 
 
@@ -294,9 +297,7 @@ def ch_gap_pdf(x, params: ModelParams):
             p_single = math.exp(-params.rho * params.r0)
             out[above] = p_single * intercluster_gap_pdf(xa, params) \
                 + (1.0 - p_single) * paper
-    if x.ndim == 0:
-        return float(out[0])
-    return out.reshape(x.shape)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 class ChGapDistribution:
@@ -350,7 +351,7 @@ class ChGapDistribution:
         """Integral of weight(x) * pdf(x) from max(lo, r0) to x_max.
 
         ``weight`` takes an ndarray; None means unit weight.  The panels
-        are integrated in one batch and summed in order, compensated.
+        are integrated in one batch and summed by ``math.fsum``.
         """
         lo = self.params.r0 if lo is None else max(lo, self.params.r0)
         if lo >= self.x_max:
@@ -358,11 +359,7 @@ class ChGapDistribution:
         edges = np.concatenate([[lo], self._edges[self._edges > lo]])
         f = self.pdf if weight is None \
             else lambda xs: weight(xs) * self.pdf(xs)
-        parts = self._quad(f, edges[:-1], edges[1:])
-        total, comp = 0.0, 0.0
-        for part in parts.tolist():
-            total, comp = _neumaier_step(total, comp, part)
-        return total + comp
+        return math.fsum(self._quad(f, edges[:-1], edges[1:]).tolist())
 
     # -- construction ----------------------------------------------------
 
@@ -388,10 +385,6 @@ class ChGapDistribution:
             raise overflow
 
         masses = self._quad(self.pdf, edges[:-1], edges[1:]).tolist()
-        total, comp = 0.0, 0.0
-        for mss in masses:
-            total, comp = _neumaier_step(total, comp, mss)
-
         for _ in range(40):
             new = r0 + 2.0 * (edges[-1] - r0)
             if not math.isfinite(new):
@@ -399,12 +392,11 @@ class ChGapDistribution:
             mss = self._quad(self.pdf, edges[-1], new)
             edges.append(new)
             masses.append(mss)
-            total, comp = _neumaier_step(total, comp, mss)
-            if mss < _TAIL_MASS_TOL * max(total + comp, 1e-300):
+            if mss < _TAIL_MASS_TOL * max(math.fsum(masses), 1e-300):
                 break
         else:
             raise QuadratureError("gap-distribution tail mass not converging",
-                                  total + comp)
+                                  math.fsum(masses))
         self._edges = np.asarray(edges)
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
 
@@ -425,22 +417,24 @@ class EnergyFigures:
 
 def expected_ch_gap(params: ModelParams,
                     dist: Optional[ChGapDistribution] = None) -> float:
-    """E[X] by quadrature against the gap density.
-
-    In corrected fidelity the result is cross-checked against the
-    independent decomposition E[span] + r0 + 1/rho (Wald identity for the
-    geometric number of intra-cluster gaps), which collapses to
-    e^{rho r0}/rho.
+    """E[X] in closed form, alpha = rho r0: e^alpha/rho (corrected), by
+    Wald's identity over the geometric number of intra-cluster gaps; the
+    paper law drops the single-vehicle part (weight e^-alpha, mean
+    r0 + 1/rho): (2 sinh alpha - alpha e^-alpha)/(rho (1 - e^-alpha)).
+    ``dist`` is unused; it stays for callers that pass one (``bench/run.py``).
+    Raises a named ``ArithmeticError`` past ``check_density``'s limit or
+    where E[X] would exceed the largest double.
     """
-    dist = dist or ChGapDistribution(params)
-    m1 = dist.integral(lambda xs: xs)
-    if params.fidelity is Fidelity.CORRECTED and params.rho_r0 < 700.0:
-        target = math.exp(params.rho_r0) / params.rho
-        if abs(m1 - target) > 1e-3 * target:
-            raise AnalyticError(
-                f"E[X] quadrature {m1!r} deviates from decomposition "
-                f"identity {target!r} by more than 0.1%")
-    return m1
+    check_density(params)
+    rho, alpha = params.rho, params.rho_r0
+    mean = (math.exp(alpha) / rho if params.fidelity is Fidelity.CORRECTED
+            else (2.0 * math.sinh(alpha) - alpha * math.exp(-alpha))
+            / (rho * -math.expm1(-alpha)))
+    if not math.isfinite(mean):
+        raise ArithmeticError(
+            f"rho*r0 = {alpha!r} (rho={rho!r}, r0={params.r0!r}): E[X] "
+            f"exceeds the largest double")
+    return mean
 
 
 def _power_saved(params: ModelParams, prob: float, inv: float) -> float:
@@ -483,10 +477,9 @@ def energy_figures(params: ModelParams,
     prob = min(max(1.0 - dist.cdf(D), 0.0), 1.0) if D < dist.x_max else 0.0
     m_excess = dist.integral(lambda xs: xs - D, lo=D)
     inv = dist.integral(lambda xs: 1.0 / xs, lo=D)
-    gap = expected_ch_gap(params, dist)
     sleep_time = (params.mean_inv_speed * m_excess / prob
                   if prob >= 1e-12 else None)
-    return EnergyFigures(expected_gap=gap, prob_sleep=prob,
+    return EnergyFigures(expected_gap=expected_ch_gap(params), prob_sleep=prob,
                          expected_sleep_time=sleep_time,
                          expected_power_saved=_power_saved(params, prob, inv),
                          mean_speed=params.mean_speed)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional
 
@@ -216,12 +215,6 @@ def cmd_simulate(args, out) -> int:
     return EXIT_OK
 
 
-def _workers(args) -> Optional[int]:
-    value = (os.environ.get("SLEEPNET_WORKERS") if args.workers is None
-             else args.workers)
-    return int(value) if value is not None else None
-
-
 def cmd_validate(args, out) -> int:
     params = build_params(args)
     grid = SweepGrid(rho_values=args.rho_values, r0_values=args.r0_values,
@@ -233,7 +226,7 @@ def cmd_validate(args, out) -> int:
                  "n": args.n, "seed": args.seed,
                  "mc_fidelity": args.mc_fidelity or "matched"}, out)
     report = run_validation(grid, args.n, RngSpec(args.seed),
-                            workers=_workers(args),
+                            workers=args.workers,
                             sampler_fidelity=sampler)
     _write_output(emit_table(report, args.format), args.out, out)
     if not report.all_passed:
@@ -252,14 +245,13 @@ def cmd_validate(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     params = build_params(args)
-    workers = _workers(args)
     if args.preset:
         presets = [p.strip() for p in args.preset.split(",") if p.strip()]
         for preset in presets:
             grid = figure_preset(preset, params)
             echo_config("sweep", params,
                         {"preset": preset}, out)
-            table = run_sweep(grid, workers=workers)
+            table = run_sweep(grid, workers=args.workers)
             path = args.out
             if path is None or len(presets) > 1:
                 path = f"{path or 'sweep'}_{preset}.{args.format}"
@@ -273,7 +265,7 @@ def cmd_sweep(args, out) -> int:
                 {"rho_values": list(grid.rho_values),
                  "r0_values": list(grid.r0_values),
                  "metrics": list(grid.metrics)}, out)
-    table = run_sweep(grid, workers=workers)
+    table = run_sweep(grid, workers=args.workers)
     _write_output(emit_table(table, args.format), args.out, out)
     return EXIT_OK
 

@@ -127,20 +127,21 @@ class ValidationReport:
 
 def _cell_metrics(params: ModelParams,
                   metrics: Sequence[str]) -> List[Tuple[str, float, str]]:
-    """(metric, value, status) triples for one cell; failures are recorded
-    in-row and never propagate."""
+    """(metric, value, status) triples for one cell; numeric and parameter
+    failures (``ArithmeticError``, ``ValueError``) are recorded in-row and
+    never propagate, while any other exception is a bug and does."""
     out = []
     figures = error = None
     if any(m != "baseline_Psave" for m in metrics):
         try:
             figures = energy_figures(params)
-        except Exception as exc:
+        except (ArithmeticError, ValueError) as exc:
             error = f"error: {exc}"
     for metric in metrics:
         if metric == "baseline_Psave":
             try:
                 out.append((metric, baseline_power_saved(params), "ok"))
-            except Exception as exc:
+            except (ArithmeticError, ValueError) as exc:
                 out.append((metric, math.nan, f"error: {exc}"))
             continue
         value = None if figures is None else getattr(figures, _FIELDS[metric])

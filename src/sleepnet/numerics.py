@@ -1,6 +1,5 @@
 """Numerical substrate: panel-doubling Simpson quadrature over one panel
-or a batch of panels, compensated accumulation and the exponential
-integral.
+or a batch of panels, and the exponential integral.
 
 Everything here is a pure function of its arguments and deterministic,
 so it is safe to call from any number of workers concurrently.
@@ -21,15 +20,6 @@ class QuadratureError(ArithmeticError):
     def __init__(self, message: str, estimate: float = math.nan):
         self.estimate = float(estimate)
         super().__init__(f"{message} (best estimate {self.estimate!r})")
-
-
-def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
 
 
 def integrate_panel_doubling(fv, lo, hi, *, abs_tol: float, rel_tol: float,

@@ -13,6 +13,12 @@
 - ``gap_pdf_decimal`` / ``gap_cdf_decimal``: the density and F(x) of the
   gap law by the delayed-exponential series in 80-digit decimal
   arithmetic;
+- ``gap_mean_wald_decimal``: E[X] by Wald's identity over the generative
+  model's gaps, in 80-digit decimal arithmetic;
+- ``gap_pdf_per_segment``: the gap density with its method-of-steps
+  polynomials built one list entry per segment and evaluated by one
+  ``P.polyval`` call per segment, the reference the one-pass table
+  evaluation must match bit for bit;
 - ``integrate_panels_one_by_one``: ``integrate_panel_doubling`` called
   once per panel, the reference its batched form must match bit for bit;
 - ``timeline_active_intervals``: the exact active intervals of a base
@@ -27,10 +33,21 @@ from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from sleepnet.analytic import ch_gap_pdf, intercluster_gap_pdf
-from sleepnet.numerics import _neumaier_step, integrate_panel_doubling
+from sleepnet.analytic import (_gap_pdf_tail_paper, _gap_tail_switch,
+                               ch_gap_pdf, intercluster_gap_pdf)
+from sleepnet.numerics import integrate_panel_doubling
 from sleepnet.params import Fidelity, ModelParams
+
+
+def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
+    t = s + x
+    if abs(s) >= abs(x):
+        c += (s - t) + x
+    else:
+        c += (x - t) + s
+    return t, c
 
 
 def compensated_sum(terms) -> tuple[float, float]:
@@ -289,6 +306,71 @@ def gap_cdf_decimal(x: float, rho: float, r0: float) -> float:
             total += -term if k % 2 else term
             k += 1
         return float(total)
+
+
+def gap_mean_wald_decimal(rho: float, r0: float,
+                          fidelity=Fidelity.CORRECTED) -> float:
+    """E[X] = r0 + 1/rho + E[N - 1] (1/rho - r0/(e^{rho r0} - 1)).
+
+    X is the cluster's N - 1 intra-cluster gaps, each an exponential(rho)
+    conditioned to be at most r0 (mean 1/rho - r0/(e^{rho r0} - 1)), plus
+    the inter-cluster gap r0 + exponential(rho).  N is geometric with
+    P{N = 1} = e^{-rho r0}, so E[N - 1] = e^{rho r0} - 1 (corrected); the
+    paper law conditions on N >= 2, which adds one gap: E[N - 1] =
+    e^{rho r0}.  Evaluated in 80-digit decimal arithmetic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        rho_d, r0_d = Decimal(rho), Decimal(r0)
+        growth = (rho_d * r0_d).exp()
+        gaps = growth if Fidelity(fidelity) is Fidelity.PAPER else growth - 1
+        mean = r0_d + 1 / rho_d + gaps * (1 / rho_d - r0_d / (growth - 1))
+        return float(mean)
+
+
+def _segment_polys(params: ModelParams) -> list:
+    """p_0 = 1, p_{k+1}(t) = p_k(1) - rho r0 e^{-rho r0} integral_0^t p_k,
+    one coefficient array per r0-segment below the tail switch."""
+    c = params.rho_r0 * math.exp(-params.rho_r0)
+    polys = [np.ones(1)]
+    for _ in range(1, int(_gap_tail_switch(params) / params.r0)):
+        p = polys[-1]
+        nxt = -c * P.polyint(p)
+        nxt[0] = P.polyval(1.0, p)
+        polys.append(nxt)
+    return polys
+
+
+def gap_pdf_per_segment(x, params: ModelParams):
+    """The gap density with one mask and one ``P.polyval`` call per
+    r0-segment of the method of steps; the other branches as in
+    ``ch_gap_pdf``."""
+    rho, r0 = params.rho, params.r0
+    alpha = rho * r0
+    lam = rho * math.exp(-alpha)
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    paper = np.zeros(len(flat))
+    first = (flat > r0) & (flat < 2.0 * r0)
+    tail = ~first & (flat >= _gap_tail_switch(params))
+    paper[first] = rho * (-np.expm1(-rho * (flat[first] - r0))) \
+        * math.exp(-alpha) / (-math.expm1(-alpha))
+    paper[tail] = _gap_pdf_tail_paper(flat[tail], params)
+    steps = np.flatnonzero((flat >= 2.0 * r0) & ~tail)
+    y = flat[steps] / r0
+    seg = np.floor(y).astype(np.intp) - 1
+    polys = _segment_polys(params)
+    for k in np.unique(seg):
+        on = seg == k
+        f = P.polyval(y[on] - (k + 1), polys[k])
+        paper[steps[on]] = lam * (f - np.exp(-rho * (flat[steps[on]] - r0))) \
+            / (-math.expm1(-alpha))
+    out = paper
+    if params.fidelity is Fidelity.CORRECTED:
+        p_single = math.exp(-alpha)
+        out = np.where(flat > r0, p_single * intercluster_gap_pdf(flat, params)
+                       + (1.0 - p_single) * paper, 0.0)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _union(intervals) -> list:

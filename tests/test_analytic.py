@@ -17,8 +17,10 @@ from sleepnet.simulate import RngSpec, _cycle_energy, sample_cycles
 
 from conftest import assert_close
 from oracles import (ch_gap_pdf_closed_form, cluster_len_pdf_grid,
-                     gap_cdf_decimal, gap_pdf_composition, gap_pdf_decimal,
-                     integrate_panels_one_by_one, trunc_exp_nfold_pdf)
+                     gap_cdf_decimal, gap_mean_wald_decimal,
+                     gap_pdf_composition, gap_pdf_decimal,
+                     gap_pdf_per_segment, integrate_panels_one_by_one,
+                     trunc_exp_nfold_pdf)
 
 
 class TestInterclusterGapPdf:
@@ -262,6 +264,28 @@ class TestChGapDistribution:
 _BATCH_CELLS = [(rho, r0) for rho in (0.005, 0.02, 0.08)
                 for r0 in (100.0, 200.0, 400.0)] + [(1e-3, 50.0), (0.2, 200.0)]
 
+#: The 9-cell grid plus a sparse cell, rho r0 = 1 and a dense cell.
+_LAW_CELLS = _BATCH_CELLS + [(0.02, 50.0)]
+
+
+@pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+@pytest.mark.parametrize("rho,r0", _LAW_CELLS)
+def test_pdf_matches_per_segment_oracle(rho, r0, fidelity):
+    # one Horner pass over the segment table gives the bits of one
+    # polyval call per segment, in a mixed batch, one segment's points, a
+    # scalar and a batch with no method-of-steps point
+    params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
+    switch = _gap_tail_switch(params)
+    mixed = np.concatenate([np.linspace(0.5 * r0, 1.2 * switch, 997),
+                            [r0, 2.0 * r0, 3.0 * r0, switch]])
+    batches = [mixed, np.linspace(2.0 * r0, 2.9 * r0, 5),
+               np.array([0.5 * r0, 1.5 * r0, 1.5 * switch]),
+               np.float64(2.5 * r0)]
+    for xs in batches:
+        got = ch_gap_pdf(xs, params)
+        want = gap_pdf_per_segment(xs, params)
+        assert np.array_equal(got, want), (xs, got, want)
+
 
 @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
 @pytest.mark.parametrize("rho,r0", _BATCH_CELLS)
@@ -283,11 +307,35 @@ def test_batched_panels_match_one_by_one(monkeypatch, rho, r0, fidelity):
 
 
 class TestExpectations:
-    def test_corrected_mean_identity(self, canonical_dist):
-        # E[X] = e^{rho r0}/rho by Wald's identity
-        mean = expected_ch_gap(CANONICAL, canonical_dist)
-        assert_close(mean, math.exp(CANONICAL.rho_r0) / CANONICAL.rho,
-                     rel=1e-9, label="corrected mean identity")
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    def test_mean_matches_wald_decimal(self, fidelity):
+        for rho, r0 in _LAW_CELLS:
+            params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
+            assert_close(expected_ch_gap(params),
+                         gap_mean_wald_decimal(rho, r0, fidelity), rel=1e-14,
+                         label=f"{fidelity} E[X] at rho={rho} r0={r0}")
+
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    def test_mean_matches_quadrature(self, fidelity):
+        # the closed form against the first moment of the integrated law
+        for rho, r0 in _BATCH_CELLS[:9]:
+            params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
+            dist = ChGapDistribution(params)
+            assert_close(dist.integral(lambda xs: xs),
+                         expected_ch_gap(params, dist), rel=1e-9,
+                         label=f"{fidelity} E[X] quadrature rho={rho} r0={r0}")
+
+    @pytest.mark.parametrize("rho,r0,match", [
+        (2.0, 400.0, "exceeds the limit 700"),     # rho r0 = 800
+        (1e-5, 7e7, "exceeds the limit 700"),      # 700 plus rounding
+        (1e-5, 6.99e7, "E.X. exceeds the largest double"),
+    ])
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    def test_mean_raises_named_error(self, rho, r0, match, fidelity):
+        params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
+        with pytest.raises(ArithmeticError, match=match) as info:
+            expected_ch_gap(params)
+        assert f"rho={rho!r}" in str(info.value)
 
     def test_paper_mean_exceeds_span_only_regime(self, canonical_paper_dist):
         paper = CANONICAL.replace(fidelity="paper")

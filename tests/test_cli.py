@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -299,6 +300,25 @@ class TestSweepCommand:
                                "--out", str(path)])
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_density_limit_is_recorded_in_rows(self):
+        # rho r0 = 800 is past the gap law's limit: the cell's analytic
+        # metrics carry the named error and the sweep still succeeds
+        code, text = run_cli(["sweep", "--rho-values", "4",
+                              "--r0-values", "200"])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(text.split("\n\n", 1)[1])))
+        by_metric = {row["metric"]: row for row in rows}
+        assert by_metric["E_X"]["status"].startswith("error: rho*r0 = 800")
+        assert "exceeds the limit 700" in by_metric["E_X"]["status"]
+        assert by_metric["baseline_Psave"]["status"] == "ok"
+
+    def test_environment_does_not_set_workers(self, monkeypatch):
+        # --workers comes from the option or the config file only
+        monkeypatch.setenv("SLEEPNET_WORKERS", "junk")
+        code, _ = run_cli(["sweep", "--rho-values", "0.02",
+                           "--r0-values", "200", "--metrics", "E_X"])
+        assert code == EXIT_OK
 
     def test_unknown_preset(self):
         code, _ = run_cli(["sweep", "--preset", "fig9"])

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sleepnet import experiments
 from sleepnet.analytic import energy_figures
 from sleepnet.experiments import (CSV_COLUMNS, FIGURE_PRESETS, JSON_SCHEMA,
                                   METRICS, VALIDATION_EXTRA_COLUMNS,
@@ -63,6 +64,15 @@ class TestRunSweep:
         assert by_metric["E_Toff"].status == "no sleep opportunity"
         assert math.isnan(by_metric["E_Toff"].value)
         assert by_metric["E_X"].status == "ok"
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only numeric and parameter failures become error rows
+        def broken(params):
+            raise TypeError("a bug, not a numeric failure")
+
+        monkeypatch.setattr(experiments, "energy_figures", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run_sweep(SweepGrid(rho_values=(0.01,), r0_values=(200.0,)))
 
     def test_meta_has_no_timestamps(self):
         table = run_sweep(SweepGrid(rho_values=(0.01,), r0_values=(200.0,)))
