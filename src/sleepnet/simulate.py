@@ -10,12 +10,18 @@
 
 All samplers are pure functions of an RngSpec: identical (master_seed,
 stream_id) pairs reproduce bit-identical sample streams, so parallel
-streams are independent and individually replayable.
+streams are independent and individually replayable.  The renewal
+sampler's intra-cluster gap stage runs on several threads, each drawing
+from its own position of the Philox stream, and its bits do not depend
+on how many threads there are.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -53,6 +59,9 @@ SAMPLER_RHO_R0_LIMIT = 40.0
 #: Intra-cluster gaps drawn at once by the direct-sum branch of
 #: ``sample_cycles``.
 _GAP_CHUNK = 1 << 16
+
+#: Most threads the intra-cluster gap stage of ``sample_cycles`` uses.
+MAX_GAP_THREADS = 8
 
 #: Hard cap on processed events in the heterogeneous timeline.
 MAX_EVENTS = 100_000_000
@@ -223,21 +232,44 @@ def _cycle_energy(x, v, params: ModelParams) -> tuple:
     return t_off, t_on, e_off, p_save
 
 
-def _direct_spans(gen: np.random.Generator, counts: np.ndarray,
-                  rho: float, r0: float) -> np.ndarray:
-    """Spans of clusters with counts[i] >= 1 intra-cluster gaps each.
+def _gap_threads(n_gaps: int) -> int:
+    """Threads the gap stage uses for n_gaps draws: the CPUs this process
+    may run on, at most MAX_GAP_THREADS, and at most one per four chunks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_GAP_THREADS, n_gaps // (4 * _GAP_CHUNK)))
 
-    The gaps are -log1p(-u q)/rho with q = 1 - exp(-rho r0), drawn in
-    stream order in chunks that end on cluster boundaries and hold at most
-    _GAP_CHUNK gaps (one cluster, at most DIRECT_SUM_LIMIT, if larger),
-    through one reused buffer.
-    """
-    q = -math.expm1(-rho * r0)
-    ends = np.cumsum(counts)
-    spans = np.empty(len(counts))
-    buf = np.empty(min(int(ends[-1]), max(_GAP_CHUNK, DIRECT_SUM_LIMIT)))
-    start = base = 0
-    while start < len(counts):
+
+def _philox_after(bitgen: np.random.Philox, m: int) -> np.random.Philox:
+    """A copy of ``bitgen`` that has made m more 64-bit draws: the
+    buffered draws first, then whole 4-draw counter blocks by advance(),
+    then the remainder.  ``bitgen`` is untouched and the 32-bit cache,
+    which 64-bit draws never read, is carried over."""
+    state = bitgen.state
+    out = np.random.Philox(0)
+    out.state = state
+    buffered = min(m, 4 - state["buffer_pos"])
+    out.random_raw(buffered)
+    if m > buffered:
+        out.advance((m - buffered) // 4)
+        out.random_raw((m - buffered) % 4)
+    out.state = {**out.state, "has_uint32": state["has_uint32"],
+                 "uinteger": state["uinteger"]}
+    return out
+
+
+def _span_part(gen: np.random.Generator, ends: np.ndarray, base: int,
+               q: float, rho: float, spans: np.ndarray, buf: np.ndarray,
+               offsets: np.ndarray) -> None:
+    """Fill spans[i] with the sum of the gaps base + (ends[i-1], ends[i]]
+    (from base for i = 0), drawn from gen in stream order in chunks that
+    end on cluster boundaries and hold at most _GAP_CHUNK gaps (one
+    cluster, at most DIRECT_SUM_LIMIT, if larger).  Writes only into
+    the given arrays."""
+    start = 0
+    while start < len(ends):
         stop = max(int(np.searchsorted(ends, base + _GAP_CHUNK, "right")),
                    start + 1)
         g = buf[:int(ends[stop - 1]) - base]
@@ -247,10 +279,54 @@ def _direct_spans(gen: np.random.Generator, counts: np.ndarray,
         np.multiply(g, -q, out=g)
         np.log1p(g, out=g)
         np.divide(g, -rho, out=g)
-        offsets = np.concatenate(([0], ends[start:stop - 1] - base))
-        spans[start:stop] = np.add.reduceat(g, offsets)
+        off = offsets[:stop - start]
+        off[0] = 0
+        np.subtract(ends[start:stop - 1], base, out=off[1:])
+        np.add.reduceat(g, off, out=spans[start:stop])
         start, base = stop, int(ends[stop - 1])
-    return spans
+
+
+@contextlib.contextmanager
+def _direct_spans(gen: np.random.Generator, counts: np.ndarray,
+                  rho: float, r0: float):
+    """Spans of clusters with counts[i] >= 1 intra-cluster gaps each.
+
+    The gaps are -log1p(-u q)/rho with q = 1 - exp(-rho r0), one 64-bit
+    draw each.  Yields the span array, which is complete once the block
+    exits; inside the block gen is already past every gap.  With a Philox
+    gen the clusters are split into contiguous parts of about equal gap
+    count, one per thread of ``_gap_threads``, each drawn from a copy of
+    gen placed at its first gap, so the bits do not depend on the number
+    of threads.  Memory is O(len(counts)) plus one chunk per thread.
+    """
+    q = -math.expm1(-rho * r0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    spans = np.empty(len(counts))
+    chunk = max(_GAP_CHUNK, DIRECT_SUM_LIMIT)
+    n_parts = _gap_threads(total)
+    if n_parts == 1 or not isinstance(gen.bit_generator, np.random.Philox):
+        _span_part(gen, ends, 0, q, rho, spans, np.empty(min(total, chunk)),
+                   np.empty(min(len(ends), _GAP_CHUNK), dtype=ends.dtype))
+        yield spans
+        return
+    targets = total * np.arange(1, n_parts) // n_parts
+    cuts = np.unique(np.concatenate(
+        ([0], np.searchsorted(ends, targets, "right"), [len(ends)])))
+    bitgen = gen.bit_generator
+    parts = []
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        base = int(ends[a - 1]) if a else 0
+        part_gen = np.random.Generator(_philox_after(bitgen, base))
+        parts.append((part_gen, ends[a:b], base, q, rho, spans[a:b],
+                      np.empty(min(int(ends[b - 1]) - base, chunk)),
+                      np.empty(min(b - a, _GAP_CHUNK), dtype=ends.dtype)))
+    bitgen.state = _philox_after(bitgen, total).state
+    with ThreadPoolExecutor(len(parts)) as pool:
+        futures = [pool.submit(_span_part, *part) for part in parts]
+        yield spans
+        for future in futures:
+            future.result()
 
 
 def sample_cycles(params: ModelParams, n: int,
@@ -266,10 +342,12 @@ def sample_cycles(params: ModelParams, n: int,
     larger than DIRECT_SUM_LIMIT use a moment-matched normal for the span
     (clamped to the span's support).
 
-    Memory is O(n) plus one fixed chunk of gaps, independent of cluster
-    size: the intra-cluster gaps are drawn and summed chunk by chunk.
-    Raises ArithmeticError, before any draw, when rho*r0 exceeds
-    SAMPLER_RHO_R0_LIMIT.
+    The intra-cluster gaps are drawn and summed chunk by chunk on up to
+    MAX_GAP_THREADS threads (see ``_direct_spans``), while this thread
+    draws the rest; the output is the same for any thread count.  Memory
+    is O(n) plus one fixed chunk of gaps per thread, independent of
+    cluster size.  Raises ArithmeticError, before any draw, when rho*r0
+    exceeds SAMPLER_RHO_R0_LIMIT.
     """
     check_density(params, SAMPLER_RHO_R0_LIMIT,
                   "the geometric cluster size, of mean exp(rho*r0), "
@@ -286,19 +364,20 @@ def sample_cycles(params: ModelParams, n: int,
     x0 = np.zeros(n)
     small = n_gaps <= DIRECT_SUM_LIMIT
     direct = small & (n_gaps > 0)
-    if np.any(direct):
-        x0[direct] = _direct_spans(gen, n_gaps[direct], rho, r0)
     big = ~small
-    n_big = int(np.count_nonzero(big))
-    if n_big:
-        k = n_gaps[big].astype(float)
-        mean, var = _trunc_exp_stats(rho, r0)
-        spans = gen.normal(k * mean, np.sqrt(k * var))
-        x0[big] = np.clip(spans, 0.0, k * r0)
-
-    x1 = r0 + gen.exponential(1.0 / rho, size=n)
+    with _direct_spans(gen, n_gaps[direct], rho, r0) as spans:
+        n_big = int(np.count_nonzero(big))
+        if n_big:
+            k = n_gaps[big].astype(float)
+            mean, var = _trunc_exp_stats(rho, r0)
+            # gen.normal(k*mean, sqrt(k*var)) in the same rounding
+            x0[big] = np.clip(k * mean + np.sqrt(k * var)
+                              * gen.standard_normal(n_big), 0.0, k * r0)
+        x1 = r0 + gen.exponential(1.0 / rho, size=n)
+        v = gen.uniform(params.a, params.b, size=n)
+    x0[direct] = spans
+    del spans, n_gaps, small, direct, big    # before the O(n) bookkeeping
     x = x0 + x1
-    v = gen.uniform(params.a, params.b, size=n)
     t_off, t_on, e_off, p_save = _cycle_energy(x, v, params)
     return CycleBatch(x=x, v=v, t_off=t_off, t_on=t_on,
                       e_off=e_off, p_save=p_save)

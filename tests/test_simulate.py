@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -155,20 +156,86 @@ class TestSampleCycles:
                                               fidelity):
         # a chunk of 5 gaps is smaller than many single clusters; 2^30
         # holds the whole batch.  At rho*r0 = 8 direct clusters mix with
-        # normal-approximated ones.
+        # normal-approximated ones.  Every (chunk, threads) pair leaves
+        # the batch and the caller's generator where one thread does.
         params = CANONICAL.replace(rho=rho, r0=r0)
-        batches = []
+        outputs = []
         for chunk in (5, 1 << 30):
-            monkeypatch.setattr(simulate, "_GAP_CHUNK", chunk)
-            batches.append(sample_cycles(params, 20_000, RngSpec(11),
-                                         fidelity=fidelity))
-        for f in fields(CycleBatch):
-            assert np.array_equal(getattr(batches[0], f.name),
-                                  getattr(batches[1], f.name)), f.name
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(simulate, "_GAP_CHUNK", chunk)
+                monkeypatch.setattr(simulate, "_gap_threads",
+                                    lambda n_gaps, t=threads: t)
+                gen = RngSpec(11).generator()
+                batch = sample_cycles(params, 20_000, gen,
+                                      fidelity=fidelity)
+                outputs.append((batch, gen.random()))
+        ref_batch, ref_next = outputs[0]
+        for batch, next_draw in outputs[1:]:
+            for f in fields(CycleBatch):
+                assert np.array_equal(getattr(batch, f.name),
+                                      getattr(ref_batch, f.name)), f.name
+            assert next_draw == ref_next
 
-    def test_memory_independent_of_cluster_size(self):
+    def test_other_bit_generators_draw_in_one_part(self, monkeypatch):
+        # only Philox can be placed at a draw; any other generator draws
+        # every gap itself, in order, whatever the thread count
+        params = CANONICAL.replace(rho=0.02, r0=200.0)
+        outputs = []
+        for threads in (1, 3):
+            monkeypatch.setattr(simulate, "_gap_threads",
+                                lambda n_gaps, t=threads: t)
+            gen = np.random.Generator(np.random.PCG64(17))
+            outputs.append((sample_cycles(params, 5_000, gen).x,
+                            gen.random()))
+        assert np.array_equal(outputs[0][0], outputs[1][0])
+        assert outputs[0][1] == outputs[1][1]
+
+    def test_thread_count_caps(self):
+        chunk = simulate._GAP_CHUNK
+        assert simulate._gap_threads(0) == 1
+        assert simulate._gap_threads(4 * chunk - 1) == 1
+        assert 1 <= simulate._gap_threads(8 * chunk) <= 2
+        assert simulate._gap_threads(1 << 50) <= simulate.MAX_GAP_THREADS
+
+    @pytest.mark.parametrize("buffer_pos", range(5))
+    def test_philox_after_equals_sequential_draws(self, buffer_pos):
+        start = np.random.Philox(21)
+        start.random_raw(4)                  # a full block, then rewind
+        start.random_raw(3)
+        start.random_raw()                   # leaves a 32-bit value cached
+        start.state = {**start.state, "buffer_pos": buffer_pos,
+                       "has_uint32": 1, "uinteger": 12345}
+        before = start.state
+        for m in list(range(14)) + [10 ** 6 + 3]:
+            sequential = np.random.Philox(0)
+            sequential.state = before
+            sequential.random_raw(m)
+            placed = simulate._philox_after(start, m)
+            assert np.array_equal(placed.random_raw(8),
+                                  sequential.random_raw(8)), m
+            assert placed.state["has_uint32"] == 1
+            assert placed.state["uinteger"] == 12345
+        assert start.state["buffer_pos"] == buffer_pos
+        assert np.array_equal(start.state["buffer"], before["buffer"])
+
+    def test_big_cluster_normal_equals_generator_normal(self):
+        # the sampler draws k*mean + sqrt(k*var) * standard_normal() for
+        # gen.normal(k*mean, sqrt(k*var)); a numpy build that contracts
+        # loc + scale*z into an FMA would break this: then restore
+        # gen.normal in sample_cycles rather than loosen this test
+        k = RngSpec(14).generator().integers(257, 10 ** 6, size=10 ** 6)
+        k = k.astype(float)
+        mean, var = simulate._trunc_exp_stats(0.02, 200.0)
+        want = RngSpec(15).generator().normal(k * mean, np.sqrt(k * var))
+        gen = RngSpec(15).generator()
+        got = k * mean + np.sqrt(k * var) * gen.standard_normal(len(k))
+        assert np.array_equal(got, want)
+
+    def test_memory_independent_of_cluster_size(self, monkeypatch):
         # about 54 intra-cluster gaps a cycle at rho*r0 = 4: drawing them
-        # all at once would peak near 20x the batch itself
+        # all at once would peak near 20x the batch itself.  tracemalloc
+        # sees the two worker threads' numpy allocations too.
+        monkeypatch.setattr(simulate, "_gap_threads", lambda n_gaps: 2)
         params = CANONICAL.replace(rho=0.02, r0=200.0)
         tracemalloc.start()
         try:
@@ -179,6 +246,13 @@ class TestSampleCycles:
             tracemalloc.stop()
         nbytes = sum(getattr(batch, f.name).nbytes for f in fields(batch))
         assert peak <= 3 * nbytes
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_gap_threads", lambda n_gaps: 3)
+        before = threading.active_count()
+        sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), 20_000,
+                      RngSpec(16))
+        assert threading.active_count() == before
 
     def test_extreme_density_raises_before_drawing(self):
         gen = RngSpec(13).generator()
