@@ -193,18 +193,12 @@ def _gap_pdf_tail(x, params: ModelParams):
         pos, rate_pos, neg, rate_neg = a1, lam0, a2, rho
     else:
         pos, rate_pos, neg, rate_neg = a2, rho, a1, lam0
-    # each branch on its own points only: where ln_ratio (linear in x)
-    # passes 600, expm1 nears overflow and the plain sum takes over
-    x = np.asarray(x, dtype=float)
     ln_ratio = math.log(-neg / pos) - (rate_neg - rate_pos) * x
-    far = ln_ratio > 600.0
-    near = ~far
-    value = np.empty_like(x)
-    xf = x[far]
-    value[far] = pos * _safe_exp(-rate_pos * xf) \
-        + neg * _safe_exp(-rate_neg * xf)
-    value[near] = -pos * _safe_exp(-rate_pos * x[near]) \
-        * np.expm1(ln_ratio[near])
+    value = np.where(
+        ln_ratio > 600.0,
+        pos * _safe_exp(-rate_pos * x) + neg * _safe_exp(-rate_neg * x),
+        -pos * _safe_exp(-rate_pos * x) * np.expm1(np.minimum(ln_ratio,
+                                                              600.0)))
     return np.maximum(value, 0.0)
 
 

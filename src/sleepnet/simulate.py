@@ -18,8 +18,8 @@ on how many threads there are.
 
 from __future__ import annotations
 
-import contextlib
 import math
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,8 +60,9 @@ SAMPLER_RHO_R0_LIMIT = 40.0
 #: ``sample_cycles``.
 _GAP_CHUNK = 1 << 16
 
-#: Most threads the intra-cluster gap stage of ``sample_cycles`` uses.
-MAX_GAP_THREADS = 8
+#: Most threads the intra-cluster gap stage of ``sample_cycles`` uses
+#: (the most its speed-up was measured with).
+MAX_GAP_THREADS = 2
 
 #: Hard cap on processed events in the heterogeneous timeline.
 MAX_EVENTS = 100_000_000
@@ -234,12 +235,17 @@ def _cycle_energy(x, v, params: ModelParams) -> tuple:
 
 def _gap_threads(n_gaps: int) -> int:
     """Threads the gap stage uses for n_gaps draws: the CPUs this process
-    may run on, at most MAX_GAP_THREADS, and at most one per four chunks."""
+    may run on, at most MAX_GAP_THREADS and at most one per 16 chunks (2^20
+    gaps; a second thread first paid from about 1.5 M gaps on a 2-core
+    box); one inside a process-pool worker, whose pool already has the
+    CPUs."""
+    if multiprocessing.parent_process() is not None:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, MAX_GAP_THREADS, n_gaps // (4 * _GAP_CHUNK)))
+    return max(1, min(cpus, MAX_GAP_THREADS, n_gaps // (16 * _GAP_CHUNK)))
 
 
 def _philox_after(bitgen: np.random.Philox, m: int) -> np.random.Philox:
@@ -286,30 +292,27 @@ def _span_part(gen: np.random.Generator, ends: np.ndarray, base: int,
         start, base = stop, int(ends[stop - 1])
 
 
-@contextlib.contextmanager
 def _direct_spans(gen: np.random.Generator, counts: np.ndarray,
-                  rho: float, r0: float):
+                  rho: float, r0: float) -> np.ndarray:
     """Spans of clusters with counts[i] >= 1 intra-cluster gaps each.
 
     The gaps are -log1p(-u q)/rho with q = 1 - exp(-rho r0), one 64-bit
-    draw each.  Yields the span array, which is complete once the block
-    exits; inside the block gen is already past every gap.  With a Philox
-    gen the clusters are split into contiguous parts of about equal gap
-    count, one per thread of ``_gap_threads``, each drawn from a copy of
-    gen placed at its first gap, so the bits do not depend on the number
-    of threads.  Memory is O(len(counts)) plus one chunk per thread.
+    draw each; gen is left past every gap.  With a Philox gen the
+    clusters are split into contiguous parts of about equal gap count,
+    one per thread of ``_gap_threads``, each drawn from a copy of gen
+    placed at its first gap, so the bits do not depend on the number of
+    threads.  Memory is O(len(counts)) plus one chunk per thread.
     """
     q = -math.expm1(-rho * r0)
     ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
+    total = int(ends[-1])
     spans = np.empty(len(counts))
     chunk = max(_GAP_CHUNK, DIRECT_SUM_LIMIT)
     n_parts = _gap_threads(total)
     if n_parts == 1 or not isinstance(gen.bit_generator, np.random.Philox):
         _span_part(gen, ends, 0, q, rho, spans, np.empty(min(total, chunk)),
                    np.empty(min(len(ends), _GAP_CHUNK), dtype=ends.dtype))
-        yield spans
-        return
+        return spans
     targets = total * np.arange(1, n_parts) // n_parts
     cuts = np.unique(np.concatenate(
         ([0], np.searchsorted(ends, targets, "right"), [len(ends)])))
@@ -323,10 +326,9 @@ def _direct_spans(gen: np.random.Generator, counts: np.ndarray,
                       np.empty(min(b - a, _GAP_CHUNK), dtype=ends.dtype)))
     bitgen.state = _philox_after(bitgen, total).state
     with ThreadPoolExecutor(len(parts)) as pool:
-        futures = [pool.submit(_span_part, *part) for part in parts]
-        yield spans
-        for future in futures:
+        for future in [pool.submit(_span_part, *part) for part in parts]:
             future.result()
+    return spans
 
 
 def sample_cycles(params: ModelParams, n: int,
@@ -343,11 +345,11 @@ def sample_cycles(params: ModelParams, n: int,
     (clamped to the span's support).
 
     The intra-cluster gaps are drawn and summed chunk by chunk on up to
-    MAX_GAP_THREADS threads (see ``_direct_spans``), while this thread
-    draws the rest; the output is the same for any thread count.  Memory
-    is O(n) plus one fixed chunk of gaps per thread, independent of
-    cluster size.  Raises ArithmeticError, before any draw, when rho*r0
-    exceeds SAMPLER_RHO_R0_LIMIT.
+    MAX_GAP_THREADS threads (see ``_direct_spans``); the output is the
+    same for any thread count.  Memory is O(n) plus one fixed chunk of
+    gaps per thread, independent of cluster size.  Raises
+    ArithmeticError, before any draw, when rho*r0 exceeds
+    SAMPLER_RHO_R0_LIMIT.
     """
     check_density(params, SAMPLER_RHO_R0_LIMIT,
                   "the geometric cluster size, of mean exp(rho*r0), "
@@ -364,20 +366,21 @@ def sample_cycles(params: ModelParams, n: int,
     x0 = np.zeros(n)
     small = n_gaps <= DIRECT_SUM_LIMIT
     direct = small & (n_gaps > 0)
+    if np.any(direct):
+        x0[direct] = _direct_spans(gen, n_gaps[direct], rho, r0)
     big = ~small
-    with _direct_spans(gen, n_gaps[direct], rho, r0) as spans:
-        n_big = int(np.count_nonzero(big))
-        if n_big:
-            k = n_gaps[big].astype(float)
-            mean, var = _trunc_exp_stats(rho, r0)
-            # gen.normal(k*mean, sqrt(k*var)) in the same rounding
-            x0[big] = np.clip(k * mean + np.sqrt(k * var)
-                              * gen.standard_normal(n_big), 0.0, k * r0)
-        x1 = r0 + gen.exponential(1.0 / rho, size=n)
-        v = gen.uniform(params.a, params.b, size=n)
-    x0[direct] = spans
-    del spans, n_gaps, small, direct, big    # before the O(n) bookkeeping
+    n_big = int(np.count_nonzero(big))
+    if n_big:
+        k = n_gaps[big].astype(float)
+        mean, var = _trunc_exp_stats(rho, r0)
+        # gen.normal(k*mean, sqrt(k*var)) in the same rounding
+        spans = k * mean + np.sqrt(k * var) * gen.standard_normal(n_big)
+        x0[big] = np.clip(spans, 0.0, k * r0)
+
+    x1 = r0 + gen.exponential(1.0 / rho, size=n)
     x = x0 + x1
+    v = gen.uniform(params.a, params.b, size=n)
+    del n_gaps, small, direct, big, x0, x1    # before the bookkeeping
     t_off, t_on, e_off, p_save = _cycle_energy(x, v, params)
     return CycleBatch(x=x, v=v, t_off=t_off, t_on=t_on,
                       e_off=e_off, p_save=p_save)

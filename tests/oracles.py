@@ -19,10 +19,6 @@
   polynomials built one list entry per segment and evaluated by one
   ``P.polyval`` call per segment, the reference the one-pass table
   evaluation must match bit for bit;
-- ``gap_pdf_tail_both_branches`` / ``tail_crossing``: the two-pole tail
-  with both branches evaluated on every point and selected by
-  ``np.where``, the reference its split form must match bit for bit, and
-  the x where it switches branch;
 - ``integrate_panels_one_by_one``: ``integrate_panel_doubling`` called
   once per panel, the reference its batched form must match bit for bit;
 - ``timeline_active_intervals``: the exact active intervals of a base
@@ -40,8 +36,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from sleepnet.analytic import (_gap_pdf_tail_paper, _gap_tail_switch,
-                               _safe_exp, ch_gap_pdf,
-                               cluster_span_decay_rate, intercluster_gap_pdf)
+                               ch_gap_pdf, intercluster_gap_pdf)
 from sleepnet.numerics import integrate_panel_doubling
 from sleepnet.params import Fidelity, ModelParams
 
@@ -376,40 +371,6 @@ def gap_pdf_per_segment(x, params: ModelParams):
         out = np.where(flat > r0, p_single * intercluster_gap_pdf(flat, params)
                        + (1.0 - p_single) * paper, 0.0)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
-def _tail_poles(params: ModelParams) -> tuple:
-    """(pos, rate_pos, neg, rate_neg): the two poles of the gap density
-    tail away from rho r0 = 1, the positive residue first."""
-    rho, r0 = params.rho, params.r0
-    lam0 = cluster_span_decay_rate(rho, r0)
-    a1 = lam0 / (1.0 - lam0 * r0)
-    a2 = rho / (1.0 - rho * r0)
-    return (a1, lam0, a2, rho) if a1 > 0.0 else (a2, rho, a1, lam0)
-
-
-def gap_pdf_tail_both_branches(x, params: ModelParams):
-    """The two-pole tail of ``analytic._gap_pdf_tail`` with both branches
-    computed at every point and the one where ln_ratio > 600 kept."""
-    rho, r0 = params.rho, params.r0
-    if abs(rho * r0 - 1.0) <= 1e-6:
-        return np.maximum(_safe_exp(-rho * x) * (2.0 * x / r0 ** 2
-                                                 - 4.0 / (3.0 * r0)), 0.0)
-    pos, rate_pos, neg, rate_neg = _tail_poles(params)
-    ln_ratio = math.log(-neg / pos) - (rate_neg - rate_pos) * x
-    value = np.where(
-        ln_ratio > 600.0,
-        pos * _safe_exp(-rate_pos * x) + neg * _safe_exp(-rate_neg * x),
-        -pos * _safe_exp(-rate_pos * x) * np.expm1(np.minimum(ln_ratio,
-                                                              600.0)))
-    return np.maximum(value, 0.0)
-
-
-def tail_crossing(params: ModelParams) -> float:
-    """The x where the tail's ln_ratio crosses 600 (negative on the
-    tested grid: every tail point lies on the expm1 side)."""
-    pos, rate_pos, neg, rate_neg = _tail_poles(params)
-    return (math.log(-neg / pos) - 600.0) / (rate_neg - rate_pos)
 
 
 def _union(intervals) -> list:

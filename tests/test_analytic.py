@@ -19,8 +19,7 @@ from conftest import assert_close
 from oracles import (ch_gap_pdf_closed_form, cluster_len_pdf_grid,
                      gap_cdf_decimal, gap_mean_wald_decimal,
                      gap_pdf_composition, gap_pdf_decimal,
-                     gap_pdf_per_segment, gap_pdf_tail_both_branches,
-                     integrate_panels_one_by_one, tail_crossing,
+                     gap_pdf_per_segment, integrate_panels_one_by_one,
                      trunc_exp_nfold_pdf)
 
 
@@ -286,51 +285,6 @@ def test_pdf_matches_per_segment_oracle(rho, r0, fidelity):
         got = ch_gap_pdf(xs, params)
         want = gap_pdf_per_segment(xs, params)
         assert np.array_equal(got, want), (xs, got, want)
-
-
-#: rho in [1e-3, 1] x r0 in [50, 400], plus rho r0 = 1 -+ 1e-6 (the
-#: double-pole band edge) and just outside it.
-_TAIL_CELLS = [(float(rho), r0) for rho in np.geomspace(1e-3, 1.0, 7)
-               for r0 in (50.0, 100.0, 400.0)] + [
-    (f / 200.0, 200.0) for f in (1 - 1e-6, 1 + 1e-6, 1 - 2e-6, 1 + 2e-6)]
-
-
-@pytest.mark.parametrize("fidelity", ["corrected", "paper"])
-def test_split_tail_matches_both_branch_oracle(monkeypatch, fidelity):
-    # evaluating each tail branch on its own points only gives the bits of
-    # np.where over both, in ch_gap_pdf for arrays and scalars, and in the
-    # tail itself on both sides of the branch crossing (at negative x on
-    # this grid, so every point ch_gap_pdf sends to the tail is on the
-    # expm1 side)
-    for rho, r0 in _TAIL_CELLS:
-        params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
-        switch = _gap_tail_switch(params)
-        xs = np.concatenate([np.linspace(0.5 * r0, 4.0 * switch, 301),
-                             [switch, np.nextafter(switch, 0.0), 1e6]])
-        got = [ch_gap_pdf(xs, params)] + [ch_gap_pdf(x, params)
-                                          for x in xs[::20]]
-        with monkeypatch.context() as patch:
-            patch.setattr(analytic, "_gap_pdf_tail",
-                          gap_pdf_tail_both_branches)
-            want = [ch_gap_pdf(xs, params)] + [ch_gap_pdf(x, params)
-                                               for x in xs[::20]]
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), (rho, r0, g, w)
-        if abs(rho * r0 - 1.0) <= 1e-6:
-            continue
-        cross = tail_crossing(params)
-        around = cross + abs(cross) * np.linspace(-1e-9, 1e-9, 41)
-        around = np.concatenate([around, [cross, np.nextafter(cross, 0.0),
-                                          np.nextafter(cross, -np.inf)]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.array_equal(
-                analytic._gap_pdf_tail(around, params),
-                gap_pdf_tail_both_branches(around, params), equal_nan=True)
-            for x in around[::10]:
-                assert np.array_equal(
-                    analytic._gap_pdf_tail(float(x), params),
-                    gap_pdf_tail_both_branches(float(x), params),
-                    equal_nan=True)
 
 
 @pytest.mark.parametrize("fidelity", ["corrected", "paper"])

@@ -193,9 +193,15 @@ class TestSampleCycles:
     def test_thread_count_caps(self):
         chunk = simulate._GAP_CHUNK
         assert simulate._gap_threads(0) == 1
-        assert simulate._gap_threads(4 * chunk - 1) == 1
-        assert 1 <= simulate._gap_threads(8 * chunk) <= 2
+        assert simulate._gap_threads(32 * chunk - 1) == 1
+        assert 1 <= simulate._gap_threads(32 * chunk) <= 2
         assert simulate._gap_threads(1 << 50) <= simulate.MAX_GAP_THREADS
+
+    def test_process_pool_workers_use_one_thread(self, monkeypatch):
+        # sweep/validate --workers N already spread cells over the CPUs
+        monkeypatch.setattr(simulate.multiprocessing, "parent_process",
+                            lambda: object())
+        assert simulate._gap_threads(1 << 50) == 1
 
     @pytest.mark.parametrize("buffer_pos", range(5))
     def test_philox_after_equals_sequential_draws(self, buffer_pos):
@@ -233,19 +239,23 @@ class TestSampleCycles:
 
     def test_memory_independent_of_cluster_size(self, monkeypatch):
         # about 54 intra-cluster gaps a cycle at rho*r0 = 4: drawing them
-        # all at once would peak near 20x the batch itself.  tracemalloc
-        # sees the two worker threads' numpy allocations too.
-        monkeypatch.setattr(simulate, "_gap_threads", lambda n_gaps: 2)
+        # all at once would peak near 20x the batch itself.  Both the
+        # inline one-part path and two worker threads, whose numpy
+        # allocations tracemalloc sees too, stay under the bound.
         params = CANONICAL.replace(rho=0.02, r0=200.0)
-        tracemalloc.start()
-        try:
-            batch = sample_cycles(params, 200_000, RngSpec(12),
-                                  fidelity="paper")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        nbytes = sum(getattr(batch, f.name).nbytes for f in fields(batch))
-        assert peak <= 3 * nbytes
+        for threads in (1, 2):
+            monkeypatch.setattr(simulate, "_gap_threads",
+                                lambda n_gaps, t=threads: t)
+            tracemalloc.start()
+            try:
+                batch = sample_cycles(params, 200_000, RngSpec(12),
+                                      fidelity="paper")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            nbytes = sum(getattr(batch, f.name).nbytes
+                         for f in fields(batch))
+            assert peak <= 3 * nbytes, threads
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
         monkeypatch.setattr(simulate, "_gap_threads", lambda n_gaps: 3)
