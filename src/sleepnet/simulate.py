@@ -5,8 +5,9 @@
   common-speed timeline shares,
 - a spatial Poisson snapshot sampler with cluster extraction, and
 - a time-domain base-station sleep/wake simulator, vectorised at a common
-  speed and event-driven at per-vehicle speeds; both modes charge the run
-  through ``_timeline_report``.
+  speed and event-driven at per-vehicle speeds, the road kept in order
+  between events by swaps at overtakes (the bits of a full re-sort at
+  every event); both modes charge the run through ``_timeline_report``.
 
 All samplers are pure functions of an RngSpec: identical (master_seed,
 stream_id) pairs reproduce bit-identical sample streams, so parallel
@@ -553,85 +554,121 @@ def _common_timeline(params: ModelParams, duration: float,
                             p_save)
 
 
-def _heterogeneous_state(positions: np.ndarray, speeds: np.ndarray,
-                         t: float, r0: float, lo: float, hi: float) -> tuple:
-    """Sorted positions at time t, cluster-head flags, and activity."""
-    pos = positions + speeds * t
-    order = np.argsort(pos, kind="stable")
-    pos_sorted = pos[order]
-    spd_sorted = speeds[order]
-    if len(pos_sorted) == 0:
-        return pos_sorted, spd_sorted, np.zeros(0, dtype=bool), False
-    gaps_next = np.diff(pos_sorted)
-    is_head = np.concatenate((gaps_next > r0, [True]))
-    head_pos = pos_sorted[is_head]
-    active = bool(np.any((head_pos >= lo) & (head_pos <= hi)))
-    return pos_sorted, spd_sorted, is_head, active
+class _Road:
+    """A heterogeneous road kept in order between events: P (positions at
+    t = 0), V (speeds) and order (original indices) sorted, pos = P + V*t
+    the doubles of (positions + speeds*t)[order].  Candidate event k is
+    num[k]/den[k]: r0 - gap over dv and gap over -dv for each adjacent
+    pair, lo - pos and hi - pos over V; den changes with the order only,
+    -inf (a quotient of zero) where a pair never gets there.  tail flags
+    the vehicles with another within r0 ahead."""
+
+    def __init__(self, positions: np.ndarray, speeds: np.ndarray,
+                 r0: float, lo: float, hi: float):
+        n = len(positions)
+        m = self.m = max(n - 1, 0)
+        self.positions, self.speeds, self.r0 = positions, speeds, r0
+        self.edges = np.array([[lo], [hi]])
+        # side="left" at the double after hi finds the first pos > hi
+        self.bounds = np.array([lo, np.nextafter(hi, math.inf)])
+        self.P, self.pos = np.empty((2, n))
+        self.num, self.den, self.dt = np.empty((3, 2 * (m + n)))
+        self.tail = np.zeros(n, dtype=bool)
+        self.rejected = np.empty(2 * (m + n), dtype=bool)
+        self.gap = self.num[m:2 * m]
+        self.num_edge = self.num[2 * m:].reshape(2, n)
+        self.rejected_edge = self.rejected[2 * m:].reshape(2, n)
+        self.V, self.V2 = self.den[2 * m:].reshape(2, n)
+        self._resort(0.0)
+
+    def _resort(self, t: float) -> None:
+        """Order by a full stable argsort of the positions at t."""
+        m, pos = self.m, self.pos
+        self.order = np.argsort(self.positions + self.speeds * t,
+                                kind="stable")
+        np.take(self.positions, self.order, out=self.P)
+        self.V[:] = self.V2[:] = self.speeds[self.order]
+        dv = np.diff(self.V)
+        self.den[:m] = np.where(dv != 0.0, dv, -math.inf)
+        self.den[m:2 * m] = np.where(dv < 0.0, -dv, -math.inf)
+        np.add(self.P, np.multiply(self.V, t, out=pos), out=pos)
+        np.subtract(pos[1:], pos[:-1], out=self.gap)
+
+    def _unsorted(self) -> list:
+        """Pairs out of stable order: a gap below 0, or of 0 with the
+        higher index behind."""
+        gap, order = self.gap, self.order
+        return [i for i in (gap <= 0.0).nonzero()[0].tolist()
+                if gap[i] < 0.0 or order[i] > order[i + 1]]
+
+    def _swapped(self, bad: list) -> bool:
+        """Swap the pairs ``bad``, up to 4 and none adjacent, in place;
+        True if the order then rises strictly with index order on ties,
+        which makes it the unique stable sort."""
+        if len(bad) > 4 or any(j - i == 1 for i, j in zip(bad, bad[1:])):
+            return False
+        pos, V, den, m = self.pos, self.V, self.den, self.m
+        for i in bad:
+            for a in (self.P, V, self.V2, self.order, pos):
+                a[i], a[i + 1] = a[i + 1], a[i]
+        for k in {k for i in bad for k in (i - 1, i, i + 1) if 0 <= k < m}:
+            dv = V[k + 1] - V[k]
+            den[k] = dv if dv != 0.0 else -math.inf
+            den[m + k] = -dv if dv < 0.0 else -math.inf
+        np.subtract(pos[1:], pos[:-1], out=self.gap)
+        return not self._unsorted()
+
+    def at(self, t: float) -> bool:
+        """Bring the order, gaps, tail flags and candidate numerators up
+        to time t; True while a cluster head is inside [lo, hi]."""
+        pos, gap, m = self.pos, self.gap, self.m
+        np.add(self.P, np.multiply(self.V, t, out=pos), out=pos)
+        np.subtract(pos[1:], pos[:-1], out=gap)
+        bad = self._unsorted()
+        if bad and not self._swapped(bad):
+            self._resort(t)
+        np.subtract(self.r0, gap, out=self.num[:m])
+        np.subtract(self.edges, pos, out=self.num_edge)
+        np.less_equal(gap, self.r0, out=self.tail[:m])
+        i0, i1 = pos.searchsorted(self.bounds).tolist()
+        return np.count_nonzero(self.tail[i0:i1]) < i1 - i0
 
 
-def _next_event_time(pos: np.ndarray, spd: np.ndarray, is_head: np.ndarray,
-                     t: float, r0: float, lo: float, hi: float) -> float:
+def _next_event_time(road: _Road, t: float) -> float:
     """Earliest future instant where the state description can change:
     an adjacent-pair gap reaches r0 or 0, or a cluster head reaches a
-    coverage edge."""
+    coverage edge, more than eps after t."""
     eps = 1e-9
-    best = math.inf
-    if len(pos) >= 2:
-        gap = np.diff(pos)
-        dv = np.diff(spd)
-        closing = dv < 0.0
-        opening = dv > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for target, mask in (((r0 - gap), closing | opening),
-                                 ((-gap), closing)):
-                dt = np.where(mask, target / dv, math.inf)
-                dt = dt[np.isfinite(dt) & (dt > eps)]
-                if len(dt):
-                    best = min(best, float(dt.min()))
-    head_pos = pos[is_head]
-    head_spd = spd[is_head]
-    for edge in (lo, hi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = (edge - head_pos) / head_spd
-        dt = dt[np.isfinite(dt) & (dt > eps)]
-        if len(dt):
-            best = min(best, float(dt.min()))
-    return t + best
+    np.divide(road.num, road.den, out=road.dt)
+    np.less_equal(road.dt, eps, out=road.rejected)
+    np.logical_or(road.rejected_edge, road.tail, out=road.rejected_edge)
+    np.putmask(road.dt, road.rejected, math.inf)
+    return t + float(road.dt.min(initial=math.inf))
 
 
 def _heterogeneous_timeline(params: ModelParams, duration: float,
-                            window_length: float,
-                            gen: np.random.Generator) -> TimelineReport:
-    r0, D = params.r0, params.D
-    snapshot = sample_snapshot(params, window_length, gen)
-    positions, speeds = snapshot.positions, snapshot.speeds
-    center = window_length
-    lo, hi = center - D / 2.0, center + D / 2.0
-
-    t = 0.0
-    sleep_time = 0.0
-    n_transitions = 0
-    n_events = 0
-    complete = True
-    _, _, is_head, active = _heterogeneous_state(
-        positions, speeds, t, r0, lo, hi)
+                            snapshot: Snapshot) -> TimelineReport:
+    """Event-driven timeline of the station centred at the snapshot's
+    window end, its vehicles moving at their own (positive) speeds."""
+    half = params.D / 2.0
+    road = _Road(snapshot.positions, snapshot.speeds, params.r0,
+                 snapshot.window_length - half, snapshot.window_length + half)
+    t = sleep_time = 0.0
+    n_transitions = n_events = 0
+    active = road.at(t)
     while t < duration:
-        pos, spd, is_head, new_active = _heterogeneous_state(
-            positions, speeds, t, r0, lo, hi)
-        if new_active != active:
+        if t > 0.0 and road.at(t) != active:
             n_transitions += 1
-            active = new_active
-        t_next = min(_next_event_time(pos, spd, is_head, t, r0, lo, hi),
-                     duration)
+            active = not active
+        t_next = min(_next_event_time(road, t), duration)
         if not active:
             sleep_time += t_next - t
         t = t_next
         n_events += 1
         if n_events > MAX_EVENTS and t < duration:
-            complete = False
             break
     return _timeline_report(params, duration, sleep_time, n_transitions,
-                            np.empty(0), complete=complete, processed=t)
+                            np.empty(0), complete=t >= duration, processed=t)
 
 
 def run_timeline(params: ModelParams, duration: float, window_length: float,
@@ -644,11 +681,12 @@ def run_timeline(params: ModelParams, duration: float, window_length: float,
     mode every vehicle moves at speed v, clusters are rigid, and state
     transitions happen exactly when cluster heads cross coverage edges.
     In `heterogeneous` mode each vehicle keeps its own sampled speed and
-    cluster membership is recomputed at every event (gap crossings and
-    edge crossings); the run stops early with complete=False if it exceeds
-    MAX_EVENTS events.  window_length must reach the road the fastest
-    vehicle covers in duration plus D + 2 r0, and sample_snapshot's
-    minimum; default_window is their sum.
+    the state is evaluated at every event (gap and edge crossings) on a
+    road kept in order by swaps at overtakes, with the event instants and
+    bits of a full stable re-sort at every event; the run stops early
+    with complete=False if it exceeds MAX_EVENTS events.  window_length
+    must reach the road the fastest vehicle covers in duration plus D +
+    2 r0, and sample_snapshot's minimum; default_window is their sum.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -663,4 +701,5 @@ def run_timeline(params: ModelParams, duration: float, window_length: float,
     gen = _as_generator(rng)
     if speed_mode == "common":
         return _common_timeline(params, duration, window_length, v, gen)
-    return _heterogeneous_timeline(params, duration, window_length, gen)
+    return _heterogeneous_timeline(
+        params, duration, sample_snapshot(params, window_length, gen))

@@ -23,7 +23,10 @@
   once per panel, the reference its batched form must match bit for bit;
 - ``timeline_active_intervals``: the exact active intervals of a base
   station on a road of constant-speed vehicles, by interval algebra
-  instead of an event loop.
+  instead of an event loop;
+- ``event_loop_timeline``: the heterogeneous timeline's event loop with a
+  full stable re-sort and rescan of the road at every event, the
+  reference the kept-order kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from sleepnet.analytic import (_gap_pdf_tail_paper, _gap_tail_switch,
                                ch_gap_pdf, intercluster_gap_pdf)
 from sleepnet.numerics import integrate_panel_doubling
 from sleepnet.params import Fidelity, ModelParams
+from sleepnet.simulate import TimelineReport, _timeline_report
 
 
 def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
@@ -428,3 +432,87 @@ def timeline_active_intervals(positions, speeds, r0: float, lo: float,
         holes += zip(np.minimum(t0, t1).tolist(), np.maximum(t0, t1).tolist())
         active += _subtract(t_in, t_out, holes)
     return _union(active)
+
+
+def _heterogeneous_state(positions: np.ndarray, speeds: np.ndarray,
+                         t: float, r0: float, lo: float, hi: float) -> tuple:
+    """Sorted positions at time t, cluster-head flags, and activity."""
+    pos = positions + speeds * t
+    order = np.argsort(pos, kind="stable")
+    pos_sorted = pos[order]
+    spd_sorted = speeds[order]
+    if len(pos_sorted) == 0:
+        return pos_sorted, spd_sorted, np.zeros(0, dtype=bool), False
+    gaps_next = np.diff(pos_sorted)
+    is_head = np.concatenate((gaps_next > r0, [True]))
+    head_pos = pos_sorted[is_head]
+    active = bool(np.any((head_pos >= lo) & (head_pos <= hi)))
+    return pos_sorted, spd_sorted, is_head, active
+
+
+def _next_event_time(pos: np.ndarray, spd: np.ndarray, is_head: np.ndarray,
+                     t: float, r0: float, lo: float, hi: float) -> float:
+    """Earliest future instant where the state description can change:
+    an adjacent-pair gap reaches r0 or 0, or a cluster head reaches a
+    coverage edge."""
+    eps = 1e-9
+    best = math.inf
+    if len(pos) >= 2:
+        gap = np.diff(pos)
+        dv = np.diff(spd)
+        closing = dv < 0.0
+        opening = dv > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for target, mask in (((r0 - gap), closing | opening),
+                                 ((-gap), closing)):
+                dt = np.where(mask, target / dv, math.inf)
+                dt = dt[np.isfinite(dt) & (dt > eps)]
+                if len(dt):
+                    best = min(best, float(dt.min()))
+    head_pos = pos[is_head]
+    head_spd = spd[is_head]
+    for edge in (lo, hi):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = (edge - head_pos) / head_spd
+        dt = dt[np.isfinite(dt) & (dt > eps)]
+        if len(dt):
+            best = min(best, float(dt.min()))
+    return t + best
+
+
+def event_loop_timeline(params: ModelParams, positions, speeds,
+                        duration: float, lo: float, hi: float,
+                        max_events: int = 100_000_000) -> TimelineReport:
+    """The heterogeneous timeline of a base station covering [lo, hi] on
+    the road of vehicles at ``positions`` at time 0 with ``speeds``: at
+    every event the road is re-sorted by a stable argsort and rescanned,
+    the next event is the earliest adjacent-pair gap reaching r0 or 0 or
+    head reaching a coverage edge more than 1e-9 s ahead, and the run
+    stops early, incomplete, after ``max_events`` events."""
+    positions = np.asarray(positions, dtype=float)
+    speeds = np.asarray(speeds, dtype=float)
+    r0 = params.r0
+    t = 0.0
+    sleep_time = 0.0
+    n_transitions = 0
+    n_events = 0
+    complete = True
+    _, _, is_head, active = _heterogeneous_state(
+        positions, speeds, t, r0, lo, hi)
+    while t < duration:
+        pos, spd, is_head, new_active = _heterogeneous_state(
+            positions, speeds, t, r0, lo, hi)
+        if new_active != active:
+            n_transitions += 1
+            active = new_active
+        t_next = min(_next_event_time(pos, spd, is_head, t, r0, lo, hi),
+                     duration)
+        if not active:
+            sleep_time += t_next - t
+        t = t_next
+        n_events += 1
+        if n_events > max_events and t < duration:
+            complete = False
+            break
+    return _timeline_report(params, duration, sleep_time, n_transitions,
+                            np.empty(0), complete=complete, processed=t)

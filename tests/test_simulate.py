@@ -9,12 +9,14 @@ import pytest
 from sleepnet import simulate
 from sleepnet.analytic import energy_figures
 from sleepnet.params import CANONICAL, KMH
-from sleepnet.simulate import (CycleBatch, RngSpec, WindowTooSmallError,
-                               ch_gap_samples, estimate_energy,
+from sleepnet.simulate import (CycleBatch, RngSpec, TimelineReport,
+                               WindowTooSmallError, ch_gap_samples,
+                               default_window, estimate_energy,
                                extract_clusters, run_timeline,
                                sample_cycles, sample_snapshot, Snapshot)
 
 from conftest import assert_close
+import oracles
 from oracles import timeline_active_intervals
 
 
@@ -426,3 +428,131 @@ class TestTimelineOracle:
             assert n == report.n_transitions, seed
             assert_close(report.sleep_fraction, sleep, rel=1e-9,
                          label=f"heterogeneous sleep fraction, seed {seed}")
+
+
+def _record_events(monkeypatch, module) -> list:
+    """Wrap ``module._next_event_time`` to collect every instant it
+    returns."""
+    times = []
+    step = module._next_event_time
+
+    def record(*args):
+        times.append(step(*args))
+        return times[-1]
+
+    monkeypatch.setattr(module, "_next_event_time", record)
+    return times
+
+
+def _assert_same_run(monkeypatch, run_kernel, run_oracle):
+    """Run the kernel and the event-loop oracle; every report field and
+    every event instant must be equal.  Returns the kernel's report."""
+    got_times = _record_events(monkeypatch, simulate)
+    want_times = _record_events(monkeypatch, oracles)
+    got, want = run_kernel(), run_oracle()
+    for f in fields(TimelineReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got_times == want_times
+    return got
+
+
+def _sampled_run(monkeypatch, params, duration, seed):
+    """run_timeline's heterogeneous report on the road drawn from
+    ``seed`` in the default window, checked against the oracle."""
+    window = default_window(params, duration, "heterogeneous")
+    snap = sample_snapshot(params, window, RngSpec(seed))
+    return _assert_same_run(
+        monkeypatch,
+        lambda: run_timeline(params, duration, window, "heterogeneous",
+                             RngSpec(seed)),
+        lambda: oracles.event_loop_timeline(
+            params, snap.positions, snap.speeds, duration,
+            window - params.D / 2.0, window + params.D / 2.0,
+            max_events=simulate.MAX_EVENTS))
+
+
+def _built_run(monkeypatch, positions, speeds, duration=150.0,
+               window=1900.0):
+    """The kernel's report on a constructed road (the station covering
+    window -+ D/2), checked against the oracle."""
+    snap = Snapshot(window, np.asarray(positions, dtype=float),
+                    np.asarray(speeds, dtype=float))
+    return _assert_same_run(
+        monkeypatch,
+        lambda: simulate._heterogeneous_timeline(CANONICAL, duration, snap),
+        lambda: oracles.event_loop_timeline(
+            CANONICAL, snap.positions, snap.speeds, duration,
+            window - CANONICAL.D / 2.0, window + CANONICAL.D / 2.0))
+
+
+class TestEventKernel:
+    """The kept-order event kernel against the re-sorting event loop it
+    replaced: the same event instants and report, bit for bit."""
+
+    @pytest.mark.parametrize("rho, duration, seed", [
+        *((CANONICAL.rho, 400.0 + 80.0 * seed, seed) for seed in range(6)),
+        (0.002, 800.0, 0),
+        (0.04, 100.0, 0),
+    ])
+    def test_matches_event_loop_on_sampled_roads(self, monkeypatch, rho,
+                                                 duration, seed):
+        report = _sampled_run(monkeypatch, CANONICAL.replace(rho=rho),
+                              duration, seed)
+        assert report.complete
+
+    @pytest.mark.parametrize("positions, speeds", [([], []), ([0.0], [20.0])])
+    def test_empty_and_single_vehicle_roads(self, monkeypatch, positions,
+                                            speeds):
+        report = _built_run(monkeypatch, positions, speeds)
+        assert report.complete
+        assert report.sleep_fraction == (1.0 if not positions else 0.5)
+
+    def test_equal_speeds_and_exact_ties(self, monkeypatch):
+        # 0 and 1 start tied and the lower index pulls ahead; 3 and 4 stay
+        # tied; 2-3 and 5-6 keep equal speeds at a gap of r0
+        report = _built_run(
+            monkeypatch,
+            [0.0, 0.0, 100.0, 300.0, 300.0, 600.0, 800.0, 1000.0],
+            [25.0, 20.0, 18.0, 18.0, 18.0, 22.0, 22.0, 16.0])
+        assert report.n_transitions > 0
+
+    def test_tie_at_an_event_follows_index_order(self, monkeypatch):
+        # the road starts out of index order: 1 catches 0 exactly at
+        # t = 10, where the stable order puts 0 first again, and then
+        # pulls away to a gap of r0 at t = 210
+        _built_run(monkeypatch, [10.0, 0.0], [20.0, 21.0], duration=300.0,
+                   window=6000.0)
+
+    @pytest.mark.parametrize("positions, speeds, fallback", [
+        # one overtake: repaired in place
+        ([0.0, 50.0, 400.0], [25.0, 20.0, 15.0], False),
+        # three vehicles meet at one point at t = 10: adjacent swaps
+        ([0.0, 10.0, 20.0, 700.0], [30.0, 29.0, 28.0, 15.0], True),
+        # one vehicle passes a tied pair: its one swap leaves the order
+        # unsorted
+        ([0.0, 10.0, 10.0, 700.0], [30.0, 29.0, 29.0, 15.0], True),
+        # five separate pairs cross at t = 10: more than 4 swaps
+        ([1000.0 * k + d for k in range(5) for d in (0.0, 10.0)],
+         [21.0, 20.0] * 5, True),
+    ])
+    def test_simultaneous_overtakes(self, monkeypatch, positions, speeds,
+                                    fallback):
+        resorts = []
+        resort = simulate._Road._resort
+
+        def spy(road, t):
+            resorts.append(t)
+            return resort(road, t)
+
+        monkeypatch.setattr(simulate._Road, "_resort", spy)
+        _built_run(monkeypatch, positions, speeds, duration=300.0,
+                   window=4400.0)
+        assert resorts[0] == 0.0
+        assert (max(resorts) > 10.0) == fallback
+
+    def test_event_cap(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_EVENTS", 50)
+        duration = 400.0
+        report = _sampled_run(monkeypatch, CANONICAL, duration, 0)
+        assert report.complete is False
+        assert report.processed_time < duration
