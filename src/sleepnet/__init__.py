@@ -3,10 +3,9 @@ network: closed-form distribution analysis, independent Monte Carlo and
 event-driven simulators, and experiment sweeps."""
 
 from .analytic import (ChGapDistribution, EnergyFigures,
-                       baseline_power_saved, ch_gap_pdf,
-                       cluster_span_decay_rate, energy_figures,
-                       expected_ch_gap, gap_tail_rate, intercluster_gap_pdf)
-from .numerics import QuadratureError, exp_integral_e1
+                       baseline_power_saved, ch_gap_pdf, energy_figures,
+                       expected_ch_gap)
+from .numerics import QuadratureError
 from .params import (CANONICAL, KMH, Fidelity, ModelParams, ParamError,
                      parse_speed)
 

@@ -10,24 +10,29 @@ first and last into E[P_save], the expectation of the per-cycle
 bookkeeping in ``simulate._cycle_energy``; the no-relay baseline uses the
 same expression with X exponential.
 
-Two fidelities are supported.  "paper" composes the conditional (>= 2
-vehicle) cluster-span density alone; "corrected" mixes in the
-single-vehicle atom with weight exp(-rho*r0) so the law matches the
-generative model exactly.
+Two fidelities are supported.  "corrected" is the law of the generative
+model, the density f of X itself.  "paper" conditions the cluster on at
+least two vehicles: it removes the single-vehicle term, weight
+exp(-rho*r0) times the inter-cluster density rho exp(-rho (x - r0)), from
+f and renormalises.
 
-The corrected gap density f solves the linear delay equation
-f'(x) = -lam f(x - r0), lam = rho exp(-rho*r0), with f = 0 below r0 and
-f = lam on [r0, 2r0) (the delayed exponential); the paper density is
-(f - lam exp(-rho (x - r0))) / (1 - exp(-rho*r0)).  It has three branches:
+f solves the linear delay equation f'(x) = -lam f(x - r0),
+lam = rho exp(-rho*r0), with f = 0 below r0 and f = lam on [r0, 2r0)
+(the delayed exponential).  It has two branches:
 
-* a closed form on [r0, 2r0);
 * the method of steps up to ``_gap_tail_switch``: on each r0-segment f is
   lam times a polynomial in the segment's local coordinate, whose
   coefficients follow from the previous segment's by one integration;
-  one cached table holds them all, evaluated in one Horner pass;
+  one cached table holds them all (row 0, the constant 1, covers
+  [r0, 2r0)), evaluated in one Horner pass;
 * the exact two-pole tail expansion past the switch.
 
-The test suite checks all three against independent oracles (the
+The paper density is (f - lam exp(-rho (x - r0))) / (1 - exp(-rho*r0)),
+one subtraction on either branch, except on [r0, 2r0), where the
+difference cancels and its closed form
+rho (1 - e^{-rho(x-r0)}) / (e^{rho r0} - 1) is used.
+
+The test suite checks every branch against independent oracles (the
 composition quadrature of the span series and an 80-digit decimal
 evaluation of the delayed exponential), not at run time.  Truncation
 points come from the exact exponential tail rate of X, the nontrivial
@@ -64,19 +69,6 @@ _TAIL_MASS_TOL = 1e-9
 #: e-foldings of headroom kept when windowing exponentially weighted
 #: integrands; contributions beyond are < exp(-52) relative.
 _EFOLDS = 52.0
-
-
-def intercluster_gap_pdf(x1, params: ModelParams):
-    """Density of the gap x1 between a cluster head and the next cluster's
-    rear vehicle: r0 plus an exponential(rho)."""
-    x1 = np.asarray(x1, dtype=float)
-    rho, r0 = params.rho, params.r0
-    with np.errstate(under="ignore"):
-        out = np.where(
-            x1 > r0,
-            rho * np.exp(-rho * np.minimum(x1 - r0, 745.0 / rho)), 0.0)
-    out = np.where(x1 - r0 > 745.0 / rho, 0.0, out)
-    return float(out) if out.ndim == 0 else out
 
 
 def _span_rate_factor(alpha: float) -> float:
@@ -166,26 +158,26 @@ def _gap_tail_switch(params: ModelParams) -> float:
     return r0 + 32.0 / (mu2 - min(lam0, rho))
 
 
-def _safe_exp(z):
-    z = np.asarray(z, dtype=float)
-    return np.where(z > -745.0, np.exp(np.maximum(z, -745.0)), 0.0)
-
-
 def _gap_pdf_tail(x, params: ModelParams):
-    """Exact two-real-pole tail of the corrected-law gap density.
+    """Exact two-real-pole tail of the gap density f, used only past
+    ``_gap_tail_switch``.
 
     f(x) = A1 exp(-lambda0 x) + A2 exp(-rho x) with residues
-    A1 = lambda0/(1 - lambda0 r0) and A2 = rho/(1 - rho r0); the two terms
-    have opposite signs and are combined through expm1 so the near-
-    degenerate band lambda0 ~ rho stays fully accurate.  At rho r0 = 1 the
-    poles merge and the double-pole limit (2x/r0^2 - 4/(3 r0)) e^{-rho x}
-    applies.
+    A1 = lambda0/(1 - lambda0 r0) and A2 = rho/(1 - rho r0) of opposite
+    signs, summed as f = -pos e^{-rate_pos x} expm1(ln_ratio) with
+    ln_ratio = ln(-neg/pos) - (rate_neg - rate_pos) x (pos, rate_pos from
+    the positive term, neg, rate_neg from the negative one), which keeps
+    the near-degenerate band lambda0 ~ rho fully accurate.  ln_ratio <= 0
+    wherever the tail is used, x >= switch > r0: rate_neg > rate_pos, so
+    it falls with x, and its zero lies below r0 (between 0.67 r0 and
+    0.991 r0 for rho r0 in [1e-4, 700]).  At rho r0 = 1 the poles merge
+    and the double-pole limit (2x/r0^2 - 4/(3 r0)) e^{-rho x} applies.
     """
     rho, r0 = params.rho, params.r0
     alpha = rho * r0
     if abs(alpha - 1.0) <= 1e-6:
-        return np.maximum(_safe_exp(-rho * x) * (2.0 * x / r0 ** 2
-                                                 - 4.0 / (3.0 * r0)), 0.0)
+        return np.maximum(np.exp(-rho * x) * (2.0 * x / r0 ** 2
+                                              - 4.0 / (3.0 * r0)), 0.0)
     lam0 = cluster_span_decay_rate(rho, r0)
     a1 = lam0 / (1.0 - lam0 * r0)
     a2 = rho / (1.0 - alpha)
@@ -194,21 +186,7 @@ def _gap_pdf_tail(x, params: ModelParams):
     else:
         pos, rate_pos, neg, rate_neg = a2, rho, a1, lam0
     ln_ratio = math.log(-neg / pos) - (rate_neg - rate_pos) * x
-    value = np.where(
-        ln_ratio > 600.0,
-        pos * _safe_exp(-rate_pos * x) + neg * _safe_exp(-rate_neg * x),
-        -pos * _safe_exp(-rate_pos * x) * np.expm1(np.minimum(ln_ratio,
-                                                              600.0)))
-    return np.maximum(value, 0.0)
-
-
-def _gap_pdf_tail_paper(x, params: ModelParams):
-    """Two-pole tail restated for the paper fidelity: remove the
-    single-vehicle component exp(-rho r0) f_x1(x) = rho exp(-rho x)."""
-    p_single = math.exp(-params.rho * params.r0)
-    corr = _gap_pdf_tail(x, params)
-    return np.maximum((corr - params.rho * _safe_exp(-params.rho * x))
-                      / (1.0 - p_single), 0.0)
+    return np.maximum(-pos * np.exp(-rate_pos * x) * np.expm1(ln_ratio), 0.0)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -238,65 +216,48 @@ def _gap_segment_polys(params: ModelParams) -> np.ndarray:
     return table
 
 
-def _gap_pdf_paper(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Paper-fidelity density at points above r0, each branch applied to
-    the points it covers in one call.
-
-    On [r0, 2r0) the closed form rho (1 - e^{-rho(x-r0)})/(e^{rho r0} - 1);
-    below ``_gap_tail_switch`` (f - lam e^{-rho(x-r0)})/(1 - e^{-rho r0})
-    with the corrected density f = lam p_k(t) of ``_gap_segment_polys``,
-    all such points in one Horner pass in ``P.polyval``'s order; past the
-    switch the two-pole tail.
-    """
-    rho, r0 = params.rho, params.r0
-    alpha = rho * r0
-    out = np.empty(len(x))
-    first = x < 2.0 * r0
-    tail = ~first & (x >= _gap_tail_switch(params))
-    out[first] = rho * (-np.expm1(-rho * (x[first] - r0))) \
-        * math.exp(-alpha) / (-math.expm1(-alpha))
-    out[tail] = _gap_pdf_tail_paper(x[tail], params)
-    steps = ~first & ~tail
-    if not np.any(steps):
-        return out
-    xs = x[steps]
-    y = xs / r0
-    seg = np.floor(y).astype(np.intp) - 1
-    t = y - (seg + 1)
-    top = int(seg.max())                  # columns past it are all zero
-    coef = _gap_segment_polys(params)[seg, :top + 1]
-    f = np.zeros(len(xs))
-    for j in range(top, -1, -1):
-        f = coef[:, j] + f * t
-    out[steps] = rho * math.exp(-alpha) * (f - np.exp(-rho * (xs - r0))) \
-        / (-math.expm1(-alpha))
-    return out
-
-
 def ch_gap_pdf(x, params: ModelParams):
     """Density of the distance X between adjacent cluster heads, in 1/m,
     at a point or an array of points (a 0-d input returns a float).
 
-    Zero at and below r0.  Above it the paper-fidelity density: the closed
-    form on [r0, 2r0), the method-of-steps solution of the delay equation
-    f'(x) = -rho e^{-rho r0} f(x - r0) up to ``_gap_tail_switch``, and the
-    two-pole tail past it, all points of an array in one pass.  The
-    corrected fidelity mixes in the single-vehicle-cluster component with
-    weight exp(-rho r0).
+    Zero at and below r0.  Above it the corrected law is the solution f of
+    the delay equation f'(x) = -lam f(x - r0), lam = rho e^{-rho r0}:
+    lam p_k(t) from ``_gap_segment_polys`` below ``_gap_tail_switch``, all
+    such points of an array in one Horner pass, and the two-pole tail past
+    it.  The paper law removes the single-vehicle term from f:
+    (f - lam e^{-rho(x-r0)}) / (1 - e^{-rho r0}), with the closed form
+    rho (1 - e^{-rho(x-r0)}) / (e^{rho r0} - 1) on [r0, 2r0), which takes
+    precedence where the switch lies below 2 r0.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     out = np.zeros(len(flat))
-    above = flat > params.r0
-    if np.any(above):
-        xa = flat[above]
-        paper = _gap_pdf_paper(xa, params)
-        if params.fidelity is Fidelity.PAPER:
-            out[above] = paper
-        else:
-            p_single = math.exp(-params.rho * params.r0)
-            out[above] = p_single * intercluster_gap_pdf(xa, params) \
-                + (1.0 - p_single) * paper
+    rho, r0 = params.rho, params.r0
+    alpha = rho * r0
+    lam = rho * math.exp(-alpha)
+    paper = params.fidelity is Fidelity.PAPER
+    tail = flat >= _gap_tail_switch(params)
+    # the paper law's closed form covers [r0, 2r0)
+    steps = np.flatnonzero((flat >= 2.0 * r0 if paper else flat > r0)
+                           & ~tail)
+    if len(steps):
+        y = flat[steps] / r0
+        seg = np.floor(y).astype(np.intp) - 1
+        t = y - (seg + 1)
+        top = int(seg.max())              # columns past it are all zero
+        coef = _gap_segment_polys(params)[seg, :top + 1]
+        f = np.zeros(len(steps))
+        for j in range(top, -1, -1):
+            f = coef[:, j] + f * t
+        out[steps] = (lam * (f - np.exp(-rho * (flat[steps] - r0)))
+                      / (-math.expm1(-alpha)) if paper else lam * f)
+    out[tail] = _gap_pdf_tail(flat[tail], params)
+    if paper:
+        out[tail] = np.maximum((out[tail] - rho * np.exp(-rho * flat[tail]))
+                               / (1.0 - math.exp(-alpha)), 0.0)
+        first = (flat > r0) & (flat < 2.0 * r0)
+        out[first] = rho * (-np.expm1(-rho * (flat[first] - r0))) \
+            * math.exp(-alpha) / (-math.expm1(-alpha))
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 

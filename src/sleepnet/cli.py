@@ -272,14 +272,10 @@ def cmd_sweep(args, out) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, formats) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master RNG seed (simulate, validate)")
     parser.add_argument("--fidelity", choices=["paper", "corrected"],
                         default=CANONICAL.fidelity.value)
     parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", help="output path")
-    parser.add_argument("--workers", type=int,
-                        help="worker processes for sweeps/validation")
     parser.add_argument("--json-errors", action="store_true",
                         help="report failures as JSON on stderr")
     for key in _PARAM_KEYS:
@@ -311,6 +307,7 @@ def make_parser(config: Optional[Dict[str, str]] = None
 
     p = sub.add_parser("simulate", help="Monte Carlo cycles or timeline")
     _add_common(p, ("text", "json"))
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--mode", choices=["cycles", "timeline-common",
                                       "timeline-heterogeneous"],
                    default="cycles")
@@ -324,6 +321,8 @@ def make_parser(config: Optional[Dict[str, str]] = None
 
     p = sub.add_parser("validate", help="analytic vs Monte Carlo report")
     _add_common(p, ("csv", "json"))
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    p.add_argument("--workers", type=int, help="worker processes")
     p.add_argument("--n", type=int, default=100_000, help="cycles per cell")
     _add_grid(p)
     p.add_argument("--mc-fidelity", dest="mc_fidelity",
@@ -332,6 +331,7 @@ def make_parser(config: Optional[Dict[str, str]] = None
 
     p = sub.add_parser("sweep", help="figure-data tables")
     _add_common(p, ("csv", "json"))
+    p.add_argument("--workers", type=int, help="worker processes")
     p.add_argument("--preset", help="comma list from: "
                    + ", ".join(FIGURE_PRESETS))
     _add_grid(p)

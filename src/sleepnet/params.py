@@ -45,11 +45,12 @@ def check_density(params: "ModelParams", limit: float = RHO_R0_LIMIT,
 
 
 class Fidelity(str, enum.Enum):
-    """Which cluster-length law backs the gap distribution.
+    """Which law of the cluster-head gap the analysis uses.
 
-    PAPER uses the conditional (>= 2 vehicles) cluster-length density alone;
-    CORRECTED mixes in the single-vehicle atom so the law matches the
-    generative model exactly.
+    CORRECTED is the gap law of the generative model itself.  PAPER
+    conditions the cluster on at least two vehicles: it removes the
+    single-vehicle term, weight exp(-rho r0), from that law and
+    renormalises.
     """
 
     PAPER = "paper"

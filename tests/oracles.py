@@ -38,8 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from sleepnet.analytic import (_gap_pdf_tail_paper, _gap_tail_switch,
-                               ch_gap_pdf, intercluster_gap_pdf)
+from sleepnet.analytic import _gap_pdf_tail, _gap_tail_switch, ch_gap_pdf
 from sleepnet.numerics import integrate_panel_doubling
 from sleepnet.params import Fidelity, ModelParams
 from sleepnet.simulate import TimelineReport, _timeline_report
@@ -227,8 +226,9 @@ def gap_pdf_composition(x: float, params: ModelParams) -> float:
     panel-doubling Simpson over pieces that end at the span density's
     jumps and kinks (multiples of r0) and are at most 2/rho wide, so each
     piece is smooth and its exponential weight moderate.  The corrected
-    fidelity mixes in the single-vehicle-cluster component with weight
-    exp(-rho r0).
+    fidelity mixes in the single-vehicle-cluster component, weight
+    exp(-rho r0), whose gap is the inter-cluster one alone,
+    rho e^{-rho(x - r0)} above r0.
     """
     rho, r0 = params.rho, params.r0
     u = x - r0
@@ -245,8 +245,7 @@ def gap_pdf_composition(x: float, params: ModelParams) -> float:
     if params.fidelity is Fidelity.PAPER:
         return paper
     p_single = math.exp(-rho * r0)
-    return p_single * intercluster_gap_pdf(x, params) \
-        + (1.0 - p_single) * paper
+    return p_single * rho * math.exp(-rho * u) + (1.0 - p_single) * paper
 
 
 def integrate_panels_one_by_one(fv, lo, hi, **tolerances):
@@ -354,12 +353,27 @@ def gap_pdf_per_segment(x, params: ModelParams):
     lam = rho * math.exp(-alpha)
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
+    if params.fidelity is Fidelity.CORRECTED:
+        corrected = np.zeros(len(flat))
+        tail = flat >= _gap_tail_switch(params)
+        corrected[tail] = _gap_pdf_tail(flat[tail], params)
+        steps = np.flatnonzero((flat > r0) & ~tail)
+        y = flat[steps] / r0
+        seg = np.floor(y).astype(np.intp) - 1
+        polys = _segment_polys(params)
+        for k in np.unique(seg):
+            on = seg == k
+            corrected[steps[on]] = lam * P.polyval(y[on] - (k + 1), polys[k])
+        return float(corrected[0]) if x.ndim == 0 \
+            else corrected.reshape(x.shape)
     paper = np.zeros(len(flat))
     first = (flat > r0) & (flat < 2.0 * r0)
     tail = ~first & (flat >= _gap_tail_switch(params))
     paper[first] = rho * (-np.expm1(-rho * (flat[first] - r0))) \
         * math.exp(-alpha) / (-math.expm1(-alpha))
-    paper[tail] = _gap_pdf_tail_paper(flat[tail], params)
+    paper[tail] = np.maximum((_gap_pdf_tail(flat[tail], params)
+                              - rho * np.exp(-rho * flat[tail]))
+                             / (1.0 - math.exp(-alpha)), 0.0)
     steps = np.flatnonzero((flat >= 2.0 * r0) & ~tail)
     y = flat[steps] / r0
     seg = np.floor(y).astype(np.intp) - 1
@@ -369,12 +383,7 @@ def gap_pdf_per_segment(x, params: ModelParams):
         f = P.polyval(y[on] - (k + 1), polys[k])
         paper[steps[on]] = lam * (f - np.exp(-rho * (flat[steps[on]] - r0))) \
             / (-math.expm1(-alpha))
-    out = paper
-    if params.fidelity is Fidelity.CORRECTED:
-        p_single = math.exp(-alpha)
-        out = np.where(flat > r0, p_single * intercluster_gap_pdf(flat, params)
-                       + (1.0 - p_single) * paper, 0.0)
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    return float(paper[0]) if x.ndim == 0 else paper.reshape(x.shape)
 
 
 def _union(intervals) -> list:

@@ -230,8 +230,8 @@ class TestAcceptance:
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             out = io.StringIO()
-            code = cli_main(["sweep", "--preset", "fig5", "--seed", "42",
-                             "--out", str(path)], out=out)
+            code = cli_main(["sweep", "--preset", "fig5", "--out", str(path)],
+                            out=out)
             assert code == 0
         same_sweep = paths[0].read_bytes() == paths[1].read_bytes()
         ok = same_sim and same_sweep

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from sleepnet import analytic
 from sleepnet.analytic import (ChGapDistribution, _gap_tail_switch,
                                baseline_power_saved, ch_gap_pdf,
-                               cluster_span_decay_rate, energy_figures,
-                               expected_ch_gap, gap_tail_rate,
-                               intercluster_gap_pdf)
+                               _gap_pdf_tail, cluster_span_decay_rate,
+                               energy_figures, expected_ch_gap,
+                               gap_tail_rate)
 from sleepnet.numerics import integrate_panel_doubling
 from sleepnet.params import CANONICAL, KMH
 from sleepnet.simulate import RngSpec, _cycle_energy, sample_cycles
@@ -21,24 +21,6 @@ from oracles import (ch_gap_pdf_closed_form, cluster_len_pdf_grid,
                      gap_pdf_composition, gap_pdf_decimal,
                      gap_pdf_per_segment, integrate_panels_one_by_one,
                      trunc_exp_nfold_pdf)
-
-
-class TestInterclusterGapPdf:
-    def test_shifted_exponential(self):
-        rho, r0 = CANONICAL.rho, CANONICAL.r0
-        assert intercluster_gap_pdf(r0, CANONICAL) == 0.0
-        assert intercluster_gap_pdf(r0 + 100.0, CANONICAL) == pytest.approx(
-            rho * math.exp(-rho * 100.0))
-
-    def test_mass_one(self):
-        mass = integrate_panel_doubling(
-            lambda xs: intercluster_gap_pdf(xs, CANONICAL),
-            CANONICAL.r0, CANONICAL.r0 + 5000.0, abs_tol=1e-10, rel_tol=1e-8)
-        assert_close(mass, 1.0, rel=1e-8, label="inter-cluster gap mass")
-
-    def test_no_underflow_warnings(self):
-        with np.errstate(all="raise"):
-            assert intercluster_gap_pdf(1e9, CANONICAL) == 0.0
 
 
 class TestSpanDecayRate:
@@ -170,9 +152,12 @@ class TestChGapPdf:
     def test_corrected_is_mixture(self):
         params = CANONICAL
         paper = CANONICAL.replace(fidelity="paper")
+        rho, r0 = params.rho, params.r0
         p_single = math.exp(-params.rho_r0)
         for x in (250.0, 500.0, 900.0, 2500.0):
-            mixed = p_single * intercluster_gap_pdf(x, params) \
+            # the single-vehicle cluster's gap is the inter-cluster one
+            single = rho * math.exp(-rho * (x - r0))
+            mixed = p_single * single \
                 + (1.0 - p_single) * ch_gap_pdf(x, paper)
             assert_close(ch_gap_pdf(x, params), mixed, rel=1e-12,
                          label=f"fidelity mixture at x={x}")
@@ -203,10 +188,47 @@ class TestChGapPdf:
                                  label=f"{fid} rho={rho} r0={r0} "
                                        f"x/r0={x / r0:.4f}")
 
+    @pytest.mark.parametrize("rho_r0, paper_rel", [(1e-4, 2e-12),
+                                                   (1e-3, 2e-13)])
+    def test_small_rho_r0_accuracy(self, rho_r0, paper_rel):
+        # the paper law subtracts the single-vehicle term from the unscaled
+        # polynomial, before the scaling by lam / (1 - e^{-rho r0}); a
+        # subtraction after the scaling is off by 2.4e-12 and 2.3e-13 here
+        r0 = 100.0
+        for fid, rel in (("corrected", 1e-15), ("paper", paper_rel)):
+            params = CANONICAL.replace(rho=rho_r0 / r0, r0=r0, fidelity=fid)
+            xs = np.linspace(1.003 * r0, _gap_tail_switch(params), 60,
+                             endpoint=False)
+            for x, value in zip(xs, ch_gap_pdf(xs, params)):
+                assert_close(value,
+                             gap_pdf_decimal(float(x), rho_r0 / r0, r0, fid),
+                             rel=rel, label=f"{fid} rho*r0={rho_r0} "
+                                            f"x/r0={x / r0:.4f}")
+
+    def test_tail_log_ratio_never_positive(self):
+        # _gap_pdf_tail sums its two poles as one expm1(ln_ratio) term; that
+        # needs ln_ratio <= 0 from the switch on, which holds because the
+        # negative-residue pole decays faster and ln_ratio is already
+        # negative at x = r0
+        r0 = 100.0
+        for alpha in np.geomspace(1e-4, 700.0, 4000):
+            alpha = float(alpha)
+            if abs(alpha - 1.0) <= 1e-6:     # the double pole
+                continue
+            rho = alpha / r0
+            lam0 = cluster_span_decay_rate(rho, r0)
+            a1, a2 = lam0 / (1.0 - lam0 * r0), rho / (1.0 - alpha)
+            pos, rate_pos, neg, rate_neg = ((a1, lam0, a2, rho) if a1 > 0.0
+                                            else (a2, rho, a1, lam0))
+            assert rate_neg > rate_pos, alpha
+            switch = _gap_tail_switch(CANONICAL.replace(rho=rho, r0=r0))
+            for x in (r0, switch):
+                ln_ratio = math.log(-neg / pos) - (rate_neg - rate_pos) * x
+                assert ln_ratio <= 0.0, (alpha, x / r0, ln_ratio)
+
     def test_tail_expansion_agrees_with_quadrature(self):
         # the composition route and the resolvent-pole tail overlap in a
         # window below the switch point; they must agree there
-        from sleepnet.analytic import _gap_pdf_tail
         for rho, r0 in ((0.005, 100.0), (0.02, 200.0)):
             params = CANONICAL.replace(rho=rho, r0=r0)
             x = 0.9 * _gap_tail_switch(params)

@@ -192,6 +192,20 @@ def test_text_commands_reject_csv(command):
     assert text == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--seed", "5"],
+    ["analytic", "--workers", "2"],
+    ["simulate", "--workers", "2"],
+    ["sweep", "--seed", "5"],
+])
+def test_commands_reject_options_they_ignore(argv):
+    # --seed belongs to simulate and validate, --workers to sweep and
+    # validate; elsewhere they would be accepted and do nothing
+    code, text = run_cli(argv)
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+
+
 _VALIDATE = ["validate", "--rho-values", "0.02", "--r0-values", "200"]
 _TIMELINE = ["simulate", "--mode", "timeline-common"]
 
@@ -296,7 +310,7 @@ class TestSweepCommand:
     def test_deterministic_bytes(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            code, _ = run_cli(["sweep", "--preset", "fig3", "--seed", "42",
+            code, _ = run_cli(["sweep", "--preset", "fig3",
                                "--out", str(path)])
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
