@@ -228,6 +228,13 @@ def ch_gap_pdf(x, params: ModelParams):
     (f - lam e^{-rho(x-r0)}) / (1 - e^{-rho r0}), with the closed form
     rho (1 - e^{-rho(x-r0)}) / (e^{rho r0} - 1) on [r0, 2r0), which takes
     precedence where the switch lies below 2 r0.
+
+    Against an 80-digit evaluation of the delayed-exponential series, on
+    r0 = 100 from 1.003 r0 to 30 r0 past the switch: the corrected law
+    is within 1e-15 relative.  The paper law's subtraction cancels as
+    rho r0 falls: it is within 4e-12, 4e-13 and 3e-14 relative past the
+    switch at rho r0 = 1e-4, 1e-3 and 1e-2, and within 2e-12 and 2e-13
+    below it at the first two.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)

@@ -12,9 +12,10 @@
 All samplers are pure functions of an RngSpec: identical (master_seed,
 stream_id) pairs reproduce bit-identical sample streams, so parallel
 streams are independent and individually replayable.  The renewal
-sampler's intra-cluster gap stage runs on several threads, each drawing
-from its own position of the Philox stream, and its bits do not depend
-on how many threads there are.
+sampler draws its cycles in fixed blocks, each from its own PCG64
+stream spawned from one draw of the caller's generator, on up to two
+threads that take whole blocks; its bits depend on the seed only, not
+on the CPU count, the thread count or ``--workers``.
 """
 
 from __future__ import annotations
@@ -52,18 +53,18 @@ __all__ = [
 #: variance, shape error O(1/size)).
 DIRECT_SUM_LIMIT = 256
 
-#: Largest rho*r0 ``sample_cycles`` accepts.  The cluster size is geometric
-#: with mean exp(rho*r0), and its int64 draw saturates at 2^63 - 1 beyond
-#: this (0.5 % of draws at rho*r0 = 42, 14 % at 43, nearly all at 50).
+#: Largest rho*r0 ``sample_cycles`` accepts.  Its float cluster size does
+#: not saturate; the limit stays until a sampler validated beyond it lands
+#: (ROADMAP item 4: the plain one is biased from rho*r0 = 32, and
+#: ``_trunc_exp_stats`` squares expm1(rho*r0), which overflows past 355).
 SAMPLER_RHO_R0_LIMIT = 40.0
 
-#: Intra-cluster gaps drawn at once by the direct-sum branch of
-#: ``sample_cycles``.
-_GAP_CHUNK = 1 << 16
+#: Cycles one block of ``sample_cycles`` draws from its own stream: part
+#: of the seeded output, not a tuning option.
+_CYCLE_BLOCK = 1 << 16
 
-#: Most threads the intra-cluster gap stage of ``sample_cycles`` uses
-#: (the most its speed-up was measured with).
-MAX_GAP_THREADS = 2
+#: Intra-cluster gaps drawn at once by the direct-sum branch of a block.
+_GAP_CHUNK = 1 << 16
 
 #: Hard cap on processed events in the heterogeneous timeline.
 MAX_EVENTS = 100_000_000
@@ -218,7 +219,7 @@ def _trunc_exp_stats(rho: float, r0: float) -> tuple:
     return mean, var
 
 
-def _cycle_energy(x, v, params: ModelParams) -> tuple:
+def _cycle_energy(x, v, params: ModelParams, out=None) -> tuple:
     """Energy bookkeeping of renewal cycles with gaps x and speeds v.
 
     Returns (t_off, t_on, e_off, p_save), elementwise: the station sleeps
@@ -226,110 +227,118 @@ def _cycle_energy(x, v, params: ModelParams) -> tuple:
     sleeps saves e_off = P0 t_off - Ec (one switching cost, possibly
     negative when the sleep is too short to amortize it), one that does
     not saves nothing; p_save = e_off / (t_off + t_on) is its mean power.
+    ``out``, four arrays of x's shape, receives the result if given.
     """
-    t_off = np.maximum((x - params.D) / v, 0.0)
-    t_on = np.minimum(x, params.D) / v
-    e_off = np.where(t_off > 0.0, params.P0 * t_off - params.Ec, 0.0)
-    p_save = e_off / (t_off + t_on)
-    return t_off, t_on, e_off, p_save
+    t_off, t_on, e_off, p_save = out = (
+        np.empty((4,) + np.broadcast(x, v).shape) if out is None else out)
+    np.divide(np.subtract(x, params.D, out=t_off), v, out=t_off)
+    np.maximum(t_off, 0.0, out=t_off)
+    np.divide(np.minimum(x, params.D, out=t_on), v, out=t_on)
+    np.subtract(np.multiply(t_off, params.P0, out=e_off), params.Ec,
+                out=e_off)
+    np.putmask(e_off, t_off == 0.0, 0.0)
+    np.divide(e_off, np.add(t_off, t_on, out=p_save), out=p_save)
+    return tuple(out)
 
 
-def _gap_threads(n_gaps: int) -> int:
-    """Threads the gap stage uses for n_gaps draws: the CPUs this process
-    may run on, at most MAX_GAP_THREADS and at most one per 16 chunks (2^20
-    gaps; a second thread first paid from about 1.5 M gaps on a 2-core
-    box); one inside a process-pool worker, whose pool already has the
-    CPUs."""
+def _cycle_threads(n_blocks: int) -> int:
+    """Threads ``sample_cycles`` uses for n_blocks blocks: the CPUs this
+    process may run on, at most two (the most it was measured with) and
+    at most one per block; one inside a process-pool worker, whose pool
+    already has the CPUs."""
     if multiprocessing.parent_process() is not None:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, MAX_GAP_THREADS, n_gaps // (16 * _GAP_CHUNK)))
+    return max(1, min(cpus, 2, n_blocks))
 
 
-def _philox_after(bitgen: np.random.Philox, m: int) -> np.random.Philox:
-    """A copy of ``bitgen`` that has made m more 64-bit draws: the
-    buffered draws first, then whole 4-draw counter blocks by advance(),
-    then the remainder.  ``bitgen`` is untouched and the 32-bit cache,
-    which 64-bit draws never read, is carried over."""
-    state = bitgen.state
-    out = np.random.Philox(0)
-    out.state = state
-    buffered = min(m, 4 - state["buffer_pos"])
-    out.random_raw(buffered)
-    if m > buffered:
-        out.advance((m - buffered) // 4)
-        out.random_raw((m - buffered) % 4)
-    out.state = {**out.state, "has_uint32": state["has_uint32"],
-                 "uinteger": state["uinteger"]}
-    return out
+class _BlockScratch:
+    """One thread's cycle mask, gap chunk and chunk offsets for blocks of
+    up to m cycles, allocated by the caller: threads allocate little."""
+
+    def __init__(self, m: int):
+        self.mask = np.empty(m, dtype=bool)
+        self.buf = np.empty(min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT),
+                                DIRECT_SUM_LIMIT * m))
+        self.offsets = np.empty(min(_GAP_CHUNK, m), dtype=np.int64)
 
 
-def _span_part(gen: np.random.Generator, ends: np.ndarray, base: int,
-               q: float, rho: float, spans: np.ndarray, buf: np.ndarray,
-               offsets: np.ndarray) -> None:
-    """Fill spans[i] with the sum of the gaps base + (ends[i-1], ends[i]]
-    (from base for i = 0), drawn from gen in stream order in chunks that
-    end on cluster boundaries and hold at most _GAP_CHUNK gaps (one
-    cluster, at most DIRECT_SUM_LIMIT, if larger).  Writes only into
-    the given arrays."""
-    start = 0
+def _direct_spans(gen: np.random.Generator, ends: np.ndarray, q: float,
+                  rho: float, spans: np.ndarray, s: _BlockScratch) -> None:
+    """Fill spans[i] with the sum of the intra-cluster gaps
+    (ends[i-1], ends[i]] (from 0 for i = 0; ends are whole floats), each
+    -log1p(-u q)/rho for one uniform u, drawn from gen in chunks that end
+    on cluster boundaries and hold at most _GAP_CHUNK gaps (one cluster,
+    at most DIRECT_SUM_LIMIT, if larger), in the scratch s.buf and
+    s.offsets.  The division by -rho is made once per cluster."""
+    start = base = 0
     while start < len(ends):
         stop = max(int(np.searchsorted(ends, base + _GAP_CHUNK, "right")),
                    start + 1)
-        g = buf[:int(ends[stop - 1]) - base]
-        # random() yields the doubles uniform() would, and negating q and
-        # rho instead of the results rounds identically
-        gen.random(out=g)
-        np.multiply(g, -q, out=g)
-        np.log1p(g, out=g)
-        np.divide(g, -rho, out=g)
-        off = offsets[:stop - start]
+        g = s.buf[:int(ends[stop - 1]) - base]
+        np.log1p(np.multiply(gen.random(out=g), -q, out=g), out=g)
+        off = s.offsets[:stop - start]
         off[0] = 0
-        np.subtract(ends[start:stop - 1], base, out=off[1:])
+        np.subtract(ends[start:stop - 1], base, out=off[1:],
+                    casting="unsafe")
         np.add.reduceat(g, off, out=spans[start:stop])
         start, base = stop, int(ends[stop - 1])
+    np.divide(spans, -rho, out=spans)
 
 
-def _direct_spans(gen: np.random.Generator, counts: np.ndarray,
-                  rho: float, r0: float) -> np.ndarray:
-    """Spans of clusters with counts[i] >= 1 intra-cluster gaps each.
+def _cluster_gaps(gen: np.random.Generator, p_head: float, shift: float,
+                  out: np.ndarray) -> None:
+    """Fill out with floats that cannot saturate: geometric(p_head) - 1,
+    P{n >= k} = (1 - p_head)^k, by inversion of a standard exponential,
+    plus shift (1 under the paper fidelity)."""
+    np.divide(gen.standard_exponential(out=out), -math.log1p(-p_head),
+              out=out)
+    np.add(np.floor(out, out=out), shift, out=out)
 
-    The gaps are -log1p(-u q)/rho with q = 1 - exp(-rho r0), one 64-bit
-    draw each; gen is left past every gap.  With a Philox gen the
-    clusters are split into contiguous parts of about equal gap count,
-    one per thread of ``_gap_threads``, each drawn from a copy of gen
-    placed at its first gap, so the bits do not depend on the number of
-    threads.  Memory is O(len(counts)) plus one chunk per thread.
-    """
-    q = -math.expm1(-rho * r0)
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    spans = np.empty(len(counts))
-    chunk = max(_GAP_CHUNK, DIRECT_SUM_LIMIT)
-    n_parts = _gap_threads(total)
-    if n_parts == 1 or not isinstance(gen.bit_generator, np.random.Philox):
-        _span_part(gen, ends, 0, q, rho, spans, np.empty(min(total, chunk)),
-                   np.empty(min(len(ends), _GAP_CHUNK), dtype=ends.dtype))
-        return spans
-    targets = total * np.arange(1, n_parts) // n_parts
-    cuts = np.unique(np.concatenate(
-        ([0], np.searchsorted(ends, targets, "right"), [len(ends)])))
-    bitgen = gen.bit_generator
-    parts = []
-    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        base = int(ends[a - 1]) if a else 0
-        part_gen = np.random.Generator(_philox_after(bitgen, base))
-        parts.append((part_gen, ends[a:b], base, q, rho, spans[a:b],
-                      np.empty(min(int(ends[b - 1]) - base, chunk)),
-                      np.empty(min(b - a, _GAP_CHUNK), dtype=ends.dtype)))
-    bitgen.state = _philox_after(bitgen, total).state
-    with ThreadPoolExecutor(len(parts)) as pool:
-        for future in [pool.submit(_span_part, *part) for part in parts]:
-            future.result()
-    return spans
+
+def _cycle_block(seed: np.random.SeedSequence, out: list,
+                 params: ModelParams, shift: float,
+                 s: _BlockScratch) -> None:
+    """Draw len(out[0]) cycles from PCG64(seed) into the CycleBatch slices
+    ``out`` (x, v, t_off, t_on, e_off, p_save), in stream order: cluster
+    sizes, direct gaps, big-cluster normals, head-to-tail jumps, speeds."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    x, v, t_off, t_on, e_off, p_save = out
+    rho, r0 = params.rho, params.r0
+    # the bookkeeping slices hold the temporaries until _cycle_energy
+    n_gaps, mask = p_save, s.mask[:len(x)]
+    _cluster_gaps(gen, math.exp(-rho * r0), shift, n_gaps)
+
+    x.fill(0.0)
+    np.greater(n_gaps, 0.0, out=mask)
+    mask &= n_gaps <= DIRECT_SUM_LIMIT
+    n_direct = int(np.count_nonzero(mask))
+    spans, ends = t_off[:n_direct], t_on[:n_direct]
+    np.cumsum(np.compress(mask, n_gaps, out=spans), out=ends)
+    _direct_spans(gen, ends, -math.expm1(-rho * r0), rho, spans, s)
+    np.place(x, mask, spans)
+    np.greater(n_gaps, DIRECT_SUM_LIMIT, out=mask)
+    n_big = int(np.count_nonzero(mask))
+    k, z, w = t_off[:n_big], t_on[:n_big], e_off[:n_big]
+    np.compress(mask, n_gaps, out=k)
+    mean, var = _trunc_exp_stats(rho, r0)
+    # gen.normal(k*mean, sqrt(k*var)) in the same rounding, clamped to the
+    # span's support [0, k r0]
+    np.sqrt(np.multiply(k, var, out=w), out=w)
+    np.multiply(w, gen.standard_normal(out=z), out=z)
+    np.add(np.multiply(k, mean, out=w), z, out=z)
+    np.clip(z, 0.0, np.multiply(k, r0, out=w), out=z)
+    np.place(x, mask, z)
+
+    x1 = t_off                             # r0 + exponential(1/rho)
+    np.multiply(gen.standard_exponential(out=x1), 1.0 / rho, out=x1)
+    np.add(x, np.add(x1, r0, out=x1), out=x)
+    np.multiply(gen.random(out=v), params.b - params.a, out=v)
+    np.add(v, params.a, out=v)             # uniform(a, b), same rounding
+    _cycle_energy(x, v, params, out=out[2:])
 
 
 def sample_cycles(params: ModelParams, n: int,
@@ -337,54 +346,43 @@ def sample_cycles(params: ModelParams, n: int,
                   fidelity: Optional[Fidelity] = None) -> CycleBatch:
     """Draw n independent renewal cycles from the generative model.
 
-    Cluster size is geometric with success probability exp(-rho r0); the
-    cluster span is the sum of (size - 1) intra-cluster gaps, each an
-    exponential(rho) conditioned on <= r0; the head-to-tail jump is
-    r0 + exponential(rho); the speed is uniform(a, b).  The `paper`
-    fidelity conditions the cluster size on >= 2 vehicles.  Clusters
-    larger than DIRECT_SUM_LIMIT use a moment-matched normal for the span
-    (clamped to the span's support).
+    Cluster size is geometric with success probability exp(-rho r0)
+    (``_cluster_gaps``); the cluster span is the sum of (size - 1)
+    intra-cluster gaps, each an exponential(rho) conditioned on <= r0, or
+    above DIRECT_SUM_LIMIT gaps a moment-matched normal clamped to the
+    span's support; the head-to-tail jump is r0 + exponential(rho); the
+    speed is uniform(a, b).  The `paper` fidelity conditions the cluster
+    size on >= 2 vehicles.
 
-    The intra-cluster gaps are drawn and summed chunk by chunk on up to
-    MAX_GAP_THREADS threads (see ``_direct_spans``); the output is the
-    same for any thread count.  Memory is O(n) plus one fixed chunk of
-    gaps per thread, independent of cluster size.  Raises
-    ArithmeticError, before any draw, when rho*r0 exceeds
-    SAMPLER_RHO_R0_LIMIT.
+    Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
+    SeedSequence(root), root being one two-word draw from ``rng`` and all
+    that ``rng`` advances by.  Threads (``_cycle_threads``) take whole
+    blocks, so the bits depend on the seed only, not on the thread count.
+    Memory is the batch plus about two blocks of scratch per thread.  Raises
+    ArithmeticError, before any draw, when rho*r0 > SAMPLER_RHO_R0_LIMIT.
     """
     check_density(params, SAMPLER_RHO_R0_LIMIT,
-                  "the geometric cluster size, of mean exp(rho*r0), "
-                  "saturates at the int64 maximum")
+                  "the plain renewal sampler is not validated beyond it")
     gen = _as_generator(rng)
     fidelity = Fidelity(fidelity) if fidelity is not None else params.fidelity
-    rho, r0 = params.rho, params.r0
-    p_head = math.exp(-rho * r0)
+    shift = 1.0 if fidelity is Fidelity.PAPER else 0.0
+    root = gen.integers(1 << 64, size=2, dtype=np.uint64)
+    n_blocks = -(-n // _CYCLE_BLOCK)
+    seeds = np.random.SeedSequence(root).spawn(n_blocks)
+    fields = [np.empty(n) for _ in range(6)]
 
-    n_gaps = gen.geometric(p_head, size=n) - 1
-    if fidelity is Fidelity.PAPER:
-        n_gaps += 1
+    def run(blocks, scratch):
+        for b in blocks:
+            cut = slice(b * _CYCLE_BLOCK, (b + 1) * _CYCLE_BLOCK)
+            _cycle_block(seeds[b], [f[cut] for f in fields], params, shift,
+                         scratch)
 
-    x0 = np.zeros(n)
-    small = n_gaps <= DIRECT_SUM_LIMIT
-    direct = small & (n_gaps > 0)
-    if np.any(direct):
-        x0[direct] = _direct_spans(gen, n_gaps[direct], rho, r0)
-    big = ~small
-    n_big = int(np.count_nonzero(big))
-    if n_big:
-        k = n_gaps[big].astype(float)
-        mean, var = _trunc_exp_stats(rho, r0)
-        # gen.normal(k*mean, sqrt(k*var)) in the same rounding
-        spans = k * mean + np.sqrt(k * var) * gen.standard_normal(n_big)
-        x0[big] = np.clip(spans, 0.0, k * r0)
-
-    x1 = r0 + gen.exponential(1.0 / rho, size=n)
-    x = x0 + x1
-    v = gen.uniform(params.a, params.b, size=n)
-    del n_gaps, small, direct, big, x0, x1    # before the bookkeeping
-    t_off, t_on, e_off, p_save = _cycle_energy(x, v, params)
-    return CycleBatch(x=x, v=v, t_off=t_off, t_on=t_on,
-                      e_off=e_off, p_save=p_save)
+    threads = _cycle_threads(n_blocks)
+    scratch = [_BlockScratch(min(n, _CYCLE_BLOCK)) for _ in range(threads)]
+    with ThreadPoolExecutor(threads) as pool:
+        list(pool.map(run, [range(t, n_blocks, threads)
+                            for t in range(threads)], scratch))
+    return CycleBatch(*fields)
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,24 @@ class TestChGapPdf:
                              rel=rel, label=f"{fid} rho*r0={rho_r0} "
                                             f"x/r0={x / r0:.4f}")
 
+    @pytest.mark.parametrize("rho_r0, paper_rel", [(1e-4, 4e-12),
+                                                   (1e-3, 4e-13),
+                                                   (1e-2, 3e-14)])
+    def test_small_rho_r0_tail_accuracy(self, rho_r0, paper_rel):
+        # past the switch the paper law subtracts rho e^{-rho x} from the
+        # tail and divides by 1 - e^{-rho r0}, so the tail's own rounding
+        # grows like 1/(rho r0) there (2.5e-12, 2.8e-13 and 1.4e-14 seen)
+        r0 = 100.0
+        for fid, rel in (("corrected", 1e-15), ("paper", paper_rel)):
+            params = CANONICAL.replace(rho=rho_r0 / r0, r0=r0, fidelity=fid)
+            switch = _gap_tail_switch(params)
+            xs = np.linspace(switch, switch + 30.0 * r0, 25)
+            for x, value in zip(xs, ch_gap_pdf(xs, params)):
+                assert_close(value,
+                             gap_pdf_decimal(float(x), rho_r0 / r0, r0, fid),
+                             rel=rel, label=f"{fid} rho*r0={rho_r0} "
+                                            f"x/r0={x / r0:.4f}")
+
     def test_tail_log_ratio_never_positive(self):
         # _gap_pdf_tail sums its two poles as one expm1(ln_ratio) term; that
         # needs ln_ratio <= 0 from the switch on, which holds because the

@@ -175,7 +175,7 @@ class TestSimulateCommand:
         assert code == EXIT_CONFIG_ERROR
 
     def test_sampler_density_limit_is_numeric_error(self, capsys):
-        # rho*r0 = 50: the geometric cluster-size draw would saturate
+        # rho*r0 = 50 is past the limit the plain sampler is validated to
         code, text = run_cli(["simulate", "--mode", "cycles", "--rho",
                               "0.02", "--r0", "2500", "--json-errors"])
         assert code == EXIT_NUMERIC_FAILURE

@@ -151,26 +151,14 @@ class TestSampleCycles:
                               fidelity="paper")
         assert paper.x.mean() > corrected.x.mean()
 
-    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
-    @pytest.mark.parametrize("rho, r0", [(0.005, 100.0), (0.02, 200.0),
-                                         (0.08, 100.0)])
-    def test_chunk_size_does_not_change_draws(self, monkeypatch, rho, r0,
-                                              fidelity):
-        # a chunk of 5 gaps is smaller than many single clusters; 2^30
-        # holds the whole batch.  At rho*r0 = 8 direct clusters mix with
-        # normal-approximated ones.  Every (chunk, threads) pair leaves
-        # the batch and the caller's generator where one thread does.
-        params = CANONICAL.replace(rho=rho, r0=r0)
-        outputs = []
-        for chunk in (5, 1 << 30):
-            for threads in (1, 2, 3):
-                monkeypatch.setattr(simulate, "_GAP_CHUNK", chunk)
-                monkeypatch.setattr(simulate, "_gap_threads",
-                                    lambda n_gaps, t=threads: t)
-                gen = RngSpec(11).generator()
-                batch = sample_cycles(params, 20_000, gen,
-                                      fidelity=fidelity)
-                outputs.append((batch, gen.random()))
+    @staticmethod
+    def _draw(monkeypatch, threads, params, n, gen, **kwargs):
+        monkeypatch.setattr(simulate, "_cycle_threads",
+                            lambda n_blocks: threads)
+        return sample_cycles(params, n, gen, **kwargs), gen.random()
+
+    @staticmethod
+    def _assert_same(outputs):
         ref_batch, ref_next = outputs[0]
         for batch, next_draw in outputs[1:]:
             for f in fields(CycleBatch):
@@ -178,53 +166,97 @@ class TestSampleCycles:
                                       getattr(ref_batch, f.name)), f.name
             assert next_draw == ref_next
 
-    def test_other_bit_generators_draw_in_one_part(self, monkeypatch):
-        # only Philox can be placed at a draw; any other generator draws
-        # every gap itself, in order, whatever the thread count
-        params = CANONICAL.replace(rho=0.02, r0=200.0)
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    @pytest.mark.parametrize("rho, r0", [(0.005, 100.0), (0.02, 200.0),
+                                         (0.08, 100.0)])
+    def test_chunk_size_does_not_change_draws(self, monkeypatch, rho, r0,
+                                              fidelity):
+        # a chunk of 5 gaps is smaller than many single clusters; 2^30
+        # holds the whole batch.  At rho*r0 = 8 direct clusters mix with
+        # normal-approximated ones.  Every (chunk, threads) pair gives the
+        # batch and leaves the caller's generator where one thread does;
+        # blocks of 6,000 cycles make four of 20,000, the last one short.
+        params = CANONICAL.replace(rho=rho, r0=r0)
+        monkeypatch.setattr(simulate, "_CYCLE_BLOCK", 6_000)
         outputs = []
-        for threads in (1, 3):
-            monkeypatch.setattr(simulate, "_gap_threads",
-                                lambda n_gaps, t=threads: t)
-            gen = np.random.Generator(np.random.PCG64(17))
-            outputs.append((sample_cycles(params, 5_000, gen).x,
-                            gen.random()))
-        assert np.array_equal(outputs[0][0], outputs[1][0])
-        assert outputs[0][1] == outputs[1][1]
+        for chunk in (5, 1 << 30):
+            monkeypatch.setattr(simulate, "_GAP_CHUNK", chunk)
+            for threads in (1, 2, 3):
+                outputs.append(self._draw(monkeypatch, threads, params,
+                                          20_000, RngSpec(11).generator(),
+                                          fidelity=fidelity))
+        self._assert_same(outputs)
+
+    @pytest.mark.parametrize("n", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                                   150_000])
+    def test_block_edges_do_not_change_draws(self, monkeypatch, n):
+        # a short last block and threads left without a block change
+        # nothing; block b draws from child b of the root, so a longer
+        # batch extends a shorter one block by block
+        outputs = [self._draw(monkeypatch, threads, CANONICAL, n,
+                              RngSpec(18).generator())
+                   for threads in (1, 2, 3)]
+        self._assert_same(outputs)
+        whole = (n // simulate._CYCLE_BLOCK) * simulate._CYCLE_BLOCK
+        longer = sample_cycles(CANONICAL, whole + simulate._CYCLE_BLOCK,
+                               RngSpec(18))
+        assert np.array_equal(outputs[0][0].x[:whole], longer.x[:whole])
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, (1 << 16) + 1])
+    def test_caller_advances_by_the_root_draw(self, monkeypatch, n,
+                                              threads):
+        gen = RngSpec(19).generator()
+        _, next_draw = self._draw(monkeypatch, threads, CANONICAL, n, gen)
+        ref = RngSpec(19).generator()
+        ref.integers(1 << 64, size=2, dtype=np.uint64)
+        assert next_draw == ref.random()
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64,
+                                               np.random.MT19937])
+    def test_other_bit_generators_thread_independent(self, monkeypatch,
+                                                     bit_generator):
+        params = CANONICAL.replace(rho=0.02, r0=200.0)
+        outputs = [self._draw(monkeypatch, threads, params, 150_000,
+                              np.random.Generator(bit_generator(17)))
+                   for threads in (1, 2, 3)]
+        self._assert_same(outputs)
 
     def test_thread_count_caps(self):
-        chunk = simulate._GAP_CHUNK
-        assert simulate._gap_threads(0) == 1
-        assert simulate._gap_threads(32 * chunk - 1) == 1
-        assert 1 <= simulate._gap_threads(32 * chunk) <= 2
-        assert simulate._gap_threads(1 << 50) <= simulate.MAX_GAP_THREADS
+        assert simulate._cycle_threads(0) == 1
+        assert simulate._cycle_threads(1) == 1
+        assert 1 <= simulate._cycle_threads(2) <= 2
+        assert simulate._cycle_threads(1 << 50) <= 2
 
     def test_process_pool_workers_use_one_thread(self, monkeypatch):
         # sweep/validate --workers N already spread cells over the CPUs
         monkeypatch.setattr(simulate.multiprocessing, "parent_process",
                             lambda: object())
-        assert simulate._gap_threads(1 << 50) == 1
+        assert simulate._cycle_threads(1 << 50) == 1
 
-    @pytest.mark.parametrize("buffer_pos", range(5))
-    def test_philox_after_equals_sequential_draws(self, buffer_pos):
-        start = np.random.Philox(21)
-        start.random_raw(4)                  # a full block, then rewind
-        start.random_raw(3)
-        start.random_raw()                   # leaves a 32-bit value cached
-        start.state = {**start.state, "buffer_pos": buffer_pos,
-                       "has_uint32": 1, "uinteger": 12345}
-        before = start.state
-        for m in list(range(14)) + [10 ** 6 + 3]:
-            sequential = np.random.Philox(0)
-            sequential.state = before
-            sequential.random_raw(m)
-            placed = simulate._philox_after(start, m)
-            assert np.array_equal(placed.random_raw(8),
-                                  sequential.random_raw(8)), m
-            assert placed.state["has_uint32"] == 1
-            assert placed.state["uinteger"] == 12345
-        assert start.state["buffer_pos"] == buffer_pos
-        assert np.array_equal(start.state["buffer"], before["buffer"])
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    @pytest.mark.parametrize("rho_r0", [0.5, 4.0, 32.0])
+    def test_cluster_size_law(self, rho_r0, fidelity):
+        # geometric(e^{-rho r0}) - 1 by inversion: mean e^{rho r0} - 1 and
+        # P{0} = e^{-rho r0}; the paper fidelity adds one vehicle
+        n = 1_000_000
+        p = math.exp(-rho_r0)
+        sizes = np.empty(n)
+        simulate._cluster_gaps(RngSpec(20).generator(), p,
+                               1.0 if fidelity == "paper" else 0.0, sizes)
+        mean = math.expm1(rho_r0) + (fidelity == "paper")
+        se = math.sqrt((1.0 - p) / p ** 2 / n)
+        assert abs(sizes.mean() - mean) <= 4.0 * se
+        if fidelity == "corrected":
+            zeros = np.count_nonzero(sizes == 0.0) / n
+            assert abs(zeros - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_cluster_size_finite_at_the_limit(self):
+        sizes = np.empty(1_000_000)
+        simulate._cluster_gaps(RngSpec(21).generator(),
+                               math.exp(-simulate.SAMPLER_RHO_R0_LIMIT), 0.0,
+                               sizes)
+        assert np.all(np.isfinite(sizes)) and np.all(sizes >= 0.0)
 
     def test_big_cluster_normal_equals_generator_normal(self):
         # the sampler draws k*mean + sqrt(k*var) * standard_normal() for
@@ -241,13 +273,13 @@ class TestSampleCycles:
 
     def test_memory_independent_of_cluster_size(self, monkeypatch):
         # about 54 intra-cluster gaps a cycle at rho*r0 = 4: drawing them
-        # all at once would peak near 20x the batch itself.  Both the
-        # inline one-part path and two worker threads, whose numpy
-        # allocations tracemalloc sees too, stay under the bound.
+        # all at once would peak near 20x the batch itself.  One thread
+        # and two, whose numpy allocations tracemalloc sees too, with
+        # their scratch, stay under the bound.
         params = CANONICAL.replace(rho=0.02, r0=200.0)
         for threads in (1, 2):
-            monkeypatch.setattr(simulate, "_gap_threads",
-                                lambda n_gaps, t=threads: t)
+            monkeypatch.setattr(simulate, "_cycle_threads",
+                                lambda n_blocks, t=threads: t)
             tracemalloc.start()
             try:
                 batch = sample_cycles(params, 200_000, RngSpec(12),
@@ -260,9 +292,9 @@ class TestSampleCycles:
             assert peak <= 3 * nbytes, threads
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_gap_threads", lambda n_gaps: 3)
+        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 3)
         before = threading.active_count()
-        sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), 20_000,
+        sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), 150_000,
                       RngSpec(16))
         assert threading.active_count() == before
 
