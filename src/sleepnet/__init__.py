@@ -11,10 +11,10 @@ from .params import (CANONICAL, KMH, Fidelity, ModelParams, ParamError,
 
 __version__ = "0.1.0"
 
-from .simulate import (ClusterSet, CycleBatch, EnergyEstimate, RngSpec,
-                       Snapshot, TimelineReport, WindowTooSmallError,
-                       ch_gap_samples, estimate_energy, extract_clusters,
-                       run_timeline, sample_cycles, sample_snapshot)
+from .simulate import (ClusterSet, EnergyEstimate, RngSpec, Snapshot,
+                       TimelineReport, WindowTooSmallError, estimate_energy,
+                       extract_clusters, run_timeline, sample_cycles,
+                       sample_snapshot)
 from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, SweepRow,
                           SweepTable, ValidationReport, ValidationRow,
                           emit_table, figure_preset, run_sweep,

@@ -190,8 +190,8 @@ def cmd_simulate(args, out) -> int:
     if mode == "cycles":
         echo_config("simulate", params, {"mode": mode, "n": args.n,
                                          "seed": seed}, out)
-        batch = sample_cycles(params, args.n, rng)
-        doc = _estimate_doc(estimate_energy(batch, params))
+        sums = sample_cycles(params, args.n, rng)
+        doc = _estimate_doc(estimate_energy(sums, params))
     elif mode in ("timeline-common", "timeline-heterogeneous"):
         v = parse_speed(args.v) if args.v is not None else None
         speed_mode = mode.removeprefix("timeline-")

@@ -209,9 +209,9 @@ def _validation_cell(args) -> List[ValidationRow]:
     for offset, fidelity in enumerate((Fidelity.PAPER, Fidelity.CORRECTED)):
         params = grid.fixed.replace(rho=rho, r0=r0, fidelity=fidelity)
         rng = RngSpec(spec.master_seed, stream_base + offset)
-        batch = sample_cycles(params, n_cycles, rng,
-                              fidelity=sampler_fidelity)
-        est = estimate_energy(batch, params)
+        sums = sample_cycles(params, n_cycles, rng,
+                             fidelity=sampler_fidelity)
+        est = estimate_energy(sums, params)
         for metric in VALIDATION_METRICS:
             value = getattr(est, _FIELDS[metric])
             stderr = getattr(est, _FIELDS[metric] + "_se")

@@ -2,7 +2,7 @@
 
 - a renewal-cycle sampler drawing (cluster-head gap, speed) pairs, with
   the per-cycle energy bookkeeping (``_cycle_energy``) that the
-  common-speed timeline shares,
+  common-speed timeline shares, reduced block by block to ``CycleSums``,
 - a spatial Poisson snapshot sampler with cluster extraction, and
 - a time-domain base-station sleep/wake simulator, vectorised at a common
   speed and event-driven at per-vehicle speeds, the road kept in order
@@ -14,8 +14,8 @@ stream_id) pairs reproduce bit-identical sample streams, so parallel
 streams are independent and individually replayable.  The renewal
 sampler draws its cycles in fixed blocks, each from its own PCG64
 stream spawned from one draw of the caller's generator, on up to two
-threads that take whole blocks; its bits depend on the seed only, not
-on the CPU count, the thread count or ``--workers``.
+threads that take whole blocks, pooled in block order; its bits depend
+on the seed only, not on the CPU count, the thread count or ``--workers``.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ __all__ = [
     "RngSpec",
     "Snapshot",
     "ClusterSet",
-    "CycleBatch",
+    "CycleSums",
     "EnergyEstimate",
     "TimelineReport",
     "WindowTooSmallError",
     "sample_snapshot",
     "extract_clusters",
-    "ch_gap_samples",
     "sample_cycles",
     "estimate_energy",
     "run_timeline",
@@ -130,33 +129,6 @@ class ClusterSet:
     tail_positions: np.ndarray
     member_counts: np.ndarray
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.head_positions)
-
-    @property
-    def clusters(self) -> list:
-        return list(zip(self.head_positions.tolist(),
-                        self.tail_positions.tolist(),
-                        self.member_counts.tolist()))
-
-
-@dataclass(frozen=True)
-class CycleBatch:
-    """Vectorized collection of renewal cycles, one array per field: the
-    gap x to the next cluster head, the speed v, and the per-cycle
-    bookkeeping t_off, t_on, e_off and p_save of ``_cycle_energy``."""
-
-    x: np.ndarray
-    v: np.ndarray
-    t_off: np.ndarray
-    t_on: np.ndarray
-    e_off: np.ndarray
-    p_save: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.x)
-
 
 def _snapshot_window(params: ModelParams) -> float:
     return 50.0 * max(1.0 / params.rho, params.r0)
@@ -192,22 +164,6 @@ def extract_clusters(snapshot: Snapshot, r0: float) -> ClusterSet:
     ends = np.concatenate((breaks, [len(pos) - 1]))
     return ClusterSet(head_positions=pos[ends], tail_positions=pos[starts],
                       member_counts=(ends - starts + 1).astype(np.int64))
-
-
-def ch_gap_samples(clusters: ClusterSet, window_length: float,
-                   r0: float) -> np.ndarray:
-    """Gaps between consecutive cluster heads, censored at window edges.
-
-    A cluster whose tail is within r0 of the left edge, or whose head is
-    within r0 of the right edge, may be truncated by the window; gaps
-    touching such a cluster are discarded.
-    """
-    if clusters.n_clusters < 2:
-        return np.empty(0)
-    ok = ((clusters.tail_positions >= r0)
-          & (clusters.head_positions <= window_length - r0))
-    gaps = np.diff(clusters.head_positions)
-    return gaps[ok[:-1] & ok[1:]]
 
 
 def _trunc_exp_stats(rho: float, r0: float) -> tuple:
@@ -255,11 +211,53 @@ def _cycle_threads(n_blocks: int) -> int:
     return max(1, min(cpus, 2, n_blocks))
 
 
+def _pooled(a: tuple, b: tuple) -> tuple:
+    """Pool the (count, mean, M2) of two disjoint samples by the update of
+    Chan, Golub & LeVeque (1983)."""
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    if na == 0 or nb == 0:
+        return b if na == 0 else a
+    n, delta = na + nb, mean_b - mean_a
+    return (n, mean_a + delta * nb / n,
+            m2_a + m2_b + delta * delta * na * nb / n)
+
+
+def _moments(values: np.ndarray, tmp: np.ndarray) -> tuple:
+    """(count, mean, M2) of values, M2 the sum of squared deviations, by
+    np.square in tmp: a BLAS np.dot on the block threads oversubscribes."""
+    mean = float(np.sum(values)) / max(len(values), 1)
+    dev = np.square(np.subtract(values, mean, out=tmp), out=tmp)
+    return len(values), mean, float(np.sum(dev))
+
+
+@dataclass(frozen=True)
+class CycleSums:
+    """Sufficient statistics of renewal cycles: the (count, mean, M2) of
+    the gap x and the power p_save over all cycles and of t_off over the
+    cycles that sleep, and totals, the sums of e_off, t_off and t_on
+    (``_cycle_energy``).  ``a + b`` pools two disjoint sets of cycles."""
+
+    x: tuple
+    sleep: tuple
+    p_save: tuple
+    totals: tuple
+
+    def __len__(self) -> int:
+        return self.x[0]
+
+    def __add__(self, o: CycleSums) -> CycleSums:
+        return CycleSums(_pooled(self.x, o.x), _pooled(self.sleep, o.sleep),
+                         _pooled(self.p_save, o.p_save),
+                         tuple(a + b for a, b in zip(self.totals, o.totals)))
+
+
 class _BlockScratch:
-    """One thread's cycle mask, gap chunk and chunk offsets for blocks of
-    up to m cycles, allocated by the caller: threads allocate little."""
+    """One thread's cycle fields (x, v, t_off, t_on, e_off, p_save), two
+    rows for the sums, mask, gap chunk and chunk offsets for blocks of up
+    to m cycles, allocated by the caller: threads allocate little."""
 
     def __init__(self, m: int):
+        self.fields = np.empty((8, m))
         self.mask = np.empty(m, dtype=bool)
         self.buf = np.empty(min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT),
                                 DIRECT_SUM_LIMIT * m))
@@ -299,17 +297,17 @@ def _cluster_gaps(gen: np.random.Generator, p_head: float, shift: float,
     np.add(np.floor(out, out=out), shift, out=out)
 
 
-def _cycle_block(seed: np.random.SeedSequence, out: list,
+def _cycle_block(seed: np.random.SeedSequence, m: int,
                  params: ModelParams, shift: float,
-                 s: _BlockScratch) -> None:
-    """Draw len(out[0]) cycles from PCG64(seed) into the CycleBatch slices
-    ``out`` (x, v, t_off, t_on, e_off, p_save), in stream order: cluster
-    sizes, direct gaps, big-cluster normals, head-to-tail jumps, speeds."""
+                 s: _BlockScratch) -> CycleSums:
+    """Draw m cycles from PCG64(seed) into s.fields[:6, :m] (x, v, t_off,
+    t_on, e_off, p_save), in stream order: cluster sizes, direct gaps,
+    big-cluster normals, head-to-tail jumps, speeds; return their sums."""
     gen = np.random.Generator(np.random.PCG64(seed))
-    x, v, t_off, t_on, e_off, p_save = out
+    x, v, t_off, t_on, e_off, p_save, asleep, dev = out = s.fields[:, :m]
     rho, r0 = params.rho, params.r0
-    # the bookkeeping slices hold the temporaries until _cycle_energy
-    n_gaps, mask = p_save, s.mask[:len(x)]
+    # the bookkeeping rows hold the temporaries until _cycle_energy
+    n_gaps, mask = p_save, s.mask[:m]
     _cluster_gaps(gen, math.exp(-rho * r0), shift, n_gaps)
 
     x.fill(0.0)
@@ -338,13 +336,20 @@ def _cycle_block(seed: np.random.SeedSequence, out: list,
     np.add(x, np.add(x1, r0, out=x1), out=x)
     np.multiply(gen.random(out=v), params.b - params.a, out=v)
     np.add(v, params.a, out=v)             # uniform(a, b), same rounding
-    _cycle_energy(x, v, params, out=out[2:])
+    _cycle_energy(x, v, params, out=out[2:6])
+
+    x_sums, p_sums = _moments(x, dev), _moments(p_save, dev)
+    n_sleep = int(np.count_nonzero(np.greater(t_off, 0.0, out=mask)))
+    sleep = _moments(np.compress(mask, t_off, out=asleep[:n_sleep]),
+                     dev[:n_sleep])
+    return CycleSums(x_sums, sleep, p_sums,
+                     tuple(float(np.sum(f)) for f in (e_off, t_off, t_on)))
 
 
 def sample_cycles(params: ModelParams, n: int,
                   rng: Union[RngSpec, np.random.Generator],
-                  fidelity: Optional[Fidelity] = None) -> CycleBatch:
-    """Draw n independent renewal cycles from the generative model.
+                  fidelity: Optional[Fidelity] = None) -> CycleSums:
+    """Sum n >= 1000 independent renewal cycles of the generative model.
 
     Cluster size is geometric with success probability exp(-rho r0)
     (``_cluster_gaps``); the cluster span is the sum of (size - 1)
@@ -357,10 +362,13 @@ def sample_cycles(params: ModelParams, n: int,
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
     that ``rng`` advances by.  Threads (``_cycle_threads``) take whole
-    blocks, so the bits depend on the seed only, not on the thread count.
-    Memory is the batch plus about two blocks of scratch per thread.  Raises
-    ArithmeticError, before any draw, when rho*r0 > SAMPLER_RHO_R0_LIMIT.
+    blocks, pooled in block order, so the bits depend on the seed only,
+    not on the thread count.  Memory is one _BlockScratch per thread
+    (about 5 MB), whatever n.  Raises ValueError when n < 1000 and
+    ArithmeticError when rho*r0 > SAMPLER_RHO_R0_LIMIT, before any draw.
     """
+    if n < 1000:
+        raise ValueError(f"need at least 1000 cycles, got {n}")
     check_density(params, SAMPLER_RHO_R0_LIMIT,
                   "the plain renewal sampler is not validated beyond it")
     gen = _as_generator(rng)
@@ -369,25 +377,25 @@ def sample_cycles(params: ModelParams, n: int,
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
     n_blocks = -(-n // _CYCLE_BLOCK)
     seeds = np.random.SeedSequence(root).spawn(n_blocks)
-    fields = [np.empty(n) for _ in range(6)]
+    sums = [None] * n_blocks
 
     def run(blocks, scratch):
         for b in blocks:
-            cut = slice(b * _CYCLE_BLOCK, (b + 1) * _CYCLE_BLOCK)
-            _cycle_block(seeds[b], [f[cut] for f in fields], params, shift,
-                         scratch)
+            m = min(_CYCLE_BLOCK, n - b * _CYCLE_BLOCK)
+            sums[b] = _cycle_block(seeds[b], m, params, shift, scratch)
 
     threads = _cycle_threads(n_blocks)
     scratch = [_BlockScratch(min(n, _CYCLE_BLOCK)) for _ in range(threads)]
     with ThreadPoolExecutor(threads) as pool:
         list(pool.map(run, [range(t, n_blocks, threads)
                             for t in range(threads)], scratch))
-    return CycleBatch(*fields)
+    return sum(sums[1:], sums[0])
 
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """Monte Carlo estimates of the energy figures, with standard errors.
+    """Monte Carlo estimates of the energy figures, with standard errors
+    (``_mean_se``), from the sums of ``sample_cycles``.
 
     expected_sleep_time conditions on cycles that actually sleep and is
     None when no cycle slept.  expected_power_saved is the plain mean of
@@ -409,40 +417,31 @@ class EnergyEstimate:
     duty_cycle: float
 
 
-def _mean_se(values: np.ndarray) -> tuple:
-    n = len(values)
-    mean = float(np.mean(values))
-    if n < 2:
+def _mean_se(moments: tuple) -> tuple:
+    """(mean, standard error of the mean) from (count, mean, M2)."""
+    count, mean, m2 = moments
+    if count < 2:
         return mean, math.inf
-    return mean, float(np.std(values, ddof=1) / math.sqrt(n))
+    return mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
-def estimate_energy(samples: CycleBatch,
-                    params: ModelParams) -> EnergyEstimate:
-    """Estimate the energy figures from at least 1000 renewal cycles."""
-    n = len(samples)
-    if n < 1000:
-        raise ValueError(f"need at least 1000 cycles, got {n}")
-
-    mean_x, se_x = _mean_se(samples.x)
-    sleeping = samples.t_off > 0.0
-    prob = float(np.count_nonzero(sleeping)) / n
-    prob_se = math.sqrt(prob * (1.0 - prob) / n)
-    if np.any(sleeping):
-        mean_toff, se_toff = _mean_se(samples.t_off[sleeping])
-    else:
-        mean_toff = se_toff = None
-    mean_psave, se_psave = _mean_se(samples.p_save)
-    cycle_time = float(np.sum(samples.t_off) + np.sum(samples.t_on))
-    time_avg = float(np.sum(samples.e_off)) / cycle_time
-    duty = float(np.sum(samples.t_off)) / cycle_time
+def estimate_energy(sums: CycleSums, params: ModelParams) -> EnergyEstimate:
+    """Estimate the energy figures from the sums of ``sample_cycles``, by
+    scalar arithmetic only."""
+    n, k = len(sums), sums.sleep[0]
+    mean_x, se_x = _mean_se(sums.x)
+    mean_toff, se_toff = _mean_se(sums.sleep) if k else (None, None)
+    mean_psave, se_psave = _mean_se(sums.p_save)
+    e_off, t_off, t_on = sums.totals
+    prob = k / n
     return EnergyEstimate(
         n_cycles=n,
         expected_gap=mean_x, expected_gap_se=se_x,
-        prob_sleep=prob, prob_sleep_se=prob_se,
+        prob_sleep=prob, prob_sleep_se=math.sqrt(prob * (1.0 - prob) / n),
         expected_sleep_time=mean_toff, expected_sleep_time_se=se_toff,
         expected_power_saved=mean_psave, expected_power_saved_se=se_psave,
-        time_average_power_saved=time_avg, duty_cycle=duty)
+        time_average_power_saved=e_off / (t_off + t_on),
+        duty_cycle=t_off / (t_off + t_on))
 
 
 @dataclass(frozen=True)
@@ -480,7 +479,8 @@ def _timeline_report(params: ModelParams, duration: float,
     energy_saved = sleep_time * params.P0 - (n_transitions / 2.0) * params.Ec
     span = duration if processed is None else processed
     if len(cycle_power):
-        cycle_mean, cycle_se = _mean_se(cycle_power)
+        cycle_mean, cycle_se = _mean_se(
+            _moments(cycle_power, np.empty_like(cycle_power)))
     else:
         cycle_mean = cycle_se = None
     return TimelineReport(

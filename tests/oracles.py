@@ -26,22 +26,33 @@
   instead of an event loop;
 - ``event_loop_timeline``: the heterogeneous timeline's event loop with a
   full stable re-sort and rescan of the road at every event, the
-  reference the kept-order kernel must match bit for bit.
+  reference the kept-order kernel must match bit for bit;
+- ``cycle_batch`` / ``estimate_energy_batch``: the renewal cycles of
+  ``sample_cycles`` as one array per field, drawn by the same block
+  kernel, and the energy estimate by full-array passes over them, the
+  reference for the pooled block sums;
+- ``ch_gap_samples`` / ``cluster_list``: the window-censored head-to-head
+  gaps of a snapshot's clusters, and the clusters as tuples.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from sleepnet.analytic import _gap_pdf_tail, _gap_tail_switch, ch_gap_pdf
 from sleepnet.numerics import integrate_panel_doubling
+from sleepnet import simulate
 from sleepnet.params import Fidelity, ModelParams
-from sleepnet.simulate import TimelineReport, _timeline_report
+from sleepnet.simulate import (ClusterSet, EnergyEstimate, RngSpec,
+                               TimelineReport, _as_generator,
+                               _timeline_report)
 
 
 def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
@@ -525,3 +536,107 @@ def event_loop_timeline(params: ModelParams, positions, speeds,
             break
     return _timeline_report(params, duration, sleep_time, n_transitions,
                             np.empty(0), complete=complete, processed=t)
+
+
+@dataclass(frozen=True)
+class CycleBatch:
+    """Renewal cycles, one array per field: the gap x to the next cluster
+    head, the speed v, and the per-cycle bookkeeping t_off, t_on, e_off
+    and p_save of ``simulate._cycle_energy``."""
+
+    x: np.ndarray
+    v: np.ndarray
+    t_off: np.ndarray
+    t_on: np.ndarray
+    e_off: np.ndarray
+    p_save: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+
+def cycle_batch(params: ModelParams, n: int,
+                rng: Union[RngSpec, np.random.Generator],
+                fidelity: Optional[Fidelity] = None) -> CycleBatch:
+    """The n cycles ``sample_cycles`` sums, bit for bit, any n >= 0: the
+    same root draw, block streams, threads and kernel
+    (``simulate._cycle_block``), each block copied out of its thread's
+    scratch into the batch."""
+    gen = _as_generator(rng)
+    fidelity = Fidelity(fidelity) if fidelity is not None else params.fidelity
+    shift = 1.0 if fidelity is Fidelity.PAPER else 0.0
+    root = gen.integers(1 << 64, size=2, dtype=np.uint64)
+    block = simulate._CYCLE_BLOCK
+    n_blocks = -(-n // block)
+    seeds = np.random.SeedSequence(root).spawn(n_blocks)
+    fields = np.empty((6, n))
+
+    def run(blocks, scratch):
+        for b in blocks:
+            m = min(block, n - b * block)
+            simulate._cycle_block(seeds[b], m, params, shift, scratch)
+            fields[:, b * block:b * block + m] = scratch.fields[:6, :m]
+
+    threads = simulate._cycle_threads(n_blocks)
+    scratch = [simulate._BlockScratch(min(n, block))
+               for _ in range(threads)]
+    with ThreadPoolExecutor(threads) as pool:
+        list(pool.map(run, [range(t, n_blocks, threads)
+                            for t in range(threads)], scratch))
+    return CycleBatch(*fields)
+
+
+def _mean_se(values: np.ndarray) -> tuple:
+    n = len(values)
+    mean = float(np.mean(values))
+    if n < 2:
+        return mean, math.inf
+    return mean, float(np.std(values, ddof=1) / math.sqrt(n))
+
+
+def estimate_energy_batch(samples: CycleBatch) -> EnergyEstimate:
+    """The energy estimate by full-array passes over a batch: np.mean,
+    np.std and np.sum over every cycle, and over the sleeping ones."""
+    n = len(samples)
+    mean_x, se_x = _mean_se(samples.x)
+    sleeping = samples.t_off > 0.0
+    prob = float(np.count_nonzero(sleeping)) / n
+    prob_se = math.sqrt(prob * (1.0 - prob) / n)
+    if np.any(sleeping):
+        mean_toff, se_toff = _mean_se(samples.t_off[sleeping])
+    else:
+        mean_toff = se_toff = None
+    mean_psave, se_psave = _mean_se(samples.p_save)
+    cycle_time = float(np.sum(samples.t_off) + np.sum(samples.t_on))
+    time_avg = float(np.sum(samples.e_off)) / cycle_time
+    duty = float(np.sum(samples.t_off)) / cycle_time
+    return EnergyEstimate(
+        n_cycles=n,
+        expected_gap=mean_x, expected_gap_se=se_x,
+        prob_sleep=prob, prob_sleep_se=prob_se,
+        expected_sleep_time=mean_toff, expected_sleep_time_se=se_toff,
+        expected_power_saved=mean_psave, expected_power_saved_se=se_psave,
+        time_average_power_saved=time_avg, duty_cycle=duty)
+
+
+def ch_gap_samples(clusters: ClusterSet, window_length: float,
+                   r0: float) -> np.ndarray:
+    """Gaps between consecutive cluster heads, censored at window edges.
+
+    A cluster whose tail is within r0 of the left edge, or whose head is
+    within r0 of the right edge, may be truncated by the window; gaps
+    touching such a cluster are discarded.
+    """
+    if len(clusters.head_positions) < 2:
+        return np.empty(0)
+    ok = ((clusters.tail_positions >= r0)
+          & (clusters.head_positions <= window_length - r0))
+    gaps = np.diff(clusters.head_positions)
+    return gaps[ok[:-1] & ok[1:]]
+
+
+def cluster_list(clusters: ClusterSet) -> list:
+    """The clusters as (head, tail, member count) tuples."""
+    return list(zip(clusters.head_positions.tolist(),
+                    clusters.tail_positions.tolist(),
+                    clusters.member_counts.tolist()))

@@ -18,11 +18,10 @@ from sleepnet.analytic import (ChGapDistribution, baseline_power_saved,
 from sleepnet.cli import main as cli_main
 from sleepnet.experiments import figure_preset, run_sweep
 from sleepnet.params import CANONICAL, KMH
-from sleepnet.simulate import (RngSpec, ch_gap_samples, estimate_energy,
-                               extract_clusters, run_timeline,
-                               sample_cycles, sample_snapshot)
+from sleepnet.simulate import (RngSpec, estimate_energy, extract_clusters,
+                               run_timeline, sample_cycles, sample_snapshot)
 
-from oracles import gap_pdf_composition
+from oracles import ch_gap_samples, gap_pdf_composition
 
 GRID_RHO = (0.005, 0.02, 0.08)
 GRID_R0 = (100.0, 200.0, 400.0)

@@ -13,11 +13,11 @@ from sleepnet.analytic import (ChGapDistribution, _gap_tail_switch,
                                gap_tail_rate)
 from sleepnet.numerics import integrate_panel_doubling
 from sleepnet.params import CANONICAL, KMH
-from sleepnet.simulate import RngSpec, _cycle_energy, sample_cycles
+from sleepnet.simulate import RngSpec, _cycle_energy
 
 from conftest import assert_close
 from oracles import (ch_gap_pdf_closed_form, cluster_len_pdf_grid,
-                     gap_cdf_decimal, gap_mean_wald_decimal,
+                     cycle_batch, gap_cdf_decimal, gap_mean_wald_decimal,
                      gap_pdf_composition, gap_pdf_decimal,
                      gap_pdf_per_segment, integrate_panels_one_by_one,
                      trunc_exp_nfold_pdf)
@@ -470,7 +470,7 @@ class TestExpectations:
 
     def test_mean_of_cycle_power_matches_expectation(self, canonical_dist):
         # Monte Carlo of the per-cycle formula against the closed form
-        values = sample_cycles(CANONICAL, 50_000, RngSpec(17)).p_save
+        values = cycle_batch(CANONICAL, 50_000, RngSpec(17)).p_save
         se = values.std(ddof=1) / math.sqrt(len(values))
         target = energy_figures(CANONICAL,
                                 canonical_dist).expected_power_saved

@@ -174,6 +174,14 @@ class TestSimulateCommand:
         code, _ = run_cli(["simulate", "--config", str(path)])
         assert code == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_too_few_cycles_is_config_error(self, capsys, n):
+        code, text = run_cli(["simulate", "--mode", "cycles", "--n", n])
+        assert code == EXIT_CONFIG_ERROR
+        assert "n_cycles" not in text
+        err = capsys.readouterr().err
+        assert f"need at least 1000 cycles, got {n}" in err
+
     def test_sampler_density_limit_is_numeric_error(self, capsys):
         # rho*r0 = 50 is past the limit the plain sampler is validated to
         code, text = run_cli(["simulate", "--mode", "cycles", "--rho",

@@ -1,7 +1,9 @@
 import math
+import re
 import threading
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +11,15 @@ import pytest
 from sleepnet import simulate
 from sleepnet.analytic import energy_figures
 from sleepnet.params import CANONICAL, KMH
-from sleepnet.simulate import (CycleBatch, RngSpec, TimelineReport,
-                               WindowTooSmallError, ch_gap_samples,
+from sleepnet.simulate import (RngSpec, TimelineReport, WindowTooSmallError,
                                default_window, estimate_energy,
                                extract_clusters, run_timeline,
                                sample_cycles, sample_snapshot, Snapshot)
 
 from conftest import assert_close
 import oracles
-from oracles import timeline_active_intervals
+from oracles import (CycleBatch, ch_gap_samples, cluster_list, cycle_batch,
+                     timeline_active_intervals)
 
 
 class TestRngSpec:
@@ -77,29 +79,29 @@ class TestExtractClusters:
     def test_hand_example(self):
         clusters = extract_clusters(self._snapshot([0.0, 100.0, 350.0]),
                                     r0=200.0)
-        assert clusters.clusters == [(100.0, 0.0, 2), (350.0, 350.0, 1)]
+        assert cluster_list(clusters) == [(100.0, 0.0, 2), (350.0, 350.0, 1)]
 
     def test_gap_equal_r0_joins(self):
         clusters = extract_clusters(self._snapshot([0.0, 200.0, 400.0]),
                                     r0=200.0)
-        assert clusters.n_clusters == 1
-        assert clusters.clusters == [(400.0, 0.0, 3)]
+        assert len(clusters.head_positions) == 1
+        assert cluster_list(clusters) == [(400.0, 0.0, 3)]
 
     def test_all_singletons(self):
         clusters = extract_clusters(
             self._snapshot([0.0, 300.0, 700.0]), r0=200.0)
-        assert clusters.n_clusters == 3
+        assert len(clusters.head_positions) == 3
         assert clusters.member_counts.tolist() == [1, 1, 1]
 
     def test_empty(self):
         clusters = extract_clusters(self._snapshot([]), r0=200.0)
-        assert clusters.n_clusters == 0
+        assert len(clusters.head_positions) == 0
 
     def test_head_fraction_law(self):
         # clusters / vehicles -> exp(-rho r0) over a long window
         snap = sample_snapshot(CANONICAL, 3_000_000.0, RngSpec(4))
         clusters = extract_clusters(snap, CANONICAL.r0)
-        frac = clusters.n_clusters / snap.n_vehicles
+        frac = len(clusters.head_positions) / snap.n_vehicles
         p = math.exp(-CANONICAL.rho_r0)
         se = math.sqrt(p * (1.0 - p) / snap.n_vehicles)
         assert abs(frac - p) <= 4.0 * se
@@ -115,14 +117,14 @@ class TestExtractClusters:
 
 class TestSampleCycles:
     def test_support_and_determinism(self):
-        batch = sample_cycles(CANONICAL, 10_000, RngSpec(5))
-        again = sample_cycles(CANONICAL, 10_000, RngSpec(5))
+        batch = cycle_batch(CANONICAL, 10_000, RngSpec(5))
+        again = cycle_batch(CANONICAL, 10_000, RngSpec(5))
         assert np.all(batch.x >= CANONICAL.r0)
         assert np.array_equal(batch.x, again.x)
         assert np.array_equal(batch.v, again.v)
 
     def test_cycle_invariants(self):
-        batch = sample_cycles(CANONICAL, 5_000, RngSpec(6))
+        batch = cycle_batch(CANONICAL, 5_000, RngSpec(6))
         # min(x, D) + max(x - D, 0) telescopes to x, so the cycle
         # duration is x/v regardless of whether the station slept
         lhs = batch.t_off + batch.t_on
@@ -134,28 +136,31 @@ class TestSampleCycles:
     def test_mean_matches_analytic(self):
         for fid in ("paper", "corrected"):
             params = CANONICAL.replace(fidelity=fid)
-            batch = sample_cycles(params, 200_000, RngSpec(7))
+            batch = cycle_batch(params, 200_000, RngSpec(7))
             se = batch.x.std(ddof=1) / math.sqrt(len(batch))
             target = energy_figures(params).expected_gap
             assert abs(batch.x.mean() - target) <= 4.0 * se
 
     def test_fidelity_argument_overrides(self):
-        base = sample_cycles(CANONICAL, 1_000, RngSpec(9))
-        forced = sample_cycles(CANONICAL.replace(fidelity="paper"), 1_000,
-                               RngSpec(9), fidelity="corrected")
+        base = cycle_batch(CANONICAL, 1_000, RngSpec(9))
+        forced = cycle_batch(CANONICAL.replace(fidelity="paper"), 1_000,
+                             RngSpec(9), fidelity="corrected")
         assert np.array_equal(base.x, forced.x)
+        assert sample_cycles(CANONICAL, 1_000, RngSpec(9)) == sample_cycles(
+            CANONICAL.replace(fidelity="paper"), 1_000, RngSpec(9),
+            fidelity="corrected")
 
     def test_paper_fidelity_shifts_mean_up(self):
-        corrected = sample_cycles(CANONICAL, 100_000, RngSpec(10))
-        paper = sample_cycles(CANONICAL, 100_000, RngSpec(10),
-                              fidelity="paper")
+        corrected = cycle_batch(CANONICAL, 100_000, RngSpec(10))
+        paper = cycle_batch(CANONICAL, 100_000, RngSpec(10),
+                            fidelity="paper")
         assert paper.x.mean() > corrected.x.mean()
 
     @staticmethod
     def _draw(monkeypatch, threads, params, n, gen, **kwargs):
         monkeypatch.setattr(simulate, "_cycle_threads",
                             lambda n_blocks: threads)
-        return sample_cycles(params, n, gen, **kwargs), gen.random()
+        return cycle_batch(params, n, gen, **kwargs), gen.random()
 
     @staticmethod
     def _assert_same(outputs):
@@ -198,8 +203,8 @@ class TestSampleCycles:
                    for threads in (1, 2, 3)]
         self._assert_same(outputs)
         whole = (n // simulate._CYCLE_BLOCK) * simulate._CYCLE_BLOCK
-        longer = sample_cycles(CANONICAL, whole + simulate._CYCLE_BLOCK,
-                               RngSpec(18))
+        longer = cycle_batch(CANONICAL, whole + simulate._CYCLE_BLOCK,
+                             RngSpec(18))
         assert np.array_equal(outputs[0][0].x[:whole], longer.x[:whole])
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -282,8 +287,8 @@ class TestSampleCycles:
                                 lambda n_blocks, t=threads: t)
             tracemalloc.start()
             try:
-                batch = sample_cycles(params, 200_000, RngSpec(12),
-                                      fidelity="paper")
+                batch = cycle_batch(params, 200_000, RngSpec(12),
+                                    fidelity="paper")
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -305,21 +310,87 @@ class TestSampleCycles:
         assert gen.random() == RngSpec(13).generator().random()
 
 
+class TestCycleSums:
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    @pytest.mark.parametrize("r0", [100.0, 200.0, 400.0])
+    @pytest.mark.parametrize("rho", [0.005, 0.02, 0.08])
+    def test_matches_full_array_oracle(self, rho, r0, fidelity):
+        # the pooled block sums against np.mean / np.std / np.sum over the
+        # very cycles they summarise
+        params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
+        got = estimate_energy(sample_cycles(params, 200_000, RngSpec(22)),
+                              params)
+        want = oracles.estimate_energy_batch(
+            cycle_batch(params, 200_000, RngSpec(22)))
+        assert got.n_cycles == want.n_cycles == 200_000
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if b is None:
+                assert a is None, f.name
+                continue
+            rel = 1e-9 if f.name.endswith("_se") else 1e-12
+            assert a == pytest.approx(b, rel=rel, abs=0.0), f.name
+
+    def test_threads_do_not_change_sums(self, monkeypatch):
+        # 3.2 blocks, pooled in block order whichever thread drew them;
+        # the caller's generator advances by the root draw only
+        n = 3 * simulate._CYCLE_BLOCK + 12_345
+        params = CANONICAL.replace(rho=0.02, r0=200.0)
+        outputs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_cycle_threads",
+                                lambda n_blocks, t=threads: t)
+            gen = RngSpec(23).generator()
+            sums = sample_cycles(params, n, gen)
+            outputs.append((sums, estimate_energy(sums, params),
+                            gen.random()))
+        assert len(outputs[0][0]) == n
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        ref = RngSpec(23).generator()
+        ref.integers(1 << 64, size=2, dtype=np.uint64)
+        assert outputs[0][2] == ref.random()
+
+    def test_memory_independent_of_n(self):
+        # per-thread block scratch only: 8x the cycles, the same peak
+        peaks = []
+        for n in (1 << 18, 1 << 21):
+            tracemalloc.start()
+            try:
+                sample_cycles(CANONICAL, n, RngSpec(24))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("n", [999, 0, -5])
+    def test_too_few_cycles_raise_before_drawing(self, n):
+        gen = RngSpec(25).generator()
+        with pytest.raises(ValueError,
+                           match=f"need at least 1000 cycles, got {n}"):
+            sample_cycles(CANONICAL, n, gen)
+        assert gen.random() == RngSpec(25).generator().random()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    assert "estimate_energy(batch, CANONICAL)" in code
+    exec(compile(code, "README.md", "exec"), {})
+    analytic, simulated = map(float, capsys.readouterr().out.split())
+    assert simulated == pytest.approx(analytic, rel=0.01)
+
+
 class TestEstimateEnergy:
     def test_requires_thousand_cycles(self):
-        batch = sample_cycles(CANONICAL, 999, RngSpec(11))
         with pytest.raises(ValueError):
-            estimate_energy(batch, CANONICAL)
+            sample_cycles(CANONICAL, 999, RngSpec(11))
 
     def test_all_awake_cycles_save_nothing(self):
-        n = 1_000
-        x = np.full(n, 500.0)           # below D = 800: never sleeps
-        v = np.full(n, 15.0)
-        t_off = np.zeros(n)
-        t_on = x / v
-        batch = CycleBatch(x=x, v=v, t_off=t_off, t_on=t_on,
-                           e_off=np.zeros(n), p_save=np.zeros(n))
-        est = estimate_energy(batch, CANONICAL)
+        # no gap reaches D = 1e12 m: no cycle of any block sleeps
+        params = CANONICAL.replace(D=1e12)
+        est = estimate_energy(sample_cycles(params, 150_000, RngSpec(11)),
+                              params)
         assert est.expected_power_saved == 0.0
         assert est.prob_sleep == 0.0
         assert est.expected_sleep_time is None
@@ -333,8 +404,9 @@ class TestEstimateEnergy:
         assert ratio == pytest.approx(2.0, rel=0.10)
 
     def test_duty_cycle_is_time_fraction(self):
-        batch = sample_cycles(CANONICAL, 10_000, RngSpec(15))
-        est = estimate_energy(batch, CANONICAL)
+        batch = cycle_batch(CANONICAL, 10_000, RngSpec(15))
+        est = estimate_energy(sample_cycles(CANONICAL, 10_000, RngSpec(15)),
+                              CANONICAL)
         expected = batch.t_off.sum() / (batch.t_off.sum()
                                         + batch.t_on.sum())
         assert est.duty_cycle == pytest.approx(expected)
