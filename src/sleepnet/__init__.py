@@ -11,6 +11,23 @@ from .params import (CANONICAL, KMH, Fidelity, ModelParams, ParamError,
 
 __version__ = "0.1.0"
 
+__all__ = [
+    # closed-form gap law and energy figures
+    "ChGapDistribution", "EnergyFigures", "baseline_power_saved",
+    "ch_gap_pdf", "energy_figures", "expected_ch_gap", "QuadratureError",
+    # parameters
+    "CANONICAL", "KMH", "Fidelity", "ModelParams", "ParamError",
+    "parse_speed",
+    # renewal-cycle Monte Carlo and timelines
+    "ClusterSet", "EnergyEstimate", "RngSpec", "Snapshot", "TimelineReport",
+    "WindowTooSmallError", "estimate_energy", "extract_clusters",
+    "run_timeline", "sample_cycles", "sample_snapshot",
+    # sweeps and validation
+    "FIGURE_PRESETS", "METRICS", "SweepGrid", "SweepRow", "SweepTable",
+    "ValidationReport", "ValidationRow", "emit_table", "figure_preset",
+    "run_sweep", "run_validation",
+]
+
 from .simulate import (ClusterSet, EnergyEstimate, RngSpec, Snapshot,
                        TimelineReport, WindowTooSmallError, estimate_energy,
                        extract_clusters, run_timeline, sample_cycles,

@@ -6,8 +6,9 @@
 - a spatial Poisson snapshot sampler with cluster extraction, and
 - a time-domain base-station sleep/wake simulator, vectorised at a common
   speed and event-driven at per-vehicle speeds, the road kept in order
-  between events by swaps at overtakes (the bits of a full re-sort at
-  every event); both modes charge the run through ``_timeline_report``.
+  between events by swaps at overtakes and its candidate events in a
+  kinetic queue (the bits of a full re-sort and rescan at every event);
+  both modes charge the run through ``_timeline_report``.
 
 All samplers are pure functions of an RngSpec: identical (master_seed,
 stream_id) pairs reproduce bit-identical sample streams, so parallel
@@ -25,6 +26,7 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 import numpy as np
@@ -67,6 +69,13 @@ _GAP_CHUNK = 1 << 16
 
 #: Hard cap on processed events in the heterogeneous timeline.
 MAX_EVENTS = 100_000_000
+
+#: The heterogeneous timeline's next event is the earliest candidate
+#: more than _EPS seconds ahead.
+_EPS = 1e-9
+
+#: Unit roundoff of a double: the event queue's error bounds are in it.
+_U = 2.0 ** -53
 
 
 class WindowTooSmallError(ValueError):
@@ -553,95 +562,195 @@ def _common_timeline(params: ModelParams, duration: float,
 
 
 class _Road:
-    """A heterogeneous road kept in order between events: P (positions at
-    t = 0), V (speeds) and order (original indices) sorted, pos = P + V*t
-    the doubles of (positions + speeds*t)[order].  Candidate event k is
-    num[k]/den[k]: r0 - gap over dv and gap over -dv for each adjacent
-    pair, lo - pos and hi - pos over V; den changes with the order only,
-    -inf (a quotient of zero) where a pair never gets there.  tail flags
-    the vehicles with another within r0 ahead."""
+    """A heterogeneous road kept in order between events, with a kinetic
+    event queue (Basch, Guibas & Hershberger, J. Algorithms 31, 1999).
+
+    P (positions at t = 0), V (speeds) and order (original indices) are
+    lists in road order, the stable sort of positions + speeds*t, so
+    P[k] + V[k]*t are its doubles; rank maps a vehicle to its slot.  The
+    heap holds every candidate event as (A - W, A + W, kind, key, stamp):
+    kind 0 and 1 are the gap of the pair at slot key reaching r0 and 0,
+    kind 2 and 3 vehicle key reaching lo and hi, and any evaluation of
+    the instant up to the horizon lies within W of the first one, A.  A
+    pair's entries go stale when its slot's stamp changes.  watch maps
+    each slot whose pair rounding may put out of order to the time
+    after which it cannot; no other pair can be."""
 
     def __init__(self, positions: np.ndarray, speeds: np.ndarray,
-                 r0: float, lo: float, hi: float):
-        n = len(positions)
-        m = self.m = max(n - 1, 0)
+                 r0: float, lo: float, hi: float, horizon: float):
+        n = self.n = len(positions)
+        self.m = max(n - 1, 0)
         self.positions, self.speeds, self.r0 = positions, speeds, r0
-        self.edges = np.array([[lo], [hi]])
-        # side="left" at the double after hi finds the first pos > hi
-        self.bounds = np.array([lo, np.nextafter(hi, math.inf)])
-        self.P, self.pos = np.empty((2, n))
-        self.num, self.den, self.dt = np.empty((3, 2 * (m + n)))
-        self.tail = np.zeros(n, dtype=bool)
-        self.rejected = np.empty(2 * (m + n), dtype=bool)
-        self.gap = self.num[m:2 * m]
-        self.num_edge = self.num[2 * m:].reshape(2, n)
-        self.rejected_edge = self.rejected[2 * m:].reshape(2, n)
-        self.V, self.V2 = self.den[2 * m:].reshape(2, n)
+        self.lo, self.hi = lo, hi
+        self.P0, self.V0 = positions.tolist(), speeds.tolist()
+        # the largest |double| an evaluation up to the horizon meets
+        reach = max(float(np.max(np.abs(positions), initial=0.0))
+                    + float(np.max(np.abs(speeds), initial=0.0)) * horizon,
+                    abs(lo), abs(hi), r0)
+        self.scale, self.slack = 32.0 * _U * reach, 8.0 * _U
+        self.P, self.V, self.rank = [0.0] * n, [0.0] * n, [0] * n
+        self.order, self.stamp = [-1] * n, [0] * self.m
+        self.stamps, self.heap, self.watch = 0, [], {}
+        self.i0 = self.i1 = 0
         self._resort(0.0)
+        for j, (p, v) in enumerate(zip(self.P0, self.V0)):
+            for kind, edge in ((2, lo), (3, hi)):
+                a = (edge - p) / v
+                w = self.scale / v + self.slack * (abs(a) + 1.0)
+                if a + w > _EPS / 2.0:
+                    self.heap.append((a - w, a + w, kind, j, 0))
+        heapify(self.heap)
+
+    def _pair(self, k: int, t: float) -> None:
+        """Stamp the new pair at slot k and queue its events: the gap
+        reaching r0, and the overtake if it closes (kept even when past,
+        so that popping it watches the pair until it swaps).  An opening
+        pair is watched until it cannot be out of order, a pair at one
+        speed only if rounding can tie it."""
+        P, V, watch = self.P, self.V, self.watch
+        self.stamps += 1
+        s = self.stamp[k] = self.stamps
+        watch.pop(k, None)
+        dv = V[k + 1] - V[k]
+        if dv == 0.0:
+            if 0.0 < abs(P[k + 1] - P[k]) <= self.scale:
+                watch[k] = math.inf
+            return
+        gap = (P[k + 1] + V[k + 1] * t) - (P[k] + V[k] * t)
+        # W = 32u*reach/|dv| + 8u*(|A| + t + 1) bounds twice the
+        # rounding error of any evaluation of A (or of t + dt unrounded)
+        spread, slack = self.scale / abs(dv), self.slack
+        a = t + (self.r0 - gap) / dv
+        w = spread + slack * (abs(a) + t + 1.0)
+        if a + w - t > _EPS / 2.0:
+            heappush(self.heap, (a - w, a + w, 0, k, s))
+        a = t + gap / -dv
+        w = spread + slack * (abs(a) + t + 1.0)
+        if dv < 0.0:
+            heappush(self.heap, (a - w, a + w, 1, k, s))
+        elif a + w >= t:
+            watch[k] = a + w
 
     def _resort(self, t: float) -> None:
-        """Order by a full stable argsort of the positions at t."""
-        m, pos = self.m, self.pos
-        self.order = np.argsort(self.positions + self.speeds * t,
-                                kind="stable")
-        np.take(self.positions, self.order, out=self.P)
-        self.V[:] = self.V2[:] = self.speeds[self.order]
-        dv = np.diff(self.V)
-        self.den[:m] = np.where(dv != 0.0, dv, -math.inf)
-        self.den[m:2 * m] = np.where(dv < 0.0, -dv, -math.inf)
-        np.add(self.P, np.multiply(self.V, t, out=pos), out=pos)
-        np.subtract(pos[1:], pos[:-1], out=self.gap)
+        """Order by a full stable argsort of the positions at t and
+        renew the pairs at the slots whose vehicles changed."""
+        order = np.argsort(self.positions + self.speeds * t, kind="stable")
+        moved = np.flatnonzero(order != np.asarray(self.order)).tolist()
+        P, V, rank, P0, V0 = self.P, self.V, self.rank, self.P0, self.V0
+        new = order.tolist()
+        for k in moved:
+            j = self.order[k] = new[k]
+            P[k], V[k], rank[j] = P0[j], V0[j], k
+        for k in sorted({s for k in moved for s in (k - 1, k)
+                         if 0 <= s < self.m}):
+            self._pair(k, t)
 
-    def _unsorted(self) -> list:
-        """Pairs out of stable order: a gap below 0, or of 0 with the
-        higher index behind."""
-        gap, order = self.gap, self.order
-        return [i for i in (gap <= 0.0).nonzero()[0].tolist()
-                if gap[i] < 0.0 or order[i] > order[i + 1]]
+    def _unsorted(self, k: int, t: float) -> bool:
+        """Whether the pair at slot k is out of stable order at t: a gap
+        below 0, or of 0 with the higher index behind."""
+        P, V = self.P, self.V
+        gap = (P[k + 1] + V[k + 1] * t) - (P[k] + V[k] * t)
+        return gap < 0.0 or (gap == 0.0
+                             and self.order[k] > self.order[k + 1])
 
-    def _swapped(self, bad: list) -> bool:
+    def _swapped(self, bad: list, t: float) -> bool:
         """Swap the pairs ``bad``, up to 4 and none adjacent, in place;
         True if the order then rises strictly with index order on ties,
-        which makes it the unique stable sort."""
+        which makes it the unique stable sort.  A swapped pair is in
+        order, so only its neighbours need a check."""
         if len(bad) > 4 or any(j - i == 1 for i, j in zip(bad, bad[1:])):
             return False
-        pos, V, den, m = self.pos, self.V, self.den, self.m
+        P, V, order, rank = self.P, self.V, self.order, self.rank
+        slots = []
         for i in bad:
-            for a in (self.P, V, self.V2, self.order, pos):
-                a[i], a[i + 1] = a[i + 1], a[i]
-        for k in {k for i in bad for k in (i - 1, i, i + 1) if 0 <= k < m}:
-            dv = V[k + 1] - V[k]
-            den[k] = dv if dv != 0.0 else -math.inf
-            den[m + k] = -dv if dv < 0.0 else -math.inf
-        np.subtract(pos[1:], pos[:-1], out=self.gap)
-        return not self._unsorted()
+            j = i + 1
+            P[i], P[j] = P[j], P[i]
+            V[i], V[j] = V[j], V[i]
+            a, b = order[j], order[i]
+            order[i], order[j], rank[a], rank[b] = a, b, i, j
+            slots += [k for k in (i - 1, i, j)
+                      if 0 <= k < self.m and k not in slots]
+        for k in slots:
+            self._pair(k, t)
+        return not any(self._unsorted(k, t) for k in slots
+                       if k not in bad)
 
     def at(self, t: float) -> bool:
-        """Bring the order, gaps, tail flags and candidate numerators up
-        to time t; True while a cluster head is inside [lo, hi]."""
-        pos, gap, m = self.pos, self.gap, self.m
-        np.add(self.P, np.multiply(self.V, t, out=pos), out=pos)
-        np.subtract(pos[1:], pos[:-1], out=gap)
-        bad = self._unsorted()
-        if bad and not self._swapped(bad):
-            self._resort(t)
-        np.subtract(self.r0, gap, out=self.num[:m])
-        np.subtract(self.edges, pos, out=self.num_edge)
-        np.less_equal(gap, self.r0, out=self.tail[:m])
-        i0, i1 = pos.searchsorted(self.bounds).tolist()
-        return np.count_nonzero(self.tail[i0:i1]) < i1 - i0
+        """Bring the order up to time t; True while a cluster head is
+        inside [lo, hi]."""
+        if self.watch:
+            bad = []
+            for k, end in list(self.watch.items()):
+                if t > end:
+                    del self.watch[k]
+                elif self._unsorted(k, t):
+                    bad.append(k)
+            if bad:
+                bad.sort()
+                if not self._swapped(bad, t):
+                    self._resort(t)
+        P, V, n, lo, hi = self.P, self.V, self.n, self.lo, self.hi
+        # i0 counts the positions below lo, i1 those up to hi
+        i0 = self.i0
+        while i0 < n and P[i0] + V[i0] * t < lo:
+            i0 += 1
+        while i0 > 0 and P[i0 - 1] + V[i0 - 1] * t >= lo:
+            i0 -= 1
+        i1 = max(self.i1, i0)
+        while i1 < n and P[i1] + V[i1] * t <= hi:
+            i1 += 1
+        while i1 > i0 and P[i1 - 1] + V[i1 - 1] * t > hi:
+            i1 -= 1
+        self.i0, self.i1 = i0, i1
+        if i1 == n:
+            return i1 > i0
+        ahead = P[i1] + V[i1] * t
+        for k in range(i1 - 1, i0 - 1, -1):
+            pos = P[k] + V[k] * t
+            if ahead - pos > self.r0:
+                return True
+            ahead = pos
+        return False
 
 
 def _next_event_time(road: _Road, t: float) -> float:
     """Earliest future instant where the state description can change:
     an adjacent-pair gap reaches r0 or 0, or a cluster head reaches a
-    coverage edge, more than eps after t."""
-    eps = 1e-9
-    np.divide(road.num, road.den, out=road.dt)
-    np.less_equal(road.dt, eps, out=road.rejected)
-    np.logical_or(road.rejected_edge, road.tail, out=road.rejected_edge)
-    np.putmask(road.dt, road.rejected, math.inf)
-    return t + float(road.dt.min(initial=math.inf))
+    coverage edge, more than eps after t.  It is t plus the least such
+    dt, as a scan of the whole road finds it: the queue entries whose
+    interval starts at or before the running minimum are popped and
+    evaluated at t, and the ones still live pushed back."""
+    P, V, r0, rank, m = road.P, road.V, road.r0, road.rank, road.m
+    heap, stamp, watch = road.heap, road.stamp, road.watch
+    best = best_dt = math.inf
+    held = []
+    while heap and heap[0][0] <= best:
+        entry = heappop(heap)
+        _, end, kind, k, s = entry
+        if kind < 2:
+            if stamp[k] != s:
+                continue
+            if kind == 1:
+                watch[k] = math.inf
+        if end - t <= _EPS / 2.0:
+            continue                        # every dt from now is <= eps
+        held.append(entry)
+        if kind < 2:
+            gap = (P[k + 1] + V[k + 1] * t) - (P[k] + V[k] * t)
+            dv = V[k + 1] - V[k]
+            dt = (r0 - gap) / dv if kind == 0 else gap / -dv
+        else:
+            k = rank[k]
+            pos = P[k] + V[k] * t
+            if k < m and (P[k + 1] + V[k + 1] * t) - pos <= r0:
+                continue
+            dt = ((road.lo if kind == 2 else road.hi) - pos) / V[k]
+        if _EPS < dt < best_dt:
+            best_dt = dt
+            best = t + dt
+    for entry in held:
+        heappush(heap, entry)
+    return t + best_dt
 
 
 def _heterogeneous_timeline(params: ModelParams, duration: float,
@@ -650,7 +759,8 @@ def _heterogeneous_timeline(params: ModelParams, duration: float,
     window end, its vehicles moving at their own (positive) speeds."""
     half = params.D / 2.0
     road = _Road(snapshot.positions, snapshot.speeds, params.r0,
-                 snapshot.window_length - half, snapshot.window_length + half)
+                 snapshot.window_length - half, snapshot.window_length + half,
+                 duration)
     t = sleep_time = 0.0
     n_transitions = n_events = 0
     active = road.at(t)
@@ -680,11 +790,13 @@ def run_timeline(params: ModelParams, duration: float, window_length: float,
     transitions happen exactly when cluster heads cross coverage edges.
     In `heterogeneous` mode each vehicle keeps its own sampled speed and
     the state is evaluated at every event (gap and edge crossings) on a
-    road kept in order by swaps at overtakes, with the event instants and
-    bits of a full stable re-sort at every event; the run stops early
-    with complete=False if it exceeds MAX_EVENTS events.  window_length
-    must reach the road the fastest vehicle covers in duration plus D +
-    2 r0, and sample_snapshot's minimum; default_window is their sum.
+    road kept in order by swaps at overtakes, the candidate events in a
+    heap re-evaluated only near the next one, with the event instants and
+    bits of a full stable re-sort and rescan at every event; the run
+    stops early with complete=False if it exceeds MAX_EVENTS events.
+    window_length must reach the road the fastest vehicle covers in
+    duration plus D + 2 r0, and sample_snapshot's minimum;
+    default_window is their sum.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")

@@ -660,3 +660,77 @@ class TestEventKernel:
         report = _sampled_run(monkeypatch, CANONICAL, duration, 0)
         assert report.complete is False
         assert report.processed_time < duration
+
+    def test_default_duration_road(self, monkeypatch):
+        # the 86,400 s default road: about 19,400 vehicles, positions up
+        # to 2e6 m, where the queue's error bounds are widest
+        monkeypatch.setattr(simulate, "MAX_EVENTS", 2_000)
+        report = _sampled_run(monkeypatch, CANONICAL, 86_400.0, 0)
+        assert report.complete is False
+
+    @pytest.mark.parametrize("lead", [3e-10, 1.5e-9])
+    def test_overtake_near_eps_after_an_event(self, monkeypatch, lead):
+        # the head at 1300 reaches lo = 1500 at t = 10, and 0 overtakes 1
+        # at t = 10 + lead.  Within eps (3e-10 s) the overtake is no event
+        # of its own: its queue entry is already past when first popped,
+        # and the pair must still be found out of order at t = 50.
+        # Beyond eps (1.5e-9 s) it is the next event.
+        times = _record_events(monkeypatch, simulate)
+        _built_run(monkeypatch, [0.0, 10.0 + lead, 1300.0],
+                   [21.0, 20.0, 20.0])
+        assert times[0] == 10.0
+        assert (times[1] < 10.0 + 1e-8) == (lead > 1e-9)
+
+    def test_near_parallel_pair_at_r0(self, monkeypatch):
+        # 0 and 1 close at 1e-9 m/s and their gap reaches r0 near t = 100
+        # at positions near 1e6 m, so every evaluation of its dt is a
+        # multiple of ulp(1e6 m) / 1e-9 m/s = 0.116 s: the overtakes far
+        # behind, at 99.64 s, 99.79 s and every 0.01 s from 99.94 s to
+        # 100.04 s, find it above and below eps in turn, and once it
+        # is the next event itself
+        positions = [998000.0, 998200.0 + 1e-7]
+        speeds = [20.0, 20.0 - 1e-9]
+        overtakes = [99.64, 99.79] + [round(99.94 + 0.01 * j, 2)
+                                      for j in range(11)]
+        for j, d in enumerate(overtakes):
+            positions += [1000.0 * j, 1000.0 * j + d]
+            speeds += [21.0, 20.0]
+        times = _record_events(monkeypatch, simulate)
+        _built_run(monkeypatch, positions, speeds, window=1000100.0)
+        x, v = np.array(positions[:2]), np.array(speeds[:2])
+        near = [t for t in times if 99.0 < t < 101.0]
+        ahead = [(CANONICAL.r0 - np.diff(x + v * t)[0]) / np.diff(v)[0]
+                 > 1e-9 for t in near]
+        assert [a != b for a, b in zip(ahead, ahead[1:])].count(True) >= 2
+        assert len(near) == len(overtakes) + 1
+
+    def test_rounding_ties_a_passing_pair(self, monkeypatch):
+        # 0 passes 1 at 1e-9 m/s near t = 100 at positions near 1e6 m; for
+        # about 0.1 s after, their positions still round to one double at
+        # some events, and each tie puts 0 back behind 1 in the stable
+        # order, which moves the next head's arrival at hi in its last bits
+        positions = [998000.0, 998000.0 + 1e-7]
+        speeds = [20.0, 20.0 - 1e-9]
+        for j in range(21):
+            positions += [1000.0 * j, 1000.0 * j + round(99.85 + 0.01 * j, 2)]
+            speeds += [21.0, 20.0]
+        _built_run(monkeypatch, positions, speeds, window=1e6 + 2.4 - 400.0)
+
+    def test_equal_speeds_tied_by_rounding(self, monkeypatch):
+        # 0 drives 2^-33 m ahead of 1 at the same speed; past 2^20 m
+        # their positions round to one double at some events and not at
+        # others.  At t = 10 five pairs meet at once and force a full
+        # re-sort while they are tied, which puts 0 behind 1; the pair
+        # must stay watched to swap back when rounding parts them, or
+        # the head's arrival at hi moves in its last bits
+        p = 1048376.0
+        positions, speeds = [p + 2.0 ** -33, p], [20.0, 20.0]
+        for k in range(5):
+            positions += [1000.0 * k + 10.0, 1000.0 * k]
+            speeds += [20.0, 21.0]
+        for k in range(6):                   # overtakes at 10.2 ... 11.2 s
+            positions += [10000.0 + 1000.0 * k,
+                          10000.0 + 1000.0 * k + round(10.2 + 0.2 * k, 1)]
+            speeds += [21.0, 20.0]
+        _built_run(monkeypatch, positions, speeds, duration=60.0,
+                   window=p - 170.0)
