@@ -13,6 +13,9 @@ import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606
 
+#: Smallest normal double.
+_TINY = float(np.finfo(float).tiny)
+
 
 class QuadratureError(ArithmeticError):
     """Quadrature did not converge; carries the best available estimate."""
@@ -20,6 +23,21 @@ class QuadratureError(ArithmeticError):
     def __init__(self, message: str, estimate: float = math.nan):
         self.estimate = float(estimate)
         super().__init__(f"{message} (best estimate {self.estimate!r})")
+
+
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple:
+    """(nodes, exact): the n + 1 nodes np.linspace(lo, hi, n + 1, axis=1)
+    gives each panel, by its own expression i * step + lo with the last
+    node hi, as a C-ordered (panels, n + 1) array.  exact is False where
+    a step is not a normal double, and the nodes are then np.linspace's
+    own; where it is True, the nodes of 2n at even i are those of n bit
+    for bit (halving a normal step is exact)."""
+    step = (hi - lo) / n
+    if not np.all(step >= _TINY):
+        return np.ascontiguousarray(np.linspace(lo, hi, n + 1, axis=1)), False
+    xs = np.arange(n + 1.0) * step[:, None] + lo[:, None]
+    xs[:, -1] = hi
+    return xs, True
 
 
 def integrate_panel_doubling(fv, lo, hi, *, abs_tol: float, rel_tol: float,
@@ -30,7 +48,9 @@ def integrate_panel_doubling(fv, lo, hi, *, abs_tol: float, rel_tol: float,
     ``lo`` and ``hi`` are floats (one panel, a float is returned) or
     equal-length arrays (one value per panel).  Each call of ``fv`` takes
     the nodes of every unconverged panel at the current level as one flat
-    array, so a batch costs one integrand call per doubling level; every
+    array, so a batch costs one integrand call per doubling level; after
+    the first level it takes only the new midpoints, the other nodes'
+    values being the last level's, bit for bit (``_panel_nodes``); every
     panel keeps its own convergence, noise-floor and ``max_points`` tests
     and gets the same bits as a call of its own.  Unlike depth-adaptive
     splitting this scheme detects the rounding-noise plateau of the
@@ -48,13 +68,19 @@ def integrate_panel_doubling(fv, lo, hi, *, abs_tol: float, rel_tol: float,
     # nan until a level is done: comparisons with it are false
     prev, prev_err = np.full(len(lo), math.nan), np.full(len(lo), math.nan)
     todo = np.arange(len(lo))          # panels not yet converged
-    n = 8
+    n, ys, exact = 8, None, False
     while n <= max_points:
         w = width[todo]
-        xs = np.linspace(lo[todo], hi[todo], n + 1, axis=1)
+        was_exact = exact
+        xs, exact = _panel_nodes(lo[todo], hi[todo], n)
         xs[:, 0] += w * 2.0 ** -40     # jump-at-edge tolerance
         xs[:, -1] -= w * 2.0 ** -40
-        ys = fv(xs.reshape(-1)).reshape(xs.shape)
+        if was_exact and exact:        # the even nodes are the last level's
+            kept, ys = ys, np.empty_like(xs)
+            ys[:, ::2] = kept
+            ys[:, 1::2] = fv(xs[:, 1::2].reshape(-1)).reshape(len(todo), -1)
+        else:
+            ys = fv(xs.reshape(-1)).reshape(xs.shape)
         if not np.all(np.isfinite(ys)):
             raise QuadratureError("integrand returned a non-finite value")
         s = w / n / 3.0 * (ys[:, 0] + ys[:, -1]
@@ -66,7 +92,7 @@ def integrate_panel_doubling(fv, lo, hi, *, abs_tol: float, rel_tol: float,
         if n >= 64:                    # defect stopped shrinking: noise floor
             done |= err >= 0.25 * prev_err[todo]
         prev[todo], prev_err[todo] = s, err
-        todo = todo[~done]
+        todo, ys = todo[~done], ys[~done]
         if not len(todo):
             return float(value[0]) if scalar else value
         n *= 2

@@ -15,8 +15,9 @@ stream_id) pairs reproduce bit-identical sample streams, so parallel
 streams are independent and individually replayable.  The renewal
 sampler draws its cycles in fixed blocks, each from its own PCG64
 stream spawned from one draw of the caller's generator, on up to two
-threads that take whole blocks, pooled in block order; its bits depend
-on the seed only, not on the CPU count, the thread count or ``--workers``.
+threads that take whole blocks as they come free, pooled in block order;
+its bits depend on the seed only, not on the CPU count, the thread count
+or ``--workers``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -66,6 +68,10 @@ _CYCLE_BLOCK = 1 << 16
 
 #: Intra-cluster gaps drawn at once by the direct-sum branch of a block.
 _GAP_CHUNK = 1 << 16
+
+#: Most threads ``sample_cycles`` runs, the most it was measured with,
+#: and so the most block scratches it keeps between calls.
+_MAX_CYCLE_THREADS = 2
 
 #: Hard cap on processed events in the heterogeneous timeline.
 MAX_EVENTS = 100_000_000
@@ -208,16 +214,16 @@ def _cycle_energy(x, v, params: ModelParams, out=None) -> tuple:
 
 def _cycle_threads(n_blocks: int) -> int:
     """Threads ``sample_cycles`` uses for n_blocks blocks: the CPUs this
-    process may run on, at most two (the most it was measured with) and
-    at most one per block; one inside a process-pool worker, whose pool
-    already has the CPUs."""
+    process may run on, at most _MAX_CYCLE_THREADS and at most one per
+    block; one inside a process-pool worker, whose pool already has the
+    CPUs."""
     if multiprocessing.parent_process() is not None:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, 2, n_blocks))
+    return max(1, min(cpus, _MAX_CYCLE_THREADS, n_blocks))
 
 
 def _pooled(a: tuple, b: tuple) -> tuple:
@@ -263,14 +269,51 @@ class CycleSums:
 class _BlockScratch:
     """One thread's cycle fields (x, v, t_off, t_on, e_off, p_save), two
     rows for the sums, mask, gap chunk and chunk offsets for blocks of up
-    to m cycles, allocated by the caller: threads allocate little."""
+    to m cycles, allocated by the caller: threads allocate little.  It
+    outlives its call in ``_free_scratch``; ``_cycle_block`` writes every
+    slot it reads, so what an earlier call left in it changes no bit."""
 
     def __init__(self, m: int):
+        self.m = m
         self.fields = np.empty((8, m))
         self.mask = np.empty(m, dtype=bool)
-        self.buf = np.empty(min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT),
-                                DIRECT_SUM_LIMIT * m))
+        self.buf = np.empty(_gap_buf_len(m))
         self.offsets = np.empty(min(_GAP_CHUNK, m), dtype=np.int64)
+
+    def covers(self, m: int) -> bool:
+        """Whether blocks of up to m cycles fit (``_GAP_CHUNK`` may have
+        changed since the scratch was made)."""
+        return (self.m >= m and len(self.buf) >= _gap_buf_len(m)
+                and len(self.offsets) >= min(_GAP_CHUNK, m))
+
+
+def _gap_buf_len(m: int) -> int:
+    return min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT), DIRECT_SUM_LIMIT * m)
+
+
+#: Block scratch that ``sample_cycles`` calls hand back for the next one,
+#: at most _MAX_CYCLE_THREADS, the largest kept.  Reusing it saves each
+#: call faulting in about 5 MB a thread, which the allocator would
+#: otherwise return to the OS when the call ends.
+_free_scratch: list = []
+_free_scratch_lock = threading.Lock()
+
+
+def _take_scratch(m: int) -> _BlockScratch:
+    """A free scratch that covers blocks of m cycles, or a new one."""
+    with _free_scratch_lock:
+        for i, s in enumerate(_free_scratch):
+            if s.covers(m):
+                return _free_scratch.pop(i)
+    return _BlockScratch(m)
+
+
+def _give_back(scratch: list) -> None:
+    """Hand scratch back to the free list, which keeps the largest."""
+    with _free_scratch_lock:
+        _free_scratch.extend(scratch)
+        _free_scratch.sort(key=lambda s: s.m, reverse=True)
+        del _free_scratch[_MAX_CYCLE_THREADS:]
 
 
 def _direct_spans(gen: np.random.Generator, ends: np.ndarray, q: float,
@@ -370,11 +413,14 @@ def sample_cycles(params: ModelParams, n: int,
 
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
-    that ``rng`` advances by.  Threads (``_cycle_threads``) take whole
-    blocks, pooled in block order, so the bits depend on the seed only,
-    not on the thread count.  Memory is one _BlockScratch per thread
-    (about 5 MB), whatever n.  Raises ValueError when n < 1000 and
-    ArithmeticError when rho*r0 > SAMPLER_RHO_R0_LIMIT, before any draw.
+    that ``rng`` advances by.  Threads (``_cycle_threads``) take the next
+    whole block as they come free; the sums are pooled in block order, so
+    the bits depend on the seed only, not on the thread count or on which
+    thread drew a block.  Memory is one _BlockScratch per thread (about
+    5 MB), whatever n, taken from the scratch earlier calls handed back
+    where one covers the blocks and handed back in turn; concurrent calls
+    never share one.  Raises ValueError when n < 1000 and ArithmeticError
+    when rho*r0 > SAMPLER_RHO_R0_LIMIT, before any draw.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 cycles, got {n}")
@@ -387,17 +433,24 @@ def sample_cycles(params: ModelParams, n: int,
     n_blocks = -(-n // _CYCLE_BLOCK)
     seeds = np.random.SeedSequence(root).spawn(n_blocks)
     sums = [None] * n_blocks
+    blocks, lock = iter(range(n_blocks)), threading.Lock()
 
-    def run(blocks, scratch):
-        for b in blocks:
+    def run(scratch):
+        while True:
+            with lock:
+                b = next(blocks, None)
+            if b is None:
+                return
             m = min(_CYCLE_BLOCK, n - b * _CYCLE_BLOCK)
             sums[b] = _cycle_block(seeds[b], m, params, shift, scratch)
 
     threads = _cycle_threads(n_blocks)
-    scratch = [_BlockScratch(min(n, _CYCLE_BLOCK)) for _ in range(threads)]
-    with ThreadPoolExecutor(threads) as pool:
-        list(pool.map(run, [range(t, n_blocks, threads)
-                            for t in range(threads)], scratch))
+    scratch = [_take_scratch(min(n, _CYCLE_BLOCK)) for _ in range(threads)]
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(run, scratch))
+    finally:
+        _give_back(scratch)
     return sum(sums[1:], sums[0])
 
 
@@ -572,9 +625,11 @@ class _Road:
     kind 0 and 1 are the gap of the pair at slot key reaching r0 and 0,
     kind 2 and 3 vehicle key reaching lo and hi, and any evaluation of
     the instant up to the horizon lies within W of the first one, A.  A
-    pair's entries go stale when its slot's stamp changes.  watch maps
-    each slot whose pair rounding may put out of order to the time
-    after which it cannot; no other pair can be."""
+    pair's entries go stale when its slot's stamp changes; they are
+    filtered out once renewals push the heap past heap_cap, twice its
+    size at the start or after the last filtering, when it held no
+    stale entry.  watch maps each slot whose pair rounding may put out
+    of order to the time after which it cannot; no other pair can be."""
 
     def __init__(self, positions: np.ndarray, speeds: np.ndarray,
                  r0: float, lo: float, hi: float, horizon: float):
@@ -600,6 +655,7 @@ class _Road:
                 if a + w > _EPS / 2.0:
                     self.heap.append((a - w, a + w, kind, j, 0))
         heapify(self.heap)
+        self.heap_cap = 2 * len(self.heap)
 
     def _pair(self, k: int, t: float) -> None:
         """Stamp the new pair at slot k and queue its events: the gap
@@ -630,6 +686,16 @@ class _Road:
             heappush(self.heap, (a - w, a + w, 1, k, s))
         elif a + w >= t:
             watch[k] = a + w
+
+    def _drop_stale(self) -> None:
+        """Filter the stale entries out of the heap and re-heapify.  The
+        entries are totally ordered, so no live entry pops in another
+        order, and a stale pop has no side effect."""
+        stamp = self.stamp
+        self.heap[:] = [e for e in self.heap
+                        if e[2] >= 2 or stamp[e[3]] == e[4]]
+        heapify(self.heap)
+        self.heap_cap = 2 * len(self.heap)
 
     def _resort(self, t: float) -> None:
         """Order by a full stable argsort of the positions at t and
@@ -689,6 +755,8 @@ class _Road:
                 bad.sort()
                 if not self._swapped(bad, t):
                     self._resort(t)
+                if len(self.heap) > self.heap_cap:
+                    self._drop_stale()
         P, V, n, lo, hi = self.P, self.V, self.n, self.lo, self.hi
         # i0 counts the positions below lo, i1 those up to hi
         i0 = self.i0

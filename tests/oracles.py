@@ -21,6 +21,9 @@
   evaluation must match bit for bit;
 - ``integrate_panels_one_by_one``: ``integrate_panel_doubling`` called
   once per panel, the reference its batched form must match bit for bit;
+- ``integrate_every_node``: panel-doubling Simpson that evaluates every
+  np.linspace node at every level, the reference the midpoint-only form
+  must match bit for bit;
 - ``timeline_active_intervals``: the exact active intervals of a base
   station on a road of constant-speed vehicles, by interval algebra
   instead of an event loop;
@@ -267,6 +270,38 @@ def integrate_panels_one_by_one(fv, lo, hi, **tolerances):
     return np.array([integrate_panel_doubling(fv, float(a), float(b),
                                               **tolerances)
                      for a, b in zip(lo, hi)])
+
+
+def integrate_every_node(fv, lo: np.ndarray, hi: np.ndarray, *,
+                         abs_tol: float, rel_tol: float,
+                         max_points: int = 16384) -> np.ndarray:
+    """``integrate_panel_doubling`` on panel arrays, every level's nodes
+    taken from np.linspace and all evaluated afresh."""
+    width = hi - lo
+    value = np.empty(len(lo))
+    prev, prev_err = np.full(len(lo), math.nan), np.full(len(lo), math.nan)
+    todo = np.arange(len(lo))
+    n = 8
+    while n <= max_points:
+        w = width[todo]
+        xs = np.linspace(lo[todo], hi[todo], n + 1, axis=1)
+        xs[:, 0] += w * 2.0 ** -40
+        xs[:, -1] -= w * 2.0 ** -40
+        ys = fv(xs.reshape(-1)).reshape(xs.shape)
+        s = w / n / 3.0 * (ys[:, 0] + ys[:, -1]
+                           + 4.0 * ys[:, 1:-1:2].sum(axis=1)
+                           + 2.0 * ys[:, 2:-1:2].sum(axis=1))
+        err = np.abs(s - prev[todo]) / 15.0
+        value[todo] = s + (s - prev[todo]) / 15.0
+        done = err <= np.maximum(abs_tol, rel_tol * np.abs(s))
+        if n >= 64:
+            done |= err >= 0.25 * prev_err[todo]
+        prev[todo], prev_err[todo] = s, err
+        todo = todo[~done]
+        if not len(todo):
+            return value
+        n *= 2
+    raise ArithmeticError("panel refinement exhausted")
 
 
 def gap_pdf_decimal(x: float, rho: float, r0: float,

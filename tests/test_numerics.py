@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sleepnet import numerics
 from sleepnet.numerics import (QuadratureError, exp_integral_e1,
                                integrate_panel_doubling)
 
 from conftest import assert_close, rng_for_test
-from oracles import compensated_sum, trunc_exp_nfold_pdf, trunc_exp_pdf
+from oracles import (compensated_sum, integrate_every_node,
+                     trunc_exp_nfold_pdf, trunc_exp_pdf)
 
 
 class TestIntegratePanelDoubling:
@@ -56,8 +58,62 @@ class TestIntegratePanelDoubling:
 
             single = integrate_panel_doubling(counted, lo[k], hi[k], **tol)
             assert batch[k] == single, k
-            levels.append(nodes[-1] - 1)
+            # 9 nodes, then only the n/2 new midpoints of each level n
+            assert nodes == [9] + [4 << i for i in range(1, len(nodes))]
+            levels.append(8 << (len(nodes) - 1))
         assert len(set(levels)) == 3 and levels[2] > 1024, levels
+
+    @pytest.mark.parametrize("n", [8, 64, 2048])
+    def test_nodes_equal_linspace(self, n):
+        # random panels over many magnitudes, then batches where one
+        # step is subnormal or zero: np.linspace's own nodes, not exact
+        rng = rng_for_test(2)
+        lo = rng.uniform(-1.0, 1.0, 50) * 10.0 ** rng.integers(-12, 8, 50)
+        hi = lo + rng.uniform(0.0, 1.0, 50) * 10.0 ** rng.integers(-9, 8,
+                                                                   50)
+        hi[0] = np.nextafter(lo[0], math.inf)
+        lo[1], hi[1] = -1.0, 1e-17     # lo + (hi - lo) is 0, not hi
+        xs, exact = numerics._panel_nodes(lo, hi, n)
+        assert exact
+        assert np.array_equal(xs, np.linspace(lo, hi, n + 1, axis=1))
+        half, _ = numerics._panel_nodes(lo, hi, n // 2)
+        assert np.array_equal(xs[:, ::2], half)
+        for tiny in (1e-310, 5e-324):
+            lo2, hi2 = np.append(lo, 0.0), np.append(hi, tiny)
+            xs, exact = numerics._panel_nodes(lo2, hi2, n)
+            assert not exact and xs.flags.c_contiguous
+            assert np.array_equal(xs, np.linspace(lo2, hi2, n + 1, axis=1))
+
+    def test_matches_every_node_reference(self):
+        # the midpoint-only levels against fresh np.linspace levels, bit
+        # for bit, on the mixed panels and on a batch of random panels
+        # with two panels whose steps are subnormal and zero, which put
+        # their first levels on np.linspace's fallback nodes
+        tol = dict(abs_tol=1e-15, rel_tol=1e-13)
+        lo, hi = np.array([0.0, 10.0, 20.0]), np.array([1.0, 15.0, 21.0])
+        assert np.array_equal(
+            integrate_panel_doubling(self._mixed, lo, hi, **tol),
+            integrate_every_node(self._mixed, lo, hi, **tol))
+        rng = rng_for_test(3)
+        lo = np.append(rng.uniform(-3.0, 3.0, 20), [0.0, 0.0])
+        hi = np.append(lo[:-2] + rng.uniform(0.01, 4.0, 20),
+                       [1e-310, 5e-324])
+        assert np.array_equal(
+            integrate_panel_doubling(np.cos, lo, hi, **tol),
+            integrate_every_node(np.cos, lo, hi, **tol))
+
+    def test_subnormal_step_evaluates_every_node(self):
+        # np.linspace's nodes there do not nest from level to level
+        sizes = []
+
+        def ones(x):
+            sizes.append(len(x))
+            return np.ones_like(x)
+
+        value = integrate_panel_doubling(ones, 0.0, 1e-310, abs_tol=0.0,
+                                         rel_tol=1e-12)
+        assert sizes == [9, 17]
+        assert value == pytest.approx(1e-310, rel=1e-12)
 
     def test_scalar_call_returns_float(self):
         value = integrate_panel_doubling(np.exp, 0.0, 1.0, abs_tol=1e-12,

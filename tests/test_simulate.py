@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -350,10 +351,12 @@ class TestCycleSums:
         ref.integers(1 << 64, size=2, dtype=np.uint64)
         assert outputs[0][2] == ref.random()
 
-    def test_memory_independent_of_n(self):
-        # per-thread block scratch only: 8x the cycles, the same peak
+    def test_memory_independent_of_n(self, monkeypatch):
+        # per-thread block scratch only: 8x the cycles, the same peak.
+        # Each call starts from an empty scratch cache, so both allocate
         peaks = []
         for n in (1 << 18, 1 << 21):
+            monkeypatch.setattr(simulate, "_free_scratch", [])
             tracemalloc.start()
             try:
                 sample_cycles(CANONICAL, n, RngSpec(24))
@@ -369,6 +372,113 @@ class TestCycleSums:
                            match=f"need at least 1000 cycles, got {n}"):
             sample_cycles(CANONICAL, n, gen)
         assert gen.random() == RngSpec(25).generator().random()
+
+
+class TestScratchCache:
+    """Block scratch handed from one ``sample_cycles`` call to the next."""
+
+    @staticmethod
+    def _poison():
+        # what a reader of an unwritten slot would see
+        for s in simulate._free_scratch:
+            s.fields.fill(math.nan)
+            s.buf.fill(math.nan)
+            s.mask.fill(True)
+            s.offsets.fill(1 << 40)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    @pytest.mark.parametrize("n", [1_000, (1 << 16) + 1, 100_000])
+    def test_reused_scratch_matches_oracle(self, monkeypatch, n, fidelity,
+                                           threads):
+        params = CANONICAL.replace(rho=0.005, r0=100.0)
+        monkeypatch.setattr(simulate, "_cycle_threads",
+                            lambda n_blocks: threads)
+        want = cycle_batch(params, n, RngSpec(26), fidelity=fidelity)
+        monkeypatch.setattr(simulate, "_free_scratch", [])
+        clean = sample_cycles(params, n, RngSpec(26), fidelity=fidelity)
+        # another call leaves its scratch, poisoned, for the next one
+        sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), 150_000,
+                      RngSpec(27), fidelity="paper")
+        self._poison()
+        left = {id(s) for s in simulate._free_scratch}
+        assert left
+        kernel, drawn, used = simulate._cycle_block, {}, set()
+
+        def record(seed, m, params, shift, s):
+            sums = kernel(seed, m, params, shift, s)
+            drawn[seed.spawn_key[-1]] = s.fields[:6, :m].copy()
+            used.add(id(s))
+            return sums
+
+        monkeypatch.setattr(simulate, "_cycle_block", record)
+        got = sample_cycles(params, n, RngSpec(26), fidelity=fidelity)
+        assert used & left
+        assert got == clean
+        fields_ = np.concatenate([drawn[b] for b in sorted(drawn)], axis=1)
+        for row, f in zip(fields_, fields(CycleBatch)):
+            assert np.array_equal(row, getattr(want, f.name)), f.name
+
+    def test_concurrent_callers_get_serial_results(self, monkeypatch):
+        # three callers at once, two block threads each, switching often:
+        # no scratch is shared while in use, so every result is the
+        # serial one
+        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 2)
+        jobs = [(CANONICAL.replace(rho=0.005, r0=100.0), 100_000, 28),
+                (CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper"),
+                 150_000, 29),
+                (CANONICAL.replace(rho=0.08, r0=100.0), 1_000, 30)]
+        serial = [sample_cycles(p, n, RngSpec(seed)) for p, n, seed in jobs]
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def caller(i):
+            p, n, seed = jobs[i]
+            start.wait()
+            for _ in range(6):
+                results[i].append(sample_cycles(p, n, RngSpec(seed)))
+
+        callers = [threading.Thread(target=caller, args=(i,))
+                   for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert results == [[want] * 6 for want in serial]
+        assert len(simulate._free_scratch) <= 2
+
+    def test_cache_keeps_the_two_largest(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_free_scratch", [])
+        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 3)
+        sample_cycles(CANONICAL, 1_000, RngSpec(30))
+        assert [s.m for s in simulate._free_scratch] == [1_000, 1_000]
+        # a 1,000-cycle scratch does not cover a full block
+        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 1)
+        sample_cycles(CANONICAL, 150_000, RngSpec(30))
+        assert [s.m for s in simulate._free_scratch] == [
+            simulate._CYCLE_BLOCK, 1_000]
+        sample_cycles(CANONICAL, 2_000, RngSpec(30))
+        assert [s.m for s in simulate._free_scratch] == [
+            simulate._CYCLE_BLOCK, 1_000]
+
+    def test_scratch_made_for_another_gap_chunk_is_not_reused(
+            self, monkeypatch):
+        monkeypatch.setattr(simulate, "_free_scratch", [])
+        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 1)
+        monkeypatch.setattr(simulate, "_GAP_CHUNK", 5)
+        sample_cycles(CANONICAL, 1_000, RngSpec(31))
+        small = simulate._free_scratch[0]
+        monkeypatch.setattr(simulate, "_GAP_CHUNK", 1 << 16)
+        assert not small.covers(1_000)
+        sample_cycles(CANONICAL, 1_000, RngSpec(31))
+        assert small in simulate._free_scratch
+        assert len(simulate._free_scratch) == 2
 
 
 def test_readme_library_example_runs(capsys):
@@ -734,3 +844,36 @@ class TestEventKernel:
             speeds += [21.0, 20.0]
         _built_run(monkeypatch, positions, speeds, duration=60.0,
                    window=p - 170.0)
+
+    def test_stale_entries_filtered_without_moving_instants(
+            self, monkeypatch):
+        # the road starts with a zero cap, so its first swap filters, and
+        # every 50th event filters again: no event instant moves from the
+        # oracle's, a filtering leaves no stale entry and a cap of twice
+        # its size, and from the first one on the heap stays within it
+        advance, events, natural = simulate._Road.at, [0], [0]
+
+        def check_filtered(road):
+            stamp = road.stamp
+            assert road.heap_cap == 2 * len(road.heap)
+            assert all(e[2] >= 2 or stamp[e[3]] == e[4] for e in road.heap)
+
+        def at(road, t):
+            if not events[0]:
+                road.heap_cap = 0
+            cap = road.heap_cap
+            active = advance(road, t)
+            events[0] += 1
+            if road.heap_cap != cap:
+                natural[0] += 1
+                check_filtered(road)
+            if events[0] % 50 == 0:
+                road._drop_stale()
+                check_filtered(road)
+            if natural[0]:
+                assert len(road.heap) <= road.heap_cap
+            return active
+
+        monkeypatch.setattr(simulate._Road, "at", at)
+        _sampled_run(monkeypatch, CANONICAL, 1600.0, 0)
+        assert natural[0] >= 1 and events[0] > 10_000
