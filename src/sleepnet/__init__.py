@@ -19,19 +19,17 @@ __all__ = [
     "CANONICAL", "KMH", "Fidelity", "ModelParams", "ParamError",
     "parse_speed",
     # renewal-cycle Monte Carlo and timelines
-    "ClusterSet", "EnergyEstimate", "RngSpec", "Snapshot", "TimelineReport",
-    "WindowTooSmallError", "estimate_energy", "extract_clusters",
-    "run_timeline", "sample_cycles", "sample_snapshot",
+    "EnergyEstimate", "RngSpec", "TimelineReport", "WindowTooSmallError",
+    "estimate_energy", "run_timeline", "sample_cycles",
     # sweeps and validation
     "FIGURE_PRESETS", "METRICS", "SweepGrid", "SweepRow", "SweepTable",
     "ValidationReport", "ValidationRow", "emit_table", "figure_preset",
     "run_sweep", "run_validation",
 ]
 
-from .simulate import (ClusterSet, EnergyEstimate, RngSpec, Snapshot,
-                       TimelineReport, WindowTooSmallError, estimate_energy,
-                       extract_clusters, run_timeline, sample_cycles,
-                       sample_snapshot)
+from .simulate import (EnergyEstimate, RngSpec, TimelineReport,
+                       WindowTooSmallError, estimate_energy, run_timeline,
+                       sample_cycles)
 from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, SweepRow,
                           SweepTable, ValidationReport, ValidationRow,
                           emit_table, figure_preset, run_sweep,

@@ -245,13 +245,16 @@ def cmd_validate(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     params = build_params(args)
+    if args.workers is not None:
+        print("note: sweep ignores --workers, which goes in the next "
+              "release; it runs serially", file=sys.stderr)
     if args.preset:
         presets = [p.strip() for p in args.preset.split(",") if p.strip()]
         for preset in presets:
             grid = figure_preset(preset, params)
             echo_config("sweep", params,
                         {"preset": preset}, out)
-            table = run_sweep(grid, workers=args.workers)
+            table = run_sweep(grid)
             path = args.out
             if path is None or len(presets) > 1:
                 path = f"{path or 'sweep'}_{preset}.{args.format}"
@@ -265,7 +268,7 @@ def cmd_sweep(args, out) -> int:
                 {"rho_values": list(grid.rho_values),
                  "r0_values": list(grid.r0_values),
                  "metrics": list(grid.metrics)}, out)
-    table = run_sweep(grid, workers=args.workers)
+    table = run_sweep(grid)
     _write_output(emit_table(table, args.format), args.out, out)
     return EXIT_OK
 
@@ -331,7 +334,8 @@ def make_parser(config: Optional[Dict[str, str]] = None
 
     p = sub.add_parser("sweep", help="figure-data tables")
     _add_common(p, ("csv", "json"))
-    p.add_argument("--workers", type=int, help="worker processes")
+    p.add_argument("--workers", type=int,
+                   help="ignored: sweep runs serially (deprecated)")
     p.add_argument("--preset", help="comma list from: "
                    + ", ".join(FIGURE_PRESETS))
     _add_grid(p)

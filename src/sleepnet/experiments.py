@@ -1,9 +1,11 @@
 """Parameter sweeps over (rho, r0) grids, the analytic-vs-Monte-Carlo
 validation report, and table serialization.
 
-Sweep cells are independent: they can run in a process pool of any size and
-results are reassembled in deterministic row-major order, so identical
-grids and seeds produce identical output bytes.
+Cells are independent and rows come out in deterministic row-major
+order.  A sweep evaluates its cells serially; validation cells can run in
+a process pool of any size, each (cell, fidelity) pair on its own derived
+random stream, so identical grids and seeds produce identical output
+bytes whatever the pool size.
 """
 
 from __future__ import annotations
@@ -152,8 +154,7 @@ def _cell_metrics(params: ModelParams,
     return out
 
 
-def _sweep_cell(args) -> List[SweepRow]:
-    grid, rho, r0 = args
+def _sweep_cell(grid: SweepGrid, rho: float, r0: float) -> List[SweepRow]:
     params = grid.fixed.replace(rho=rho, r0=r0)
     return [SweepRow(rho=rho, r0=r0, D=params.D, a=params.a, b=params.b,
                      P0=params.P0, Ec=params.Ec,
@@ -162,24 +163,15 @@ def _sweep_cell(args) -> List[SweepRow]:
             for metric, value, status in _cell_metrics(params, grid.metrics)]
 
 
-def _map_cells(task, args_list, workers: Optional[int]):
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, args_list))
-    return [task(args) for args in args_list]
-
-
-def run_sweep(grid: SweepGrid,
-              workers: Optional[int] = None) -> SweepTable:
+def run_sweep(grid: SweepGrid) -> SweepTable:
     """Evaluate the analytic metrics on every grid cell.
 
     Rows are ordered row-major (rho outer, r0 inner) with the grid's
     metric order inside each cell; per-cell numeric failures are recorded
     in the status column and never abort the sweep.
     """
-    args_list = [(grid, rho, r0) for rho, r0 in grid.cells]
-    cell_rows = _map_cells(_sweep_cell, args_list, workers)
-    rows = tuple(row for rows in cell_rows for row in rows)
+    rows = tuple(row for rho, r0 in grid.cells
+                 for row in _sweep_cell(grid, rho, r0))
     meta = {
         "kind": "sweep",
         "fidelity": grid.fixed.fidelity.value,
@@ -245,8 +237,9 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     compared against a cycle sampler of the same fidelity; a comparison
     passes when |z| <= 3.  The fidelity_gap column reports the relative
     analytic difference between the two fidelities for the same metric.
-    Each (cell, fidelity) pair gets its own derived random stream, so the
-    report is independent of worker count.
+    workers > 1 spreads the cells over that many processes.  Each
+    (cell, fidelity) pair gets its own derived random stream, so the
+    report is independent of the worker count.
 
     sampler_fidelity forces the Monte Carlo side to one fidelity for both
     comparisons (a deliberate-mismatch negative control); by default the
@@ -258,7 +251,11 @@ def run_validation(grid: SweepGrid, n_cycles: int,
         sampler_fidelity = Fidelity(sampler_fidelity)
     args_list = [(grid, rho, r0, n_cycles, rng, 2 * i, sampler_fidelity)
                  for i, (rho, r0) in enumerate(grid.cells)]
-    cell_rows = _map_cells(_validation_cell, args_list, workers)
+    if workers is not None and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cell_rows = list(pool.map(_validation_cell, args_list))
+    else:
+        cell_rows = map(_validation_cell, args_list)
     rows = tuple(row for rows in cell_rows for row in rows)
     all_passed = all(row.passed for row in rows)
     meta = {

@@ -97,13 +97,6 @@ class ModelParams:
         if not (self.Ec >= 0) or not math.isfinite(self.Ec):
             raise ParamError("Ec", "must be finite and >= 0")
 
-    @classmethod
-    def with_speeds(cls, *, rho, r0, D, a, b, P0, Ec,
-                    fidelity=Fidelity.CORRECTED) -> "ModelParams":
-        """Construct with unit-tagged speed strings (e.g. a='40kmh')."""
-        return cls(rho=rho, r0=r0, D=D, a=parse_speed(a), b=parse_speed(b),
-                   P0=P0, Ec=Ec, fidelity=fidelity)
-
     def replace(self, **changes) -> "ModelParams":
         return replace(self, **changes)
 

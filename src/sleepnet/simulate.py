@@ -14,10 +14,11 @@ All samplers are pure functions of an RngSpec: identical (master_seed,
 stream_id) pairs reproduce bit-identical sample streams, so parallel
 streams are independent and individually replayable.  The renewal
 sampler draws its cycles in fixed blocks, each from its own PCG64
-stream spawned from one draw of the caller's generator, on up to two
-threads that take whole blocks as they come free, pooled in block order;
-its bits depend on the seed only, not on the CPU count, the thread count
-or ``--workers``.
+stream spawned from one draw of the caller's generator, on one
+process-wide pool of two threads, started on first use, that take whole
+blocks as they come free, each thread keeping its own block scratch from
+call to call; the sums are pooled in block order, so its bits depend on
+the seed only, not on the CPU count, the thread count or ``--workers``.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ _CYCLE_BLOCK = 1 << 16
 #: Intra-cluster gaps drawn at once by the direct-sum branch of a block.
 _GAP_CHUNK = 1 << 16
 
-#: Most threads ``sample_cycles`` runs, the most it was measured with,
-#: and so the most block scratches it keeps between calls.
+#: Threads of the block pool, the most ``sample_cycles`` was measured
+#: with, and so the most block scratches the process keeps.
 _MAX_CYCLE_THREADS = 2
 
 #: Hard cap on processed events in the heterogeneous timeline.
@@ -212,20 +213,6 @@ def _cycle_energy(x, v, params: ModelParams, out=None) -> tuple:
     return tuple(out)
 
 
-def _cycle_threads(n_blocks: int) -> int:
-    """Threads ``sample_cycles`` uses for n_blocks blocks: the CPUs this
-    process may run on, at most _MAX_CYCLE_THREADS and at most one per
-    block; one inside a process-pool worker, whose pool already has the
-    CPUs."""
-    if multiprocessing.parent_process() is not None:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_CYCLE_THREADS, n_blocks))
-
-
 def _pooled(a: tuple, b: tuple) -> tuple:
     """Pool the (count, mean, M2) of two disjoint samples by the update of
     Chan, Golub & LeVeque (1983)."""
@@ -269,9 +256,9 @@ class CycleSums:
 class _BlockScratch:
     """One thread's cycle fields (x, v, t_off, t_on, e_off, p_save), two
     rows for the sums, mask, gap chunk and chunk offsets for blocks of up
-    to m cycles, allocated by the caller: threads allocate little.  It
-    outlives its call in ``_free_scratch``; ``_cycle_block`` writes every
-    slot it reads, so what an earlier call left in it changes no bit."""
+    to m cycles, allocated once per thread (``_thread_scratch``): threads
+    allocate little.  ``_cycle_block`` writes every slot it reads, so
+    what an earlier block left in it changes no bit."""
 
     def __init__(self, m: int):
         self.m = m
@@ -291,29 +278,53 @@ def _gap_buf_len(m: int) -> int:
     return min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT), DIRECT_SUM_LIMIT * m)
 
 
-#: Block scratch that ``sample_cycles`` calls hand back for the next one,
-#: at most _MAX_CYCLE_THREADS, the largest kept.  Reusing it saves each
-#: call faulting in about 5 MB a thread, which the allocator would
-#: otherwise return to the OS when the call ends.
-_free_scratch: list = []
-_free_scratch_lock = threading.Lock()
+#: Each thread's block scratch, kept from one block, and one call, to the
+#: next: a fresh one costs faulting in about 5 MB.
+_local = threading.local()
 
 
-def _take_scratch(m: int) -> _BlockScratch:
-    """A free scratch that covers blocks of m cycles, or a new one."""
-    with _free_scratch_lock:
-        for i, s in enumerate(_free_scratch):
-            if s.covers(m):
-                return _free_scratch.pop(i)
-    return _BlockScratch(m)
+def _thread_scratch(m: int) -> _BlockScratch:
+    """This thread's scratch, replaced by a full-block one when it does
+    not cover blocks of m cycles."""
+    s = getattr(_local, "scratch", None)
+    if s is None or not s.covers(m):
+        _local.scratch = None               # free the old one first
+        s = _local.scratch = _BlockScratch(_CYCLE_BLOCK)
+    return s
 
 
-def _give_back(scratch: list) -> None:
-    """Hand scratch back to the free list, which keeps the largest."""
-    with _free_scratch_lock:
-        _free_scratch.extend(scratch)
-        _free_scratch.sort(key=lambda s: s.m, reverse=True)
-        del _free_scratch[_MAX_CYCLE_THREADS:]
+#: The block pool, started on first use (``_block_pool``).
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the pool's threads were not copied."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _block_pool() -> Optional[ThreadPoolExecutor]:
+    """The pool of _MAX_CYCLE_THREADS block threads, or None where blocks
+    run on the caller's thread: where the process may use one CPU, or in
+    a process-pool worker (``validate --workers``), whose pool already
+    has the CPUs."""
+    global _pool
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or multiprocessing.parent_process() is not None:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_MAX_CYCLE_THREADS,
+                                       thread_name_prefix="sleepnet-block")
+        return _pool
 
 
 def _direct_spans(gen: np.random.Generator, ends: np.ndarray, q: float,
@@ -413,14 +424,14 @@ def sample_cycles(params: ModelParams, n: int,
 
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
-    that ``rng`` advances by.  Threads (``_cycle_threads``) take the next
-    whole block as they come free; the sums are pooled in block order, so
-    the bits depend on the seed only, not on the thread count or on which
-    thread drew a block.  Memory is one _BlockScratch per thread (about
-    5 MB), whatever n, taken from the scratch earlier calls handed back
-    where one covers the blocks and handed back in turn; concurrent calls
-    never share one.  Raises ValueError when n < 1000 and ArithmeticError
-    when rho*r0 > SAMPLER_RHO_R0_LIMIT, before any draw.
+    that ``rng`` advances by.  The blocks go to the threads of the block
+    pool (``_block_pool``) as they come free, also a single block, and
+    the sums are pooled in block order, so the bits depend on the seed
+    only, not on the thread count or on which thread drew a block.
+    Memory is one _BlockScratch per block thread (about 5 MB), whatever
+    n, allocated once and kept from call to call; concurrent calls share
+    the threads, never a scratch.  Raises ValueError when n < 1000 and
+    ArithmeticError when rho*r0 > SAMPLER_RHO_R0_LIMIT, before any draw.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 cycles, got {n}")
@@ -432,25 +443,13 @@ def sample_cycles(params: ModelParams, n: int,
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
     n_blocks = -(-n // _CYCLE_BLOCK)
     seeds = np.random.SeedSequence(root).spawn(n_blocks)
-    sums = [None] * n_blocks
-    blocks, lock = iter(range(n_blocks)), threading.Lock()
+    sizes = [min(_CYCLE_BLOCK, n - b * _CYCLE_BLOCK) for b in range(n_blocks)]
 
-    def run(scratch):
-        while True:
-            with lock:
-                b = next(blocks, None)
-            if b is None:
-                return
-            m = min(_CYCLE_BLOCK, n - b * _CYCLE_BLOCK)
-            sums[b] = _cycle_block(seeds[b], m, params, shift, scratch)
+    def run(seed, m):
+        return _cycle_block(seed, m, params, shift, _thread_scratch(m))
 
-    threads = _cycle_threads(n_blocks)
-    scratch = [_take_scratch(min(n, _CYCLE_BLOCK)) for _ in range(threads)]
-    try:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run, scratch))
-    finally:
-        _give_back(scratch)
+    pool = _block_pool()
+    sums = list((map if pool is None else pool.map)(run, seeds, sizes))
     return sum(sums[1:], sums[0])
 
 

@@ -31,9 +31,9 @@
   full stable re-sort and rescan of the road at every event, the
   reference the kept-order kernel must match bit for bit;
 - ``cycle_batch`` / ``estimate_energy_batch``: the renewal cycles of
-  ``sample_cycles`` as one array per field, drawn by the same block
-  kernel, and the energy estimate by full-array passes over them, the
-  reference for the pooled block sums;
+  ``sample_cycles`` as one array per field, drawn serially by the same
+  block kernel, and the energy estimate by full-array passes over them,
+  the reference for the pooled block sums;
 - ``ch_gap_samples`` / ``cluster_list``: the window-censored head-to-head
   gaps of a snapshot's clusters, and the clusters as tuples.
 """
@@ -41,7 +41,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import NamedTuple, Optional, Union
@@ -594,30 +593,21 @@ def cycle_batch(params: ModelParams, n: int,
                 rng: Union[RngSpec, np.random.Generator],
                 fidelity: Optional[Fidelity] = None) -> CycleBatch:
     """The n cycles ``sample_cycles`` sums, bit for bit, any n >= 0: the
-    same root draw, block streams, threads and kernel
-    (``simulate._cycle_block``), each block copied out of its thread's
-    scratch into the batch."""
+    same root draw, block streams and kernel (``simulate._cycle_block``),
+    the blocks drawn in order on the caller's thread into one scratch and
+    each copied out into the batch."""
     gen = _as_generator(rng)
     fidelity = Fidelity(fidelity) if fidelity is not None else params.fidelity
     shift = 1.0 if fidelity is Fidelity.PAPER else 0.0
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
     block = simulate._CYCLE_BLOCK
-    n_blocks = -(-n // block)
-    seeds = np.random.SeedSequence(root).spawn(n_blocks)
+    seeds = np.random.SeedSequence(root).spawn(-(-n // block))
     fields = np.empty((6, n))
-
-    def run(blocks, scratch):
-        for b in blocks:
-            m = min(block, n - b * block)
-            simulate._cycle_block(seeds[b], m, params, shift, scratch)
-            fields[:, b * block:b * block + m] = scratch.fields[:6, :m]
-
-    threads = simulate._cycle_threads(n_blocks)
-    scratch = [simulate._BlockScratch(min(n, block))
-               for _ in range(threads)]
-    with ThreadPoolExecutor(threads) as pool:
-        list(pool.map(run, [range(t, n_blocks, threads)
-                            for t in range(threads)], scratch))
+    scratch = simulate._BlockScratch(min(n, block))
+    for b, seed in enumerate(seeds):
+        m = min(block, n - b * block)
+        simulate._cycle_block(seed, m, params, shift, scratch)
+        fields[:, b * block:b * block + m] = scratch.fields[:6, :m]
     return CycleBatch(*fields)
 
 

@@ -2,20 +2,19 @@ import sleepnet
 
 #: The package's public names.  Changing this list changes the API.
 PUBLIC = [
-    "CANONICAL", "ChGapDistribution", "ClusterSet", "EnergyEstimate",
-    "EnergyFigures", "FIGURE_PRESETS", "Fidelity", "KMH", "METRICS",
-    "ModelParams", "ParamError", "QuadratureError", "RngSpec", "Snapshot",
-    "SweepGrid", "SweepRow", "SweepTable", "TimelineReport",
-    "ValidationReport", "ValidationRow", "WindowTooSmallError",
-    "baseline_power_saved", "ch_gap_pdf", "emit_table", "energy_figures",
-    "estimate_energy", "expected_ch_gap", "extract_clusters",
+    "CANONICAL", "ChGapDistribution", "EnergyEstimate", "EnergyFigures",
+    "FIGURE_PRESETS", "Fidelity", "KMH", "METRICS", "ModelParams",
+    "ParamError", "QuadratureError", "RngSpec", "SweepGrid", "SweepRow",
+    "SweepTable", "TimelineReport", "ValidationReport", "ValidationRow",
+    "WindowTooSmallError", "baseline_power_saved", "ch_gap_pdf",
+    "emit_table", "energy_figures", "estimate_energy", "expected_ch_gap",
     "figure_preset", "parse_speed", "run_sweep", "run_timeline",
-    "run_validation", "sample_cycles", "sample_snapshot",
+    "run_validation", "sample_cycles",
 ]
 
 
 def test_public_api_is_pinned_and_resolves():
     assert sorted(sleepnet.__all__) == PUBLIC
-    assert len(set(sleepnet.__all__)) == len(PUBLIC) == 35
+    assert len(set(sleepnet.__all__)) == len(PUBLIC) == 31
     for name in sleepnet.__all__:
         assert getattr(sleepnet, name) is not None, name

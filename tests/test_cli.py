@@ -207,8 +207,9 @@ def test_text_commands_reject_csv(command):
     ["sweep", "--seed", "5"],
 ])
 def test_commands_reject_options_they_ignore(argv):
-    # --seed belongs to simulate and validate, --workers to sweep and
-    # validate; elsewhere they would be accepted and do nothing
+    # --seed belongs to simulate and validate, --workers to validate
+    # (sweep ignores it, with a note, for one release); elsewhere they
+    # would be accepted and do nothing
     code, text = run_cli(argv)
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
@@ -335,12 +336,26 @@ class TestSweepCommand:
         assert "exceeds the limit 700" in by_metric["E_X"]["status"]
         assert by_metric["baseline_Psave"]["status"] == "ok"
 
-    def test_environment_does_not_set_workers(self, monkeypatch):
+    def test_environment_does_not_set_workers(self, monkeypatch, capsys):
         # --workers comes from the option or the config file only
         monkeypatch.setenv("SLEEPNET_WORKERS", "junk")
         code, _ = run_cli(["sweep", "--rho-values", "0.02",
                            "--r0-values", "200", "--metrics", "E_X"])
         assert code == EXIT_OK
+        assert "--workers" not in capsys.readouterr().err
+
+    def test_workers_ignored_with_a_note(self, capsys):
+        # accepted for one release, and changes nothing
+        argv = ["sweep", "--rho-values", "0.01,0.02", "--r0-values", "200"]
+        code, serial = run_cli(argv)
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        code, pooled = run_cli(argv + ["--workers", "2"])
+        assert code == EXIT_OK
+        assert pooled.encode() == serial.encode()
+        assert capsys.readouterr().err == (
+            "note: sweep ignores --workers, which goes in the next release; "
+            "it runs serially\n")
 
     def test_unknown_preset(self):
         code, _ = run_cli(["sweep", "--preset", "fig9"])

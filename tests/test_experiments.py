@@ -2,17 +2,18 @@ import csv
 import io
 import json
 import math
+import threading
 
 import pytest
 
-from sleepnet import experiments
+from sleepnet import experiments, simulate
 from sleepnet.analytic import energy_figures
 from sleepnet.experiments import (CSV_COLUMNS, FIGURE_PRESETS, JSON_SCHEMA,
                                   METRICS, VALIDATION_EXTRA_COLUMNS,
                                   SweepGrid, emit_table, figure_preset,
                                   run_sweep, run_validation)
 from sleepnet.params import CANONICAL
-from sleepnet.simulate import RngSpec
+from sleepnet.simulate import RngSpec, sample_cycles
 
 SMALL_GRID = SweepGrid(rho_values=(0.01, 0.02), r0_values=(100.0, 200.0))
 
@@ -127,6 +128,22 @@ class TestRunValidation:
         serial = run_validation(grid, 10_000, RngSpec(7), workers=None)
         pooled = run_validation(grid, 10_000, RngSpec(7), workers=2)
         assert serial.rows == pooled.rows
+
+    def test_workers_after_the_block_pool_started(self, fresh_pool):
+        # workers forked from a process whose sampler pool has started
+        # draw their blocks on their own thread: one that waited on the
+        # inherited pool, whose threads fork did not copy, would hang
+        grid = SweepGrid(rho_values=(0.01, 0.02), r0_values=(200.0,))
+        sample_cycles(CANONICAL, 150_000, RngSpec(1))
+        assert simulate._pool is not None
+        serial = emit_table(run_validation(grid, 10_000, RngSpec(7)))
+        pooled = []
+        worker = threading.Thread(daemon=True, target=lambda: pooled.append(
+            emit_table(run_validation(grid, 10_000, RngSpec(7), workers=2))))
+        worker.start()
+        worker.join(timeout=120.0)
+        assert not worker.is_alive()
+        assert pooled == [serial]
 
     def test_mismatch_negative_control_fails(self):
         # the sampler is pinned to one model variant while the analytic

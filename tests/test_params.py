@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sleepnet.numerics import integrate_panel_doubling
-from sleepnet.params import (CANONICAL, KMH, Fidelity, ModelParams,
-                             ParamError, parse_speed)
+from sleepnet.params import (CANONICAL, KMH, Fidelity, ParamError,
+                             parse_speed)
 
 from conftest import assert_close
 
@@ -52,12 +52,6 @@ class TestModelParams:
         assert CANONICAL.replace(fidelity="paper").fidelity is Fidelity.PAPER
         with pytest.raises(ValueError):
             CANONICAL.replace(fidelity="exact")
-
-    def test_with_speeds(self):
-        params = ModelParams.with_speeds(rho=0.01, r0=200.0, D=800.0,
-                                         a="40kmh", b="80kmh",
-                                         P0=1000.0, Ec=10.0)
-        assert params.a == pytest.approx(40.0 * KMH)
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -158,87 +158,105 @@ class TestSampleCycles:
         assert paper.x.mean() > corrected.x.mean()
 
     @staticmethod
-    def _draw(monkeypatch, threads, params, n, gen, **kwargs):
-        monkeypatch.setattr(simulate, "_cycle_threads",
-                            lambda n_blocks: threads)
-        return cycle_batch(params, n, gen, **kwargs), gen.random()
+    def _draw(use_pool, threads, params, n, gen, **kwargs):
+        """sample_cycles' sums on a pool of `threads` threads, or for
+        n < 1000, which it refuses, cycle_batch's cycles; and the
+        caller's next draw."""
+        use_pool(threads)
+        draw = cycle_batch if n < 1000 else sample_cycles
+        return draw(params, n, gen, **kwargs), gen.random()
 
     @staticmethod
     def _assert_same(outputs):
-        ref_batch, ref_next = outputs[0]
-        for batch, next_draw in outputs[1:]:
-            for f in fields(CycleBatch):
-                assert np.array_equal(getattr(batch, f.name),
-                                      getattr(ref_batch, f.name)), f.name
+        ref, ref_next = outputs[0]
+        for got, next_draw in outputs[1:]:
+            if isinstance(ref, CycleBatch):
+                for f in fields(CycleBatch):
+                    assert np.array_equal(getattr(got, f.name),
+                                          getattr(ref, f.name)), f.name
+            else:
+                assert got == ref
             assert next_draw == ref_next
 
     @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
     @pytest.mark.parametrize("rho, r0", [(0.005, 100.0), (0.02, 200.0),
                                          (0.08, 100.0)])
-    def test_chunk_size_does_not_change_draws(self, monkeypatch, rho, r0,
-                                              fidelity):
+    def test_chunk_size_does_not_change_draws(self, monkeypatch, use_pool,
+                                              rho, r0, fidelity):
         # a chunk of 5 gaps is smaller than many single clusters; 2^30
         # holds the whole batch.  At rho*r0 = 8 direct clusters mix with
-        # normal-approximated ones.  Every (chunk, threads) pair gives the
-        # batch and leaves the caller's generator where one thread does;
-        # blocks of 6,000 cycles make four of 20,000, the last one short.
+        # normal-approximated ones.  Every chunk gives the batch, every
+        # (chunk, threads) pair the sums, and each leaves the caller's
+        # generator where the others do; blocks of 6,000 cycles make four
+        # of 20,000, the last one short.
         params = CANONICAL.replace(rho=rho, r0=r0)
         monkeypatch.setattr(simulate, "_CYCLE_BLOCK", 6_000)
-        outputs = []
+        batches, outputs = [], []
         for chunk in (5, 1 << 30):
             monkeypatch.setattr(simulate, "_GAP_CHUNK", chunk)
+            gen = RngSpec(11).generator()
+            batches.append((cycle_batch(params, 20_000, gen,
+                                        fidelity=fidelity), gen.random()))
             for threads in (1, 2, 3):
-                outputs.append(self._draw(monkeypatch, threads, params,
+                outputs.append(self._draw(use_pool, threads, params,
                                           20_000, RngSpec(11).generator(),
                                           fidelity=fidelity))
+        self._assert_same(batches)
         self._assert_same(outputs)
+        assert outputs[0][1] == batches[0][1]
 
     @pytest.mark.parametrize("n", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
                                    150_000])
-    def test_block_edges_do_not_change_draws(self, monkeypatch, n):
+    def test_block_edges_do_not_change_draws(self, use_pool, n):
         # a short last block and threads left without a block change
         # nothing; block b draws from child b of the root, so a longer
         # batch extends a shorter one block by block
-        outputs = [self._draw(monkeypatch, threads, CANONICAL, n,
+        outputs = [self._draw(use_pool, threads, CANONICAL, n,
                               RngSpec(18).generator())
                    for threads in (1, 2, 3)]
         self._assert_same(outputs)
         whole = (n // simulate._CYCLE_BLOCK) * simulate._CYCLE_BLOCK
+        batch = cycle_batch(CANONICAL, n, RngSpec(18))
         longer = cycle_batch(CANONICAL, whole + simulate._CYCLE_BLOCK,
                              RngSpec(18))
-        assert np.array_equal(outputs[0][0].x[:whole], longer.x[:whole])
+        assert np.array_equal(batch.x[:whole], longer.x[:whole])
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 1, (1 << 16) + 1])
-    def test_caller_advances_by_the_root_draw(self, monkeypatch, n,
-                                              threads):
+    def test_caller_advances_by_the_root_draw(self, use_pool, n, threads):
         gen = RngSpec(19).generator()
-        _, next_draw = self._draw(monkeypatch, threads, CANONICAL, n, gen)
+        _, next_draw = self._draw(use_pool, threads, CANONICAL, n, gen)
         ref = RngSpec(19).generator()
         ref.integers(1 << 64, size=2, dtype=np.uint64)
         assert next_draw == ref.random()
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64,
                                                np.random.MT19937])
-    def test_other_bit_generators_thread_independent(self, monkeypatch,
+    def test_other_bit_generators_thread_independent(self, use_pool,
                                                      bit_generator):
         params = CANONICAL.replace(rho=0.02, r0=200.0)
-        outputs = [self._draw(monkeypatch, threads, params, 150_000,
+        outputs = [self._draw(use_pool, threads, params, 150_000,
                               np.random.Generator(bit_generator(17)))
                    for threads in (1, 2, 3)]
         self._assert_same(outputs)
 
-    def test_thread_count_caps(self):
-        assert simulate._cycle_threads(0) == 1
-        assert simulate._cycle_threads(1) == 1
-        assert 1 <= simulate._cycle_threads(2) <= 2
-        assert simulate._cycle_threads(1 << 50) <= 2
+    def test_thread_count_caps(self, monkeypatch, fresh_pool):
+        # one pool of two threads for the process, from the first call;
+        # none where the process may use one CPU
+        pool = simulate._block_pool()
+        assert pool._max_workers == simulate._MAX_CYCLE_THREADS == 2
+        assert simulate._block_pool() is pool
+        monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert simulate._block_pool() is None
 
-    def test_process_pool_workers_use_one_thread(self, monkeypatch):
-        # sweep/validate --workers N already spread cells over the CPUs
+    def test_process_pool_workers_use_one_thread(self, monkeypatch,
+                                                 fresh_pool):
+        # validate --workers N already spreads cells over the CPUs
         monkeypatch.setattr(simulate.multiprocessing, "parent_process",
                             lambda: object())
-        assert simulate._cycle_threads(1 << 50) == 1
+        assert simulate._block_pool() is None
+        assert simulate._pool is None
 
     @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
     @pytest.mark.parametrize("rho_r0", [0.5, 4.0, 32.0])
@@ -277,32 +295,38 @@ class TestSampleCycles:
         got = k * mean + np.sqrt(k * var) * gen.standard_normal(len(k))
         assert np.array_equal(got, want)
 
-    def test_memory_independent_of_cluster_size(self, monkeypatch):
+    def test_memory_independent_of_cluster_size(self, use_pool):
         # about 54 intra-cluster gaps a cycle at rho*r0 = 4: drawing them
-        # all at once would peak near 20x the batch itself.  One thread
-        # and two, whose numpy allocations tracemalloc sees too, with
-        # their scratch, stay under the bound.
+        # all at once would peak near 20x the six fields of the cycles.
+        # One thread and two, whose numpy allocations tracemalloc sees
+        # too, with the scratch they allocate, stay under the bound.
         params = CANONICAL.replace(rho=0.02, r0=200.0)
+        nbytes = 6 * 8 * 200_000
         for threads in (1, 2):
-            monkeypatch.setattr(simulate, "_cycle_threads",
-                                lambda n_blocks, t=threads: t)
+            use_pool(threads)
             tracemalloc.start()
             try:
-                batch = cycle_batch(params, 200_000, RngSpec(12),
-                                    fidelity="paper")
+                sample_cycles(params, 200_000, RngSpec(12), fidelity="paper")
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            nbytes = sum(getattr(batch, f.name).nbytes
-                         for f in fields(batch))
             assert peak <= 3 * nbytes, threads
 
-    def test_no_thread_outlives_the_call(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 3)
+    def test_calls_add_at_most_the_pool_threads(self, fresh_pool,
+                                                allocations):
+        # the first call starts the pool and every later one uses it;
+        # each of its threads allocates one full-block scratch and keeps
+        # it, and the caller's thread none
         before = threading.active_count()
-        sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), 150_000,
-                      RngSpec(16))
-        assert threading.active_count() == before
+        for i in range(20):
+            n = (1_000, 1 << 16, 150_000, 300_000)[i % 4]
+            sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), n,
+                          RngSpec(16))
+            assert (threading.active_count() - before
+                    <= simulate._MAX_CYCLE_THREADS)
+        assert 1 <= len(allocations) <= simulate._MAX_CYCLE_THREADS
+        assert all(s.m == simulate._CYCLE_BLOCK for s in allocations)
+        assert getattr(simulate._local, "scratch", None) not in allocations
 
     def test_extreme_density_raises_before_drawing(self):
         gen = RngSpec(13).generator()
@@ -332,15 +356,14 @@ class TestCycleSums:
             rel = 1e-9 if f.name.endswith("_se") else 1e-12
             assert a == pytest.approx(b, rel=rel, abs=0.0), f.name
 
-    def test_threads_do_not_change_sums(self, monkeypatch):
+    def test_threads_do_not_change_sums(self, use_pool):
         # 3.2 blocks, pooled in block order whichever thread drew them;
         # the caller's generator advances by the root draw only
         n = 3 * simulate._CYCLE_BLOCK + 12_345
         params = CANONICAL.replace(rho=0.02, r0=200.0)
         outputs = []
         for threads in (1, 2, 3):
-            monkeypatch.setattr(simulate, "_cycle_threads",
-                                lambda n_blocks, t=threads: t)
+            use_pool(threads)
             gen = RngSpec(23).generator()
             sums = sample_cycles(params, n, gen)
             outputs.append((sums, estimate_energy(sums, params),
@@ -351,12 +374,12 @@ class TestCycleSums:
         ref.integers(1 << 64, size=2, dtype=np.uint64)
         assert outputs[0][2] == ref.random()
 
-    def test_memory_independent_of_n(self, monkeypatch):
+    def test_memory_independent_of_n(self, use_pool):
         # per-thread block scratch only: 8x the cycles, the same peak.
-        # Each call starts from an empty scratch cache, so both allocate
+        # Each call runs on new threads, so both allocate their scratch
         peaks = []
         for n in (1 << 18, 1 << 21):
-            monkeypatch.setattr(simulate, "_free_scratch", [])
+            use_pool(2)
             tracemalloc.start()
             try:
                 sample_cycles(CANONICAL, n, RngSpec(24))
@@ -375,34 +398,39 @@ class TestCycleSums:
 
 
 class TestScratchCache:
-    """Block scratch handed from one ``sample_cycles`` call to the next."""
+    """Block scratch each block thread keeps from one call to the next."""
 
     @staticmethod
-    def _poison():
-        # what a reader of an unwritten slot would see
-        for s in simulate._free_scratch:
+    def _poison_every_thread(pool, threads):
+        """Give each of the pool's threads its scratch, filled with what a
+        reader of an unwritten slot would see; return their ids."""
+        barrier = threading.Barrier(threads)
+
+        def poison(_):
+            barrier.wait(timeout=30.0)     # one task on each thread
+            s = simulate._thread_scratch(simulate._CYCLE_BLOCK)
             s.fields.fill(math.nan)
             s.buf.fill(math.nan)
             s.mask.fill(True)
             s.offsets.fill(1 << 40)
+            return id(s)
+
+        return set(pool.map(poison, range(threads)))
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
     @pytest.mark.parametrize("n", [1_000, (1 << 16) + 1, 100_000])
-    def test_reused_scratch_matches_oracle(self, monkeypatch, n, fidelity,
-                                           threads):
+    def test_reused_scratch_matches_oracle(self, monkeypatch, use_pool, n,
+                                           fidelity, threads):
         params = CANONICAL.replace(rho=0.005, r0=100.0)
-        monkeypatch.setattr(simulate, "_cycle_threads",
-                            lambda n_blocks: threads)
         want = cycle_batch(params, n, RngSpec(26), fidelity=fidelity)
-        monkeypatch.setattr(simulate, "_free_scratch", [])
+        pool = use_pool(threads)
         clean = sample_cycles(params, n, RngSpec(26), fidelity=fidelity)
-        # another call leaves its scratch, poisoned, for the next one
+        # another call leaves its scratch for the next one, poisoned
         sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), 150_000,
                       RngSpec(27), fidelity="paper")
-        self._poison()
-        left = {id(s) for s in simulate._free_scratch}
-        assert left
+        poisoned = self._poison_every_thread(pool, threads)
+        assert len(poisoned) == threads
         kernel, drawn, used = simulate._cycle_block, {}, set()
 
         def record(seed, m, params, shift, s):
@@ -413,17 +441,18 @@ class TestScratchCache:
 
         monkeypatch.setattr(simulate, "_cycle_block", record)
         got = sample_cycles(params, n, RngSpec(26), fidelity=fidelity)
-        assert used & left
+        assert used and used <= poisoned
         assert got == clean
         fields_ = np.concatenate([drawn[b] for b in sorted(drawn)], axis=1)
         for row, f in zip(fields_, fields(CycleBatch)):
             assert np.array_equal(row, getattr(want, f.name)), f.name
 
-    def test_concurrent_callers_get_serial_results(self, monkeypatch):
-        # three callers at once, two block threads each, switching often:
-        # no scratch is shared while in use, so every result is the
-        # serial one
-        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 2)
+    def test_concurrent_callers_get_serial_results(self, use_pool,
+                                                   allocations):
+        # three callers at once on one pool of two block threads,
+        # switching often: a thread draws one block at a time into its
+        # own scratch, so every result is the serial one
+        use_pool(2)
         jobs = [(CANONICAL.replace(rho=0.005, r0=100.0), 100_000, 28),
                 (CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper"),
                  150_000, 29),
@@ -451,34 +480,22 @@ class TestScratchCache:
             sys.setswitchinterval(interval)
         assert not any(c.is_alive() for c in callers)
         assert results == [[want] * 6 for want in serial]
-        assert len(simulate._free_scratch) <= 2
-
-    def test_cache_keeps_the_two_largest(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_free_scratch", [])
-        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 3)
-        sample_cycles(CANONICAL, 1_000, RngSpec(30))
-        assert [s.m for s in simulate._free_scratch] == [1_000, 1_000]
-        # a 1,000-cycle scratch does not cover a full block
-        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 1)
-        sample_cycles(CANONICAL, 150_000, RngSpec(30))
-        assert [s.m for s in simulate._free_scratch] == [
-            simulate._CYCLE_BLOCK, 1_000]
-        sample_cycles(CANONICAL, 2_000, RngSpec(30))
-        assert [s.m for s in simulate._free_scratch] == [
-            simulate._CYCLE_BLOCK, 1_000]
+        assert len(allocations) <= 2
 
     def test_scratch_made_for_another_gap_chunk_is_not_reused(
-            self, monkeypatch):
-        monkeypatch.setattr(simulate, "_free_scratch", [])
-        monkeypatch.setattr(simulate, "_cycle_threads", lambda n_blocks: 1)
+            self, monkeypatch, use_pool, allocations):
+        pool = use_pool(1)
         monkeypatch.setattr(simulate, "_GAP_CHUNK", 5)
         sample_cycles(CANONICAL, 1_000, RngSpec(31))
-        small = simulate._free_scratch[0]
+        small, = allocations
         monkeypatch.setattr(simulate, "_GAP_CHUNK", 1 << 16)
         assert not small.covers(1_000)
-        sample_cycles(CANONICAL, 1_000, RngSpec(31))
-        assert small in simulate._free_scratch
-        assert len(simulate._free_scratch) == 2
+        for _ in range(2):
+            sample_cycles(CANONICAL, 1_000, RngSpec(31))
+            assert len(allocations) == 2
+        assert allocations[1].covers(simulate._CYCLE_BLOCK)
+        assert pool.submit(
+            lambda: simulate._local.scratch).result() is allocations[1]
 
 
 def test_readme_library_example_runs(capsys):
