@@ -19,8 +19,8 @@ __all__ = [
     "CANONICAL", "KMH", "Fidelity", "ModelParams", "ParamError",
     "parse_speed",
     # renewal-cycle Monte Carlo and timelines
-    "EnergyEstimate", "RngSpec", "TimelineReport", "WindowTooSmallError",
-    "estimate_energy", "run_timeline", "sample_cycles",
+    "EnergyEstimate", "RngSpec", "TimelineReport", "estimate_energy",
+    "run_timeline", "sample_cycles",
     # sweeps and validation
     "FIGURE_PRESETS", "METRICS", "SweepGrid", "SweepRow", "SweepTable",
     "ValidationReport", "ValidationRow", "emit_table", "figure_preset",
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 from .simulate import (EnergyEstimate, RngSpec, TimelineReport,
-                       WindowTooSmallError, estimate_energy, run_timeline,
-                       sample_cycles)
+                       estimate_energy, run_timeline, sample_cycles)
 from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, SweepRow,
                           SweepTable, ValidationReport, ValidationRow,
                           emit_table, figure_preset, run_sweep,

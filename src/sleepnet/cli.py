@@ -23,8 +23,7 @@ from .analytic import baseline_power_saved, energy_figures
 from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, emit_table,
                           figure_preset, run_sweep, run_validation)
 from .params import CANONICAL, Fidelity, ModelParams, ParamError, parse_speed
-from .simulate import (RngSpec, default_window, estimate_energy,
-                       run_timeline, sample_cycles)
+from .simulate import RngSpec, estimate_energy, run_timeline, sample_cycles
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -193,19 +192,16 @@ def cmd_simulate(args, out) -> int:
         sums = sample_cycles(params, args.n, rng)
         doc = _estimate_doc(estimate_energy(sums, params))
     elif mode in ("timeline-common", "timeline-heterogeneous"):
-        v = parse_speed(args.v) if args.v is not None else None
-        speed_mode = mode.removeprefix("timeline-")
-        if speed_mode == "common" and v is None:
-            raise ParamError("v", "timeline-common requires --v "
-                             "(e.g. 60kmh)")
-        window = (default_window(params, args.duration, speed_mode, v)
-                  if args.window_length is None else args.window_length)
+        v = None
+        if mode == "timeline-common":
+            if args.v is None:
+                raise ParamError("v", "timeline-common requires --v "
+                                 "(e.g. 60kmh)")
+            v = parse_speed(args.v)
         echo_config("simulate", params,
-                    {"mode": mode, "duration": args.duration,
-                     "window_length": window, "v": v, "seed": seed}, out)
-        report = run_timeline(params, args.duration, window, speed_mode, rng,
-                              v=v)
-        doc = _timeline_doc(report)
+                    {"mode": mode, "duration": args.duration, "v": v,
+                     "seed": seed}, out)
+        doc = _timeline_doc(run_timeline(params, args.duration, rng, v=v))
     else:
         raise ConfigError(f"unknown mode {mode!r}; expected 'cycles', "
                           "'timeline-common', or 'timeline-heterogeneous'")
@@ -245,9 +241,6 @@ def cmd_validate(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     params = build_params(args)
-    if args.workers is not None:
-        print("note: sweep ignores --workers, which goes in the next "
-              "release; it runs serially", file=sys.stderr)
     if args.preset:
         presets = [p.strip() for p in args.preset.split(",") if p.strip()]
         for preset in presets:
@@ -318,9 +311,7 @@ def make_parser(config: Optional[Dict[str, str]] = None
                    help="number of renewal cycles")
     p.add_argument("--duration", type=float, default=86_400.0,
                    help="timeline length, s")
-    p.add_argument("--window-length", dest="window_length", type=float,
-                   help="road window length, m")
-    p.add_argument("--v", help="common-mode speed, e.g. 60kmh")
+    p.add_argument("--v", help="timeline-common speed, e.g. 60kmh")
 
     p = sub.add_parser("validate", help="analytic vs Monte Carlo report")
     _add_common(p, ("csv", "json"))
@@ -334,8 +325,6 @@ def make_parser(config: Optional[Dict[str, str]] = None
 
     p = sub.add_parser("sweep", help="figure-data tables")
     _add_common(p, ("csv", "json"))
-    p.add_argument("--workers", type=int,
-                   help="ignored: sweep runs serially (deprecated)")
     p.add_argument("--preset", help="comma list from: "
                    + ", ".join(FIGURE_PRESETS))
     _add_grid(p)
@@ -377,7 +366,7 @@ def main(argv=None, out=None) -> int:
         return fail(EXIT_CONFIG_ERROR, "config", exc)
     try:
         return _COMMANDS[args.command](args, out)
-    except ValueError as exc:  # ParamError, ConfigError, WindowTooSmallError
+    except ValueError as exc:  # ParamError, ConfigError, a rejected value
         return fail(EXIT_CONFIG_ERROR, "config", exc)
     except ArithmeticError as exc:
         return fail(EXIT_NUMERIC_FAILURE, "numeric", exc)

@@ -201,8 +201,8 @@ def _validation_cell(args) -> List[ValidationRow]:
     for offset, fidelity in enumerate((Fidelity.PAPER, Fidelity.CORRECTED)):
         params = grid.fixed.replace(rho=rho, r0=r0, fidelity=fidelity)
         rng = RngSpec(spec.master_seed, stream_base + offset)
-        sums = sample_cycles(params, n_cycles, rng,
-                             fidelity=sampler_fidelity)
+        sampled = params.replace(fidelity=sampler_fidelity or fidelity)
+        sums = sample_cycles(sampled, n_cycles, rng)
         est = estimate_energy(sums, params)
         for metric in VALIDATION_METRICS:
             value = getattr(est, _FIELDS[metric])

@@ -4,11 +4,13 @@
   the per-cycle energy bookkeeping (``_cycle_energy``) that the
   common-speed timeline shares, reduced block by block to ``CycleSums``,
 - a spatial Poisson snapshot sampler with cluster extraction, and
-- a time-domain base-station sleep/wake simulator, vectorised at a common
-  speed and event-driven at per-vehicle speeds, the road kept in order
-  between events by swaps at overtakes and its candidate events in a
-  kinetic queue (the bits of a full re-sort and rescan at every event);
-  both modes charge the run through ``_timeline_report``.
+- a time-domain base-station sleep/wake simulator on a road it sizes
+  from the run's duration and fastest speed (``_road_window``),
+  vectorised when a common speed is given and event-driven at
+  per-vehicle speeds otherwise, the road kept in order between events by
+  swaps at overtakes and its candidate events in a kinetic queue (the
+  bits of a full re-sort and rescan at every event); both modes charge
+  the run through ``_timeline_report``.
 
 All samplers are pure functions of an RngSpec: identical (master_seed,
 stream_id) pairs reproduce bit-identical sample streams, so parallel
@@ -49,7 +51,6 @@ __all__ = [
     "sample_cycles",
     "estimate_energy",
     "run_timeline",
-    "default_window",
 ]
 
 #: Cluster sizes up to this draw every intra-cluster gap explicitly; larger
@@ -410,8 +411,7 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
 
 
 def sample_cycles(params: ModelParams, n: int,
-                  rng: Union[RngSpec, np.random.Generator],
-                  fidelity: Optional[Fidelity] = None) -> CycleSums:
+                  rng: Union[RngSpec, np.random.Generator]) -> CycleSums:
     """Sum n >= 1000 independent renewal cycles of the generative model.
 
     Cluster size is geometric with success probability exp(-rho r0)
@@ -419,8 +419,8 @@ def sample_cycles(params: ModelParams, n: int,
     intra-cluster gaps, each an exponential(rho) conditioned on <= r0, or
     above DIRECT_SUM_LIMIT gaps a moment-matched normal clamped to the
     span's support; the head-to-tail jump is r0 + exponential(rho); the
-    speed is uniform(a, b).  The `paper` fidelity conditions the cluster
-    size on >= 2 vehicles.
+    speed is uniform(a, b).  Under ``params.fidelity`` `paper` the
+    cluster size is conditioned on >= 2 vehicles.
 
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
@@ -438,8 +438,7 @@ def sample_cycles(params: ModelParams, n: int,
     check_density(params, SAMPLER_RHO_R0_LIMIT,
                   "the plain renewal sampler is not validated beyond it")
     gen = _as_generator(rng)
-    fidelity = Fidelity(fidelity) if fidelity is not None else params.fidelity
-    shift = 1.0 if fidelity is Fidelity.PAPER else 0.0
+    shift = 1.0 if params.fidelity is Fidelity.PAPER else 0.0
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
     n_blocks = -(-n // _CYCLE_BLOCK)
     seeds = np.random.SeedSequence(root).spawn(n_blocks)
@@ -570,30 +569,21 @@ def _merge_intervals(starts: np.ndarray, ends: np.ndarray) -> tuple:
     return merged_starts, merged_ends
 
 
-def _timeline_window(params: ModelParams, duration: float,
-                     speed_mode: str, v: Optional[float]) -> float:
-    """Shortest window a timeline accepts: the road its fastest vehicle
-    (speed v in common mode, b in heterogeneous mode) covers in duration,
-    plus D and 2 r0."""
-    speed = v if speed_mode == "common" else params.b
-    return speed * duration + params.D + 2.0 * params.r0
-
-
-def default_window(params: ModelParams, duration: float, speed_mode: str,
-                   v: Optional[float] = None) -> float:
-    """The timeline's shortest window plus the snapshot's
-    50 * max(1/rho, r0) of interior."""
-    return (_timeline_window(params, duration, speed_mode, v)
+def _road_window(params: ModelParams, duration: float,
+                 v: Optional[float]) -> float:
+    """The road a timeline draws: what its fastest vehicle (speed v, or b
+    when each keeps its own) covers in duration, plus D and 2 r0, plus the
+    snapshot's 50 * max(1/rho, r0) of interior."""
+    speed = params.b if v is None else v
+    return ((speed * duration + params.D + 2.0 * params.r0)
             + _snapshot_window(params))
 
 
-def _common_timeline(params: ModelParams, duration: float,
-                     window_length: float, v: float,
-                     gen: np.random.Generator) -> TimelineReport:
+def _common_timeline(params: ModelParams, duration: float, v: float,
+                     snapshot: Snapshot) -> TimelineReport:
     r0, D = params.r0, params.D
-    snapshot = sample_snapshot(params, window_length, gen)
     clusters = extract_clusters(snapshot, r0)
-    entry_edge = window_length - D / 2.0
+    entry_edge = snapshot.window_length - D / 2.0
     heads = clusters.head_positions[::-1]          # descending position
     t_in = (entry_edge - heads) / v                # ascending arrival time
     t_out = t_in + D / v
@@ -846,37 +836,32 @@ def _heterogeneous_timeline(params: ModelParams, duration: float,
                             np.empty(0), complete=t >= duration, processed=t)
 
 
-def run_timeline(params: ModelParams, duration: float, window_length: float,
-                 speed_mode: str, rng: Union[RngSpec, np.random.Generator],
+def run_timeline(params: ModelParams, duration: float,
+                 rng: Union[RngSpec, np.random.Generator],
                  v: Optional[float] = None) -> TimelineReport:
     """Simulate one base station with coverage of width D centered on it.
 
     The station is active exactly while some cluster head is inside its
-    coverage; Ec is charged once per off/on switching pair.  In `common`
-    mode every vehicle moves at speed v, clusters are rigid, and state
-    transitions happen exactly when cluster heads cross coverage edges.
-    In `heterogeneous` mode each vehicle keeps its own sampled speed and
-    the state is evaluated at every event (gap and edge crossings) on a
-    road kept in order by swaps at overtakes, the candidate events in a
-    heap re-evaluated only near the next one, with the event instants and
-    bits of a full stable re-sort and rescan at every event; the run
-    stops early with complete=False if it exceeds MAX_EVENTS events.
-    window_length must reach the road the fastest vehicle covers in
-    duration plus D + 2 r0, and sample_snapshot's minimum;
-    default_window is their sum.
+    coverage; Ec is charged once per off/on switching pair.  Given a
+    speed v, every vehicle moves at v (the common mode), clusters are
+    rigid, and state transitions happen exactly when cluster heads cross
+    coverage edges.  Without v each vehicle keeps its own sampled speed
+    (the heterogeneous mode) and the state is evaluated at every event
+    (gap and edge crossings) on a road kept in order by swaps at
+    overtakes, the candidate events in a heap re-evaluated only near the
+    next one, with the event instants and bits of a full stable re-sort
+    and rescan at every event; the run stops early with complete=False
+    if it exceeds MAX_EVENTS events.  The road drawn (``_road_window``)
+    is as long as the fastest vehicle covers in duration, plus D + 2 r0
+    and sample_snapshot's minimum, and the station sits at its front
+    end.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
-    if speed_mode not in ("common", "heterogeneous"):
-        raise ValueError(f"unknown speed_mode {speed_mode!r}; "
-                         "expected 'common' or 'heterogeneous'")
-    if speed_mode == "common" and (v is None or v <= 0.0):
-        raise ValueError("common mode requires a positive speed v")
-    required = _timeline_window(params, duration, speed_mode, v)
-    if window_length < required:
-        raise WindowTooSmallError(window_length, required)
-    gen = _as_generator(rng)
-    if speed_mode == "common":
-        return _common_timeline(params, duration, window_length, v, gen)
-    return _heterogeneous_timeline(
-        params, duration, sample_snapshot(params, window_length, gen))
+    if v is not None and v <= 0.0:
+        raise ValueError(f"the common speed v must be positive, got {v!r}")
+    snapshot = sample_snapshot(params, _road_window(params, duration, v),
+                               rng)
+    if v is None:
+        return _heterogeneous_timeline(params, duration, snapshot)
+    return _common_timeline(params, duration, v, snapshot)

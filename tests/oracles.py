@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -590,15 +590,13 @@ class CycleBatch:
 
 
 def cycle_batch(params: ModelParams, n: int,
-                rng: Union[RngSpec, np.random.Generator],
-                fidelity: Optional[Fidelity] = None) -> CycleBatch:
+                rng: Union[RngSpec, np.random.Generator]) -> CycleBatch:
     """The n cycles ``sample_cycles`` sums, bit for bit, any n >= 0: the
     same root draw, block streams and kernel (``simulate._cycle_block``),
     the blocks drawn in order on the caller's thread into one scratch and
     each copied out into the batch."""
     gen = _as_generator(rng)
-    fidelity = Fidelity(fidelity) if fidelity is not None else params.fidelity
-    shift = 1.0 if fidelity is Fidelity.PAPER else 0.0
+    shift = 1.0 if params.fidelity is Fidelity.PAPER else 0.0
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
     block = simulate._CYCLE_BLOCK
     seeds = np.random.SeedSequence(root).spawn(-(-n // block))

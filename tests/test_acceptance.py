@@ -138,9 +138,7 @@ class TestAcceptance:
     def test_05_common_timeline_vs_analytic(self):
         v = 60.0 * KMH
         duration = 480_000.0
-        window = v * duration + CANONICAL.D + 2.0 * CANONICAL.r0 + 30_000.0
-        report = run_timeline(CANONICAL, duration, window, "common",
-                              RngSpec(5), v=v)
+        report = run_timeline(CANONICAL, duration, RngSpec(5), v=v)
         degenerate = CANONICAL.replace(a=v * (1.0 - 1e-9),
                                        b=v * (1.0 + 1e-9))
         target = energy_figures(degenerate).expected_power_saved

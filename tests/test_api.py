@@ -6,7 +6,7 @@ PUBLIC = [
     "FIGURE_PRESETS", "Fidelity", "KMH", "METRICS", "ModelParams",
     "ParamError", "QuadratureError", "RngSpec", "SweepGrid", "SweepRow",
     "SweepTable", "TimelineReport", "ValidationReport", "ValidationRow",
-    "WindowTooSmallError", "baseline_power_saved", "ch_gap_pdf",
+    "baseline_power_saved", "ch_gap_pdf",
     "emit_table", "energy_figures", "estimate_energy", "expected_ch_gap",
     "figure_preset", "parse_speed", "run_sweep", "run_timeline",
     "run_validation", "sample_cycles",
@@ -15,6 +15,6 @@ PUBLIC = [
 
 def test_public_api_is_pinned_and_resolves():
     assert sorted(sleepnet.__all__) == PUBLIC
-    assert len(set(sleepnet.__all__)) == len(PUBLIC) == 31
+    assert len(set(sleepnet.__all__)) == len(PUBLIC) == 30
     for name in sleepnet.__all__:
         assert getattr(sleepnet, name) is not None, name

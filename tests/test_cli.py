@@ -168,6 +168,16 @@ class TestSimulateCommand:
         doc = json.loads(text.split("\n\n", 1)[1])
         assert doc["complete"] is True
 
+    def test_heterogeneous_ignores_v(self, tmp_path):
+        # --v sets the common speed only; every vehicle keeps its own here
+        argv = ["simulate", "--mode", "timeline-heterogeneous",
+                "--duration", "300", "--seed", "4", "--format", "json",
+                "--out"]
+        paths = [tmp_path / "plain.json", tmp_path / "v.json"]
+        assert run_cli(argv + [str(paths[0])])[0] == EXIT_OK
+        assert run_cli(argv + [str(paths[1]), "--v", "60kmh"])[0] == EXIT_OK
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_bad_mode_from_config(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("mode = warp\n")
@@ -205,11 +215,13 @@ def test_text_commands_reject_csv(command):
     ["analytic", "--workers", "2"],
     ["simulate", "--workers", "2"],
     ["sweep", "--seed", "5"],
+    ["sweep", "--workers", "2"],
+    ["simulate", "--window-length", "5e4"],
 ])
 def test_commands_reject_options_they_ignore(argv):
-    # --seed belongs to simulate and validate, --workers to validate
-    # (sweep ignores it, with a note, for one release); elsewhere they
-    # would be accepted and do nothing
+    # --seed belongs to simulate and validate, --workers to validate;
+    # elsewhere they would be accepted and do nothing.  The timeline
+    # sizes its own road, so there is no --window-length to set.
     code, text = run_cli(argv)
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
@@ -227,8 +239,7 @@ class TestConfigFile:
          "timeline-heterogeneous"),
         (_TIMELINE + ["--v", "60kmh"], "duration", "500"),
         (_TIMELINE + ["--duration", "500"], "v", "60kmh"),
-        (_TIMELINE + ["--v", "60kmh", "--duration", "500"], "window_length",
-         "20000"),
+        (_TIMELINE + ["--v", "60kmh", "--duration", "500"], "rho", "0.02"),
         (_VALIDATE, "n", "10000"),
         (_VALIDATE + ["--n", "10000"], "seed", "4"),
         (_VALIDATE + ["--n", "10000"], "mc_fidelity", "paper"),
@@ -337,25 +348,22 @@ class TestSweepCommand:
         assert by_metric["baseline_Psave"]["status"] == "ok"
 
     def test_environment_does_not_set_workers(self, monkeypatch, capsys):
-        # --workers comes from the option or the config file only
+        # sweep runs serially whatever the environment says
         monkeypatch.setenv("SLEEPNET_WORKERS", "junk")
         code, _ = run_cli(["sweep", "--rho-values", "0.02",
                            "--r0-values", "200", "--metrics", "E_X"])
         assert code == EXIT_OK
         assert "--workers" not in capsys.readouterr().err
 
-    def test_workers_ignored_with_a_note(self, capsys):
-        # accepted for one release, and changes nothing
+    def test_config_workers_is_silent(self, tmp_path, capsys):
+        # a config file's workers, meant for validate, leaves sweep alone
+        path = tmp_path / "run.conf"
+        path.write_text("workers = 2\n")
         argv = ["sweep", "--rho-values", "0.01,0.02", "--r0-values", "200"]
-        code, serial = run_cli(argv)
+        code, text = run_cli(argv + ["--config", str(path)])
         assert code == EXIT_OK
         assert capsys.readouterr().err == ""
-        code, pooled = run_cli(argv + ["--workers", "2"])
-        assert code == EXIT_OK
-        assert pooled.encode() == serial.encode()
-        assert capsys.readouterr().err == (
-            "note: sweep ignores --workers, which goes in the next release; "
-            "it runs serially\n")
+        assert text == run_cli(argv)[1]
 
     def test_unknown_preset(self):
         code, _ = run_cli(["sweep", "--preset", "fig9"])

@@ -13,9 +13,9 @@ from sleepnet import simulate
 from sleepnet.analytic import energy_figures
 from sleepnet.params import CANONICAL, KMH
 from sleepnet.simulate import (RngSpec, TimelineReport, WindowTooSmallError,
-                               default_window, estimate_energy,
-                               extract_clusters, run_timeline,
-                               sample_cycles, sample_snapshot, Snapshot)
+                               estimate_energy, extract_clusters,
+                               run_timeline, sample_cycles, sample_snapshot,
+                               Snapshot)
 
 from conftest import assert_close
 import oracles
@@ -142,29 +142,20 @@ class TestSampleCycles:
             target = energy_figures(params).expected_gap
             assert abs(batch.x.mean() - target) <= 4.0 * se
 
-    def test_fidelity_argument_overrides(self):
-        base = cycle_batch(CANONICAL, 1_000, RngSpec(9))
-        forced = cycle_batch(CANONICAL.replace(fidelity="paper"), 1_000,
-                             RngSpec(9), fidelity="corrected")
-        assert np.array_equal(base.x, forced.x)
-        assert sample_cycles(CANONICAL, 1_000, RngSpec(9)) == sample_cycles(
-            CANONICAL.replace(fidelity="paper"), 1_000, RngSpec(9),
-            fidelity="corrected")
-
     def test_paper_fidelity_shifts_mean_up(self):
         corrected = cycle_batch(CANONICAL, 100_000, RngSpec(10))
-        paper = cycle_batch(CANONICAL, 100_000, RngSpec(10),
-                            fidelity="paper")
+        paper = cycle_batch(CANONICAL.replace(fidelity="paper"), 100_000,
+                            RngSpec(10))
         assert paper.x.mean() > corrected.x.mean()
 
     @staticmethod
-    def _draw(use_pool, threads, params, n, gen, **kwargs):
+    def _draw(use_pool, threads, params, n, gen):
         """sample_cycles' sums on a pool of `threads` threads, or for
         n < 1000, which it refuses, cycle_batch's cycles; and the
         caller's next draw."""
         use_pool(threads)
         draw = cycle_batch if n < 1000 else sample_cycles
-        return draw(params, n, gen, **kwargs), gen.random()
+        return draw(params, n, gen), gen.random()
 
     @staticmethod
     def _assert_same(outputs):
@@ -189,18 +180,16 @@ class TestSampleCycles:
         # (chunk, threads) pair the sums, and each leaves the caller's
         # generator where the others do; blocks of 6,000 cycles make four
         # of 20,000, the last one short.
-        params = CANONICAL.replace(rho=rho, r0=r0)
+        params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
         monkeypatch.setattr(simulate, "_CYCLE_BLOCK", 6_000)
         batches, outputs = [], []
         for chunk in (5, 1 << 30):
             monkeypatch.setattr(simulate, "_GAP_CHUNK", chunk)
             gen = RngSpec(11).generator()
-            batches.append((cycle_batch(params, 20_000, gen,
-                                        fidelity=fidelity), gen.random()))
+            batches.append((cycle_batch(params, 20_000, gen), gen.random()))
             for threads in (1, 2, 3):
                 outputs.append(self._draw(use_pool, threads, params,
-                                          20_000, RngSpec(11).generator(),
-                                          fidelity=fidelity))
+                                          20_000, RngSpec(11).generator()))
         self._assert_same(batches)
         self._assert_same(outputs)
         assert outputs[0][1] == batches[0][1]
@@ -300,13 +289,13 @@ class TestSampleCycles:
         # all at once would peak near 20x the six fields of the cycles.
         # One thread and two, whose numpy allocations tracemalloc sees
         # too, with the scratch they allocate, stay under the bound.
-        params = CANONICAL.replace(rho=0.02, r0=200.0)
+        params = CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper")
         nbytes = 6 * 8 * 200_000
         for threads in (1, 2):
             use_pool(threads)
             tracemalloc.start()
             try:
-                sample_cycles(params, 200_000, RngSpec(12), fidelity="paper")
+                sample_cycles(params, 200_000, RngSpec(12))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -422,13 +411,13 @@ class TestScratchCache:
     @pytest.mark.parametrize("n", [1_000, (1 << 16) + 1, 100_000])
     def test_reused_scratch_matches_oracle(self, monkeypatch, use_pool, n,
                                            fidelity, threads):
-        params = CANONICAL.replace(rho=0.005, r0=100.0)
-        want = cycle_batch(params, n, RngSpec(26), fidelity=fidelity)
+        params = CANONICAL.replace(rho=0.005, r0=100.0, fidelity=fidelity)
+        want = cycle_batch(params, n, RngSpec(26))
         pool = use_pool(threads)
-        clean = sample_cycles(params, n, RngSpec(26), fidelity=fidelity)
+        clean = sample_cycles(params, n, RngSpec(26))
         # another call leaves its scratch for the next one, poisoned
-        sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), 150_000,
-                      RngSpec(27), fidelity="paper")
+        sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper"),
+                      150_000, RngSpec(27))
         poisoned = self._poison_every_thread(pool, threads)
         assert len(poisoned) == threads
         kernel, drawn, used = simulate._cycle_block, {}, set()
@@ -440,7 +429,7 @@ class TestScratchCache:
             return sums
 
         monkeypatch.setattr(simulate, "_cycle_block", record)
-        got = sample_cycles(params, n, RngSpec(26), fidelity=fidelity)
+        got = sample_cycles(params, n, RngSpec(26))
         assert used and used <= poisoned
         assert got == clean
         fields_ = np.concatenate([drawn[b] for b in sorted(drawn)], axis=1)
@@ -502,7 +491,7 @@ def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     library = readme[readme.index("## Library"):]
     code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
-    assert "estimate_energy(batch, CANONICAL)" in code
+    assert "estimate_energy(sums, CANONICAL)" in code
     exec(compile(code, "README.md", "exec"), {})
     analytic, simulated = map(float, capsys.readouterr().out.split())
     assert simulated == pytest.approx(analytic, rel=0.01)
@@ -539,13 +528,20 @@ class TestEstimateEnergy:
         assert est.duty_cycle == pytest.approx(expected)
 
 
+def _road(params, duration, v=None):
+    """The road length run_timeline draws, pinned: what the fastest
+    vehicle (v, or b without it) covers in duration, plus D + 2 r0, plus
+    sample_snapshot's 50 max(1/rho, r0) of interior."""
+    speed = params.b if v is None else v
+    return ((speed * duration + params.D + 2.0 * params.r0)
+            + 50.0 * max(1.0 / params.rho, params.r0))
+
+
 class TestRunTimeline:
     def test_common_mode_matches_renewal_average(self):
         v = 60.0 * KMH
         duration = 60_000.0
-        window = v * duration + CANONICAL.D + 2 * CANONICAL.r0 + 20_000.0
-        report = run_timeline(CANONICAL, duration, window, "common",
-                              RngSpec(16), v=v)
+        report = run_timeline(CANONICAL, duration, RngSpec(16), v=v)
         degenerate = CANONICAL.replace(a=v * (1 - 1e-9), b=v * (1 + 1e-9))
         target = energy_figures(degenerate).expected_power_saved
         assert report.n_cycles > 1_000
@@ -555,9 +551,7 @@ class TestRunTimeline:
     def test_report_invariants(self):
         v = 60.0 * KMH
         duration = 10_000.0
-        window = v * duration + CANONICAL.D + 2 * CANONICAL.r0 + 20_000.0
-        report = run_timeline(CANONICAL, duration, window, "common",
-                              RngSpec(17), v=v)
+        report = run_timeline(CANONICAL, duration, RngSpec(17), v=v)
         assert 0.0 <= report.sleep_fraction <= 1.0
         sleep_time = report.sleep_fraction * duration
         assert report.energy_saved == pytest.approx(
@@ -570,32 +564,19 @@ class TestRunTimeline:
     def test_determinism(self):
         v = 60.0 * KMH
         duration = 5_000.0
-        window = v * duration + CANONICAL.D + 2 * CANONICAL.r0 + 20_000.0
-        a = run_timeline(CANONICAL, duration, window, "common",
-                         RngSpec(18), v=v)
-        b = run_timeline(CANONICAL, duration, window, "common",
-                         RngSpec(18), v=v)
+        a = run_timeline(CANONICAL, duration, RngSpec(18), v=v)
+        b = run_timeline(CANONICAL, duration, RngSpec(18), v=v)
         assert a == b
 
-    def test_window_guard(self):
-        with pytest.raises(WindowTooSmallError):
-            run_timeline(CANONICAL, 1e6, 1000.0, "common", RngSpec(19),
-                         v=16.0)
-
-    def test_rejects_bad_mode_and_duration(self):
-        with pytest.raises(ValueError):
-            run_timeline(CANONICAL, 100.0, 1e6, "warp", RngSpec(20))
-        with pytest.raises(ValueError):
-            run_timeline(CANONICAL, -1.0, 1e6, "common", RngSpec(20), v=16.0)
-        with pytest.raises(ValueError):
-            run_timeline(CANONICAL, 100.0, 1e6, "common", RngSpec(20))
+    def test_rejects_bad_speed_and_duration(self):
+        for duration, v in ((-1.0, 16.0), (0.0, None), (100.0, 0.0),
+                            (100.0, -16.0)):
+            with pytest.raises(ValueError):
+                run_timeline(CANONICAL, duration, RngSpec(20), v=v)
 
     def test_heterogeneous_contract(self):
         duration = 400.0
-        window = CANONICAL.b * duration + CANONICAL.D \
-            + 2 * CANONICAL.r0 + 100.0
-        report = run_timeline(CANONICAL, duration, window, "heterogeneous",
-                              RngSpec(21))
+        report = run_timeline(CANONICAL, duration, RngSpec(21))
         assert 0.0 <= report.sleep_fraction <= 1.0
         assert report.n_transitions >= 0
         assert report.complete
@@ -607,19 +588,16 @@ class TestRunTimeline:
 
     def test_heterogeneous_determinism(self):
         duration = 200.0
-        window = max(CANONICAL.b * duration + CANONICAL.D
-                     + 2 * CANONICAL.r0 + 100.0, 10_000.0)
-        a = run_timeline(CANONICAL, duration, window, "heterogeneous",
-                         RngSpec(22))
-        b = run_timeline(CANONICAL, duration, window, "heterogeneous",
-                         RngSpec(22))
+        a = run_timeline(CANONICAL, duration, RngSpec(22))
+        b = run_timeline(CANONICAL, duration, RngSpec(22))
         assert a == b
 
 
-def _exact_timeline(params, duration, window, seed, v=None):
-    """(n_transitions, sleep_fraction) of the station centred at
-    ``window`` on the road ``run_timeline`` draws from ``seed``, by the
+def _exact_timeline(params, duration, seed, v=None):
+    """(n_transitions, sleep_fraction) of the station at the front end of
+    the road ``run_timeline`` draws from ``seed``, by the
     interval-algebra oracle; every vehicle moves at ``v`` if given."""
+    window = _road(params, duration, v)
     snap = sample_snapshot(params, window, RngSpec(seed))
     speeds = snap.speeds if v is None else np.full(snap.n_vehicles, v)
     intervals = timeline_active_intervals(
@@ -634,12 +612,9 @@ class TestTimelineOracle:
     def test_equal_speeds_match_common_mode(self):
         v = 60.0 * KMH
         duration = 2_000.0
-        window = v * duration + CANONICAL.D + 2 * CANONICAL.r0 + 20_000.0
         for seed in (30, 31, 32):
-            report = run_timeline(CANONICAL, duration, window, "common",
-                                  RngSpec(seed), v=v)
-            n, sleep = _exact_timeline(CANONICAL, duration, window, seed,
-                                       v=v)
+            report = run_timeline(CANONICAL, duration, RngSpec(seed), v=v)
+            n, sleep = _exact_timeline(CANONICAL, duration, seed, v=v)
             assert n == report.n_transitions, seed
             assert_close(report.sleep_fraction, sleep, rel=1e-9,
                          label=f"common sleep fraction, seed {seed}")
@@ -651,11 +626,9 @@ class TestTimelineOracle:
     def test_heterogeneous_matches_exact_intervals(self):
         p = CANONICAL
         duration = 800.0
-        window = p.b * duration + p.D + 2 * p.r0 + 50 * max(1 / p.rho, p.r0)
         for seed in (0, 1, 2):
-            report = run_timeline(p, duration, window, "heterogeneous",
-                                  RngSpec(seed))
-            n, sleep = _exact_timeline(p, duration, window, seed)
+            report = run_timeline(p, duration, RngSpec(seed))
+            n, sleep = _exact_timeline(p, duration, seed)
             assert n == report.n_transitions, seed
             assert_close(report.sleep_fraction, sleep, rel=1e-9,
                          label=f"heterogeneous sleep fraction, seed {seed}")
@@ -688,14 +661,13 @@ def _assert_same_run(monkeypatch, run_kernel, run_oracle):
 
 
 def _sampled_run(monkeypatch, params, duration, seed):
-    """run_timeline's heterogeneous report on the road drawn from
-    ``seed`` in the default window, checked against the oracle."""
-    window = default_window(params, duration, "heterogeneous")
+    """run_timeline's heterogeneous report from ``seed``, checked against
+    the oracle on the road of ``_road``'s length drawn from that seed."""
+    window = _road(params, duration)
     snap = sample_snapshot(params, window, RngSpec(seed))
     return _assert_same_run(
         monkeypatch,
-        lambda: run_timeline(params, duration, window, "heterogeneous",
-                             RngSpec(seed)),
+        lambda: run_timeline(params, duration, RngSpec(seed)),
         lambda: oracles.event_loop_timeline(
             params, snap.positions, snap.speeds, duration,
             window - params.D / 2.0, window + params.D / 2.0,
