@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .params import Fidelity, ModelParams, check_density
+from .params import Fidelity, ModelParams, ParamError, check_density
 
 __all__ = [
     "RngSpec",
@@ -856,10 +856,9 @@ def run_timeline(params: ModelParams, duration: float,
     and sample_snapshot's minimum, and the station sits at its front
     end.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    if v is not None and v <= 0.0:
-        raise ValueError(f"the common speed v must be positive, got {v!r}")
+    for name, value in (("duration", duration), ("v", v)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ParamError(name, f"must be finite and > 0, got {value!r}")
     snapshot = sample_snapshot(params, _road_window(params, duration, v),
                                rng)
     if v is None:

@@ -2,13 +2,16 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from sleepnet.cli import (EXIT_CONFIG_ERROR, EXIT_NUMERIC_FAILURE, EXIT_OK,
-                          EXIT_VALIDATION_FAILED, ConfigError, main,
-                          read_config)
+from sleepnet.cli import (_CALLS, EXIT_CONFIG_ERROR, EXIT_NUMERIC_FAILURE,
+                          EXIT_OK, EXIT_VALIDATION_FAILED, ConfigError, main,
+                          parse_args, read_config)
 
 
 def run_cli(argv):
@@ -168,15 +171,27 @@ class TestSimulateCommand:
         doc = json.loads(text.split("\n\n", 1)[1])
         assert doc["complete"] is True
 
-    def test_heterogeneous_ignores_v(self, tmp_path):
+    def test_heterogeneous_rejects_v(self, capsys):
         # --v sets the common speed only; every vehicle keeps its own here
-        argv = ["simulate", "--mode", "timeline-heterogeneous",
-                "--duration", "300", "--seed", "4", "--format", "json",
-                "--out"]
-        paths = [tmp_path / "plain.json", tmp_path / "v.json"]
-        assert run_cli(argv + [str(paths[0])])[0] == EXIT_OK
-        assert run_cli(argv + [str(paths[1]), "--v", "60kmh"])[0] == EXIT_OK
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        code, text = run_cli(["simulate", "--mode", "timeline-heterogeneous",
+                              "--duration", "300", "--v", "60kmh"])
+        assert code == EXIT_CONFIG_ERROR
+        assert text == ""
+        assert ("sleepnet simulate --mode timeline-heterogeneous: error: "
+                "unrecognized arguments: --v 60kmh") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tail", [
+        ["--mode", "timeline-common", "--v", "60kmh", "--duration", "nan"],
+        ["--mode", "timeline-common", "--v", "60kmh", "--duration", "inf"],
+        ["--mode", "timeline-common", "--v", "1e400kmh", "--duration", "10"],
+        ["--mode", "timeline-heterogeneous", "--duration", "nan"],
+    ])
+    def test_timeline_rejects_non_finite(self, capsys, tail):
+        code, _ = run_cli(["simulate", "--json-errors"] + tail)
+        assert code == EXIT_CONFIG_ERROR
+        option = "duration" if "nan" in tail or "inf" in tail else "v"
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith(f"parameter '{option}': must be finite")
 
     def test_bad_mode_from_config(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -210,6 +225,31 @@ def test_text_commands_reject_csv(command):
     assert text == ""
 
 
+#: A valid value of each option a call can take besides the model's.
+_VALUES = {"mode": "cycles", "n": "5000", "duration": "5", "v": "60kmh",
+           "seed": "1", "rho_values": "0.5", "r0_values": "100",
+           "metrics": "E_X", "mc_fidelity": "paper", "workers": "2",
+           "preset": "fig5"}
+
+
+#: What a call needs besides its name: a preset, the common speed.
+_BASE = {"sweep --preset": ["fig5"],
+         "simulate --mode timeline-common": ["--v", "60kmh"]}
+
+
+def _table_walk():
+    """For each call, each option another call takes and it does not."""
+    every = {key for _, options in _CALLS.values() for key in options}
+    for call, (_, options) in _CALLS.items():
+        argv = call.split() + _BASE.get(call, [])
+        for key in sorted(every - set(options)):
+            if call == "sweep" and key == "preset":
+                continue  # it picks the other sweep call
+            flag = "--" + key.replace("_", "-")
+            yield pytest.param(argv + [flag, _VALUES[key]],
+                               id=f"{call} {flag}")
+
+
 @pytest.mark.parametrize("argv", [
     ["analytic", "--seed", "5"],
     ["analytic", "--workers", "2"],
@@ -217,14 +257,74 @@ def test_text_commands_reject_csv(command):
     ["sweep", "--seed", "5"],
     ["sweep", "--workers", "2"],
     ["simulate", "--window-length", "5e4"],
+    pytest.param(["simulate", "--mode", "cycles", "--n", "1000", "--v",
+                  "junk", "--duration", "-5"], id="cycles --v --duration"),
+    pytest.param(["simulate", "--mode", "timeline-heterogeneous",
+                  "--duration", "10", "--n", "5000"], id="heterogeneous --n"),
+    pytest.param(["sweep", "--preset", "fig5", "--rho-values", "0.5",
+                  "--metrics", "E_X"], id="preset --rho-values --metrics"),
+    pytest.param(["analytic", "--rh", "0.02"], id="abbreviation"),
+    *_table_walk(),
 ])
-def test_commands_reject_options_they_ignore(argv):
-    # --seed belongs to simulate and validate, --workers to validate;
-    # elsewhere they would be accepted and do nothing.  The timeline
-    # sizes its own road, so there is no --window-length to set.
+def test_commands_reject_options_they_ignore(argv, capsys):
+    # Each call takes only the options its row of the table lists;
+    # elsewhere an option would be accepted and do nothing.  The
+    # timeline sizes its own road, so there is no --window-length to set.
     code, text = run_cli(argv)
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
+    err = capsys.readouterr().err.rstrip()
+    assert "unrecognized arguments" in err
+    assert err.endswith(" ".join(argv[-2:]))
+
+
+#: A short run of each call, with options away from their defaults.
+_ROUND_TRIPS = {
+    "analytic": ["analytic", "--rho", "0.02", "--a", "30kmh",
+                 "--format", "json"],
+    "simulate --mode cycles": ["simulate", "--n", "2000", "--seed", "3",
+                               "--b", "90kmh", "--fidelity", "paper"],
+    "simulate --mode timeline-common": [
+        "simulate", "--mode", "timeline-common", "--v", "50kmh",
+        "--duration", "400", "--seed", "3"],
+    "simulate --mode timeline-heterogeneous": [
+        "simulate", "--mode", "timeline-heterogeneous", "--duration", "100",
+        "--seed", "4", "--D", "600", "--format", "json"],
+    "validate": ["validate", "--rho-values", "0.02", "--r0-values", "200",
+                 "--n", "10000", "--seed", "5", "--mc-fidelity", "paper"],
+    "sweep": ["sweep", "--rho-values", "0.01,0.02", "--r0-values", "200",
+              "--metrics", "E_X,prob_sleep", "--format", "json"],
+    "sweep --preset": ["sweep", "--preset", "fig3", "--D", "600",
+                       "--Ec", "5"],
+}
+
+
+@pytest.mark.parametrize("call", list(_CALLS))
+def test_echo_block_repeats_the_run(tmp_path, call):
+    argv = _ROUND_TRIPS[call]
+    first, again = tmp_path / "first", tmp_path / "again"
+    code, text = run_cli(argv + ["--out", str(first)])
+    echo = tmp_path / "echo.conf"
+    echo.write_text(text.split("\n\n", 1)[0] + "\n")
+    fmt = argv[argv.index("--format"):][:2] if "--format" in argv else []
+    rerun = [argv[0], "--config", str(echo), "--out", str(again)] + fmt
+    assert run_cli(rerun)[0] == code
+    assert again.read_bytes() == first.read_bytes()
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    for block in re.findall(r"^```\w*\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("sleepnet "):
+                yield shlex.split(line, comments=True)[1:]
+
+
+@pytest.mark.parametrize("argv", list(_readme_commands()), ids=" ".join)
+def test_readme_commands_parse(argv):
+    # parsed for the call each makes, not run
+    parse_args(argv)
 
 
 _VALIDATE = ["validate", "--rho-values", "0.02", "--r0-values", "200"]
@@ -268,11 +368,21 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert "n = 20000\n" in text and "seed = 8\n" in text
 
-    def test_keys_naming_no_option_are_ignored(self, tmp_path):
+    def test_keys_of_other_calls_are_ignored(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("command = sweep\nmetrics = E_X\nwidth = 3\n")
+        path.write_text("command = sweep\nmetrics = E_X\n")
         assert (run_cli(["analytic", "--config", str(path)])
                 == run_cli(["analytic"]))
+
+    @pytest.mark.parametrize("key", ["width", "rh0", "rho-values"])
+    def test_key_naming_no_option_is_error(self, tmp_path, capsys, key):
+        path = tmp_path / "run.conf"
+        path.write_text(f"command = sweep\nmetrics = E_X\n{key} = 3\n")
+        code, text = run_cli(["analytic", "--config", str(path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert text == ""
+        assert (f"{path}:3: '{key}' names no option of any call"
+                in capsys.readouterr().err)
 
 
 class TestValidateCommand:
