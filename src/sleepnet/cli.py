@@ -7,7 +7,9 @@ Options come from an optional flat key-value config file plus flags;
 flags win.  Every command echoes its effective configuration as config
 lines (defaults and seed included): given back through `--config` with
 the same subcommand, `--format` and `--out`, the echo block repeats the
-run byte for byte.  No output contains timestamps.
+run byte for byte.  The echo and the call's output are printed once the
+call has checked its values and run, so a failed call prints nothing.
+No output contains timestamps.
 
 Exit codes: 0 success, 1 validation failed, 2 configuration error,
 3 numeric failure.
@@ -16,13 +18,15 @@ Exit codes: 0 success, 1 validation failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import Dict, List, Optional
 
 from .analytic import baseline_power_saved, energy_figures
-from .experiments import (FIGURE_PRESETS, METRICS, SweepGrid, emit_table,
-                          figure_preset, run_sweep, run_validation)
+from .experiments import (_PRESETS, FIGURE_PRESETS, METRICS, SweepGrid,
+                          emit_table, figure_preset, run_sweep,
+                          run_validation)
 from .params import CANONICAL, Fidelity, ModelParams, ParamError, parse_speed
 from .simulate import RngSpec, estimate_energy, run_timeline, sample_cycles
 
@@ -37,11 +41,15 @@ class ConfigError(ValueError):
 
 
 def _comma_list(text: str) -> List[str]:
-    """Split a comma list, optionally in brackets."""
+    """Split a nonempty comma list, optionally in brackets."""
     inner = text.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    return [part.strip() for part in inner.split(",") if part.strip()]
+    parts = [part.strip() for part in inner.split(",") if part.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonempty comma list, got {text!r}")
+    return parts
 
 
 def float_list(text: str) -> List[float]:
@@ -267,8 +275,9 @@ def cmd_validate(args, params: ModelParams, out) -> int:
 
 def cmd_sweep(args, params: ModelParams, out) -> int:
     if args.call == "sweep --preset":
-        for preset in args.preset:
-            table = run_sweep(figure_preset(preset, params))
+        grids = [figure_preset(preset, params) for preset in args.preset]
+        for preset, grid in zip(args.preset, grids):
+            table = run_sweep(grid)
             path = args.out
             if path is None or len(args.preset) > 1:
                 path = f"{path or 'sweep'}_{preset}.{args.format}"
@@ -325,7 +334,7 @@ def parse_args(argv: List[str]) -> argparse.Namespace:
     command = argv[0]
     pre = argparse.ArgumentParser(f"sleepnet {command}", add_help=False,
                                   allow_abbrev=False)
-    for key in ("config", "mode", "preset"):
+    for key in ("config", "mode", "preset", "rho", "r0"):
         pre.add_argument("--" + key)
     given = pre.parse_known_args(argv[1:])[0]
     config = read_config(given.config) if given.config else {}
@@ -334,14 +343,31 @@ def parse_args(argv: List[str]) -> argparse.Namespace:
         call = f"simulate --mode {given.mode or config.get('mode', 'cycles')}"
         if call not in _CALLS:  # an unknown mode: --mode's choices name it
             call = "simulate --mode cycles"
-    elif command == "sweep" and (given.preset or "preset" in config):
+    elif command == "sweep" and (given.preset is not None
+                                 or "preset" in config):
         call = "sweep --preset"
     flags = [f"--{key.replace('_', '-')}={value}"
              for key, value in config.items()
              if key in _MODEL + _CALLS[call][1]]
     parser = argparse.ArgumentParser(f"sleepnet {call}", allow_abbrev=False)
     _add_call(parser, call)
-    return parser.parse_args(flags + argv[1:])
+    args = parser.parse_args(flags + argv[1:])
+    if call == "sweep --preset":
+        _check_preset_flags(args.preset, [key for key in ("rho", "r0")
+                                          if getattr(given, key) is not None])
+    return args
+
+
+def _check_preset_flags(presets: List[str], flags: List[str]) -> None:
+    """Reject a --rho or --r0 flag that every chosen preset ignores,
+    setting that parameter itself (``experiments._PRESETS``); a config
+    key is no flag, so one file, such as an echo block, serves them all."""
+    for key in flags:
+        if all(p in _PRESETS and _PRESETS[p][key] is not None
+               for p in presets):
+            raise ConfigError(
+                f"--{key} is ignored: every chosen preset "
+                f"({','.join(presets)}) sets its own {key}")
 
 
 def main(argv=None, out=None) -> int:
@@ -364,8 +390,13 @@ def main(argv=None, out=None) -> int:
         return fail(EXIT_CONFIG_ERROR, "config", exc)
     try:
         params = ModelParams(**{key: getattr(args, key) for key in _MODEL})
+        # the call writes to a buffer, printed after the echo once the call
+        # has checked its values and run, so a failure prints nothing
+        buf = io.StringIO()
+        code = _COMMANDS[args.command][0](args, params, buf)
         echo_config(args, out)
-        return _COMMANDS[args.command][0](args, params, out)
+        out.write(buf.getvalue())
+        return code
     except ValueError as exc:  # ParamError, ConfigError, a rejected value
         return fail(EXIT_CONFIG_ERROR, "config", exc)
     except ArithmeticError as exc:

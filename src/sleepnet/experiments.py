@@ -2,8 +2,11 @@
 validation report, and table serialization.
 
 Cells are independent and rows come out in deterministic row-major
-order.  A sweep evaluates its cells serially; validation cells can run in
-a process pool of any size, each (cell, fidelity) pair on its own derived
+order.  A sweep evaluates its cells serially.  Validation computes every
+cell's analytic figures first and then hands the cycles of every
+(cell, fidelity) pair to the sampler in one batch of blocks; its cells
+can also be split over a process pool of any size, each process doing
+the same for its own run of cells.  Each pair draws from its own derived
 random stream, so identical grids and seeds produce identical output
 bytes whatever the pool size.
 """
@@ -23,7 +26,11 @@ import numpy as np
 from . import __version__ as _version
 from .analytic import baseline_power_saved, energy_figures
 from .params import CANONICAL, Fidelity, ModelParams
-from .simulate import RngSpec, estimate_energy, sample_cycles
+from .simulate import RngSpec, _plan_cycles, _run_cycles, estimate_energy
+# bench/tracer.py wraps sample_cycles at this name, which validate no
+# longer calls (its draws go through _run_cycles in one batch); the name
+# stays so the tracer's target resolves, for the cycles trace too
+from .simulate import sample_cycles  # noqa: F401
 
 __all__ = [
     "METRICS",
@@ -44,6 +51,9 @@ METRICS = ("E_X", "E_Toff", "E_Psave", "baseline_Psave", "prob_sleep")
 
 #: Metrics covered by the validation report (those with Monte Carlo twins).
 VALIDATION_METRICS = ("E_X", "E_Toff", "E_Psave")
+
+#: The fidelities of a validation cell, in row and stream order.
+_FIDELITY_ORDER = (Fidelity.PAPER, Fidelity.CORRECTED)
 
 CSV_COLUMNS = ("rho", "r0", "D", "a", "b", "P0", "Ec",
                "fidelity", "metric", "value", "stderr", "status")
@@ -181,14 +191,14 @@ def run_sweep(grid: SweepGrid) -> SweepTable:
     return SweepTable(rows=rows, meta=meta)
 
 
-def _validation_cell(args) -> List[ValidationRow]:
-    grid, rho, r0, n_cycles, spec, stream_base, sampler_fidelity = args
-    rows = []
+def _cell_analytic(params: ModelParams) -> tuple:
+    """One cell's analytic VALIDATION_METRICS under both fidelities,
+    keyed by (fidelity, metric), and per metric the relative gap
+    |paper - corrected| / |corrected| between them."""
     analytic: Dict[Tuple[str, str], float] = {}
-    for fidelity in (Fidelity.PAPER, Fidelity.CORRECTED):
-        params = grid.fixed.replace(rho=rho, r0=r0, fidelity=fidelity)
-        for metric, value, status in _cell_metrics(params,
-                                                   VALIDATION_METRICS):
+    for fidelity in _FIDELITY_ORDER:
+        for metric, value, status in _cell_metrics(
+                params.replace(fidelity=fidelity), VALIDATION_METRICS):
             analytic[(fidelity.value, metric)] = value
     gaps = {}
     for metric in VALIDATION_METRICS:
@@ -198,31 +208,56 @@ def _validation_cell(args) -> List[ValidationRow]:
             gaps[metric] = abs(paper - corrected) / abs(corrected)
         else:
             gaps[metric] = math.nan
-    for offset, fidelity in enumerate((Fidelity.PAPER, Fidelity.CORRECTED)):
-        params = grid.fixed.replace(rho=rho, r0=r0, fidelity=fidelity)
-        rng = RngSpec(spec.master_seed, stream_base + offset)
-        sampled = params.replace(fidelity=sampler_fidelity or fidelity)
-        sums = sample_cycles(sampled, n_cycles, rng)
-        est = estimate_energy(sums, params)
-        for metric in VALIDATION_METRICS:
-            value = getattr(est, _FIELDS[metric])
-            stderr = getattr(est, _FIELDS[metric] + "_se")
-            target = float(analytic[(fidelity.value, metric)])
-            if value is None or stderr is None:
-                value, stderr, z = math.nan, None, math.nan
-                status = "no sleep opportunity"
-            else:
-                value, stderr, status = float(value), float(stderr), "ok"
-                z = (value - target) / stderr if stderr > 0.0 else (
-                    0.0 if value == target else math.inf)
-            rows.append(ValidationRow(
-                rho=rho, r0=r0, D=params.D, a=params.a, b=params.b,
-                P0=params.P0, Ec=params.Ec, fidelity=fidelity.value,
-                metric=metric, value=value, stderr=stderr, status=status,
-                analytic=target, z=z,
-                passed=bool(math.isfinite(z) and abs(z) <= 3.0),
-                fidelity_gap=float(gaps[metric])))
+    return analytic, gaps
+
+
+def _compared_rows(params: ModelParams, est, analytic: dict,
+                   gaps: dict) -> List[ValidationRow]:
+    """The rows of one (cell, fidelity) pair: each VALIDATION_METRICS
+    estimate against the analytic value of params' fidelity."""
+    rows = []
+    for metric in VALIDATION_METRICS:
+        value = getattr(est, _FIELDS[metric])
+        stderr = getattr(est, _FIELDS[metric] + "_se")
+        target = float(analytic[(params.fidelity.value, metric)])
+        if value is None or stderr is None:
+            value, stderr, z = math.nan, None, math.nan
+            status = "no sleep opportunity"
+        else:
+            value, stderr, status = float(value), float(stderr), "ok"
+            z = (value - target) / stderr if stderr > 0.0 else (
+                0.0 if value == target else math.inf)
+        rows.append(ValidationRow(
+            rho=params.rho, r0=params.r0, D=params.D, a=params.a, b=params.b,
+            P0=params.P0, Ec=params.Ec, fidelity=params.fidelity.value,
+            metric=metric, value=value, stderr=stderr, status=status,
+            analytic=target, z=z,
+            passed=bool(math.isfinite(z) and abs(z) <= 3.0),
+            fidelity_gap=float(gaps[metric])))
     return rows
+
+
+def _validation_rows(args) -> List[ValidationRow]:
+    """The rows of the cells (index, rho, r0), in order: first every
+    cell's analytic figures, then the cycles of every (cell, fidelity)
+    pair in one batch of sampler blocks (``simulate._run_cycles``), pair
+    k of cell i on stream 2 i + k.  The batch starts once the analytic
+    work is done, not beside it: both hold the GIL, and overlapping them
+    was slower."""
+    grid, cells, n_cycles, spec, sampler_fidelity = args
+    pairs = [(2 * i + k, grid.fixed.replace(rho=rho, r0=r0,
+                                            fidelity=fidelity))
+             for i, rho, r0 in cells
+             for k, fidelity in enumerate(_FIDELITY_ORDER)]
+    analytic = [_cell_analytic(params) for _, params in pairs[::2]]
+    sums = _run_cycles([
+        _plan_cycles(params.replace(
+            fidelity=sampler_fidelity or params.fidelity), n_cycles,
+            RngSpec(spec.master_seed, stream)) for stream, params in pairs])
+    return [row for j, (_, params) in enumerate(pairs)
+            for row in _compared_rows(params,
+                                      estimate_energy(sums[j], params),
+                                      *analytic[j // 2])]
 
 
 def run_validation(grid: SweepGrid, n_cycles: int,
@@ -237,8 +272,11 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     compared against a cycle sampler of the same fidelity; a comparison
     passes when |z| <= 3.  The fidelity_gap column reports the relative
     analytic difference between the two fidelities for the same metric.
-    workers > 1 spreads the cells over that many processes.  Each
-    (cell, fidelity) pair gets its own derived random stream, so the
+    The analytic figures of every cell come first; then the sampler
+    draws all the cells' cycles in one batch of blocks on its block
+    pool.  workers > 1 splits the cells into that many runs of
+    consecutive cells, one per process, each computed the same way.
+    Each (cell, fidelity) pair gets its own derived random stream, so the
     report is independent of the worker count.
 
     sampler_fidelity forces the Monte Carlo side to one fidelity for both
@@ -249,14 +287,17 @@ def run_validation(grid: SweepGrid, n_cycles: int,
         raise ValueError(f"need n_cycles >= 10000, got {n_cycles}")
     if sampler_fidelity is not None:
         sampler_fidelity = Fidelity(sampler_fidelity)
-    args_list = [(grid, rho, r0, n_cycles, rng, 2 * i, sampler_fidelity)
-                 for i, (rho, r0) in enumerate(grid.cells)]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cell_rows = list(pool.map(_validation_cell, args_list))
+    cells = [(i, rho, r0) for i, (rho, r0) in enumerate(grid.cells)]
+    parts = 1 if workers is None else max(min(workers, len(cells)), 1)
+    size = -(-len(cells) // parts)
+    args_list = [(grid, cells[j:j + size], n_cycles, rng, sampler_fidelity)
+                 for j in range(0, len(cells), size)]
+    if len(args_list) > 1:
+        with ProcessPoolExecutor(max_workers=len(args_list)) as pool:
+            part_rows = list(pool.map(_validation_rows, args_list))
     else:
-        cell_rows = map(_validation_cell, args_list)
-    rows = tuple(row for rows in cell_rows for row in rows)
+        part_rows = map(_validation_rows, args_list)
+    rows = tuple(row for rows in part_rows for row in rows)
     all_passed = all(row.passed for row in rows)
     meta = {
         "kind": "validation",
@@ -328,6 +369,23 @@ def _log_spaced(lo: float, hi: float, n: int) -> Tuple[float, ...]:
     return tuple(np.geomspace(lo, hi, n).tolist())
 
 
+#: Each figure preset's rho values, r0 values and metrics; None takes the
+#: one value of the fixed parameters, so a preset ignores the --rho or
+#: --r0 it sets itself.
+_PRESETS = {
+    "fig2": dict(rho=_log_spaced(1e-3, 0.2, 25),
+                 r0=(50.0, 100.0, 150.0, 200.0), metrics=("E_X",)),
+    "fig3": dict(rho=None, r0=tuple(float(r) for r in range(50, 401, 25)),
+                 metrics=("E_Toff",)),
+    "fig4": dict(rho=_log_spaced(1e-3, 0.1, 20), r0=(200.0,),
+                 metrics=("E_Psave", "prob_sleep")),
+    "fig5": dict(rho=_log_spaced(0.01, 0.1, 10), r0=None,
+                 metrics=("E_Psave", "baseline_Psave")),
+}
+
+FIGURE_PRESETS = tuple(_PRESETS)
+
+
 def figure_preset(name: str,
                   fixed: ModelParams = CANONICAL) -> SweepGrid:
     """Premade grids reproducing the published parameter studies.
@@ -337,27 +395,10 @@ def figure_preset(name: str,
     fig4: power saved against density at r0 = 200 m.  fig5: power saved
     with relaying against the no-relaying baseline across density.
     """
-    if name == "fig2":
-        return SweepGrid(rho_values=_log_spaced(1e-3, 0.2, 25),
-                         r0_values=(50.0, 100.0, 150.0, 200.0),
-                         fixed=fixed, metrics=("E_X",))
-    if name == "fig3":
-        return SweepGrid(rho_values=(fixed.rho,),
-                         r0_values=tuple(float(r)
-                                         for r in range(50, 401, 25)),
-                         fixed=fixed, metrics=("E_Toff",))
-    if name == "fig4":
-        return SweepGrid(rho_values=_log_spaced(1e-3, 0.1, 20),
-                         r0_values=(200.0,),
-                         fixed=fixed,
-                         metrics=("E_Psave", "prob_sleep"))
-    if name == "fig5":
-        return SweepGrid(rho_values=_log_spaced(0.01, 0.1, 10),
-                         r0_values=(fixed.r0,),
-                         fixed=fixed,
-                         metrics=("E_Psave", "baseline_Psave"))
-    raise ValueError(f"unknown preset {name!r}; "
-                     f"choose from {sorted(FIGURE_PRESETS)}")
-
-
-FIGURE_PRESETS = ("fig2", "fig3", "fig4", "fig5")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; "
+                         f"choose from {sorted(FIGURE_PRESETS)}")
+    preset = _PRESETS[name]
+    return SweepGrid(rho_values=preset["rho"] or (fixed.rho,),
+                     r0_values=preset["r0"] or (fixed.r0,),
+                     fixed=fixed, metrics=preset["metrics"])

@@ -15,12 +15,16 @@
 All samplers are pure functions of an RngSpec: identical (master_seed,
 stream_id) pairs reproduce bit-identical sample streams, so parallel
 streams are independent and individually replayable.  The renewal
-sampler draws its cycles in fixed blocks, each from its own PCG64
-stream spawned from one draw of the caller's generator, on one
-process-wide pool of two threads, started on first use, that take whole
-blocks as they come free, each thread keeping its own block scratch from
-call to call; the sums are pooled in block order, so its bits depend on
-the seed only, not on the CPU count, the thread count or ``--workers``.
+sampler plans its cycles as fixed blocks, each drawn from its own PCG64
+stream spawned from one draw of the caller's generator
+(``_plan_cycles``), and draws them on one process-wide pool of two
+threads, started on first use (``_run_cycles``).  The blocks of one
+request, or of many at once as ``validate`` hands over every cell's,
+go to the pool longest first; the threads take whole blocks as they
+come free, each keeping its own block scratch from call to call; each
+request's sums are pooled in its own block order, so its bits depend
+on the seed only, not on the CPU count, the thread count, ``--workers``
+or the other requests of its batch.
 """
 
 from __future__ import annotations
@@ -374,26 +378,29 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
     n_gaps, mask = p_save, s.mask[:m]
     _cluster_gaps(gen, math.exp(-rho * r0), shift, n_gaps)
 
+    # each branch gathers its clusters by index and skips when it has
+    # none: an empty branch draws nothing, so skipping keeps the stream
     x.fill(0.0)
     np.greater(n_gaps, 0.0, out=mask)
     mask &= n_gaps <= DIRECT_SUM_LIMIT
-    n_direct = int(np.count_nonzero(mask))
-    spans, ends = t_off[:n_direct], t_on[:n_direct]
-    np.cumsum(np.compress(mask, n_gaps, out=spans), out=ends)
-    _direct_spans(gen, ends, -math.expm1(-rho * r0), rho, spans, s)
-    np.place(x, mask, spans)
-    np.greater(n_gaps, DIRECT_SUM_LIMIT, out=mask)
-    n_big = int(np.count_nonzero(mask))
-    k, z, w = t_off[:n_big], t_on[:n_big], e_off[:n_big]
-    np.compress(mask, n_gaps, out=k)
-    mean, var = _trunc_exp_stats(rho, r0)
-    # gen.normal(k*mean, sqrt(k*var)) in the same rounding, clamped to the
-    # span's support [0, k r0]
-    np.sqrt(np.multiply(k, var, out=w), out=w)
-    np.multiply(w, gen.standard_normal(out=z), out=z)
-    np.add(np.multiply(k, mean, out=w), z, out=z)
-    np.clip(z, 0.0, np.multiply(k, r0, out=w), out=z)
-    np.place(x, mask, z)
+    idx = np.flatnonzero(mask)
+    if len(idx):
+        spans, ends = t_off[:len(idx)], t_on[:len(idx)]
+        np.cumsum(np.take(n_gaps, idx, out=spans), out=ends)
+        _direct_spans(gen, ends, -math.expm1(-rho * r0), rho, spans, s)
+        x[idx] = spans
+    idx = np.flatnonzero(np.greater(n_gaps, DIRECT_SUM_LIMIT, out=mask))
+    if len(idx):
+        k, z, w = t_off[:len(idx)], t_on[:len(idx)], e_off[:len(idx)]
+        np.take(n_gaps, idx, out=k)
+        mean, var = _trunc_exp_stats(rho, r0)
+        # gen.normal(k*mean, sqrt(k*var)) in the same rounding, clamped to
+        # the span's support [0, k r0]
+        np.sqrt(np.multiply(k, var, out=w), out=w)
+        np.multiply(w, gen.standard_normal(out=z), out=z)
+        np.add(np.multiply(k, mean, out=w), z, out=z)
+        np.clip(z, 0.0, np.multiply(k, r0, out=w), out=z)
+        x[idx] = z
 
     x1 = t_off                             # r0 + exponential(1/rho)
     np.multiply(gen.standard_exponential(out=x1), 1.0 / rho, out=x1)
@@ -410,6 +417,44 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
                      tuple(float(np.sum(f)) for f in (e_off, t_off, t_on)))
 
 
+def _plan_cycles(params: ModelParams, n: int,
+                 rng: Union[RngSpec, np.random.Generator]) -> list:
+    """The blocks of one ``sample_cycles`` request, as (seed, m, params,
+    shift) for ``_cycle_block``: the checks, the root draw from rng, its
+    children and the block sizes.  Draws nothing when a check fails."""
+    if n < 1000:
+        raise ValueError(f"need at least 1000 cycles, got {n}")
+    check_density(params, SAMPLER_RHO_R0_LIMIT,
+                  "the plain renewal sampler is not validated beyond it")
+    gen = _as_generator(rng)
+    shift = 1.0 if params.fidelity is Fidelity.PAPER else 0.0
+    root = gen.integers(1 << 64, size=2, dtype=np.uint64)
+    seeds = np.random.SeedSequence(root).spawn(-(-n // _CYCLE_BLOCK))
+    return [(seed, min(_CYCLE_BLOCK, n - b * _CYCLE_BLOCK), params, shift)
+            for b, seed in enumerate(seeds)]
+
+
+def _run_cycles(plans: list) -> list:
+    """The CycleSums of each plan (``_plan_cycles``): every block of every
+    plan goes to the block pool (``_block_pool``) in one batch, longest
+    first, so no thread idles on a short block while long ones wait, and
+    each plan's sums are pooled in its own block order."""
+    order = sorted(((p, b) for p, blocks in enumerate(plans)
+                    for b in range(len(blocks))),
+                   key=lambda pb: -plans[pb[0]][pb[1]][1])
+
+    def run(pb):
+        seed, m, params, shift = plans[pb[0]][pb[1]]
+        return _cycle_block(seed, m, params, shift, _thread_scratch(m))
+
+    pool = _block_pool()
+    sums = [[None] * len(blocks) for blocks in plans]
+    for (p, b), block in zip(order,
+                             (map if pool is None else pool.map)(run, order)):
+        sums[p][b] = block
+    return [sum(blocks[1:], blocks[0]) for blocks in sums]
+
+
 def sample_cycles(params: ModelParams, n: int,
                   rng: Union[RngSpec, np.random.Generator]) -> CycleSums:
     """Sum n >= 1000 independent renewal cycles of the generative model.
@@ -424,32 +469,19 @@ def sample_cycles(params: ModelParams, n: int,
 
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
-    that ``rng`` advances by.  The blocks go to the threads of the block
-    pool (``_block_pool``) as they come free, also a single block, and
-    the sums are pooled in block order, so the bits depend on the seed
-    only, not on the thread count or on which thread drew a block.
-    Memory is one _BlockScratch per block thread (about 5 MB), whatever
-    n, allocated once and kept from call to call; concurrent calls share
-    the threads, never a scratch.  Raises ValueError when n < 1000 and
-    ArithmeticError when rho*r0 > SAMPLER_RHO_R0_LIMIT, before any draw.
+    that ``rng`` advances by (``_plan_cycles``).  The blocks go to the
+    threads of the block pool (``_block_pool``) as they come free, also
+    a single block, and the sums are pooled in block order
+    (``_run_cycles``, which takes the blocks of many such requests at
+    once, as ``validate`` does), so the bits depend on the seed only, not
+    on the thread count, on which thread drew a block or on what other
+    requests shared the batch.  Memory is one _BlockScratch per block
+    thread (about 5 MB), whatever n, allocated once and kept from call to
+    call; concurrent calls share the threads, never a scratch.  Raises
+    ValueError when n < 1000 and ArithmeticError when rho*r0 >
+    SAMPLER_RHO_R0_LIMIT, before any draw.
     """
-    if n < 1000:
-        raise ValueError(f"need at least 1000 cycles, got {n}")
-    check_density(params, SAMPLER_RHO_R0_LIMIT,
-                  "the plain renewal sampler is not validated beyond it")
-    gen = _as_generator(rng)
-    shift = 1.0 if params.fidelity is Fidelity.PAPER else 0.0
-    root = gen.integers(1 << 64, size=2, dtype=np.uint64)
-    n_blocks = -(-n // _CYCLE_BLOCK)
-    seeds = np.random.SeedSequence(root).spawn(n_blocks)
-    sizes = [min(_CYCLE_BLOCK, n - b * _CYCLE_BLOCK) for b in range(n_blocks)]
-
-    def run(seed, m):
-        return _cycle_block(seed, m, params, shift, _thread_scratch(m))
-
-    pool = _block_pool()
-    sums = list((map if pool is None else pool.map)(run, seeds, sizes))
-    return sum(sums[1:], sums[0])
+    return _run_cycles([_plan_cycles(params, n, rng)])[0]
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,83 @@ def test_commands_reject_options_they_ignore(argv, capsys):
     assert err.endswith(" ".join(argv[-2:]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "5"],
+    ["sweep", "--preset", "fig9"],
+    ["sweep", "--preset", "fig3,fig9", "--format", "json"],
+    ["simulate", "--mode", "timeline-common", "--v", "60kmh", "--duration",
+     "nan"],
+    ["simulate", "--mode", "timeline-heterogeneous", "--duration", "-1"],
+    ["validate", "--n", "50"],
+    ["validate", "--rho-values", "-0.5"],
+    ["sweep", "--metrics", "entropy"],
+], ids=" ".join)
+def test_config_errors_print_nothing(argv, tmp_path, monkeypatch):
+    # the values are checked before the echo block is printed, and a
+    # multi-preset sweep writes no file when one of its presets is bad
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(argv)
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", ","],
+    ["sweep", "--preset", ""],
+    ["sweep", "--metrics", ""],
+    ["sweep", "--metrics", "[ , ]"],
+    ["sweep", "--rho-values", ","],
+    ["validate", "--r0-values", ""],
+], ids=" ".join)
+def test_empty_lists_are_config_errors(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert (f"argument {argv[-2]}: expected a nonempty comma list"
+            in capsys.readouterr().err)
+
+
+class TestPresetFlags:
+    """A --rho or --r0 that every chosen preset sets itself exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "fig4", "--r0", "300"],
+        ["--preset", "fig4", "--rho", "0.05"],
+        ["--preset", "fig2", "--rho", "0.05"],
+        ["--preset", "fig2", "--r0=300"],
+        ["--preset", "fig3", "--r0", "300"],
+        ["--preset", "fig5", "--rho", "0.05"],
+        ["--preset", "fig2,fig4", "--r0", "300"],
+    ], ids=" ".join)
+    def test_ignored_flag_is_config_error(self, argv, capsys):
+        code, text = run_cli(["sweep", "--json-errors"] + argv)
+        assert code == EXIT_CONFIG_ERROR
+        assert text == ""
+        key = "rho" if "--rho" in argv else "r0"
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith(f"--{key} is ignored")
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "fig3", "--rho", "0.02"],
+        ["--preset", "fig5", "--r0", "300"],
+        ["--preset", "fig4,fig5", "--r0", "300"],
+    ], ids=" ".join)
+    def test_flag_a_preset_takes_is_kept(self, tmp_path, argv):
+        code, text = run_cli(["sweep"] + argv + ["--out",
+                                                 str(tmp_path / "f")])
+        assert code == EXIT_OK
+        assert f"{argv[-2][2:]} = {argv[-1]}" in text.split("\n\n", 1)[0]
+
+    def test_config_keys_are_not_flags(self, tmp_path):
+        # one config file serves several calls, an echo block among them
+        path = tmp_path / "run.conf"
+        path.write_text("rho = 0.05\nr0 = 300\n")
+        code, _ = run_cli(["sweep", "--preset", "fig2", "--config",
+                           str(path), "--out", str(tmp_path / "f")])
+        assert code == EXIT_OK
+
+
 #: A short run of each call, with options away from their defaults.
 _ROUND_TRIPS = {
     "analytic": ["analytic", "--rho", "0.02", "--a", "30kmh",

@@ -13,7 +13,7 @@ from sleepnet.experiments import (CSV_COLUMNS, FIGURE_PRESETS, JSON_SCHEMA,
                                   SweepGrid, emit_table, figure_preset,
                                   run_sweep, run_validation)
 from sleepnet.params import CANONICAL
-from sleepnet.simulate import RngSpec, sample_cycles
+from sleepnet.simulate import RngSpec, estimate_energy, sample_cycles
 
 SMALL_GRID = SweepGrid(rho_values=(0.01, 0.02), r0_values=(100.0, 200.0))
 
@@ -128,6 +128,40 @@ class TestRunValidation:
         serial = run_validation(grid, 10_000, RngSpec(7), workers=None)
         pooled = run_validation(grid, 10_000, RngSpec(7), workers=2)
         assert serial.rows == pooled.rows
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_uneven_worker_parts(self, workers):
+        # three cells in runs of two and one, or one each when there are
+        # more workers than cells
+        grid = SweepGrid(rho_values=(0.01, 0.02, 0.04), r0_values=(200.0,))
+        serial = run_validation(grid, 10_000, RngSpec(8))
+        pooled = run_validation(grid, 10_000, RngSpec(8), workers=workers)
+        assert serial.rows == pooled.rows
+
+    def test_cells_draw_in_one_batch(self, monkeypatch):
+        # every (cell, fidelity) pair's blocks go to the sampler in one
+        # call, pair k of cell i on stream 2 i + k, with the bits of a
+        # sample_cycles call per pair
+        grid = SweepGrid(rho_values=(0.01, 0.02), r0_values=(100.0, 200.0))
+        batches, run = [], simulate._run_cycles
+
+        def record(plans):
+            batches.append(len(plans))
+            return run(plans)
+
+        monkeypatch.setattr(experiments, "_run_cycles", record)
+        report = run_validation(grid, 10_000, RngSpec(9))
+        assert batches == [8]
+        for j, (rho, r0) in enumerate(grid.cells):
+            for k, fidelity in enumerate(("paper", "corrected")):
+                params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
+                est = estimate_energy(
+                    sample_cycles(params, 10_000, RngSpec(9, 2 * j + k)),
+                    params)
+                row = report.rows[6 * j + 3 * k]
+                assert (row.rho, row.r0, row.fidelity, row.metric) \
+                    == (rho, r0, fidelity, "E_X")
+                assert row.value == est.expected_gap
 
     def test_workers_after_the_block_pool_started(self, fresh_pool):
         # workers forked from a process whose sampler pool has started

@@ -386,6 +386,52 @@ class TestCycleSums:
         assert gen.random() == RngSpec(25).generator().random()
 
 
+class TestBatchedBlocks:
+    """The blocks of many sample_cycles requests drawn in one batch."""
+
+    _REQUESTS = [(CANONICAL.replace(rho=0.005, r0=100.0), 100_000),
+                 (CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper"),
+                  150_000),
+                 (CANONICAL.replace(rho=0.08, r0=100.0), 1_000),
+                 (CANONICAL, (1 << 16) + 1)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_batch_matches_separate_calls(self, use_pool, threads):
+        # one generator shared by the requests: planning them in order
+        # advances it as the separate calls do
+        use_pool(threads)
+        gen = RngSpec(32).generator()
+        separate = [sample_cycles(p, n, gen) for p, n in self._REQUESTS]
+        separate_next = gen.random()
+        gen = RngSpec(32).generator()
+        plans = [simulate._plan_cycles(p, n, gen)
+                 for p, n in self._REQUESTS]
+        assert simulate._run_cycles(plans) == separate
+        assert gen.random() == separate_next
+
+    def test_longest_blocks_first(self, monkeypatch, use_pool):
+        # on one thread the blocks run in the order the pool takes them:
+        # every full block of every request, then the short ones, longest
+        # first, ties in request and block order
+        use_pool(1)
+        kernel, drawn = simulate._cycle_block, []
+
+        def record(seed, m, params, shift, s):
+            drawn.append((m, params, seed.spawn_key[-1]))
+            return kernel(seed, m, params, shift, s)
+
+        monkeypatch.setattr(simulate, "_cycle_block", record)
+        plans = [simulate._plan_cycles(p, n, RngSpec(33))
+                 for p, n in self._REQUESTS]
+        simulate._run_cycles(plans)
+        block = simulate._CYCLE_BLOCK
+        p0, p1, p2, p3 = (p for p, _ in self._REQUESTS)
+        assert drawn == [(block, p0, 0), (block, p1, 0), (block, p1, 1),
+                         (block, p3, 0), (100_000 - block, p0, 1),
+                         (150_000 - 2 * block, p1, 2), (1_000, p2, 0),
+                         (1, p3, 1)]
+
+
 class TestScratchCache:
     """Block scratch each block thread keeps from one call to the next."""
 
