@@ -1,10 +1,12 @@
-"""Seeded sampler output pinned bit for bit.
+"""Seeded sampler output and analytic tables pinned bit for bit.
 
 Every other sampler test compares ``sample_cycles`` with the oracle
 ``cycle_batch``, which runs the same block kernel; a kernel change that
 moved a bit would pass them all.  These values were computed before the
 kernel's masked copies were replaced by index gathers, and any change
-that keeps the stream must keep them.  They hold for numpy 2.x on
+that keeps the stream must keep them.  The sweep digests were computed
+before a grid's gap laws were integrated in one batch, which must leave
+every byte as it was.  They hold for numpy 2.x on
 x86-64; a platform whose libm rounds log1p or exp differently moves
 them, and then they must be recomputed there, never loosened.
 """
@@ -64,6 +66,20 @@ PINNED = {
 VALIDATE_SEED7_SHA256 = (
     "a0953acab672fb1027c2a7ec478cfaa162a547075af10d663a39e6d9b7a99c97")
 
+#: SHA-256 of what `sleepnet sweep --format json` prints: the echoed
+#: config, then the default 3 x 3 table.
+SWEEP_SHA256 = (
+    "fa277e25868558c50ac86926c4f2129a8c4af171f20ac7afa0c523fdfb797941")
+
+#: SHA-256 of each file `sleepnet sweep --preset fig2,fig3,fig4,fig5
+#: --format json --out preset` writes.
+PRESET_SHA256 = {
+    "fig2": "8f029cccdbe9dab2b2df8b7ad4103f146a00da1090affb9b9bbe0c69954f3da0",
+    "fig3": "02f772868057fad42a1812cc8052777cc7cf7efea3d8dd199fa5b89db8aac372",
+    "fig4": "b71d211b287a06f85fac078fc2c83dff1a47ae9496fdb52391cc38831453cd75",
+    "fig5": "8c9392efd137605b0aef43acbed1e07ed95f8a046368585e03daf6fd3b98e5c1",
+}
+
 
 def _hex(values):
     return tuple(v.hex() if isinstance(v, float) else v for v in values)
@@ -84,3 +100,21 @@ def test_validate_seed7_bytes():
     assert main(["validate", "--seed", "7", "--format", "json"], out=out) == 1
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == VALIDATE_SEED7_SHA256
+
+
+def test_sweep_bytes():
+    out = io.StringIO()
+    assert main(["sweep", "--format", "json"], out=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == SWEEP_SHA256
+
+
+def test_preset_bytes(tmp_path):
+    base = tmp_path / "preset"
+    argv = ["sweep", "--preset", ",".join(PRESET_SHA256), "--format", "json",
+            "--out", str(base)]
+    assert main(argv, out=io.StringIO()) == 0
+    digests = {name: hashlib.sha256(
+        (tmp_path / f"preset_{name}.json").read_bytes()).hexdigest()
+        for name in PRESET_SHA256}
+    assert digests == PRESET_SHA256
