@@ -38,11 +38,16 @@ evaluation of the delayed exponential), not at run time.  Truncation
 points come from the exact exponential tail rate of X, the nontrivial
 root of theta = rho * exp(-(rho - theta) r0).
 
-Evaluation is batched: the density takes an array of points and picks
-each point's branch by mask.  ``ChGapDistribution`` integrates it by
-panel-doubling Simpson with all panels of one integral in one batch, so
-each doubling level costs one density call for all of them; E[X] needs
-no integral (``expected_ch_gap``).
+Evaluation is batched over points and over laws: the density of many
+laws (``_laws_pdf``) reads each point's law constants through a per-point
+law index and picks each point's branch by mask; ``ch_gap_pdf`` is its
+one-law case.  Panel-doubling Simpson integrates a grid's panels in one
+batch, so each doubling level costs one density call for all of them:
+``grid_energy_figures`` builds every cell's ``ChGapDistribution`` in one
+call for the first panels plus one per lockstep tail step, and takes all
+the cells' expectations in one more.  Every panel converges on its own,
+so each cell gets the bits it gets alone.  E[X] needs no integral
+(``expected_ch_gap``).
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -173,20 +179,22 @@ def _gap_pdf_tail(x, params: ModelParams):
     0.991 r0 for rho r0 in [1e-4, 700]).  At rho r0 = 1 the poles merge
     and the double-pole limit (2x/r0^2 - 4/(3 r0)) e^{-rho x} applies.
     """
-    rho, r0 = params.rho, params.r0
-    alpha = rho * r0
-    if abs(alpha - 1.0) <= 1e-6:
-        return np.maximum(np.exp(-rho * x) * (2.0 * x / r0 ** 2
-                                              - 4.0 / (3.0 * r0)), 0.0)
-    lam0 = cluster_span_decay_rate(rho, r0)
-    a1 = lam0 / (1.0 - lam0 * r0)
-    a2 = rho / (1.0 - alpha)
-    if a1 > 0.0:
-        pos, rate_pos, neg, rate_neg = a1, lam0, a2, rho
-    else:
-        pos, rate_pos, neg, rate_neg = a2, rho, a1, lam0
-    ln_ratio = math.log(-neg / pos) - (rate_neg - rate_pos) * x
-    return np.maximum(-pos * np.exp(-rate_pos * x) * np.expm1(ln_ratio), 0.0)
+    return _one_law(_laws_tail, x, params)
+
+
+def _laws_tail(x: np.ndarray, law: np.ndarray, laws) -> np.ndarray:
+    """``_gap_pdf_tail`` of the law ``law[i]`` of ``laws`` at ``x[i]``."""
+    f = np.empty(len(x))
+    double = laws.double[law]
+    two, dbl = np.flatnonzero(~double), np.flatnonzero(double)
+    k = law[two]
+    f[two] = np.maximum(laws.neg_pos[k] * np.exp(-laws.rate_pos[k] * x[two])
+                        * np.expm1(laws.ln_ratio[k] - laws.rate_gap[k]
+                                   * x[two]), 0.0)
+    k = law[dbl]
+    f[dbl] = np.maximum(np.exp(-laws.rho[k] * x[dbl]) * (
+        2.0 * x[dbl] / laws.r0_sq[k] - laws.shift[k]), 0.0)
+    return f
 
 
 @functools.lru_cache(maxsize=4096)
@@ -216,6 +224,93 @@ def _gap_segment_polys(params: ModelParams) -> np.ndarray:
     return table
 
 
+def _law_constants(params: ModelParams) -> dict:
+    """The scalars one gap law's density reads, each by the expression its
+    branch has always used; the poles' are nan at the double pole."""
+    rho, r0 = params.rho, params.r0
+    alpha = rho * r0
+    law = dict(rho=rho, r0=r0, switch=_gap_tail_switch(params),
+               paper=params.fidelity is Fidelity.PAPER,
+               lam=rho * math.exp(-alpha), expm1_den=-math.expm1(-alpha),
+               tail_den=1.0 - math.exp(-alpha), single=math.exp(-alpha),
+               double=abs(alpha - 1.0) <= 1e-6, r0_sq=r0 ** 2,
+               shift=4.0 / (3.0 * r0), neg_pos=math.nan, rate_pos=math.nan,
+               ln_ratio=math.nan, rate_gap=math.nan)
+    if not law["double"]:
+        lam0 = cluster_span_decay_rate(rho, r0)
+        a1, a2 = lam0 / (1.0 - lam0 * r0), rho / (1.0 - alpha)
+        pos, rate_pos, neg, rate_neg = ((a1, lam0, a2, rho) if a1 > 0.0
+                                        else (a2, rho, a1, lam0))
+        law.update(neg_pos=-pos, rate_pos=rate_pos, rate_gap=rate_neg
+                   - rate_pos, ln_ratio=math.log(-neg / pos))
+    return law
+
+
+@functools.lru_cache(maxsize=64)
+def _laws(cells: tuple) -> SimpleNamespace:
+    """The ``_law_constants`` of the gap laws of cells as arrays, one entry
+    a law, and their method-of-steps tables in one zero-padded stack."""
+    rows = [_law_constants(params) for params in cells]
+    tables = [_gap_segment_polys(params) for params in cells]
+    n = max(len(table) for table in tables)
+    laws = SimpleNamespace(polys=np.zeros((len(cells), n, n)), **{
+        name: np.array([row[name] for row in rows]) for name in rows[0]})
+    for i, table in enumerate(tables):
+        laws.polys[i, :len(table), :len(table)] = table
+    return laws
+
+
+def _one_law(density, x, params: ModelParams):
+    """``density`` (``_laws_pdf`` or ``_laws_tail``) of one law at a
+    point (a float) or an array of points."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = density(flat, np.zeros(len(flat), dtype=np.intp), _laws((params,)))
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _laws_pdf(x: np.ndarray, law: np.ndarray, laws) -> np.ndarray:
+    """``ch_gap_pdf`` of the law ``law[i]`` of ``laws`` at ``x[i]``.  Each
+    branch and correction runs on its own points only, with its own law's
+    constants, so each value has the bits of its law alone; a segment
+    below the batch's highest adds exact zeros in the Horner pass."""
+    out = np.zeros(len(x))
+    r0, paper = laws.r0[law], laws.paper[law]
+    # the paper law's closed form covers [r0, 2r0), past the switch too
+    first = paper & (x > r0) & (x < 2.0 * r0)
+    tail = (x >= laws.switch[law]) & ~first
+    steps = np.flatnonzero(np.where(paper, x >= 2.0 * r0, x > r0) & ~tail)
+    if len(steps):
+        k, xs, r0s = law[steps], x[steps], r0[steps]
+        y = xs / r0s
+        seg = np.floor(y).astype(np.intp) - 1
+        t = y - (seg + 1)
+        top = int(seg.max())              # columns past it are all zero
+        coef = laws.polys[k, seg, :top + 1]
+        f = np.zeros(len(steps))
+        for j in range(top, -1, -1):
+            f = coef[:, j] + f * t
+        on = np.flatnonzero(paper[steps])
+        f[on] -= np.exp(-laws.rho[k[on]] * (xs[on] - r0s[on]))
+        f *= laws.lam[k]
+        f[on] /= laws.expm1_den[k[on]]
+        out[steps] = f
+    tail = np.flatnonzero(tail)
+    k, xt = law[tail], x[tail]
+    f = _laws_tail(xt, k, laws)
+    on = np.flatnonzero(paper[tail])
+    rho = laws.rho[k[on]]
+    f[on] = np.maximum((f[on] - rho * np.exp(-rho * xt[on]))
+                       / laws.tail_den[k[on]], 0.0)
+    out[tail] = f
+    first = np.flatnonzero(first)
+    k = law[first]
+    rho = laws.rho[k]
+    out[first] = rho * (-np.expm1(-rho * (x[first] - r0[first]))) \
+        * laws.single[k] / laws.expm1_den[k]
+    return out
+
+
 def ch_gap_pdf(x, params: ModelParams):
     """Density of the distance X between adjacent cluster heads, in 1/m,
     at a point or an array of points (a 0-d input returns a float).
@@ -227,7 +322,8 @@ def ch_gap_pdf(x, params: ModelParams):
     it.  The paper law removes the single-vehicle term from f:
     (f - lam e^{-rho(x-r0)}) / (1 - e^{-rho r0}), with the closed form
     rho (1 - e^{-rho(x-r0)}) / (e^{rho r0} - 1) on [r0, 2r0), which takes
-    precedence where the switch lies below 2 r0.
+    precedence where the switch lies below 2 r0.  The one-law case of
+    ``_laws_pdf``.
 
     Against an 80-digit evaluation of the delayed-exponential series, on
     r0 = 100 from 1.003 r0 to 30 r0 past the switch: the corrected law
@@ -236,36 +332,29 @@ def ch_gap_pdf(x, params: ModelParams):
     switch at rho r0 = 1e-4, 1e-3 and 1e-2, and within 2e-12 and 2e-13
     below it at the first two.
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    out = np.zeros(len(flat))
-    rho, r0 = params.rho, params.r0
-    alpha = rho * r0
-    lam = rho * math.exp(-alpha)
-    paper = params.fidelity is Fidelity.PAPER
-    tail = flat >= _gap_tail_switch(params)
-    # the paper law's closed form covers [r0, 2r0)
-    steps = np.flatnonzero((flat >= 2.0 * r0 if paper else flat > r0)
-                           & ~tail)
-    if len(steps):
-        y = flat[steps] / r0
-        seg = np.floor(y).astype(np.intp) - 1
-        t = y - (seg + 1)
-        top = int(seg.max())              # columns past it are all zero
-        coef = _gap_segment_polys(params)[seg, :top + 1]
-        f = np.zeros(len(steps))
-        for j in range(top, -1, -1):
-            f = coef[:, j] + f * t
-        out[steps] = (lam * (f - np.exp(-rho * (flat[steps] - r0)))
-                      / (-math.expm1(-alpha)) if paper else lam * f)
-    out[tail] = _gap_pdf_tail(flat[tail], params)
-    if paper:
-        out[tail] = np.maximum((out[tail] - rho * np.exp(-rho * flat[tail]))
-                               / (1.0 - math.exp(-alpha)), 0.0)
-        first = (flat > r0) & (flat < 2.0 * r0)
-        out[first] = rho * (-np.expm1(-rho * (flat[first] - r0))) \
-            * math.exp(-alpha) / (-math.expm1(-alpha))
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    return _one_law(_laws_pdf, x, params)
+
+
+def _quad_laws(laws, panels) -> list:
+    """The integrals of (law, weight, D, lo, hi) panels against the laws
+    of ``laws`` in one batched quadrature; weight 0 is 1, 1 is x - D and
+    2 is 1/x, each on its own panels' nodes only."""
+    law, weight, at, lo, hi = map(np.array, zip(*panels))
+
+    def integrand(xs, panel):
+        ys = _laws_pdf(xs, law[panel], laws)
+        on = np.flatnonzero(weight[panel] == 1)
+        ys[on] = (xs[on] - at[panel[on]]) * ys[on]
+        on = np.flatnonzero(weight[panel] == 2)
+        ys[on] = (1.0 / xs[on]) * ys[on]
+        return ys
+
+    return _quad(integrand, lo, hi).tolist()
+
+
+def _quad(fv, lo, hi):
+    return integrate_panel_doubling(fv, lo, hi, abs_tol=_ABS_TOL,
+                                    rel_tol=_REL_TOL)
 
 
 class ChGapDistribution:
@@ -276,16 +365,27 @@ class ChGapDistribution:
     newest panel carries less than ``_TAIL_MASS_TOL`` of the running total.
     Panel masses, the cdf and every expectation integrate ``ch_gap_pdf``
     by panel-doubling Simpson to ``_ABS_TOL``/``_REL_TOL``, all panels of
-    one integral in one batched quadrature.  The instance keeps no cache:
-    it is read-only after construction.
+    one integral in one batched quadrature.  Construction is the one-law
+    case of ``_gap_laws``, through which ``grid_energy_figures`` builds
+    a whole grid's laws together, each with the bits it has alone.  The
+    instance keeps no cache: it is read-only after construction.
     """
 
     def __init__(self, params: ModelParams):
-        check_density(params)
-        self.params = params
-        self.tail_rate = gap_tail_rate(params.rho, params.r0)
-        self._build_panels()
-        self.x_max = float(self._edges[-1])
+        (law,) = _gap_laws([params])
+        if isinstance(law, Exception):
+            raise law
+        vars(self).update(vars(law))
+
+    @classmethod
+    def _of(cls, params: ModelParams, edges: list, masses: list):
+        dist = cls.__new__(cls)
+        dist.params = params
+        dist.tail_rate = gap_tail_rate(params.rho, params.r0)
+        dist._edges = np.asarray(edges)
+        dist._cum = np.concatenate([[0.0], np.cumsum(masses)])
+        dist.x_max = float(dist._edges[-1])
+        return dist
 
     # -- evaluation ------------------------------------------------------
 
@@ -293,21 +393,25 @@ class ChGapDistribution:
         """``ch_gap_pdf`` at a point (a float) or an array of points."""
         return ch_gap_pdf(x, self.params)
 
-    def _quad(self, f, lo, hi):
-        return integrate_panel_doubling(f, lo, hi, abs_tol=_ABS_TOL,
-                                        rel_tol=_REL_TOL)
+    def _split(self, x: float) -> tuple:
+        """The panels at x: F(x) as the mass of the whole panels below x
+        and the start of the part panel [start, x] (None if there is
+        none), and the (lo, hi) panels from max(x, r0) up to x_max."""
+        if x >= self.x_max:
+            return float(self._cum[-1]), None, []
+        lo = max(x, self.params.r0)
+        edges = np.concatenate([[lo], self._edges[self._edges > lo]])
+        above = list(zip(edges[:-1], edges[1:]))
+        if x <= self.params.r0:
+            return 0.0, None, above
+        i = int(np.searchsorted(self._edges, x, side="right")) - 1
+        return self._cum[i], (float(self._edges[i]) if x > self._edges[i]
+                              else None), above
 
     def cdf(self, x: float) -> float:
-        x = float(x)
-        if x <= self.params.r0:
-            return 0.0
-        if x >= self.x_max:
-            return float(self._cum[-1])
-        i = int(np.searchsorted(self._edges, x, side="right")) - 1
-        partial = 0.0
-        if x > self._edges[i]:
-            partial = self._quad(self.pdf, float(self._edges[i]), x)
-        return float(self._cum[i] + partial)
+        base, start, _ = self._split(float(x))
+        return float(base + (0.0 if start is None else _quad(
+            lambda xs, _: self.pdf(xs), start, float(x))))
 
     @property
     def total_mass(self) -> float:
@@ -321,52 +425,84 @@ class ChGapDistribution:
         ``weight`` takes an ndarray; None means unit weight.  The panels
         are integrated in one batch and summed by ``math.fsum``.
         """
-        lo = self.params.r0 if lo is None else max(lo, self.params.r0)
-        if lo >= self.x_max:
+        panels = self._split(self.params.r0 if lo is None else lo)[2]
+        if not panels:
             return 0.0
-        edges = np.concatenate([[lo], self._edges[self._edges > lo]])
-        f = self.pdf if weight is None \
-            else lambda xs: weight(xs) * self.pdf(xs)
-        return math.fsum(self._quad(f, edges[:-1], edges[1:]).tolist())
+        f = (lambda xs, _: self.pdf(xs)) if weight is None \
+            else (lambda xs, _: weight(xs) * self.pdf(xs))
+        return math.fsum(_quad(f, *map(np.array, zip(*panels))).tolist())
 
-    # -- construction ----------------------------------------------------
 
-    def _build_panels(self):
-        rho, r0 = self.params.rho, self.params.r0
-        alpha = rho * r0
-        ell = -math.log1p(-math.exp(-alpha)) if alpha < 700 \
-            else math.exp(-alpha)
-        support = 1.0 + _EFOLDS / max(ell, 1e-300)     # in units of r0
-        n_kinks = int(min(max(4.0, math.ceil(support) + 1,),
-                          max(4.0, math.ceil(_EFOLDS / max(alpha, 1e-9))),
-                          120.0))
-        edges = [r0 * j for j in range(1, n_kinks + 1)]
-        # bridge geometrically out to the tail-rate scale before applying
-        # the mass-driven stopping rule
-        while edges[-1] - r0 < 10.0 / self.tail_rate:
-            edges.append(r0 + 2.0 * (edges[-1] - r0))
-        overflow = ArithmeticError(
-            f"rho*r0 = {alpha!r} (rho={rho!r}, r0={r0!r}): the gap law's "
-            f"tail decays at {self.tail_rate!r} per m, too slowly for its "
-            f"panel edges to stay below the largest double")
-        if not math.isfinite(2.0 * edges[-1]):   # the first tail edge
-            raise overflow
+def _first_edges(params: ModelParams) -> list:
+    """A law's panel edges before its mass-driven tail steps; raises past
+    ``check_density``'s limit, or where the first tail edge overflows."""
+    check_density(params)
+    rho, r0 = params.rho, params.r0
+    alpha = rho * r0
+    ell = -math.log1p(-math.exp(-alpha)) if alpha < 700 \
+        else math.exp(-alpha)
+    support = 1.0 + _EFOLDS / max(ell, 1e-300)     # in units of r0
+    n_kinks = int(min(max(4.0, math.ceil(support) + 1,),
+                      max(4.0, math.ceil(_EFOLDS / max(alpha, 1e-9))),
+                      120.0))
+    edges = [r0 * j for j in range(1, n_kinks + 1)]
+    # bridge geometrically out to the tail-rate scale before applying
+    # the mass-driven stopping rule
+    while edges[-1] - r0 < 10.0 / gap_tail_rate(rho, r0):
+        edges.append(r0 + 2.0 * (edges[-1] - r0))
+    if not math.isfinite(2.0 * edges[-1]):   # the first tail edge
+        raise _edge_overflow(params)
+    return edges
 
-        masses = self._quad(self.pdf, edges[:-1], edges[1:]).tolist()
-        for _ in range(40):
-            new = r0 + 2.0 * (edges[-1] - r0)
-            if not math.isfinite(new):
-                raise overflow
-            mss = self._quad(self.pdf, edges[-1], new)
-            edges.append(new)
-            masses.append(mss)
-            if mss < _TAIL_MASS_TOL * max(math.fsum(masses), 1e-300):
-                break
-        else:
-            raise QuadratureError("gap-distribution tail mass not converging",
-                                  math.fsum(masses))
-        self._edges = np.asarray(edges)
-        self._cum = np.concatenate([[0.0], np.cumsum(masses)])
+
+def _edge_overflow(params: ModelParams) -> ArithmeticError:
+    rho, r0 = params.rho, params.r0
+    return ArithmeticError(
+        f"rho*r0 = {rho * r0!r} (rho={rho!r}, r0={r0!r}): the gap law's "
+        f"tail decays at {gap_tail_rate(rho, r0)!r} per m, too slowly for "
+        f"its panel edges to stay below the largest double")
+
+
+def _gap_laws(cells: Sequence[ModelParams]) -> list:
+    """The ChGapDistribution of each cell, or the ``ArithmeticError`` or
+    ``ValueError`` its construction raises; raises only what a batched
+    quadrature raises.  All laws' first panels take one quadrature call,
+    then their tail steps advance in lockstep, one call a step."""
+    out, edges, masses = [None] * len(cells), {}, {}
+    for i, params in enumerate(cells):
+        try:
+            edges[i] = _first_edges(params)
+        except (ArithmeticError, ValueError) as exc:
+            out[i] = exc
+    if not edges:
+        return out
+    laws = _laws(tuple(cells[i] for i in edges))
+    law = {i: k for k, i in enumerate(edges)}
+    first = iter(_quad_laws(laws, [(law[i], 0, 0.0, a, b) for i in edges
+                                   for a, b in zip(edges[i], edges[i][1:])]))
+    for i in edges:
+        masses[i] = [next(first) for _ in edges[i][1:]]
+    active = list(edges)
+    for _ in range(40):
+        new = {i: cells[i].r0 + 2.0 * (edges[i][-1] - cells[i].r0)
+               for i in active}
+        for i in active:
+            if not math.isfinite(new[i]):
+                out[i] = _edge_overflow(cells[i])
+        active = [i for i in active if out[i] is None]
+        if not active:
+            break
+        for i, mss in zip(active, _quad_laws(laws, [
+                (law[i], 0, 0.0, edges[i][-1], new[i]) for i in active])):
+            edges[i].append(new[i])
+            masses[i].append(mss)
+            if mss < _TAIL_MASS_TOL * max(math.fsum(masses[i]), 1e-300):
+                out[i] = ChGapDistribution._of(cells[i], edges[i], masses[i])
+        active = [i for i in active if out[i] is None]
+    for i in active:
+        out[i] = QuadratureError("gap-distribution tail mass not converging",
+                                 math.fsum(masses[i]))
+    return out
 
 
 # -- expectations --------------------------------------------------------
@@ -429,6 +565,40 @@ def baseline_power_saved(params: ModelParams) -> float:
     return _power_saved(params, tail, params.rho * exp_integral_e1(z))
 
 
+def _expectations(pairs: Sequence[tuple]) -> list:
+    """The EnergyFigures of each (params, dist) pair, the law dist's and D
+    and the energy constants params', or the exception E[X] raises;
+    raises only what the batched quadrature raises.  All the pairs' F(D)
+    part panels and their panels of E[X - D; X > D] and E[1/X; X > D]
+    take one quadrature call."""
+    panels, parts = [], []
+    for k, (params, dist) in enumerate(pairs):
+        D = params.D
+        base, start, above = dist._split(D)
+        panels += [(k, 0, D, start, D)] * (start is not None) + [
+            (k, w, D, a, b) for w in (1, 2) for a, b in above]
+        parts.append((base, start is not None, len(above)))
+    values = iter(_quad_laws(_laws(tuple(dist.params for _, dist in pairs)),
+                             panels) if panels else ())
+    out = []
+    for (params, dist), (base, partial, n) in zip(pairs, parts):
+        cdf = float(base + (next(values) if partial else 0.0))
+        m_excess = math.fsum(next(values) for _ in range(n))
+        inv = math.fsum(next(values) for _ in range(n))
+        prob = min(max(1.0 - cdf, 0.0), 1.0) if params.D < dist.x_max \
+            else 0.0
+        try:
+            out.append(EnergyFigures(
+                expected_gap=expected_ch_gap(params), prob_sleep=prob,
+                expected_sleep_time=(params.mean_inv_speed * m_excess / prob
+                                     if prob >= 1e-12 else None),
+                expected_power_saved=_power_saved(params, prob, inv),
+                mean_speed=params.mean_speed))
+        except (ArithmeticError, ValueError) as exc:
+            out.append(exc)
+    return out
+
+
 def energy_figures(params: ModelParams,
                    dist: Optional[ChGapDistribution] = None) -> EnergyFigures:
     """All analytic outputs at one parameter point, sharing one distribution
@@ -438,16 +608,35 @@ def energy_figures(params: ModelParams,
     precision where F(D) is tiny, clamped to [0, 1] because the truncated
     mass can exceed 1 by its quadrature error; past the truncation point
     it is zero.  E[T_off] = E[1/V] E[X - D; X > D] / P{X>D} is None when
-    P{X>D} < 1e-12.
+    P{X>D} < 1e-12.  The one-cell case of ``grid_energy_figures``.
     """
-    dist = dist or ChGapDistribution(params)
-    D = params.D
-    prob = min(max(1.0 - dist.cdf(D), 0.0), 1.0) if D < dist.x_max else 0.0
-    m_excess = dist.integral(lambda xs: xs - D, lo=D)
-    inv = dist.integral(lambda xs: 1.0 / xs, lo=D)
-    sleep_time = (params.mean_inv_speed * m_excess / prob
-                  if prob >= 1e-12 else None)
-    return EnergyFigures(expected_gap=expected_ch_gap(params), prob_sleep=prob,
-                         expected_sleep_time=sleep_time,
-                         expected_power_saved=_power_saved(params, prob, inv),
-                         mean_speed=params.mean_speed)
+    (figures,) = _expectations([(params, dist or ChGapDistribution(params))])
+    if isinstance(figures, Exception):
+        raise figures
+    return figures
+
+
+def grid_energy_figures(cells: Sequence[ModelParams]) -> list:
+    """``energy_figures`` of each cell, bit for bit, or the
+    ``ArithmeticError`` or ``ValueError`` it raises; any other exception
+    propagates.  All the cells' first panels take one batched quadrature,
+    each lockstep tail step one, and all their expectations one
+    (``_gap_laws``, ``_expectations``).  If a batched quadrature fails,
+    each cell runs again on its own, so each failure lands on its cell.
+    """
+    def alone(params):
+        try:
+            return energy_figures(params)
+        except (ArithmeticError, ValueError) as exc:
+            return exc
+
+    try:
+        laws = _gap_laws(cells)
+        ok = [i for i, law in enumerate(laws)
+              if isinstance(law, ChGapDistribution)]
+        for i, figures in zip(ok, _expectations(
+                [(cells[i], laws[i]) for i in ok])):
+            laws[i] = figures
+        return laws
+    except (ArithmeticError, ValueError):
+        return [alone(params) for params in cells]

@@ -265,8 +265,9 @@ def cmd_validate(args, params: ModelParams, out) -> int:
         print(f"validation FAILED: {len(failing)} comparison(s) out of "
               f"{len(report.rows)} exceed |z| = 3", file=out)
         for r in failing:
+            reason = "" if r.status == "ok" else f" ({r.status})"
             print(f"  rho={r.rho} r0={r.r0} {r.fidelity} {r.metric} "
-                  f"z={r.z:+.2f}", file=out)
+                  f"z={r.z:+.2f}{reason}", file=out)
         return EXIT_VALIDATION_FAILED
     print(f"validation passed: {len(report.rows)} comparisons within "
           "|z| = 3", file=out)

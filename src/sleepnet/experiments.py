@@ -2,13 +2,15 @@
 validation report, and table serialization.
 
 Cells are independent and rows come out in deterministic row-major
-order.  A sweep evaluates its cells serially.  Validation computes every
-cell's analytic figures first and then hands the cycles of every
-(cell, fidelity) pair to the sampler in one batch of blocks; its cells
-can also be split over a process pool of any size, each process doing
-the same for its own run of cells.  Each pair draws from its own derived
-random stream, so identical grids and seeds produce identical output
-bytes whatever the pool size.
+order.  A sweep hands all its cells' gap laws to one batched quadrature
+(``analytic.grid_energy_figures``), which gives each cell the bits it
+gets alone; E_X and baseline_Psave are closed forms and need no law.
+Validation computes the analytic figures of every (cell, fidelity) pair
+in one such batch, then hands their cycles to the sampler in one batch
+of blocks; its cells can also be split over a process pool of any size,
+each process doing the same for its own run of cells.  Each pair draws
+from its own derived random stream, so identical grids and seeds produce
+identical output bytes whatever the pool size.
 """
 
 from __future__ import annotations
@@ -24,12 +26,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import __version__ as _version
-from .analytic import baseline_power_saved, energy_figures
+from .analytic import (baseline_power_saved, expected_ch_gap,
+                       grid_energy_figures)
 from .params import CANONICAL, Fidelity, ModelParams
 from .simulate import RngSpec, _plan_cycles, _run_cycles, estimate_energy
-# bench/tracer.py wraps sample_cycles at this name, which validate no
-# longer calls (its draws go through _run_cycles in one batch); the name
-# stays so the tracer's target resolves, for the cycles trace too
+# bench/tracer.py wraps energy_figures and sample_cycles at these names,
+# which sweep and validate no longer call (a grid's gap laws go through
+# grid_energy_figures, its draws through _run_cycles, each in one batch);
+# the names stay so the tracer's targets resolve, for the cycles trace too
+from .analytic import energy_figures  # noqa: F401
 from .simulate import sample_cycles  # noqa: F401
 
 __all__ = [
@@ -60,6 +65,11 @@ CSV_COLUMNS = ("rho", "r0", "D", "a", "b", "P0", "Ec",
 VALIDATION_EXTRA_COLUMNS = ("analytic", "z", "passed", "fidelity_gap")
 
 JSON_SCHEMA = "sleepnet-sweep/1"
+
+#: The metrics in closed form; a grid that asks for no other builds no
+#: gap law.
+_CLOSED_FORMS = {"E_X": expected_ch_gap,
+                 "baseline_Psave": baseline_power_saved}
 
 #: The EnergyFigures field behind each analytic metric but baseline_Psave;
 #: EnergyEstimate names its Monte Carlo twin the same, with "_se" for the
@@ -137,40 +147,27 @@ class ValidationReport:
     meta: Dict[str, object] = field(default_factory=dict)
 
 
-def _cell_metrics(params: ModelParams,
-                  metrics: Sequence[str]) -> List[Tuple[str, float, str]]:
-    """(metric, value, status) triples for one cell; numeric and parameter
-    failures (``ArithmeticError``, ``ValueError``) are recorded in-row and
-    never propagate, while any other exception is a bug and does."""
+def _cell_metrics(params: ModelParams, metrics: Sequence[str],
+                  figures) -> List[Tuple[str, float, str]]:
+    """(metric, value, status) triples for one cell, from its
+    EnergyFigures or the exception its gap law raised (None if every
+    metric is closed form); numeric and parameter failures
+    (``ArithmeticError``, ``ValueError``) are recorded in-row and never
+    propagate, while any other exception is a bug and does."""
     out = []
-    figures = error = None
-    if any(m != "baseline_Psave" for m in metrics):
-        try:
-            figures = energy_figures(params)
-        except (ArithmeticError, ValueError) as exc:
-            error = f"error: {exc}"
     for metric in metrics:
-        if metric == "baseline_Psave":
+        if metric in _CLOSED_FORMS:
             try:
-                out.append((metric, baseline_power_saved(params), "ok"))
+                out.append((metric, _CLOSED_FORMS[metric](params), "ok"))
             except (ArithmeticError, ValueError) as exc:
                 out.append((metric, math.nan, f"error: {exc}"))
-            continue
-        value = None if figures is None else getattr(figures, _FIELDS[metric])
-        if value is None:   # figures failed, or E_Toff had no sleep
-            out.append((metric, math.nan, error or "no sleep opportunity"))
+        elif isinstance(figures, Exception):
+            out.append((metric, math.nan, f"error: {figures}"))
+        elif getattr(figures, _FIELDS[metric]) is None:   # E_Toff, no sleep
+            out.append((metric, math.nan, "no sleep opportunity"))
         else:
-            out.append((metric, value, "ok"))
+            out.append((metric, getattr(figures, _FIELDS[metric]), "ok"))
     return out
-
-
-def _sweep_cell(grid: SweepGrid, rho: float, r0: float) -> List[SweepRow]:
-    params = grid.fixed.replace(rho=rho, r0=r0)
-    return [SweepRow(rho=rho, r0=r0, D=params.D, a=params.a, b=params.b,
-                     P0=params.P0, Ec=params.Ec,
-                     fidelity=params.fidelity.value, metric=metric,
-                     value=value, stderr=None, status=status)
-            for metric, value, status in _cell_metrics(params, grid.metrics)]
 
 
 def run_sweep(grid: SweepGrid) -> SweepTable:
@@ -178,10 +175,22 @@ def run_sweep(grid: SweepGrid) -> SweepTable:
 
     Rows are ordered row-major (rho outer, r0 inner) with the grid's
     metric order inside each cell; per-cell numeric failures are recorded
-    in the status column and never abort the sweep.
+    in the status column and never abort the sweep.  The cells' gap laws
+    and expectations come from one ``grid_energy_figures`` batch, which
+    a grid asking only for closed forms skips; each row has the bits of
+    a sweep of its cell alone.
     """
-    rows = tuple(row for rho, r0 in grid.cells
-                 for row in _sweep_cell(grid, rho, r0))
+    cells = [grid.fixed.replace(rho=rho, r0=r0) for rho, r0 in grid.cells]
+    figures = (grid_energy_figures(cells) if set(grid.metrics)
+               - set(_CLOSED_FORMS) else [None] * len(cells))
+    rows = tuple(
+        SweepRow(rho=params.rho, r0=params.r0, D=params.D, a=params.a,
+                 b=params.b, P0=params.P0, Ec=params.Ec,
+                 fidelity=params.fidelity.value, metric=metric, value=value,
+                 stderr=None, status=status)
+        for params, found in zip(cells, figures)
+        for metric, value, status in _cell_metrics(params, grid.metrics,
+                                                   found))
     meta = {
         "kind": "sweep",
         "fidelity": grid.fixed.fidelity.value,
@@ -191,15 +200,15 @@ def run_sweep(grid: SweepGrid) -> SweepTable:
     return SweepTable(rows=rows, meta=meta)
 
 
-def _cell_analytic(params: ModelParams) -> tuple:
-    """One cell's analytic VALIDATION_METRICS under both fidelities,
-    keyed by (fidelity, metric), and per metric the relative gap
-    |paper - corrected| / |corrected| between them."""
+def _cell_analytic(pairs) -> tuple:
+    """One cell's analytic VALIDATION_METRICS under both fidelities
+    from its (params, figures) pairs, keyed by (fidelity, metric), and per
+    metric the relative gap |paper - corrected| / |corrected|."""
     analytic: Dict[Tuple[str, str], float] = {}
-    for fidelity in _FIDELITY_ORDER:
+    for params, figures in pairs:
         for metric, value, status in _cell_metrics(
-                params.replace(fidelity=fidelity), VALIDATION_METRICS):
-            analytic[(fidelity.value, metric)] = value
+                params, VALIDATION_METRICS, figures):
+            analytic[(params.fidelity.value, metric)] = value
     gaps = {}
     for metric in VALIDATION_METRICS:
         paper = analytic[("paper", metric)]
@@ -214,15 +223,20 @@ def _cell_analytic(params: ModelParams) -> tuple:
 def _compared_rows(params: ModelParams, est, analytic: dict,
                    gaps: dict) -> List[ValidationRow]:
     """The rows of one (cell, fidelity) pair: each VALIDATION_METRICS
-    estimate against the analytic value of params' fidelity."""
+    estimate, or the sampler's exception, against the analytic value of
+    params' fidelity."""
     rows = []
     for metric in VALIDATION_METRICS:
-        value = getattr(est, _FIELDS[metric])
-        stderr = getattr(est, _FIELDS[metric] + "_se")
         target = float(analytic[(params.fidelity.value, metric)])
+        if isinstance(est, Exception):
+            value = stderr = None
+            status = f"error: {est}"
+        else:
+            value = getattr(est, _FIELDS[metric])
+            stderr = getattr(est, _FIELDS[metric] + "_se")
+            status = "no sleep opportunity"
         if value is None or stderr is None:
             value, stderr, z = math.nan, None, math.nan
-            status = "no sleep opportunity"
         else:
             value, stderr, status = float(value), float(stderr), "ok"
             z = (value - target) / stderr if stderr > 0.0 else (
@@ -239,25 +253,34 @@ def _compared_rows(params: ModelParams, est, analytic: dict,
 
 def _validation_rows(args) -> List[ValidationRow]:
     """The rows of the cells (index, rho, r0), in order: first every
-    cell's analytic figures, then the cycles of every (cell, fidelity)
-    pair in one batch of sampler blocks (``simulate._run_cycles``), pair
-    k of cell i on stream 2 i + k.  The batch starts once the analytic
-    work is done, not beside it: both hold the GIL, and overlapping them
-    was slower."""
+    (cell, fidelity) pair's analytic figures in one batch, then their
+    cycles in one batch of sampler blocks (``simulate._run_cycles``), pair
+    k of cell i on stream 2 i + k; a pair the sampler refuses gets error
+    rows.  The draws start once the analytic work is done, not beside it:
+    both hold the GIL, and overlapping them was slower."""
     grid, cells, n_cycles, spec, sampler_fidelity = args
     pairs = [(2 * i + k, grid.fixed.replace(rho=rho, r0=r0,
                                             fidelity=fidelity))
              for i, rho, r0 in cells
              for k, fidelity in enumerate(_FIDELITY_ORDER)]
-    analytic = [_cell_analytic(params) for _, params in pairs[::2]]
-    sums = _run_cycles([
-        _plan_cycles(params.replace(
-            fidelity=sampler_fidelity or params.fidelity), n_cycles,
-            RngSpec(spec.master_seed, stream)) for stream, params in pairs])
-    return [row for j, (_, params) in enumerate(pairs)
-            for row in _compared_rows(params,
-                                      estimate_energy(sums[j], params),
-                                      *analytic[j // 2])]
+    laws = [params for _, params in pairs]
+    figures = list(zip(laws, grid_energy_figures(laws)))
+    analytic = [_cell_analytic(figures[j:j + 2])
+                for j in range(0, len(pairs), 2)]
+    plans = []
+    for stream, params in pairs:
+        try:
+            plans.append(_plan_cycles(params.replace(
+                fidelity=sampler_fidelity or params.fidelity), n_cycles,
+                RngSpec(spec.master_seed, stream)))
+        except ArithmeticError as exc:
+            plans.append(exc)
+    sums = iter(_run_cycles([plan for plan in plans
+                             if not isinstance(plan, Exception)]))
+    return [row for j, ((_, params), plan) in enumerate(zip(pairs, plans))
+            for row in _compared_rows(
+                params, plan if isinstance(plan, Exception)
+                else estimate_energy(next(sums), params), *analytic[j // 2])]
 
 
 def run_validation(grid: SweepGrid, n_cycles: int,
@@ -272,10 +295,13 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     compared against a cycle sampler of the same fidelity; a comparison
     passes when |z| <= 3.  The fidelity_gap column reports the relative
     analytic difference between the two fidelities for the same metric.
-    The analytic figures of every cell come first; then the sampler
-    draws all the cells' cycles in one batch of blocks on its block
-    pool.  workers > 1 splits the cells into that many runs of
-    consecutive cells, one per process, each computed the same way.
+    The analytic figures of every cell come first, in one batch; then the
+    sampler draws all the cells' cycles in one batch of blocks on its
+    block pool.  A cell past the sampler's density limit gets rows whose
+    status names the limit, with value and z nan, and fails; the other
+    cells are validated.  workers > 1 splits the cells into that many
+    runs of consecutive cells, one per process, each computed the same
+    way.
     Each (cell, fidelity) pair gets its own derived random stream, so the
     report is independent of the worker count.
 

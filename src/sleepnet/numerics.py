@@ -46,17 +46,19 @@ def integrate_panel_doubling(fv, lo, hi, *, abs_tol: float, rel_tol: float,
     Simpson with grid doubling and Richardson extrapolation.
 
     ``lo`` and ``hi`` are floats (one panel, a float is returned) or
-    equal-length arrays (one value per panel).  Each call of ``fv`` takes
-    the nodes of every unconverged panel at the current level as one flat
-    array, so a batch costs one integrand call per doubling level; after
-    the first level it takes only the new midpoints, the other nodes'
-    values being the last level's, bit for bit (``_panel_nodes``); every
-    panel keeps its own convergence, noise-floor and ``max_points`` tests
-    and gets the same bits as a call of its own.  Unlike depth-adaptive
-    splitting this scheme detects the rounding-noise plateau of the
-    integrand: when doubling stops improving the defect the current
-    extrapolation is returned instead of refining forever, so integrands
-    accurate only to some absolute noise level still return.
+    equal-length arrays (one value per panel).  Each call ``fv(xs, panel)``
+    takes the nodes of every unconverged panel at the current level as one
+    flat array, and for each node the index of its panel in ``lo``/``hi``,
+    so a batch costs one integrand call per doubling level, and panels of
+    different integrands can share it; after the first level it takes only
+    the new midpoints, the other nodes' values being the last level's, bit
+    for bit (``_panel_nodes``); every panel keeps its own convergence,
+    noise-floor and ``max_points`` tests and gets the same bits as a call
+    of its own.  Unlike depth-adaptive splitting this scheme detects the
+    rounding-noise plateau of the integrand: when doubling stops improving
+    the defect the current extrapolation is returned instead of refining
+    forever, so integrands accurate only to some absolute noise level
+    still return.
     """
     scalar = np.ndim(lo) == 0
     lo, hi = np.atleast_1d(np.asarray(lo, dtype=float),
@@ -78,9 +80,10 @@ def integrate_panel_doubling(fv, lo, hi, *, abs_tol: float, rel_tol: float,
         if was_exact and exact:        # the even nodes are the last level's
             kept, ys = ys, np.empty_like(xs)
             ys[:, ::2] = kept
-            ys[:, 1::2] = fv(xs[:, 1::2].reshape(-1)).reshape(len(todo), -1)
+            ys[:, 1::2] = fv(xs[:, 1::2].reshape(-1),
+                             np.repeat(todo, n // 2)).reshape(len(todo), -1)
         else:
-            ys = fv(xs.reshape(-1)).reshape(xs.shape)
+            ys = fv(xs.reshape(-1), np.repeat(todo, n + 1)).reshape(xs.shape)
         if not np.all(np.isfinite(ys)):
             raise QuadratureError("integrand returned a non-finite value")
         s = w / n / 3.0 * (ys[:, 0] + ys[:, -1]

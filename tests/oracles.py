@@ -251,7 +251,8 @@ def gap_pdf_composition(x: float, params: ModelParams) -> float:
     grid = r0 * (np.arange(math.ceil(u / r0 * n_sub) + 1) / n_sub)
     edges = np.append(grid[grid < u], u)
     pieces = [integrate_panel_doubling(
-        lambda x0: cluster_len_pdf_grid(x0, rho, r0) * np.exp(-rho * (u - x0)),
+        lambda x0, _: cluster_len_pdf_grid(x0, rho, r0)
+        * np.exp(-rho * (u - x0)),
         float(lo), float(hi), abs_tol=1e-300, rel_tol=1e-13)
         for lo, hi in zip(edges, edges[1:])]
     paper = rho * math.fsum(pieces)
@@ -263,12 +264,12 @@ def gap_pdf_composition(x: float, params: ModelParams) -> float:
 
 def integrate_panels_one_by_one(fv, lo, hi, **tolerances):
     """``integrate_panel_doubling`` with array bounds, as a loop of
-    one-panel calls."""
+    one-panel calls; ``fv`` still sees each node's index into lo/hi."""
     if np.ndim(lo) == 0:
         return integrate_panel_doubling(fv, lo, hi, **tolerances)
-    return np.array([integrate_panel_doubling(fv, float(a), float(b),
-                                              **tolerances)
-                     for a, b in zip(lo, hi)])
+    return np.array([integrate_panel_doubling(
+        lambda xs, panel, k=k: fv(xs, panel + k), float(a), float(b),
+        **tolerances) for k, (a, b) in enumerate(zip(lo, hi))])
 
 
 def integrate_every_node(fv, lo: np.ndarray, hi: np.ndarray, *,
@@ -286,7 +287,7 @@ def integrate_every_node(fv, lo: np.ndarray, hi: np.ndarray, *,
         xs = np.linspace(lo[todo], hi[todo], n + 1, axis=1)
         xs[:, 0] += w * 2.0 ** -40
         xs[:, -1] -= w * 2.0 ** -40
-        ys = fv(xs.reshape(-1)).reshape(xs.shape)
+        ys = fv(xs.reshape(-1), np.repeat(todo, n + 1)).reshape(xs.shape)
         s = w / n / 3.0 * (ys[:, 0] + ys[:, -1]
                            + 4.0 * ys[:, 1:-1:2].sum(axis=1)
                            + 2.0 * ys[:, 2:-1:2].sum(axis=1))

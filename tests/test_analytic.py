@@ -10,8 +10,8 @@ from sleepnet.analytic import (ChGapDistribution, _gap_tail_switch,
                                baseline_power_saved, ch_gap_pdf,
                                _gap_pdf_tail, cluster_span_decay_rate,
                                energy_figures, expected_ch_gap,
-                               gap_tail_rate)
-from sleepnet.numerics import integrate_panel_doubling
+                               gap_tail_rate, grid_energy_figures)
+from sleepnet.numerics import QuadratureError, integrate_panel_doubling
 from sleepnet.params import CANONICAL, KMH
 from sleepnet.simulate import RngSpec, _cycle_energy
 
@@ -330,20 +330,74 @@ def test_pdf_matches_per_segment_oracle(rho, r0, fidelity):
 @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
 @pytest.mark.parametrize("rho,r0", _BATCH_CELLS)
 def test_batched_panels_match_one_by_one(monkeypatch, rho, r0, fidelity):
-    # every panel of an integral in one quadrature call gives the same
-    # bits as one call per panel
+    # every panel of an integral in one quadrature call, and every panel
+    # of a grid's laws, gives the same bits as one call per panel
     params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
 
     def outputs():
         dist = ChGapDistribution(params)
         return (energy_figures(params, dist), dist.total_mass,
                 dist.integral(lambda xs: 1.0 / xs, lo=params.D),
-                dist.integral(lo=1.5 * r0))
+                dist.integral(lo=1.5 * r0),
+                grid_energy_figures([params, CANONICAL]))
 
     batched = outputs()
     monkeypatch.setattr(analytic, "integrate_panel_doubling",
                         integrate_panels_one_by_one)
     assert outputs() == batched
+
+
+#: Cells with every kind of outcome: ok, rho r0 = 1, no sleep (D past
+#: x_max), the law's panel edges overflowing with E[X] finite (rho r0 =
+#: 695), E[X] overflowing too (699) and rho r0 past RHO_R0_LIMIT.
+_GRID_CELLS = [(0.02, 200.0, 800.0), (0.02, 50.0, 800.0), (0.5, 1.0, 800.0),
+               (1e-5, 6.95e7, 800.0), (0.01, 200.0, 1e9),
+               (1e-5, 6.99e7, 800.0), (1.0, 1000.0, 800.0),
+               (0.08, 400.0, 150.0)]
+
+
+def _figures_alone(params):
+    try:
+        return energy_figures(params)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def _grid_outcomes(cells):
+    return [str(f) if isinstance(f, Exception) else f
+            for f in grid_energy_figures(cells)]
+
+
+@pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+def test_grid_matches_cells_alone(fidelity):
+    # one batch for all cells gives each the figures, or the error, of
+    # energy_figures on its own
+    cells = [CANONICAL.replace(rho=rho, r0=r0, D=D, fidelity=fidelity)
+             for rho, r0, D in _GRID_CELLS]
+    got = _grid_outcomes(cells)
+    assert got == [_figures_alone(params) for params in cells]
+    assert sum(isinstance(g, str) for g in got) == 3
+
+
+def test_grid_falls_back_to_one_cell_at_a_time(monkeypatch):
+    # a batched quadrature that fails makes every cell run on its own,
+    # so each failure lands on its own cell
+    cells = [CANONICAL.replace(rho=rho, r0=r0, D=D)
+             for rho, r0, D in _GRID_CELLS]
+    calls = []
+
+    def fail_first_batch(fv, lo, hi, **tolerances):
+        calls.append(np.size(lo))
+        if len(calls) == 1:
+            raise QuadratureError("integrand returned a non-finite value")
+        return integrate_panel_doubling(fv, lo, hi, **tolerances)
+
+    monkeypatch.setattr(analytic, "integrate_panel_doubling",
+                        fail_first_batch)
+    got = _grid_outcomes(cells)
+    monkeypatch.undo()
+    assert got == [_figures_alone(params) for params in cells]
+    assert len(calls) > 1 and calls[0] > max(calls[1:])
 
 
 class TestExpectations:
@@ -457,7 +511,7 @@ class TestExpectations:
         params = CANONICAL
         rho, D = params.rho, params.D
 
-        def integrand(x):
+        def integrand(x, _panel):
             return rho * np.exp(-rho * x) * (
                 params.P0 * (x - D) - params.Ec * params.mean_speed) / x
 

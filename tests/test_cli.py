@@ -484,6 +484,17 @@ class TestValidateCommand:
         code, _ = run_cli(["validate", "--format", "text"])
         assert code == EXIT_CONFIG_ERROR
 
+    def test_cell_past_the_sampler_limit_keeps_the_report(self):
+        # the (0.2, 300) cell is past the sampler's limit: it fails in
+        # its rows, and the (0.02, 300) cell is still validated
+        code, text = run_cli(["validate", "--rho-values", "0.02,0.2",
+                              "--r0-values", "300", "--n", "20000"])
+        assert code == EXIT_VALIDATION_FAILED
+        assert text.count("\n0.02,300,") == 6
+        assert text.count("\n0.20000000000000001,300,") == 6
+        assert "validation FAILED: 6 comparison(s) out of 12" in text
+        assert "corrected E_Psave z=+nan (error: rho*r0 = 60.0" in text
+
 
 class TestSweepCommand:
     def test_custom_grid_csv_to_stdout(self):

@@ -6,8 +6,8 @@ import threading
 
 import pytest
 
-from sleepnet import experiments, simulate
-from sleepnet.analytic import energy_figures
+from sleepnet import analytic, experiments, simulate
+from sleepnet.analytic import energy_figures, expected_ch_gap
 from sleepnet.experiments import (CSV_COLUMNS, FIGURE_PRESETS, JSON_SCHEMA,
                                   METRICS, VALIDATION_EXTRA_COLUMNS,
                                   SweepGrid, emit_table, figure_preset,
@@ -16,6 +16,16 @@ from sleepnet.params import CANONICAL
 from sleepnet.simulate import RngSpec, estimate_energy, sample_cycles
 
 SMALL_GRID = SweepGrid(rho_values=(0.01, 0.02), r0_values=(100.0, 200.0))
+
+#: rho r0 = 1 at (0.005, 200) and (1, 1); D <= r0 at r0 = 1000; D past
+#: the truncation point x_max at r0 = 1; rho r0 = 1000 past RHO_R0_LIMIT;
+#: and cells from rho r0 = 0.005 to 500.
+MIXED_AXES = dict(rho_values=(0.005, 0.5, 1.0),
+                  r0_values=(1.0, 200.0, 1000.0))
+
+
+def _data_lines(table) -> list:
+    return emit_table(table, format="csv").decode("utf-8").splitlines()[1:]
 
 
 class TestSweepGrid:
@@ -68,12 +78,61 @@ class TestRunSweep:
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only numeric and parameter failures become error rows
-        def broken(params):
+        def broken(cells):
             raise TypeError("a bug, not a numeric failure")
 
-        monkeypatch.setattr(experiments, "energy_figures", broken)
+        monkeypatch.setattr(experiments, "grid_energy_figures", broken)
         with pytest.raises(TypeError, match="a bug"):
             run_sweep(SweepGrid(rho_values=(0.01,), r0_values=(200.0,)))
+
+    def test_bug_inside_the_batch_propagates(self, monkeypatch):
+        # the batch evaluates its cells again one by one on a numeric
+        # failure only; a bug in the density is not one
+        def broken(x, law, laws):
+            raise TypeError("a bug in the density")
+
+        monkeypatch.setattr(analytic, "_laws_pdf", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run_sweep(SMALL_GRID)
+
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    def test_cell_rows_independent_of_the_grid(self, fidelity):
+        # one batch for the grid gives each cell exactly the rows it
+        # gives alone, failures and no-sleep cells included
+        fixed = CANONICAL.replace(fidelity=fidelity)
+        grid = SweepGrid(**MIXED_AXES, fixed=fixed, metrics=METRICS)
+        table = run_sweep(grid)
+        alone = [line for rho, r0 in grid.cells
+                 for line in _data_lines(run_sweep(SweepGrid(
+                     rho_values=(rho,), r0_values=(r0,), fixed=fixed,
+                     metrics=METRICS)))]
+        assert _data_lines(table) == alone
+        assert {row.status.split(":")[0] for row in table.rows} \
+            == {"ok", "no sleep opportunity", "error"}
+
+    def test_closed_form_metrics_build_no_law(self, monkeypatch):
+        # E_X and baseline_Psave are closed form: fig2 and a grid of
+        # both, past RHO_R0_LIMIT too, never reach the gap-law batch
+        def refuse(cells):
+            raise AssertionError("built a gap law")
+
+        monkeypatch.setattr(experiments, "grid_energy_figures", refuse)
+        assert all(row.status == "ok"
+                   for row in run_sweep(figure_preset("fig2")).rows)
+        table = run_sweep(SweepGrid(**MIXED_AXES,
+                                    metrics=("E_X", "baseline_Psave")))
+        assert [row.status.split(":")[0] for row in table.rows].count(
+            "error") == 1
+
+    def test_e_x_row_keeps_its_value_when_the_law_fails(self):
+        # at rho r0 = 695 the law's panel edges overflow, but E[X] is a
+        # finite closed form
+        table = run_sweep(SweepGrid(rho_values=(1e-5,), r0_values=(6.95e7,)))
+        by_metric = {row.metric: row for row in table.rows}
+        assert by_metric["E_X"].status == "ok"
+        assert by_metric["E_X"].value == expected_ch_gap(
+            CANONICAL.replace(rho=1e-5, r0=6.95e7))
+        assert "panel edges" in by_metric["E_Psave"].status
 
     def test_meta_has_no_timestamps(self):
         table = run_sweep(SweepGrid(rho_values=(0.01,), r0_values=(200.0,)))
@@ -162,6 +221,23 @@ class TestRunValidation:
                 assert (row.rho, row.r0, row.fidelity, row.metric) \
                     == (rho, r0, fidelity, "E_X")
                 assert row.value == est.expected_gap
+
+    def test_cell_past_the_sampler_limit_gets_error_rows(self):
+        # rho r0 = 60 is past the sampler's limit: that cell's rows say so
+        # and fail, and the other cell's rows are those it gets alone
+        grid = SweepGrid(rho_values=(0.02, 0.2), r0_values=(300.0,))
+        report = run_validation(grid, 10_000, RngSpec(7))
+        assert not report.all_passed
+        alone = run_validation(SweepGrid(rho_values=(0.02,),
+                                         r0_values=(300.0,)),
+                               10_000, RngSpec(7))
+        assert report.rows[:6] == alone.rows
+        for row in report.rows[6:]:
+            assert row.status.startswith("error: rho*r0 = 60.0")
+            assert "sampler" in row.status
+            assert math.isnan(row.value) and math.isnan(row.z)
+            assert row.stderr is None and not row.passed
+            assert math.isfinite(row.analytic)
 
     def test_workers_after_the_block_pool_started(self, fresh_pool):
         # workers forked from a process whose sampler pool has started

@@ -14,17 +14,23 @@ from oracles import (compensated_sum, integrate_every_node,
                      trunc_exp_nfold_pdf, trunc_exp_pdf)
 
 
+def _nodes_only(f):
+    """An integrand of the nodes alone, as ``integrate_panel_doubling``
+    calls it: with each node's panel index too."""
+    return lambda x, _panel: f(x)
+
+
 class TestIntegratePanelDoubling:
     def test_smooth_integral(self):
         value = integrate_panel_doubling(
-            lambda x: np.sin(x), 0.0, math.pi,
+            lambda x, _: np.sin(x), 0.0, math.pi,
             abs_tol=1e-12, rel_tol=1e-12)
         assert_close(value, 2.0, rel=1e-10, label="sine arch")
 
     def test_noise_plateau_still_returns(self):
         rng = rng_for_test(1)
 
-        def noisy(x):
+        def noisy(x, _panel):
             x = np.asarray(x)
             jitter = rng.normal(scale=1e-13, size=x.shape)
             return np.exp(-x) + jitter
@@ -35,7 +41,7 @@ class TestIntegratePanelDoubling:
                      label="noisy exponential")
 
     @staticmethod
-    def _mixed(x):
+    def _mixed(x, _panel=None):
         # [0, 1]: smooth; [10, 15]: exponential plus a deterministic
         # 1e-9 jitter, which stops the defect at its noise floor;
         # [20, 21]: a narrow peak that needs more than 1024 points
@@ -52,7 +58,7 @@ class TestIntegratePanelDoubling:
         for k in range(3):
             nodes = []
 
-            def counted(x):
+            def counted(x, panel):
                 nodes.append(len(x))
                 return self._mixed(x)
 
@@ -62,6 +68,20 @@ class TestIntegratePanelDoubling:
             assert nodes == [9] + [4 << i for i in range(1, len(nodes))]
             levels.append(8 << (len(nodes) - 1))
         assert len(set(levels)) == 3 and levels[2] > 1024, levels
+
+    def test_integrand_sees_each_nodes_panel(self):
+        # the panels converge at different levels, and every call names
+        # each node's own panel in lo/hi
+        lo, hi = np.array([0.0, 10.0, 20.0]), np.array([1.0, 15.0, 21.0])
+        seen = []
+
+        def f(x, panel):
+            assert np.all((lo[panel] <= x) & (x <= hi[panel]))
+            seen.append(set(panel.tolist()))
+            return self._mixed(x)
+
+        integrate_panel_doubling(f, lo, hi, abs_tol=1e-15, rel_tol=1e-13)
+        assert seen[0] == {0, 1, 2} and seen[-1] == {2}
 
     @pytest.mark.parametrize("n", [8, 64, 2048])
     def test_nodes_equal_linspace(self, n):
@@ -99,14 +119,14 @@ class TestIntegratePanelDoubling:
         hi = np.append(lo[:-2] + rng.uniform(0.01, 4.0, 20),
                        [1e-310, 5e-324])
         assert np.array_equal(
-            integrate_panel_doubling(np.cos, lo, hi, **tol),
-            integrate_every_node(np.cos, lo, hi, **tol))
+            integrate_panel_doubling(_nodes_only(np.cos), lo, hi, **tol),
+            integrate_every_node(_nodes_only(np.cos), lo, hi, **tol))
 
     def test_subnormal_step_evaluates_every_node(self):
         # np.linspace's nodes there do not nest from level to level
         sizes = []
 
-        def ones(x):
+        def ones(x, _panel):
             sizes.append(len(x))
             return np.ones_like(x)
 
@@ -116,19 +136,20 @@ class TestIntegratePanelDoubling:
         assert value == pytest.approx(1e-310, rel=1e-12)
 
     def test_scalar_call_returns_float(self):
-        value = integrate_panel_doubling(np.exp, 0.0, 1.0, abs_tol=1e-12,
-                                         rel_tol=1e-12)
+        value = integrate_panel_doubling(_nodes_only(np.exp), 0.0, 1.0,
+                                         abs_tol=1e-12, rel_tol=1e-12)
         assert type(value) is float
 
     def test_empty_panel_rejected(self):
         with pytest.raises(ValueError):
-            integrate_panel_doubling(np.exp, [0.0, 2.0], [1.0, 2.0],
-                                     abs_tol=1e-12, rel_tol=1e-12)
+            integrate_panel_doubling(_nodes_only(np.exp), [0.0, 2.0],
+                                     [1.0, 2.0], abs_tol=1e-12,
+                                     rel_tol=1e-12)
 
     def test_unconverged_panel_raises(self):
         # the constant panel converges at once; the steep sine cannot meet
         # the tolerance within 32 points, before the noise-floor test
-        def f(x):
+        def f(x, _panel):
             return np.where(x < 5.0, 1.0, 1e6 * np.sin(x))
 
         with pytest.raises(QuadratureError) as info:
@@ -152,7 +173,7 @@ class TestExpIntegralE1:
         for z in (0.05, 0.3, 1.0, 2.5, 8.0, 20.0):
             edges = np.geomspace(z, z + 60.0, 24)
             quad = sum(integrate_panel_doubling(
-                lambda t: np.exp(-t) / t, lo, hi, abs_tol=1e-18,
+                lambda t, _: np.exp(-t) / t, lo, hi, abs_tol=1e-18,
                 rel_tol=1e-10) for lo, hi in zip(edges, edges[1:]))
             assert_close(exp_integral_e1(z), quad, rel=1e-6,
                          label=f"E1({z})")
@@ -212,8 +233,9 @@ class TestCompensatedSum:
 class TestTruncExp:
     def test_pdf_mass_one(self):
         rho, r0 = 0.01, 200.0
-        mass = integrate_panel_doubling(lambda x: trunc_exp_pdf(x, rho, r0),
-                                        0.0, r0, abs_tol=1e-10, rel_tol=1e-8)
+        mass = integrate_panel_doubling(
+            lambda x, _: trunc_exp_pdf(x, rho, r0), 0.0, r0, abs_tol=1e-10,
+            rel_tol=1e-8)
         assert_close(mass, 1.0, rel=1e-10, label="truncated-exp mass")
 
     def test_pdf_zero_outside(self):

@@ -63,8 +63,8 @@ class TestModelParams:
     def test_mean_inv_speed_vs_quadrature(self):
         # E[1/V] for V ~ uniform(a, b), against direct integration
         a, b = CANONICAL.a, CANONICAL.b
-        quad = integrate_panel_doubling(lambda v: 1.0 / (v * (b - a)), a, b,
-                                        abs_tol=1e-10, rel_tol=1e-8)
+        quad = integrate_panel_doubling(lambda v, _: 1.0 / (v * (b - a)),
+                                        a, b, abs_tol=1e-10, rel_tol=1e-8)
         assert_close(CANONICAL.mean_inv_speed, quad, rel=1e-9,
                      label="mean inverse speed")
 
