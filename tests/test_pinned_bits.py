@@ -6,7 +6,9 @@ moved a bit would pass them all.  These values were computed before the
 kernel's masked copies were replaced by index gathers, and any change
 that keeps the stream must keep them.  The sweep digests were computed
 before a grid's gap laws were integrated in one batch, which must leave
-every byte as it was.  They hold for numpy 2.x on
+every byte as it was, and the timeline digests before the heterogeneous
+event loop's per-event cost was cut, which must keep every event
+instant.  They hold for numpy 2.x on
 x86-64; a platform whose libm rounds log1p or exp differently moves
 them, and then they must be recomputed there, never loosened.
 """
@@ -80,6 +82,19 @@ PRESET_SHA256 = {
     "fig5": "8c9392efd137605b0aef43acbed1e07ed95f8a046368585e03daf6fd3b98e5c1",
 }
 
+#: SHA-256 of what `sleepnet simulate --mode timeline-heterogeneous
+#: --duration 1600 --seed S --format json` prints, by seed S.
+HETEROGENEOUS_SHA256 = {
+    0: "b0c8c03992b63fb95b2e4f80bcfe7ab7d34c1eb10e7d523d744831d4ef243d0c",
+    1: "b0a03708c68d51dd979fcc46d93c8ead3195a009ddac5c67b59c07698a3b1cf6",
+    2: "79a0823386364d3da2dab260e39a80ad8c58906b068a3b4c5916d69e0a56bd7b",
+}
+
+#: SHA-256 of what `sleepnet simulate --mode timeline-common --v 60kmh
+#: --seed 0 --format json` prints.
+COMMON_SHA256 = (
+    "35909bdd59f9cb70abaadde5565b4b708baec1631354903c85208a6fe6429dc8")
+
 
 def _hex(values):
     return tuple(v.hex() if isinstance(v, float) else v for v in values)
@@ -118,3 +133,22 @@ def test_preset_bytes(tmp_path):
         (tmp_path / f"preset_{name}.json").read_bytes()).hexdigest()
         for name in PRESET_SHA256}
     assert digests == PRESET_SHA256
+
+
+def _printed_sha256(argv):
+    out = io.StringIO()
+    assert main(argv, out=out) == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(HETEROGENEOUS_SHA256))
+def test_heterogeneous_timeline_bytes(seed):
+    argv = ["simulate", "--mode", "timeline-heterogeneous", "--duration",
+            "1600", "--seed", str(seed), "--format", "json"]
+    assert _printed_sha256(argv) == HETEROGENEOUS_SHA256[seed]
+
+
+def test_common_timeline_bytes():
+    argv = ["simulate", "--mode", "timeline-common", "--v", "60kmh",
+            "--seed", "0", "--format", "json"]
+    assert _printed_sha256(argv) == COMMON_SHA256

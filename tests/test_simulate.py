@@ -783,6 +783,10 @@ class TestEventKernel:
         # five separate pairs cross at t = 10: more than 4 swaps
         ([1000.0 * k + d for k in range(5) for d in (0.0, 10.0)],
          [21.0, 20.0] * 5, True),
+        # two separate pairs cross at t = 10: both swapped in place by
+        # one repair
+        ([1000.0 * k + d for k in range(2) for d in (0.0, 10.0)],
+         [21.0, 20.0] * 2, False),
     ])
     def test_simultaneous_overtakes(self, monkeypatch, positions, speeds,
                                     fallback):
