@@ -261,13 +261,24 @@ def cmd_validate(args, params: ModelParams, out) -> int:
                             sampler_fidelity=sampler)
     _write_output(emit_table(report, args.format), args.out, out)
     if not report.all_passed:
+        # a row whose z is nan (unequal to itself) was never compared:
+        # it is named with its status, apart from the comparisons that
+        # exceed |z| = 3
         failing = [r for r in report.rows if not r.passed]
-        print(f"validation FAILED: {len(failing)} comparison(s) out of "
-              f"{len(report.rows)} exceed |z| = 3", file=out)
+        lost = [r for r in failing if r.z != r.z]
+        failing = [r for r in failing if r.z == r.z]
+        if failing:
+            print(f"validation FAILED: {len(failing)} comparison(s) out of "
+                  f"{len(report.rows) - len(lost)} exceed |z| = 3", file=out)
         for r in failing:
-            reason = "" if r.status == "ok" else f" ({r.status})"
             print(f"  rho={r.rho} r0={r.r0} {r.fidelity} {r.metric} "
-                  f"z={r.z:+.2f}{reason}", file=out)
+                  f"z={r.z:+.2f}", file=out)
+        if lost:
+            print(f"validation FAILED: {len(lost)} row(s) out of "
+                  f"{len(report.rows)} could not be compared", file=out)
+        for r in lost:
+            print(f"  rho={r.rho} r0={r.r0} {r.fidelity} {r.metric} "
+                  f"({r.status})", file=out)
         return EXIT_VALIDATION_FAILED
     print(f"validation passed: {len(report.rows)} comparisons within "
           "|z| = 3", file=out)

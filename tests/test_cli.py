@@ -492,8 +492,24 @@ class TestValidateCommand:
         assert code == EXIT_VALIDATION_FAILED
         assert text.count("\n0.02,300,") == 6
         assert text.count("\n0.20000000000000001,300,") == 6
-        assert "validation FAILED: 6 comparison(s) out of 12" in text
-        assert "corrected E_Psave z=+nan (error: rho*r0 = 60.0" in text
+        # the refused rows have no z: none of them counts as a comparison
+        assert "exceed |z| = 3" not in text
+        assert "validation FAILED: 6 row(s) out of 12 could not be " \
+               "compared\n" in text
+        assert "  rho=0.2 r0=300.0 corrected E_Psave (error: rho*r0 = " \
+               "60.0" in text
+
+    def test_no_sleep_rows_are_not_comparisons(self):
+        # no gap outlasts a 200 km coverage: both E_Toff rows have no
+        # estimate, and both E_Psave rows (0 W, se 0) pass
+        code, text = run_cli(["validate", "--rho-values", "0.02",
+                              "--r0-values", "200", "--D", "200000",
+                              "--n", "10000"])
+        assert code == EXIT_VALIDATION_FAILED
+        assert text.endswith(
+            "validation FAILED: 2 row(s) out of 6 could not be compared\n"
+            "  rho=0.02 r0=200.0 paper E_Toff (no sleep opportunity)\n"
+            "  rho=0.02 r0=200.0 corrected E_Toff (no sleep opportunity)\n")
 
 
 class TestSweepCommand:
