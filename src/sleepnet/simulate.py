@@ -650,7 +650,10 @@ class _Road:
     filtered out once renewals push the heap past heap_cap, twice its
     size at the start or after the last filtering, when it held no
     stale entry.  watch maps each slot whose pair rounding may put out
-    of order to the time after which it cannot; no other pair can be."""
+    of order to the time after which it cannot; no other pair can be.
+    Pairs found out of order are swapped in place, and all re-sorted
+    when the swaps leave the order unsorted; head is the slot of the
+    last cluster head found in coverage."""
 
     def __init__(self, positions: np.ndarray, speeds: np.ndarray,
                  r0: float, lo: float, hi: float, horizon: float):
@@ -667,7 +670,7 @@ class _Road:
         self.P, self.V, self.rank = [0.0] * n, [0.0] * n, [0] * n
         self.order, self.stamp = [-1] * n, [0] * self.m
         self.stamps, self.heap, self.watch = 0, [], {}
-        self.i0 = self.i1 = 0
+        self.i0, self.i1, self.head = 0, 0, -1
         self._resort(0.0)
         for j, (p, v) in enumerate(zip(self.P0, self.V0)):
             for kind, edge in ((2, lo), (3, hi)):
@@ -678,35 +681,49 @@ class _Road:
         heapify(self.heap)
         self.heap_cap = 2 * len(self.heap)
 
-    def _pair(self, k: int, t: float) -> None:
-        """Stamp the new pair at slot k and queue its events: the gap
-        reaching r0, and the overtake if it closes (kept even when past,
-        so that popping it watches the pair until it swaps).  An opening
-        pair is watched until it cannot be out of order, a pair at one
-        speed only if rounding can tie it."""
-        P, V, watch = self.P, self.V, self.watch
-        self.stamps += 1
-        s = self.stamp[k] = self.stamps
-        watch.pop(k, None)
-        dv = V[k + 1] - V[k]
-        if dv == 0.0:
-            if 0.0 < abs(P[k + 1] - P[k]) <= self.scale:
-                watch[k] = math.inf
-            return
-        gap = (P[k + 1] + V[k + 1] * t) - (P[k] + V[k] * t)
-        # W = 32u*reach/|dv| + 8u*(|A| + t + 1) bounds twice the
-        # rounding error of any evaluation of A (or of t + dt unrounded)
-        spread, slack = self.scale / abs(dv), self.slack
-        a = t + (self.r0 - gap) / dv
-        w = spread + slack * (abs(a) + t + 1.0)
-        if a + w - t > _EPS / 2.0:
-            heappush(self.heap, (a - w, a + w, 0, k, s))
-        a = t + gap / -dv
-        w = spread + slack * (abs(a) + t + 1.0)
-        if dv < 0.0:
-            heappush(self.heap, (a - w, a + w, 1, k, s))
-        elif a + w >= t:
-            watch[k] = a + w
+    def _pairs(self, slots, t: float) -> bool:
+        """Stamp the new pair at each of ``slots`` in turn and queue its
+        events: the gap reaching r0, and the overtake if it closes (kept
+        even when past, so that popping it watches the pair until it
+        swaps).  An opening pair is watched until it cannot be out of
+        order, a pair at one speed only if rounding can tie it.  True if
+        every pair is in stable order at t: a gap above 0, or of 0 with
+        the lower index behind."""
+        P, V, order, watch, heap, stamp = (self.P, self.V, self.order,
+                                           self.watch, self.heap, self.stamp)
+        r0, scale, slack, s = self.r0, self.scale, self.slack, self.stamps
+        in_order = True
+        for k in slots:
+            s += 1
+            stamp[k] = s
+            if k in watch:
+                del watch[k]
+            v, u = V[k], V[k + 1]
+            gap = (P[k + 1] + u * t) - (P[k] + v * t)
+            if gap < 0.0 or (gap == 0.0 and order[k] > order[k + 1]):
+                in_order = False
+            dv = u - v
+            if dv == 0.0:
+                if 0.0 < abs(P[k + 1] - P[k]) <= scale:
+                    watch[k] = math.inf
+                continue
+            # W = 32u*reach/|dv| + 8u*(|A| + t + 1) bounds twice the
+            # rounding error of any evaluation of A (or of t + dt unrounded)
+            spread = scale / abs(dv)
+            a = t + (r0 - gap) / dv
+            w = spread + slack * (abs(a) + t + 1.0)
+            end = a + w
+            if end - t > _EPS / 2.0:
+                heappush(heap, (a - w, end, 0, k, s))
+            a = t + gap / -dv
+            w = spread + slack * (abs(a) + t + 1.0)
+            end = a + w
+            if dv < 0.0:
+                heappush(heap, (a - w, end, 1, k, s))
+            elif end >= t:
+                watch[k] = end
+        self.stamps = s
+        return in_order
 
     def _drop_stale(self) -> None:
         """Filter the stale entries out of the heap and re-heapify.  The
@@ -728,49 +745,43 @@ class _Road:
         for k in moved:
             j = self.order[k] = new[k]
             P[k], V[k], rank[j] = P0[j], V0[j], k
-        for k in sorted({s for k in moved for s in (k - 1, k)
-                         if 0 <= s < self.m}):
-            self._pair(k, t)
-
-    def _unsorted(self, k: int, t: float) -> bool:
-        """Whether the pair at slot k is out of stable order at t: a gap
-        below 0, or of 0 with the higher index behind."""
-        P, V = self.P, self.V
-        gap = (P[k + 1] + V[k + 1] * t) - (P[k] + V[k] * t)
-        return gap < 0.0 or (gap == 0.0
-                             and self.order[k] > self.order[k + 1])
+        self._pairs(sorted({s for k in moved for s in (k - 1, k)
+                            if 0 <= s < self.m}), t)
 
     def _swapped(self, bad: list, t: float) -> bool:
-        """Swap the pairs ``bad``, up to 4 and none adjacent, in place;
-        True if the order then rises strictly with index order on ties,
-        which makes it the unique stable sort.  A swapped pair is in
-        order, so only its neighbours need a check."""
-        if len(bad) > 4 or any(j - i == 1 for i, j in zip(bad, bad[1:])):
+        """Swap the pairs ``bad``, up to 4 and none adjacent, in place and
+        renew the pairs at and next to them in ascending order (i - 1, i
+        and i + 1 for one swap at i); True if the order then rises
+        strictly with index order on ties, which makes it the unique
+        stable sort.  A swapped pair is in order, so of the renewed
+        pairs only its neighbours can be out of order."""
+        if len(bad) > 1 and (len(bad) > 4 or any(
+                j - i == 1 for i, j in zip(bad, bad[1:]))):
             return False
-        P, V, order, rank = self.P, self.V, self.order, self.rank
-        slots = []
+        P, V, order, rank, m = self.P, self.V, self.order, self.rank, self.m
         for i in bad:
             j = i + 1
             P[i], P[j] = P[j], P[i]
             V[i], V[j] = V[j], V[i]
             a, b = order[j], order[i]
             order[i], order[j], rank[a], rank[b] = a, b, i, j
-            slots += [k for k in (i - 1, i, j)
-                      if 0 <= k < self.m and k not in slots]
-        for k in slots:
-            self._pair(k, t)
-        return not any(self._unsorted(k, t) for k in slots
-                       if k not in bad)
+        if len(bad) == 1:
+            return self._pairs(range(max(i - 1, 0), min(i + 2, m)), t)
+        return self._pairs(sorted({k for i in bad for k in range(
+            max(i - 1, 0), min(i + 2, m))}), t)
 
     def at(self, t: float) -> bool:
         """Bring the order up to time t; True while a cluster head is
         inside [lo, hi]."""
-        if self.watch:
+        P, V, order, watch = self.P, self.V, self.order, self.watch
+        if watch:
             bad = []
-            for k, end in list(self.watch.items()):
+            for k, end in list(watch.items()):
                 if t > end:
-                    del self.watch[k]
-                elif self._unsorted(k, t):
+                    del watch[k]
+                    continue
+                gap = (P[k + 1] + V[k + 1] * t) - (P[k] + V[k] * t)
+                if gap < 0.0 or (gap == 0.0 and order[k] > order[k + 1]):
                     bad.append(k)
             if bad:
                 bad.sort()
@@ -778,14 +789,16 @@ class _Road:
                     self._resort(t)
                 if len(self.heap) > self.heap_cap:
                     self._drop_stale()
-        P, V, n, lo, hi = self.P, self.V, self.n, self.lo, self.hi
+        n, lo, hi = self.n, self.lo, self.hi
         # i0 counts the positions below lo, i1 those up to hi
         i0 = self.i0
         while i0 < n and P[i0] + V[i0] * t < lo:
             i0 += 1
         while i0 > 0 and P[i0 - 1] + V[i0 - 1] * t >= lo:
             i0 -= 1
-        i1 = max(self.i1, i0)
+        i1 = self.i1
+        if i1 < i0:
+            i1 = i0
         while i1 < n and P[i1] + V[i1] * t <= hi:
             i1 += 1
         while i1 > i0 and P[i1 - 1] + V[i1 - 1] * t > hi:
@@ -793,10 +806,15 @@ class _Road:
         self.i0, self.i1 = i0, i1
         if i1 == n:
             return i1 > i0
+        # the slot of the last head found is almost always a head still
+        r0, k = self.r0, self.head
+        if i0 <= k < i1 and (P[k + 1] + V[k + 1] * t) - (P[k] + V[k] * t) > r0:
+            return True
         ahead = P[i1] + V[i1] * t
         for k in range(i1 - 1, i0 - 1, -1):
             pos = P[k] + V[k] * t
-            if ahead - pos > self.r0:
+            if ahead - pos > r0:
+                self.head = k
                 return True
             ahead = pos
         return False
@@ -811,17 +829,18 @@ def _next_event_time(road: _Road, t: float) -> float:
     evaluated at t, and the ones still live pushed back."""
     P, V, r0, rank, m = road.P, road.V, road.r0, road.rank, road.m
     heap, stamp, watch = road.heap, road.stamp, road.watch
-    best = best_dt = math.inf
+    pop, push, inf, half_eps = heappop, heappush, math.inf, _EPS / 2.0
+    best = best_dt = inf
     held = []
     while heap and heap[0][0] <= best:
-        entry = heappop(heap)
+        entry = pop(heap)
         _, end, kind, k, s = entry
         if kind < 2:
             if stamp[k] != s:
                 continue
             if kind == 1:
-                watch[k] = math.inf
-        if end - t <= _EPS / 2.0:
+                watch[k] = inf
+        if end - t <= half_eps:
             continue                        # every dt from now is <= eps
         held.append(entry)
         if kind < 2:
@@ -838,7 +857,7 @@ def _next_event_time(road: _Road, t: float) -> float:
             best_dt = dt
             best = t + dt
     for entry in held:
-        heappush(heap, entry)
+        push(heap, entry)
     return t + best_dt
 
 
@@ -852,12 +871,15 @@ def _heterogeneous_timeline(params: ModelParams, duration: float,
                  duration)
     t = sleep_time = 0.0
     n_transitions = n_events = 0
-    active = road.at(t)
+    at, step = road.at, _next_event_time
+    active = at(t)
     while t < duration:
-        if t > 0.0 and road.at(t) != active:
+        if t > 0.0 and at(t) != active:
             n_transitions += 1
             active = not active
-        t_next = min(_next_event_time(road, t), duration)
+        t_next = step(road, t)
+        if t_next > duration:
+            t_next = duration
         if not active:
             sleep_time += t_next - t
         t = t_next
