@@ -261,12 +261,8 @@ def cmd_validate(args, params: ModelParams, out) -> int:
                             sampler_fidelity=sampler)
     _write_output(emit_table(report, args.format), args.out, out)
     if not report.all_passed:
-        # a row whose z is nan (unequal to itself) was never compared:
-        # it is named with its status, apart from the comparisons that
-        # exceed |z| = 3
-        failing = [r for r in report.rows if not r.passed]
-        lost = [r for r in failing if r.z != r.z]
-        failing = [r for r in failing if r.z == r.z]
+        lost = [r for r in report.rows if r.z != r.z]   # nan: not compared
+        failing = [r for r in report.rows if not r.passed and r.z == r.z]
         if failing:
             print(f"validation FAILED: {len(failing)} comparison(s) out of "
                   f"{len(report.rows) - len(lost)} exceed |z| = 3", file=out)

@@ -651,9 +651,8 @@ class _Road:
     size at the start or after the last filtering, when it held no
     stale entry.  watch maps each slot whose pair rounding may put out
     of order to the time after which it cannot; no other pair can be.
-    Pairs found out of order are swapped in place, and all re-sorted
-    when the swaps leave the order unsorted; head is the slot of the
-    last cluster head found in coverage."""
+    Pairs found out of order are swapped in place, or all re-sorted;
+    head is the slot of the last cluster head found in coverage."""
 
     def __init__(self, positions: np.ndarray, speeds: np.ndarray,
                  r0: float, lo: float, hi: float, horizon: float):
@@ -687,8 +686,7 @@ class _Road:
         even when past, so that popping it watches the pair until it
         swaps).  An opening pair is watched until it cannot be out of
         order, a pair at one speed only if rounding can tie it.  True if
-        every pair is in stable order at t: a gap above 0, or of 0 with
-        the lower index behind."""
+        every pair is in stable order at t (lower index behind on ties)."""
         P, V, order, watch, heap, stamp = (self.P, self.V, self.order,
                                            self.watch, self.heap, self.stamp)
         r0, scale, slack, s = self.r0, self.scale, self.slack, self.stamps
@@ -709,14 +707,14 @@ class _Road:
                 continue
             # W = 32u*reach/|dv| + 8u*(|A| + t + 1) bounds twice the
             # rounding error of any evaluation of A (or of t + dt unrounded)
-            spread = scale / abs(dv)
+            spread = scale / (-dv if dv < 0.0 else dv)
             a = t + (r0 - gap) / dv
-            w = spread + slack * (abs(a) + t + 1.0)
+            w = spread + slack * ((-a if a < 0.0 else a) + t + 1.0)
             end = a + w
             if end - t > _EPS / 2.0:
                 heappush(heap, (a - w, end, 0, k, s))
             a = t + gap / -dv
-            w = spread + slack * (abs(a) + t + 1.0)
+            w = spread + slack * ((-a if a < 0.0 else a) + t + 1.0)
             end = a + w
             if dv < 0.0:
                 heappush(heap, (a - w, end, 1, k, s))
@@ -750,11 +748,10 @@ class _Road:
 
     def _swapped(self, bad: list, t: float) -> bool:
         """Swap the pairs ``bad``, up to 4 and none adjacent, in place and
-        renew the pairs at and next to them in ascending order (i - 1, i
-        and i + 1 for one swap at i); True if the order then rises
-        strictly with index order on ties, which makes it the unique
-        stable sort.  A swapped pair is in order, so of the renewed
-        pairs only its neighbours can be out of order."""
+        renew the pairs at and next to them in ascending order (i - 1, i,
+        i + 1 for one swap at i); True if the order then rises strictly
+        with index order on ties, the unique stable sort (a swapped pair
+        is in order, so only its neighbours can fail the check)."""
         if len(bad) > 1 and (len(bad) > 4 or any(
                 j - i == 1 for i, j in zip(bad, bad[1:]))):
             return False
@@ -765,7 +762,7 @@ class _Road:
             V[i], V[j] = V[j], V[i]
             a, b = order[j], order[i]
             order[i], order[j], rank[a], rank[b] = a, b, i, j
-        if len(bad) == 1:
+        if len(bad) == 1:                   # i is the one swapped slot
             return self._pairs(range(max(i - 1, 0), min(i + 2, m)), t)
         return self._pairs(sorted({k for i in bad for k in range(
             max(i - 1, 0), min(i + 2, m))}), t)
@@ -825,24 +822,25 @@ def _next_event_time(road: _Road, t: float) -> float:
     an adjacent-pair gap reaches r0 or 0, or a cluster head reaches a
     coverage edge, more than eps after t.  It is t plus the least such
     dt, as a scan of the whole road finds it: the queue entries whose
-    interval starts at or before the running minimum are popped and
-    evaluated at t, and the ones still live pushed back."""
+    interval starts at or before the running minimum are taken in order
+    and evaluated at t, the stale and past ones popped; a live one is
+    popped, and pushed back, only to reach the next."""
     P, V, r0, rank, m = road.P, road.V, road.r0, road.rank, road.m
     heap, stamp, watch = road.heap, road.stamp, road.watch
     pop, push, inf, half_eps = heappop, heappush, math.inf, _EPS / 2.0
     best = best_dt = inf
     held = []
     while heap and heap[0][0] <= best:
-        entry = pop(heap)
-        _, end, kind, k, s = entry
+        _, end, kind, k, s = heap[0]
         if kind < 2:
             if stamp[k] != s:
+                pop(heap)
                 continue
             if kind == 1:
                 watch[k] = inf
         if end - t <= half_eps:
-            continue                        # every dt from now is <= eps
-        held.append(entry)
+            pop(heap)                       # every dt from now is <= eps
+            continue
         if kind < 2:
             gap = (P[k + 1] + V[k + 1] * t) - (P[k] + V[k] * t)
             dv = V[k + 1] - V[k]
@@ -850,12 +848,15 @@ def _next_event_time(road: _Road, t: float) -> float:
         else:
             k = rank[k]
             pos = P[k] + V[k] * t
-            if k < m and (P[k + 1] + V[k + 1] * t) - pos <= r0:
-                continue
-            dt = ((road.lo if kind == 2 else road.hi) - pos) / V[k]
+            dt = inf if k < m and (P[k + 1] + V[k + 1] * t) - pos <= r0 \
+                else ((road.lo if kind == 2 else road.hi) - pos) / V[k]
         if _EPS < dt < best_dt:
             best_dt = dt
             best = t + dt
+        n = len(heap)                       # the next entry is a child
+        if n < 2 or heap[1][0] > best and (n < 3 or heap[2][0] > best):
+            break
+        held.append(pop(heap))
     for entry in held:
         push(heap, entry)
     return t + best_dt
