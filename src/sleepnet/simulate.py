@@ -683,7 +683,7 @@ class _Road:
     def _pairs(self, slots, t: float) -> bool:
         """Stamp the new pair at each of ``slots`` in turn and queue its
         events: the gap reaching r0, and the overtake if it closes (kept
-        even when past, so that popping it watches the pair until it
+        even when past, so that taking it watches the pair until it
         swaps).  An opening pair is watched until it cannot be out of
         order, a pair at one speed only if rounding can tie it.  True if
         every pair is in stable order at t (lower index behind on ties)."""
