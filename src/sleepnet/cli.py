@@ -85,7 +85,7 @@ _OPTIONS = {
     "metrics": dict(type=_comma_list,
                     help="comma list from: " + ", ".join(METRICS)),
     "mc_fidelity": dict(choices=_FIDELITIES, help="force sampler fidelity"),
-    "workers": dict(type=int, help="worker processes"),
+    "workers": dict(type=int, help="ignored; goes in the next release"),
     "preset": dict(type=_comma_list,
                    help="comma list from: " + ", ".join(FIGURE_PRESETS)),
 }
@@ -253,11 +253,14 @@ def cmd_simulate(args, params: ModelParams, out) -> int:
 
 
 def cmd_validate(args, params: ModelParams, out) -> int:
+    if args.workers is not None:
+        print("note: validate ignores --workers, which goes in the next "
+              "release; its blocks already run on the sampler's threads",
+              file=sys.stderr)
     grid = SweepGrid(rho_values=args.rho_values, r0_values=args.r0_values,
                      fixed=params)
     sampler = Fidelity(args.mc_fidelity) if args.mc_fidelity else None
     report = run_validation(grid, args.n, RngSpec(args.seed),
-                            workers=args.workers,
                             sampler_fidelity=sampler)
     _write_output(emit_table(report, args.format), args.out, out)
     if not report.all_passed:

@@ -7,10 +7,8 @@ order.  A sweep hands all its cells' gap laws to one batched quadrature
 gets alone; E_X and baseline_Psave are closed forms and need no law.
 Validation computes the analytic figures of every (cell, fidelity) pair
 in one such batch, then hands their cycles to the sampler in one batch
-of blocks; its cells can also be split over a process pool of any size,
-each process doing the same for its own run of cells.  Each pair draws
-from its own derived random stream, so identical grids and seeds produce
-identical output bytes whatever the pool size.
+of blocks.  Each pair draws from its own derived random stream, so
+identical grids and seeds produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -251,17 +248,37 @@ def _compared_rows(params: ModelParams, est, analytic: dict,
     return rows
 
 
-def _validation_rows(args) -> List[ValidationRow]:
-    """The rows of the cells (index, rho, r0), in order: first every
-    (cell, fidelity) pair's analytic figures in one batch, then their
-    cycles in one batch of sampler blocks (``simulate._run_cycles``), pair
-    k of cell i on stream 2 i + k; a pair the sampler refuses gets error
-    rows.  The draws start once the analytic work is done, not beside it:
-    both hold the GIL, and overlapping them was slower."""
-    grid, cells, n_cycles, spec, sampler_fidelity = args
+def run_validation(grid: SweepGrid, n_cycles: int,
+                   rng: RngSpec,
+                   sampler_fidelity: Optional[Fidelity] = None
+                   ) -> ValidationReport:
+    """Cross-validate the analytic route against matched-fidelity Monte
+    Carlo on every grid cell.
+
+    For each cell and each of E_X, E_Toff, E_Psave, both fidelities are
+    compared against a cycle sampler of the same fidelity; a comparison
+    passes when |z| <= 3.  The fidelity_gap column reports the relative
+    analytic difference between the two fidelities for the same metric.
+    The analytic figures of every (cell, fidelity) pair come first, in
+    one batch; then the sampler draws all their cycles in one batch of
+    blocks on its block pool (``simulate._run_cycles``), pair k of cell i
+    on stream 2 i + k, so the report depends on the seed only.  The draws
+    start once the analytic work is done, not beside it: both hold the
+    GIL, and overlapping them was slower.  A cell past the sampler's
+    density limit gets rows whose status names the limit, with value and
+    z nan, and fails; the other cells are validated.
+
+    sampler_fidelity forces the Monte Carlo side to one fidelity for both
+    comparisons (a deliberate-mismatch negative control); by default the
+    sampler matches the analytic fidelity row by row.
+    """
+    if n_cycles < 10_000:
+        raise ValueError(f"need n_cycles >= 10000, got {n_cycles}")
+    if sampler_fidelity is not None:
+        sampler_fidelity = Fidelity(sampler_fidelity)
     pairs = [(2 * i + k, grid.fixed.replace(rho=rho, r0=r0,
                                             fidelity=fidelity))
-             for i, rho, r0 in cells
+             for i, (rho, r0) in enumerate(grid.cells)
              for k, fidelity in enumerate(_FIDELITY_ORDER)]
     laws = [params for _, params in pairs]
     figures = list(zip(laws, grid_energy_figures(laws)))
@@ -272,58 +289,17 @@ def _validation_rows(args) -> List[ValidationRow]:
         try:
             plans.append(_plan_cycles(params.replace(
                 fidelity=sampler_fidelity or params.fidelity), n_cycles,
-                RngSpec(spec.master_seed, stream)))
+                RngSpec(rng.master_seed, stream)))
         except ArithmeticError as exc:
             plans.append(exc)
     sums = iter(_run_cycles([plan for plan in plans
                              if not isinstance(plan, Exception)]))
-    return [row for j, ((_, params), plan) in enumerate(zip(pairs, plans))
-            for row in _compared_rows(
-                params, plan if isinstance(plan, Exception)
-                else estimate_energy(next(sums), params), *analytic[j // 2])]
-
-
-def run_validation(grid: SweepGrid, n_cycles: int,
-                   rng: RngSpec,
-                   workers: Optional[int] = None,
-                   sampler_fidelity: Optional[Fidelity] = None
-                   ) -> ValidationReport:
-    """Cross-validate the analytic route against matched-fidelity Monte
-    Carlo on every grid cell.
-
-    For each cell and each of E_X, E_Toff, E_Psave, both fidelities are
-    compared against a cycle sampler of the same fidelity; a comparison
-    passes when |z| <= 3.  The fidelity_gap column reports the relative
-    analytic difference between the two fidelities for the same metric.
-    The analytic figures of every cell come first, in one batch; then the
-    sampler draws all the cells' cycles in one batch of blocks on its
-    block pool.  A cell past the sampler's density limit gets rows whose
-    status names the limit, with value and z nan, and fails; the other
-    cells are validated.  workers > 1 splits the cells into that many
-    runs of consecutive cells, one per process, each computed the same
-    way.
-    Each (cell, fidelity) pair gets its own derived random stream, so the
-    report is independent of the worker count.
-
-    sampler_fidelity forces the Monte Carlo side to one fidelity for both
-    comparisons (a deliberate-mismatch negative control); by default the
-    sampler matches the analytic fidelity row by row.
-    """
-    if n_cycles < 10_000:
-        raise ValueError(f"need n_cycles >= 10000, got {n_cycles}")
-    if sampler_fidelity is not None:
-        sampler_fidelity = Fidelity(sampler_fidelity)
-    cells = [(i, rho, r0) for i, (rho, r0) in enumerate(grid.cells)]
-    parts = 1 if workers is None else max(min(workers, len(cells)), 1)
-    size = -(-len(cells) // parts)
-    args_list = [(grid, cells[j:j + size], n_cycles, rng, sampler_fidelity)
-                 for j in range(0, len(cells), size)]
-    if len(args_list) > 1:
-        with ProcessPoolExecutor(max_workers=len(args_list)) as pool:
-            part_rows = list(pool.map(_validation_rows, args_list))
-    else:
-        part_rows = map(_validation_rows, args_list)
-    rows = tuple(row for rows in part_rows for row in rows)
+    rows = tuple(row for j, ((_, params), plan)
+                 in enumerate(zip(pairs, plans))
+                 for row in _compared_rows(
+                     params, plan if isinstance(plan, Exception)
+                     else estimate_energy(next(sums), params),
+                     *analytic[j // 2]))
     all_passed = all(row.passed for row in rows)
     meta = {
         "kind": "validation",

@@ -23,14 +23,13 @@ request, or of many at once as ``validate`` hands over every cell's,
 go to the pool longest first; the threads take whole blocks as they
 come free, each keeping its own block scratch from call to call; each
 request's sums are pooled in its own block order, so its bits depend
-on the seed only, not on the CPU count, the thread count, ``--workers``
-or the other requests of its batch.
+on the seed only, not on the CPU count, the thread count or the other
+requests of its batch.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -315,15 +314,13 @@ if hasattr(os, "register_at_fork"):
 
 def _block_pool() -> Optional[ThreadPoolExecutor]:
     """The pool of _MAX_CYCLE_THREADS block threads, or None where blocks
-    run on the caller's thread: where the process may use one CPU, or in
-    a process-pool worker (``validate --workers``), whose pool already
-    has the CPUs."""
+    run on the caller's thread, because the process may use one CPU."""
     global _pool
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    if cpus < 2 or multiprocessing.parent_process() is not None:
+    if cpus < 2:
         return None
     with _pool_lock:
         if _pool is None:

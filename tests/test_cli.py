@@ -2,13 +2,17 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import sleepnet
 from sleepnet.cli import (_CALLS, EXIT_CONFIG_ERROR, EXIT_NUMERIC_FAILURE,
                           EXIT_OK, EXIT_VALIDATION_FAILED, ConfigError, main,
                           parse_args, read_config)
@@ -511,6 +515,24 @@ class TestValidateCommand:
             "  rho=0.02 r0=200.0 paper E_Toff (no sleep opportunity)\n"
             "  rho=0.02 r0=200.0 corrected E_Toff (no sleep opportunity)\n")
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_workers_is_ignored_with_a_note(self, tmp_path, capsys, how):
+        # validate --workers goes in the next release: until then it is
+        # accepted, changes no output byte and says so on stderr
+        argv = ["validate", "--n", "10000"]
+        want = run_cli(argv)
+        assert capsys.readouterr().err == ""
+        if how == "flag":
+            argv += ["--workers", "2"]
+        else:
+            path = tmp_path / "run.conf"
+            path.write_text("workers = 2\n")
+            argv += ["--config", str(path)]
+        assert run_cli(argv) == want
+        assert capsys.readouterr().err == (
+            "note: validate ignores --workers, which goes in the next "
+            "release; its blocks already run on the sampler's threads\n")
+
 
 class TestSweepCommand:
     def test_custom_grid_csv_to_stdout(self):
@@ -587,3 +609,17 @@ class TestSweepCommand:
         code, _ = run_cli(["sweep", "--rho-values", "0.01",
                            "--r0-values", "200", "--metrics", "entropy"])
         assert code == EXIT_CONFIG_ERROR
+
+
+def test_start_up_loads_no_process_pool():
+    # the CLI runs in one process: neither its import nor its parser
+    # loads multiprocessing
+    code = ("import sys; from sleepnet import cli; cli.make_parser(); "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))")
+    src = str(Path(sleepnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

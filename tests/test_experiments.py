@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import threading
 
 import pytest
 
@@ -182,21 +181,6 @@ class TestRunValidation:
             assert abs(row.z) <= 3.0
             assert row.fidelity_gap >= 0.0
 
-    def test_worker_count_invariance(self):
-        grid = SweepGrid(rho_values=(0.01, 0.02), r0_values=(200.0,))
-        serial = run_validation(grid, 10_000, RngSpec(7), workers=None)
-        pooled = run_validation(grid, 10_000, RngSpec(7), workers=2)
-        assert serial.rows == pooled.rows
-
-    @pytest.mark.parametrize("workers", [2, 5])
-    def test_uneven_worker_parts(self, workers):
-        # three cells in runs of two and one, or one each when there are
-        # more workers than cells
-        grid = SweepGrid(rho_values=(0.01, 0.02, 0.04), r0_values=(200.0,))
-        serial = run_validation(grid, 10_000, RngSpec(8))
-        pooled = run_validation(grid, 10_000, RngSpec(8), workers=workers)
-        assert serial.rows == pooled.rows
-
     def test_cells_draw_in_one_batch(self, monkeypatch):
         # every (cell, fidelity) pair's blocks go to the sampler in one
         # call, pair k of cell i on stream 2 i + k, with the bits of a
@@ -238,22 +222,6 @@ class TestRunValidation:
             assert math.isnan(row.value) and math.isnan(row.z)
             assert row.stderr is None and not row.passed
             assert math.isfinite(row.analytic)
-
-    def test_workers_after_the_block_pool_started(self, fresh_pool):
-        # workers forked from a process whose sampler pool has started
-        # draw their blocks on their own thread: one that waited on the
-        # inherited pool, whose threads fork did not copy, would hang
-        grid = SweepGrid(rho_values=(0.01, 0.02), r0_values=(200.0,))
-        sample_cycles(CANONICAL, 150_000, RngSpec(1))
-        assert simulate._pool is not None
-        serial = emit_table(run_validation(grid, 10_000, RngSpec(7)))
-        pooled = []
-        worker = threading.Thread(daemon=True, target=lambda: pooled.append(
-            emit_table(run_validation(grid, 10_000, RngSpec(7), workers=2))))
-        worker.start()
-        worker.join(timeout=120.0)
-        assert not worker.is_alive()
-        assert pooled == [serial]
 
     def test_mismatch_negative_control_fails(self):
         # the sampler is pinned to one model variant while the analytic

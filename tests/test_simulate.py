@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import re
 import sys
 import threading
@@ -239,13 +240,26 @@ class TestSampleCycles:
                             lambda pid: {0}, raising=False)
         assert simulate._block_pool() is None
 
-    def test_process_pool_workers_use_one_thread(self, monkeypatch,
-                                                 fresh_pool):
-        # validate --workers N already spreads cells over the CPUs
-        monkeypatch.setattr(simulate.multiprocessing, "parent_process",
-                            lambda: object())
-        assert simulate._block_pool() is None
-        assert simulate._pool is None
+    def test_fork_after_the_block_pool_started(self, fresh_pool):
+        # a child forked from a process whose pool has started gets a pool
+        # of its own: one that waited on the inherited pool, whose threads
+        # fork did not copy, would hang
+        want = sample_cycles(CANONICAL, 150_000, RngSpec(1))
+        assert simulate._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(
+            sample_cycles(CANONICAL, 150_000, RngSpec(1))))
+        child.start()
+        try:
+            assert recv.poll(120.0), "the forked child's draw hung"
+            assert recv.recv() == want
+            child.join(timeout=30.0)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
 
     @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
     @pytest.mark.parametrize("rho_r0", [0.5, 4.0, 32.0])
