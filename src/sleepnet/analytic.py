@@ -63,7 +63,7 @@ from numpy.polynomial import polynomial as P
 
 from .numerics import (QuadratureError, exp_integral_e1,
                        integrate_panel_doubling)
-from .params import Fidelity, ModelParams, check_density
+from .params import Fidelity, ModelParams, check_density, check_sparse
 
 #: Tolerances of the panel-doubling integrals against the gap density.
 _ABS_TOL = 1e-10
@@ -435,8 +435,10 @@ class ChGapDistribution:
 
 def _first_edges(params: ModelParams) -> list:
     """A law's panel edges before its mass-driven tail steps; raises past
-    ``check_density``'s limit, or where the first tail edge overflows."""
+    ``check_density``'s limit, below ``check_sparse``'s, or where the
+    first tail edge overflows."""
     check_density(params)
+    check_sparse(params)
     rho, r0 = params.rho, params.r0
     alpha = rho * r0
     ell = -math.log1p(-math.exp(-alpha)) if alpha < 700 \

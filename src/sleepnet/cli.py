@@ -85,7 +85,6 @@ _OPTIONS = {
     "metrics": dict(type=_comma_list,
                     help="comma list from: " + ", ".join(METRICS)),
     "mc_fidelity": dict(choices=_FIDELITIES, help="force sampler fidelity"),
-    "workers": dict(type=int, help="ignored; goes in the next release"),
     "preset": dict(type=_comma_list,
                    help="comma list from: " + ", ".join(FIGURE_PRESETS)),
 }
@@ -109,7 +108,7 @@ _CALLS = {
     "simulate --mode timeline-heterogeneous": (_TEXT,
                                                ("mode", "duration", "seed")),
     "validate": (_TABLE, ("rho_values", "r0_values", "n", "seed",
-                          "mc_fidelity", "workers")),
+                          "mc_fidelity")),
     "sweep": (_TABLE, ("rho_values", "r0_values", "metrics")),
     "sweep --preset": (_TABLE, ("preset",)),
 }
@@ -148,11 +147,11 @@ def read_config(path: str) -> Dict[str, str]:
 
 
 def echo_config(args, out) -> None:
-    """Print the call's options in config syntax; workers sets no result."""
+    """Print the call's options in config syntax."""
     lines = [f"# effective config: {args.command}"]
     for key in _MODEL + _CALLS[args.call][1]:
         value = getattr(args, key)
-        if value is None or key == "workers":
+        if value is None:
             continue
         if key in ("a", "b", "v"):
             value = f"{value!r}mps"
@@ -253,10 +252,6 @@ def cmd_simulate(args, params: ModelParams, out) -> int:
 
 
 def cmd_validate(args, params: ModelParams, out) -> int:
-    if args.workers is not None:
-        print("note: validate ignores --workers, which goes in the next "
-              "release; its blocks already run on the sampler's threads",
-              file=sys.stderr)
     grid = SweepGrid(rho_values=args.rho_values, r0_values=args.r0_values,
                      fixed=params)
     sampler = Fidelity(args.mc_fidelity) if args.mc_fidelity else None

@@ -260,13 +260,13 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     passes when |z| <= 3.  The fidelity_gap column reports the relative
     analytic difference between the two fidelities for the same metric.
     The analytic figures of every (cell, fidelity) pair come first, in
-    one batch; then the sampler draws all their cycles in one batch of
-    blocks on its block pool (``simulate._run_cycles``), pair k of cell i
-    on stream 2 i + k, so the report depends on the seed only.  The draws
-    start once the analytic work is done, not beside it: both hold the
-    GIL, and overlapping them was slower.  A cell past the sampler's
-    density limit gets rows whose status names the limit, with value and
-    z nan, and fails; the other cells are validated.
+    one batch; then one sampler call draws all their cycles in one batch
+    of blocks (``simulate._run_cycles``), pair k of cell i on stream
+    2 i + k, so the report depends on the seed only.  The draws start once the
+    analytic work is done, not beside it: both hold the GIL, and
+    overlapping them was slower.  A cell outside the sampler's density
+    limits gets rows whose status names the limit, with value and z nan,
+    and fails; the other cells are validated.
 
     sampler_fidelity forces the Monte Carlo side to one fidelity for both
     comparisons (a deliberate-mismatch negative control); by default the

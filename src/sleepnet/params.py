@@ -44,6 +44,16 @@ def check_density(params: "ModelParams", limit: float = RHO_R0_LIMIT,
             f"exceeds the limit {limit!r}: {reason}")
 
 
+def check_sparse(params: "ModelParams") -> None:
+    """Raise ArithmeticError, naming rho, r0 and rho*r0, when exp(-rho*r0)
+    rounds to 1: the gap law and the sampler take log(1 - exp(-rho*r0))."""
+    alpha = params.rho * params.r0
+    if math.exp(-alpha) == 1.0:
+        raise ArithmeticError(
+            f"rho*r0 = {alpha!r} (rho={params.rho!r}, r0={params.r0!r}) "
+            f"is too small: exp(-rho*r0) rounds to 1")
+
+
 class Fidelity(str, enum.Enum):
     """Which law of the cluster-head gap the analysis uses.
 

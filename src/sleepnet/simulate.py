@@ -17,14 +17,14 @@ stream_id) pairs reproduce bit-identical sample streams, so parallel
 streams are independent and individually replayable.  The renewal
 sampler plans its cycles as fixed blocks, each drawn from its own PCG64
 stream spawned from one draw of the caller's generator
-(``_plan_cycles``), and draws them on one process-wide pool of two
-threads, started on first use (``_run_cycles``).  The blocks of one
+(``_plan_cycles``), and draws them on a pool of at most two threads
+that lives inside the call (``_run_cycles``).  The blocks of one
 request, or of many at once as ``validate`` hands over every cell's,
 go to the pool longest first; the threads take whole blocks as they
-come free, each keeping its own block scratch from call to call; each
+come free, each reusing one block scratch for the call's blocks; each
 request's sums are pooled in its own block order, so its bits depend
 on the seed only, not on the CPU count, the thread count or the other
-requests of its batch.
+requests of its batch.  No thread or scratch outlives the call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .params import Fidelity, ModelParams, ParamError, check_density
+from .params import (Fidelity, ModelParams, ParamError, check_density,
+                     check_sparse)
 
 __all__ = [
     "RngSpec",
@@ -74,8 +75,8 @@ _CYCLE_BLOCK = 1 << 16
 #: Intra-cluster gaps drawn at once by the direct-sum branch of a block.
 _GAP_CHUNK = 1 << 16
 
-#: Threads of the block pool, the most ``sample_cycles`` was measured
-#: with, and so the most block scratches the process keeps.
+#: Most threads a ``sample_cycles`` call draws its blocks on, the most it
+#: was measured with; each makes one block scratch for the call.
 _MAX_CYCLE_THREADS = 2
 
 #: Hard cap on processed events in the heterogeneous timeline.
@@ -258,75 +259,28 @@ class CycleSums:
 
 
 class _BlockScratch:
-    """One thread's cycle fields (x, v, t_off, t_on, e_off, p_save), two
+    """One worker's cycle fields (x, v, t_off, t_on, e_off, p_save), two
     rows for the sums, mask, gap chunk and chunk offsets for blocks of up
-    to m cycles, allocated once per thread (``_thread_scratch``): threads
-    allocate little.  ``_cycle_block`` writes every slot it reads, so
-    what an earlier block left in it changes no bit."""
+    to m cycles, made on the worker's first block of a call and reused
+    for its later ones (``_run_cycles``).  ``_cycle_block`` writes every
+    slot it reads, so what an earlier block left in it changes no bit."""
 
     def __init__(self, m: int):
-        self.m = m
         self.fields = np.empty((8, m))
         self.mask = np.empty(m, dtype=bool)
-        self.buf = np.empty(_gap_buf_len(m))
+        self.buf = np.empty(min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT),
+                                DIRECT_SUM_LIMIT * m))
         self.offsets = np.empty(min(_GAP_CHUNK, m), dtype=np.int64)
 
-    def covers(self, m: int) -> bool:
-        """Whether blocks of up to m cycles fit (``_GAP_CHUNK`` may have
-        changed since the scratch was made)."""
-        return (self.m >= m and len(self.buf) >= _gap_buf_len(m)
-                and len(self.offsets) >= min(_GAP_CHUNK, m))
 
-
-def _gap_buf_len(m: int) -> int:
-    return min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT), DIRECT_SUM_LIMIT * m)
-
-
-#: Each thread's block scratch, kept from one block, and one call, to the
-#: next: a fresh one costs faulting in about 5 MB.
-_local = threading.local()
-
-
-def _thread_scratch(m: int) -> _BlockScratch:
-    """This thread's scratch, replaced by a full-block one when it does
-    not cover blocks of m cycles."""
-    s = getattr(_local, "scratch", None)
-    if s is None or not s.covers(m):
-        _local.scratch = None               # free the old one first
-        s = _local.scratch = _BlockScratch(_CYCLE_BLOCK)
-    return s
-
-
-#: The block pool, started on first use (``_block_pool``).
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: the pool's threads were not copied."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _block_pool() -> Optional[ThreadPoolExecutor]:
-    """The pool of _MAX_CYCLE_THREADS block threads, or None where blocks
-    run on the caller's thread, because the process may use one CPU."""
-    global _pool
+def _cycle_threads() -> int:
+    """Threads for one call's blocks: _MAX_CYCLE_THREADS, or fewer where
+    the process may use fewer CPUs."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_MAX_CYCLE_THREADS,
-                                       thread_name_prefix="sleepnet-block")
-        return _pool
+    return min(_MAX_CYCLE_THREADS, cpus)
 
 
 def _direct_spans(gen: np.random.Generator, ends: np.ndarray, q: float,
@@ -423,6 +377,7 @@ def _plan_cycles(params: ModelParams, n: int,
         raise ValueError(f"need at least 1000 cycles, got {n}")
     check_density(params, SAMPLER_RHO_R0_LIMIT,
                   "the plain renewal sampler is not validated beyond it")
+    check_sparse(params)
     gen = _as_generator(rng)
     shift = 1.0 if params.fidelity is Fidelity.PAPER else 0.0
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
@@ -433,22 +388,30 @@ def _plan_cycles(params: ModelParams, n: int,
 
 def _run_cycles(plans: list) -> list:
     """The CycleSums of each plan (``_plan_cycles``): every block of every
-    plan goes to the block pool (``_block_pool``) in one batch, longest
-    first, so no thread idles on a short block while long ones wait, and
-    each plan's sums are pooled in its own block order."""
+    plan goes, longest first, so no thread idles on a short block while
+    long ones wait, to a pool of ``_cycle_threads()`` threads that lives
+    for this call only; each thread draws its blocks into one scratch
+    sized to the longest, and each plan's sums are pooled in its own
+    block order."""
     order = sorted(((p, b) for p, blocks in enumerate(plans)
                     for b in range(len(blocks))),
                    key=lambda pb: -plans[pb[0]][pb[1]][1])
+    size = max((block[1] for blocks in plans for block in blocks),
+               default=0)
+    local = threading.local()
 
     def run(pb):
         seed, m, params, shift = plans[pb[0]][pb[1]]
-        return _cycle_block(seed, m, params, shift, _thread_scratch(m))
+        s = getattr(local, "scratch", None)
+        if s is None:
+            s = local.scratch = _BlockScratch(size)
+        return _cycle_block(seed, m, params, shift, s)
 
-    pool = _block_pool()
     sums = [[None] * len(blocks) for blocks in plans]
-    for (p, b), block in zip(order,
-                             (map if pool is None else pool.map)(run, order)):
-        sums[p][b] = block
+    with ThreadPoolExecutor(_cycle_threads(),
+                            thread_name_prefix="sleepnet-block") as pool:
+        for (p, b), block in zip(order, pool.map(run, order)):
+            sums[p][b] = block
     return [sum(blocks[1:], blocks[0]) for blocks in sums]
 
 
@@ -467,16 +430,16 @@ def sample_cycles(params: ModelParams, n: int,
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
     that ``rng`` advances by (``_plan_cycles``).  The blocks go to the
-    threads of the block pool (``_block_pool``) as they come free, also
+    threads of a pool the call starts and joins as they come free, also
     a single block, and the sums are pooled in block order
     (``_run_cycles``, which takes the blocks of many such requests at
     once, as ``validate`` does), so the bits depend on the seed only, not
     on the thread count, on which thread drew a block or on what other
-    requests shared the batch.  Memory is one _BlockScratch per block
-    thread (about 5 MB), whatever n, allocated once and kept from call to
-    call; concurrent calls share the threads, never a scratch.  Raises
-    ValueError when n < 1000 and ArithmeticError when rho*r0 >
-    SAMPLER_RHO_R0_LIMIT, before any draw.
+    requests shared the batch.  Memory is one _BlockScratch per thread
+    (about 5 MB), whatever n, made and freed inside the call; concurrent
+    calls each get their own threads and scratches.  Raises ValueError
+    when n < 1000 and ArithmeticError when rho*r0 > SAMPLER_RHO_R0_LIMIT
+    or exp(-rho*r0) rounds to 1 (``check_sparse``), before any draw.
     """
     return _run_cycles([_plan_cycles(params, n, rng)])[0]
 

@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -30,35 +28,14 @@ def rng_for_test(seed):
 
 
 @pytest.fixture
-def fresh_pool(monkeypatch):
-    """The sampler's module block pool starts afresh in the test, as on a
-    machine of two CPUs, and is shut down after it."""
-    monkeypatch.setattr(simulate, "_pool", None)
-    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    yield
-    if simulate._pool is not None:
-        simulate._pool.shutdown()
-
-
-@pytest.fixture
 def use_pool(monkeypatch):
-    """use_pool(k): run the sampler's blocks on a new pool of k threads,
-    none of which has a scratch yet, in place of the module pool; the
-    pool it replaces, and the last one after the test, are shut down."""
-    pools = []
+    """use_pool(k): each sampler call from now on draws its blocks on a
+    pool of k threads of its own."""
 
     def use(threads):
-        if pools:
-            pools[-1].shutdown()
-        pool = ThreadPoolExecutor(threads)
-        pools.append(pool)
-        monkeypatch.setattr(simulate, "_block_pool", lambda: pool)
-        return pool
+        monkeypatch.setattr(simulate, "_cycle_threads", lambda: threads)
 
-    yield use
-    if pools:
-        pools[-1].shutdown()
+    return use
 
 
 @pytest.fixture

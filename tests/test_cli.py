@@ -112,6 +112,15 @@ class TestAnalyticCommand:
                      f"rho*r0 = {float(rho) * float(r0)!r}"):
             assert part in message
 
+    def test_near_zero_density_is_numeric_error(self, capsys):
+        # at rho*r0 = 2e-18 exp(-rho*r0) rounds to 1, and the gap law
+        # would take the log of 1 - 1
+        code, text = run_cli(["analytic", "--rho", "1e-20", "--json-errors"])
+        assert (code, text) == (EXIT_NUMERIC_FAILURE, "")
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith("rho*r0 = 1.9999999999999998e-18 "
+                                  "(rho=1e-20, r0=200.0) is too small")
+
     def test_small_rho_dense_cell_runs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -133,6 +142,14 @@ class TestSimulateCommand:
         assert doc["error"] == "numeric"
         assert doc["exit_code"] == EXIT_NUMERIC_FAILURE
         assert "rho=" in doc["message"] and "r0=" in doc["message"]
+
+    def test_near_zero_density_is_numeric_error(self, capsys):
+        code, text = run_cli(["simulate", "--rho", "1e-20", "--n", "1000",
+                              "--json-errors"])
+        assert (code, text) == (EXIT_NUMERIC_FAILURE, "")
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith("rho*r0 = 1.9999999999999998e-18 "
+                                  "(rho=1e-20, r0=200.0) is too small")
 
     def test_cycles_deterministic(self):
         argv = ["simulate", "--n", "20000", "--seed", "42",
@@ -232,8 +249,7 @@ def test_text_commands_reject_csv(command):
 #: A valid value of each option a call can take besides the model's.
 _VALUES = {"mode": "cycles", "n": "5000", "duration": "5", "v": "60kmh",
            "seed": "1", "rho_values": "0.5", "r0_values": "100",
-           "metrics": "E_X", "mc_fidelity": "paper", "workers": "2",
-           "preset": "fig5"}
+           "metrics": "E_X", "mc_fidelity": "paper", "preset": "fig5"}
 
 
 #: What a call needs besides its name: a preset, the common speed.
@@ -269,6 +285,9 @@ def _table_walk():
                   "--metrics", "E_X"], id="preset --rho-values --metrics"),
     pytest.param(["analytic", "--rh", "0.02"], id="abbreviation"),
     *_table_walk(),
+    # --workers, which validate took until it ran in one process
+    *(pytest.param(call.split() + _BASE.get(call, []) + ["--workers", "2"],
+                   id=f"{call} --workers") for call in _CALLS),
 ])
 def test_commands_reject_options_they_ignore(argv, capsys):
     # Each call takes only the options its row of the table lists;
@@ -488,6 +507,24 @@ class TestValidateCommand:
         code, _ = run_cli(["validate", "--format", "text"])
         assert code == EXIT_CONFIG_ERROR
 
+    def test_near_zero_density_cell_keeps_the_report(self):
+        # the (1e-20, 100) cell fails in its rows, analytic and sampler
+        # alike, and the (0.01, 100) cell is still validated
+        code, text = run_cli(["validate", "--rho-values", "1e-20,0.01",
+                              "--r0-values", "100", "--n", "10000"])
+        assert code == EXIT_VALIDATION_FAILED
+        rows = list(csv.DictReader(io.StringIO(
+            text.split("\n\n", 1)[1].split("validation FAILED")[0])))
+        assert len(rows) == 12
+        for row in rows[:6]:
+            assert row["status"].startswith(
+                "error: rho*r0 = 9.999999999999999e-19 (rho=1e-20, "
+                "r0=100.0) is too small"), row
+        assert all(row["status"] == "ok" and row["passed"] == "true"
+                   for row in rows[6:])
+        assert "validation FAILED: 6 row(s) out of 12 could not be " \
+               "compared\n" in text
+
     def test_cell_past_the_sampler_limit_keeps_the_report(self):
         # the (0.2, 300) cell is past the sampler's limit: it fails in
         # its rows, and the (0.02, 300) cell is still validated
@@ -516,22 +553,20 @@ class TestValidateCommand:
             "  rho=0.02 r0=200.0 corrected E_Toff (no sleep opportunity)\n")
 
     @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_workers_is_ignored_with_a_note(self, tmp_path, capsys, how):
-        # validate --workers goes in the next release: until then it is
-        # accepted, changes no output byte and says so on stderr
+    def test_workers_is_rejected(self, tmp_path, capsys, how):
+        # validate runs in one process and takes no --workers: the flag
+        # is an unrecognized argument, the config key names no option
         argv = ["validate", "--n", "10000"]
-        want = run_cli(argv)
-        assert capsys.readouterr().err == ""
         if how == "flag":
             argv += ["--workers", "2"]
+            want = "unrecognized arguments: --workers 2"
         else:
             path = tmp_path / "run.conf"
-            path.write_text("workers = 2\n")
+            path.write_text("n = 10000\nworkers = 2\n")
             argv += ["--config", str(path)]
-        assert run_cli(argv) == want
-        assert capsys.readouterr().err == (
-            "note: validate ignores --workers, which goes in the next "
-            "release; its blocks already run on the sampler's threads\n")
+            want = f"{path}:2: 'workers' names no option of any call"
+        assert run_cli(argv) == (EXIT_CONFIG_ERROR, "")
+        assert capsys.readouterr().err.rstrip().endswith(want)
 
 
 class TestSweepCommand:
@@ -583,6 +618,21 @@ class TestSweepCommand:
         assert "exceeds the limit 700" in by_metric["E_X"]["status"]
         assert by_metric["baseline_Psave"]["status"] == "ok"
 
+    def test_near_zero_density_is_recorded_in_rows(self):
+        # the gap law refuses rho*r0 = 1e-18; E_X and the baseline are
+        # closed forms that stay finite there
+        code, text = run_cli(["sweep", "--rho-values", "1e-20",
+                              "--r0-values", "100"])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(text.split("\n\n", 1)[1])))
+        by_metric = {row["metric"]: row for row in rows}
+        assert by_metric["E_X"]["status"] == "ok"
+        assert by_metric["baseline_Psave"]["status"] == "ok"
+        for metric in ("E_Toff", "E_Psave", "prob_sleep"):
+            assert by_metric[metric]["status"].startswith(
+                "error: rho*r0 = 9.999999999999999e-19 (rho=1e-20, "
+                "r0=100.0) is too small"), metric
+
     def test_environment_does_not_set_workers(self, monkeypatch, capsys):
         # sweep runs serially whatever the environment says
         monkeypatch.setenv("SLEEPNET_WORKERS", "junk")
@@ -591,15 +641,17 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert "--workers" not in capsys.readouterr().err
 
-    def test_config_workers_is_silent(self, tmp_path, capsys):
-        # a config file's workers, meant for validate, leaves sweep alone
+    def test_config_workers_is_an_error(self, tmp_path, capsys):
+        # no call takes workers, so a config file that sets it fails
+        # every call, sweep too, and names its line
         path = tmp_path / "run.conf"
         path.write_text("workers = 2\n")
-        argv = ["sweep", "--rho-values", "0.01,0.02", "--r0-values", "200"]
-        code, text = run_cli(argv + ["--config", str(path)])
-        assert code == EXIT_OK
-        assert capsys.readouterr().err == ""
-        assert text == run_cli(argv)[1]
+        code, text = run_cli(["sweep", "--rho-values", "0.01,0.02",
+                              "--r0-values", "200", "--config", str(path)])
+        assert (code, text) == (EXIT_CONFIG_ERROR, "")
+        assert capsys.readouterr().err == (
+            f"error (config): {path}:1: 'workers' names no option of any "
+            "call\n")
 
     def test_unknown_preset(self):
         code, _ = run_cli(["sweep", "--preset", "fig9"])

@@ -230,22 +230,31 @@ class TestSampleCycles:
                    for threads in (1, 2, 3)]
         self._assert_same(outputs)
 
-    def test_thread_count_caps(self, monkeypatch, fresh_pool):
-        # one pool of two threads for the process, from the first call;
-        # none where the process may use one CPU
-        pool = simulate._block_pool()
-        assert pool._max_workers == simulate._MAX_CYCLE_THREADS == 2
-        assert simulate._block_pool() is pool
-        monkeypatch.setattr(simulate.os, "sched_getaffinity",
-                            lambda pid: {0}, raising=False)
-        assert simulate._block_pool() is None
+    def test_thread_count_caps(self, monkeypatch):
+        # two threads a call on two CPUs or more, one on one CPU, where
+        # the call's own thread, not the caller's, draws every block
+        kernel, drawers = simulate._cycle_block, set()
 
-    def test_fork_after_the_block_pool_started(self, fresh_pool):
-        # a child forked from a process whose pool has started gets a pool
-        # of its own: one that waited on the inherited pool, whose threads
-        # fork did not copy, would hang
+        def record(*args):
+            drawers.add(threading.get_ident())
+            return kernel(*args)
+
+        monkeypatch.setattr(simulate, "_cycle_block", record)
+        for cpus, threads in (({0, 1, 2, 3}, 2), ({0, 1}, 2), ({0}, 1)):
+            monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus, raising=False)
+            assert simulate._cycle_threads() == threads
+            drawers.clear()
+            sample_cycles(CANONICAL, 150_000, RngSpec(2))
+            assert 1 <= len(drawers) <= threads
+            assert threading.get_ident() not in drawers
+
+    def test_fork_after_a_call(self, use_pool):
+        # a child forked after a call draws the parent's sums: the call
+        # joined its threads, so the child waits on none that fork did
+        # not copy
+        use_pool(2)
         want = sample_cycles(CANONICAL, 150_000, RngSpec(1))
-        assert simulate._pool is not None
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=lambda: send.send(
@@ -315,26 +324,28 @@ class TestSampleCycles:
                 tracemalloc.stop()
             assert peak <= 3 * nbytes, threads
 
-    def test_calls_add_at_most_the_pool_threads(self, fresh_pool,
-                                                allocations):
-        # the first call starts the pool and every later one uses it;
-        # each of its threads allocates one full-block scratch and keeps
-        # it, and the caller's thread none
+    def test_calls_leave_no_threads(self, use_pool, allocations):
+        # each call joins the threads it starts before it returns; each
+        # thread makes one scratch, sized to the call's longest block
         before = threading.active_count()
-        for i in range(20):
-            n = (1_000, 1 << 16, 150_000, 300_000)[i % 4]
-            sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), n,
-                          RngSpec(16))
-            assert (threading.active_count() - before
-                    <= simulate._MAX_CYCLE_THREADS)
-        assert 1 <= len(allocations) <= simulate._MAX_CYCLE_THREADS
-        assert all(s.m == simulate._CYCLE_BLOCK for s in allocations)
-        assert getattr(simulate._local, "scratch", None) not in allocations
+        for threads in (1, 2, 3):
+            use_pool(threads)
+            for n in (1_000, 150_000):
+                allocations.clear()
+                sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0), n,
+                              RngSpec(16))
+                assert threading.active_count() == before
+                assert 1 <= len(allocations) <= threads
+                size = min(n, simulate._CYCLE_BLOCK)
+                assert all(s.fields.shape == (8, size) for s in allocations)
 
     def test_extreme_density_raises_before_drawing(self):
         gen = RngSpec(13).generator()
         with pytest.raises(ArithmeticError, match=r"rho=.*r0="):
             sample_cycles(CANONICAL.replace(r0=1e5), 1_000, gen)
+        # at rho*r0 = 2e-18 exp(-rho*r0) rounds to 1
+        with pytest.raises(ArithmeticError, match=r"rho=1e-20, r0=200.0"):
+            sample_cycles(CANONICAL.replace(rho=1e-20), 1_000, gen)
         assert gen.random() == RngSpec(13).generator().random()
 
 
@@ -447,60 +458,51 @@ class TestBatchedBlocks:
 
 
 class TestScratchCache:
-    """Block scratch each block thread keeps from one call to the next."""
-
-    @staticmethod
-    def _poison_every_thread(pool, threads):
-        """Give each of the pool's threads its scratch, filled with what a
-        reader of an unwritten slot would see; return their ids."""
-        barrier = threading.Barrier(threads)
-
-        def poison(_):
-            barrier.wait(timeout=30.0)     # one task on each thread
-            s = simulate._thread_scratch(simulate._CYCLE_BLOCK)
-            s.fields.fill(math.nan)
-            s.buf.fill(math.nan)
-            s.mask.fill(True)
-            s.offsets.fill(1 << 40)
-            return id(s)
-
-        return set(pool.map(poison, range(threads)))
+    """The block scratch each thread of a call reuses for its blocks."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
     @pytest.mark.parametrize("n", [1_000, (1 << 16) + 1, 100_000])
     def test_reused_scratch_matches_oracle(self, monkeypatch, use_pool, n,
                                            fidelity, threads):
+        # blocks of 300 cycles outnumber the threads, so a thread draws
+        # later blocks, the short last one too, into the scratch an
+        # earlier block left; each scratch starts out filled with what a
+        # reader of an unwritten slot would see
         params = CANONICAL.replace(rho=0.005, r0=100.0, fidelity=fidelity)
+        monkeypatch.setattr(simulate, "_CYCLE_BLOCK", 300)
         want = cycle_batch(params, n, RngSpec(26))
-        pool = use_pool(threads)
+        use_pool(threads)
         clean = sample_cycles(params, n, RngSpec(26))
-        # another call leaves its scratch for the next one, poisoned
-        sample_cycles(CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper"),
-                      150_000, RngSpec(27))
-        poisoned = self._poison_every_thread(pool, threads)
-        assert len(poisoned) == threads
-        kernel, drawn, used = simulate._cycle_block, {}, set()
+
+        class Poisoned(simulate._BlockScratch):
+            def __init__(self, m):
+                super().__init__(m)
+                self.fields.fill(math.nan)
+                self.buf.fill(math.nan)
+                self.mask.fill(True)
+                self.offsets.fill(1 << 40)
+
+        kernel, drawn, used = simulate._cycle_block, {}, []
 
         def record(seed, m, params, shift, s):
             sums = kernel(seed, m, params, shift, s)
             drawn[seed.spawn_key[-1]] = s.fields[:6, :m].copy()
-            used.add(id(s))
+            used.append(id(s))
             return sums
 
+        monkeypatch.setattr(simulate, "_BlockScratch", Poisoned)
         monkeypatch.setattr(simulate, "_cycle_block", record)
         got = sample_cycles(params, n, RngSpec(26))
-        assert used and used <= poisoned
+        assert len(used) == -(-n // 300) > threads >= len(set(used))
         assert got == clean
         fields_ = np.concatenate([drawn[b] for b in sorted(drawn)], axis=1)
         for row, f in zip(fields_, fields(CycleBatch)):
             assert np.array_equal(row, getattr(want, f.name)), f.name
 
-    def test_concurrent_callers_get_serial_results(self, use_pool,
-                                                   allocations):
-        # three callers at once on one pool of two block threads,
-        # switching often: a thread draws one block at a time into its
-        # own scratch, so every result is the serial one
+    def test_concurrent_callers_get_serial_results(self, use_pool):
+        # three callers at once, switching often, each call on two
+        # threads and scratches of its own: every result is the serial one
         use_pool(2)
         jobs = [(CANONICAL.replace(rho=0.005, r0=100.0), 100_000, 28),
                 (CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper"),
@@ -529,22 +531,6 @@ class TestScratchCache:
             sys.setswitchinterval(interval)
         assert not any(c.is_alive() for c in callers)
         assert results == [[want] * 6 for want in serial]
-        assert len(allocations) <= 2
-
-    def test_scratch_made_for_another_gap_chunk_is_not_reused(
-            self, monkeypatch, use_pool, allocations):
-        pool = use_pool(1)
-        monkeypatch.setattr(simulate, "_GAP_CHUNK", 5)
-        sample_cycles(CANONICAL, 1_000, RngSpec(31))
-        small, = allocations
-        monkeypatch.setattr(simulate, "_GAP_CHUNK", 1 << 16)
-        assert not small.covers(1_000)
-        for _ in range(2):
-            sample_cycles(CANONICAL, 1_000, RngSpec(31))
-            assert len(allocations) == 2
-        assert allocations[1].covers(simulate._CYCLE_BLOCK)
-        assert pool.submit(
-            lambda: simulate._local.scratch).result() is allocations[1]
 
 
 def test_readme_library_example_runs(capsys):
