@@ -76,6 +76,11 @@ _TAIL_MASS_TOL = 1e-9
 #: integrands; contributions beyond are < exp(-52) relative.
 _EFOLDS = 52.0
 
+#: Smallest rho*r0 the paper law is built at: its single-vehicle
+#: subtraction leaves a relative error of about 2.5e-16/(rho*r0), 4.9e-9
+#: here and 2.1e-8 at 1e-8 (``tests/oracles.py::gap_pdf_decimal``).
+PAPER_RHO_R0_MIN = 5e-8
+
 
 def _span_rate_factor(alpha: float) -> float:
     """The ratio lambda0/rho, where lambda0 is the exponential decay rate of
@@ -164,9 +169,9 @@ def _gap_tail_switch(params: ModelParams) -> float:
     return r0 + 32.0 / (mu2 - min(lam0, rho))
 
 
-def _gap_pdf_tail(x, params: ModelParams):
-    """Exact two-real-pole tail of the gap density f, used only past
-    ``_gap_tail_switch``.
+def _laws_tail(x: np.ndarray, law: np.ndarray, laws) -> np.ndarray:
+    """Exact two-real-pole tail of the corrected gap density f of the law
+    ``law[i]`` of ``laws`` at ``x[i]``, used only past ``_gap_tail_switch``.
 
     f(x) = A1 exp(-lambda0 x) + A2 exp(-rho x) with residues
     A1 = lambda0/(1 - lambda0 r0) and A2 = rho/(1 - rho r0) of opposite
@@ -179,11 +184,6 @@ def _gap_pdf_tail(x, params: ModelParams):
     0.991 r0 for rho r0 in [1e-4, 700]).  At rho r0 = 1 the poles merge
     and the double-pole limit (2x/r0^2 - 4/(3 r0)) e^{-rho x} applies.
     """
-    return _one_law(_laws_tail, x, params)
-
-
-def _laws_tail(x: np.ndarray, law: np.ndarray, laws) -> np.ndarray:
-    """``_gap_pdf_tail`` of the law ``law[i]`` of ``laws`` at ``x[i]``."""
     f = np.empty(len(x))
     double = laws.double[law]
     two, dbl = np.flatnonzero(~double), np.flatnonzero(double)
@@ -435,12 +435,16 @@ class ChGapDistribution:
 
 def _first_edges(params: ModelParams) -> list:
     """A law's panel edges before its mass-driven tail steps; raises past
-    ``check_density``'s limit, below ``check_sparse``'s, or where the
-    first tail edge overflows."""
+    ``check_density``'s limit, below ``check_sparse``'s or, for the paper
+    law, PAPER_RHO_R0_MIN, or where the first tail edge overflows."""
     check_density(params)
     check_sparse(params)
     rho, r0 = params.rho, params.r0
     alpha = rho * r0
+    if params.fidelity is Fidelity.PAPER and alpha < PAPER_RHO_R0_MIN:
+        raise ArithmeticError(
+            f"rho*r0 = {alpha!r} (rho={rho!r}, r0={r0!r}) is below the paper"
+            f" law's limit {PAPER_RHO_R0_MIN!r}, where it keeps < 8 digits")
     ell = -math.log1p(-math.exp(-alpha)) if alpha < 700 \
         else math.exp(-alpha)
     support = 1.0 + _EFOLDS / max(ell, 1e-300)     # in units of r0
@@ -601,8 +605,7 @@ def _expectations(pairs: Sequence[tuple]) -> list:
     return out
 
 
-def energy_figures(params: ModelParams,
-                   dist: Optional[ChGapDistribution] = None) -> EnergyFigures:
+def energy_figures(params: ModelParams) -> EnergyFigures:
     """All analytic outputs at one parameter point, sharing one distribution
     (and thus one truncation point, keeping P{X>D} + F(D) consistent).
 
@@ -612,7 +615,7 @@ def energy_figures(params: ModelParams,
     it is zero.  E[T_off] = E[1/V] E[X - D; X > D] / P{X>D} is None when
     P{X>D} < 1e-12.  The one-cell case of ``grid_energy_figures``.
     """
-    (figures,) = _expectations([(params, dist or ChGapDistribution(params))])
+    (figures,) = _expectations([(params, ChGapDistribution(params))])
     if isinstance(figures, Exception):
         raise figures
     return figures

@@ -198,18 +198,18 @@ def run_sweep(grid: SweepGrid) -> SweepTable:
 
 
 def _cell_analytic(pairs) -> tuple:
-    """One cell's analytic VALIDATION_METRICS under both fidelities
-    from its (params, figures) pairs, keyed by (fidelity, metric), and per
-    metric the relative gap |paper - corrected| / |corrected|."""
-    analytic: Dict[Tuple[str, str], float] = {}
+    """One cell's analytic VALIDATION_METRICS under both fidelities from
+    its (params, figures) pairs, as (value, status) keyed by (fidelity,
+    metric), and per metric the gap |paper - corrected| / |corrected|."""
+    analytic: Dict[Tuple[str, str], Tuple[float, str]] = {}
     for params, figures in pairs:
         for metric, value, status in _cell_metrics(
                 params, VALIDATION_METRICS, figures):
-            analytic[(params.fidelity.value, metric)] = value
+            analytic[(params.fidelity.value, metric)] = float(value), status
     gaps = {}
     for metric in VALIDATION_METRICS:
-        paper = analytic[("paper", metric)]
-        corrected = analytic[("corrected", metric)]
+        paper = analytic[("paper", metric)][0]
+        corrected = analytic[("corrected", metric)][0]
         if math.isfinite(paper) and math.isfinite(corrected) and corrected:
             gaps[metric] = abs(paper - corrected) / abs(corrected)
         else:
@@ -221,10 +221,10 @@ def _compared_rows(params: ModelParams, est, analytic: dict,
                    gaps: dict) -> List[ValidationRow]:
     """The rows of one (cell, fidelity) pair: each VALIDATION_METRICS
     estimate, or the sampler's exception, against the analytic value of
-    params' fidelity."""
+    params' fidelity, whose error, if any, is the status of a drawn row."""
     rows = []
     for metric in VALIDATION_METRICS:
-        target = float(analytic[(params.fidelity.value, metric)])
+        target, found = analytic[(params.fidelity.value, metric)]
         if isinstance(est, Exception):
             value = stderr = None
             status = f"error: {est}"
@@ -235,7 +235,8 @@ def _compared_rows(params: ModelParams, est, analytic: dict,
         if value is None or stderr is None:
             value, stderr, z = math.nan, None, math.nan
         else:
-            value, stderr, status = float(value), float(stderr), "ok"
+            value, stderr = float(value), float(stderr)
+            status = found if found.startswith("error") else "ok"
             z = (value - target) / stderr if stderr > 0.0 else (
                 0.0 if value == target else math.inf)
         rows.append(ValidationRow(

@@ -1,30 +1,29 @@
-"""Generative-model engines independent of the closed-form route:
+"""The two Monte Carlo routes, independent of the closed-form one:
 
 - a renewal-cycle sampler drawing (cluster-head gap, speed) pairs, with
   the per-cycle energy bookkeeping (``_cycle_energy``) that the
-  common-speed timeline shares, reduced block by block to ``CycleSums``,
-- a spatial Poisson snapshot sampler with cluster extraction, and
-- a time-domain base-station sleep/wake simulator on a road it sizes
-  from the run's duration and fastest speed (``_road_window``),
-  vectorised when a common speed is given and event-driven at
-  per-vehicle speeds otherwise, the road kept in order between events by
-  swaps at overtakes and its candidate events in a kinetic queue (the
-  bits of a full re-sort and rescan at every event); both modes charge
-  the run through ``_timeline_report``.
+  common-speed timeline shares, reduced block by block to ``CycleSums``;
+- a base-station sleep/wake timeline on a Poisson road drawn at t = 0
+  (``sample_snapshot``, sized by ``_road_window``), vectorised over its
+  clusters (``extract_clusters``) at a common speed and event-driven at
+  per-vehicle speeds, the road kept in order between events by swaps at
+  overtakes and its candidate events in a kinetic queue (the bits of a
+  full re-sort and rescan at every event); both modes charge the run
+  through ``_timeline_report``.
 
-All samplers are pure functions of an RngSpec: identical (master_seed,
-stream_id) pairs reproduce bit-identical sample streams, so parallel
-streams are independent and individually replayable.  The renewal
-sampler plans its cycles as fixed blocks, each drawn from its own PCG64
-stream spawned from one draw of the caller's generator
-(``_plan_cycles``), and draws them on a pool of at most two threads
-that lives inside the call (``_run_cycles``).  The blocks of one
-request, or of many at once as ``validate`` hands over every cell's,
-go to the pool longest first; the threads take whole blocks as they
-come free, each reusing one block scratch for the call's blocks; each
-request's sums are pooled in its own block order, so its bits depend
-on the seed only, not on the CPU count, the thread count or the other
-requests of its batch.  No thread or scratch outlives the call.
+Both draw from an RngSpec, whose (master_seed, stream_id) names one
+independent, replayable stream, or in place from a numpy Generator
+(``_as_generator``).  The renewal sampler plans its cycles as fixed
+blocks, each drawn from its own PCG64 stream spawned from one draw of
+the caller's generator (``_plan_cycles``), and draws them on a pool of
+at most two threads that lives inside the call (``_run_cycles``).  The
+blocks of one request, or of many at once as ``validate`` hands over
+every cell's, go to the pool longest first; the threads take whole
+blocks as they come free, each reusing one block scratch for the
+call's blocks; each request's sums are pooled in its own block order,
+so its bits depend on the seed only, not on the CPU count, the thread
+count or the other requests of its batch.  No thread or scratch
+outlives the call.
 """
 
 from __future__ import annotations
@@ -44,14 +43,9 @@ from .params import (Fidelity, ModelParams, ParamError, check_density,
 
 __all__ = [
     "RngSpec",
-    "Snapshot",
-    "ClusterSet",
     "CycleSums",
     "EnergyEstimate",
     "TimelineReport",
-    "WindowTooSmallError",
-    "sample_snapshot",
-    "extract_clusters",
     "sample_cycles",
     "estimate_energy",
     "run_timeline",
@@ -90,17 +84,6 @@ _EPS = 1e-9
 _U = 2.0 ** -53
 
 
-class WindowTooSmallError(ValueError):
-    """Raised when a spatial window is too short for unbiased statistics."""
-
-    def __init__(self, window_length: float, required: float):
-        self.window_length = window_length
-        self.required = required
-        super().__init__(
-            f"window_length={window_length!r} m is too small; "
-            f"need at least {required!r} m")
-
-
 @dataclass(frozen=True)
 class RngSpec:
     """Counter-based stream derivation: (master_seed, stream_id) names one
@@ -120,71 +103,6 @@ def _as_generator(rng: Union[RngSpec, np.random.Generator]
     if isinstance(rng, RngSpec):
         return rng.generator()
     return rng
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One instant of road state: sorted vehicle positions on
-    [0, window_length] with matching speeds."""
-
-    window_length: float
-    positions: np.ndarray
-    speeds: np.ndarray
-
-    def __post_init__(self):
-        if len(self.positions) != len(self.speeds):
-            raise ValueError("positions and speeds must have equal length")
-
-    @property
-    def n_vehicles(self) -> int:
-        return len(self.positions)
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """Maximal runs of vehicles with consecutive gaps <= r0, ordered by
-    position.  The head of a cluster is its front-most (largest-coordinate)
-    member."""
-
-    head_positions: np.ndarray
-    tail_positions: np.ndarray
-    member_counts: np.ndarray
-
-
-def _snapshot_window(params: ModelParams) -> float:
-    return 50.0 * max(1.0 / params.rho, params.r0)
-
-
-def sample_snapshot(params: ModelParams, window_length: float,
-                    rng: Union[RngSpec, np.random.Generator]) -> Snapshot:
-    """Draw one homogeneous-Poisson road snapshot.
-
-    Vehicle count ~ Poisson(rho * window_length); positions i.i.d. uniform
-    then sorted; speeds i.i.d. uniform(a, b).  The window must be at least
-    50 * max(1/rho, r0) so edge censoring leaves enough interior.
-    """
-    required = _snapshot_window(params)
-    if window_length < required:
-        raise WindowTooSmallError(window_length, required)
-    gen = _as_generator(rng)
-    n = int(gen.poisson(params.rho * window_length))
-    positions = np.sort(gen.uniform(0.0, window_length, size=n))
-    speeds = gen.uniform(params.a, params.b, size=n)
-    return Snapshot(window_length, positions, speeds)
-
-
-def extract_clusters(snapshot: Snapshot, r0: float) -> ClusterSet:
-    """Split the sorted snapshot into maximal runs with consecutive gaps
-    <= r0 (a gap of exactly r0 joins)."""
-    pos = snapshot.positions
-    if len(pos) == 0:
-        empty = np.empty(0)
-        return ClusterSet(empty, empty, np.empty(0, dtype=np.int64))
-    breaks = np.flatnonzero(np.diff(pos) > r0)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [len(pos) - 1]))
-    return ClusterSet(head_positions=pos[ends], tail_positions=pos[starts],
-                      member_counts=(ends - starts + 1).astype(np.int64))
 
 
 def _trunc_exp_stats(rho: float, r0: float) -> tuple:
@@ -561,14 +479,67 @@ def _merge_intervals(starts: np.ndarray, ends: np.ndarray) -> tuple:
     return merged_starts, merged_ends
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """The road a timeline draws: sorted vehicle positions on
+    [0, window_length] with matching speeds."""
+
+    window_length: float
+    positions: np.ndarray
+    speeds: np.ndarray
+
+    @property
+    def n_vehicles(self) -> int:
+        return len(self.positions)
+
+
+@dataclass(frozen=True)
+class ClusterSet:
+    """Maximal runs of vehicles with consecutive gaps <= r0, ordered by
+    position.  The head of a cluster is its front-most (largest-coordinate)
+    member."""
+
+    head_positions: np.ndarray
+    tail_positions: np.ndarray
+    member_counts: np.ndarray
+
+
+def sample_snapshot(params: ModelParams, window_length: float,
+                    rng: Union[RngSpec, np.random.Generator]) -> Snapshot:
+    """Draw a timeline's road at t = 0, a homogeneous-Poisson snapshot.
+
+    Vehicle count ~ Poisson(rho * window_length); positions i.i.d. uniform
+    then sorted; speeds i.i.d. uniform(a, b).
+    """
+    gen = _as_generator(rng)
+    n = int(gen.poisson(params.rho * window_length))
+    positions = np.sort(gen.uniform(0.0, window_length, size=n))
+    speeds = gen.uniform(params.a, params.b, size=n)
+    return Snapshot(window_length, positions, speeds)
+
+
+def extract_clusters(snapshot: Snapshot, r0: float) -> ClusterSet:
+    """Split the sorted snapshot into maximal runs with consecutive gaps
+    <= r0 (a gap of exactly r0 joins)."""
+    pos = snapshot.positions
+    if len(pos) == 0:
+        empty = np.empty(0)
+        return ClusterSet(empty, empty, np.empty(0, dtype=np.int64))
+    breaks = np.flatnonzero(np.diff(pos) > r0)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [len(pos) - 1]))
+    return ClusterSet(head_positions=pos[ends], tail_positions=pos[starts],
+                      member_counts=(ends - starts + 1).astype(np.int64))
+
+
 def _road_window(params: ModelParams, duration: float,
                  v: Optional[float]) -> float:
-    """The road a timeline draws: what its fastest vehicle (speed v, or b
-    when each keeps its own) covers in duration, plus D and 2 r0, plus the
-    snapshot's 50 * max(1/rho, r0) of interior."""
+    """The length of road a timeline draws: what its fastest vehicle
+    (speed v, or b when each keeps its own) covers in duration, plus D and
+    2 r0, plus 50 * max(1/rho, r0) of interior behind them."""
     speed = params.b if v is None else v
     return ((speed * duration + params.D + 2.0 * params.r0)
-            + _snapshot_window(params))
+            + 50.0 * max(1.0 / params.rho, params.r0))
 
 
 def _common_timeline(params: ModelParams, duration: float, v: float,
@@ -866,10 +837,10 @@ def run_timeline(params: ModelParams, duration: float,
     overtakes, the candidate events in a heap re-evaluated only near the
     next one, with the event instants and bits of a full stable re-sort
     and rescan at every event; the run stops early with complete=False
-    if it exceeds MAX_EVENTS events.  The road drawn (``_road_window``)
-    is as long as the fastest vehicle covers in duration, plus D + 2 r0
-    and sample_snapshot's minimum, and the station sits at its front
-    end.
+    if it exceeds MAX_EVENTS events.  The road drawn (``sample_snapshot``
+    over ``_road_window``) is as long as the fastest vehicle covers in
+    duration, plus D + 2 r0 and 50 max(1/rho, r0) of interior, and the
+    station sits at its front end.
     """
     for name, value in (("duration", duration), ("v", v)):
         if value is not None and not 0.0 < value < math.inf:

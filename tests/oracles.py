@@ -48,7 +48,8 @@ from typing import NamedTuple, Union
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from sleepnet.analytic import _gap_pdf_tail, _gap_tail_switch, ch_gap_pdf
+from sleepnet.analytic import (_gap_tail_switch, _laws_tail, _one_law,
+                               ch_gap_pdf)
 from sleepnet.numerics import integrate_panel_doubling
 from sleepnet import simulate
 from sleepnet.params import Fidelity, ModelParams
@@ -402,7 +403,7 @@ def gap_pdf_per_segment(x, params: ModelParams):
     if params.fidelity is Fidelity.CORRECTED:
         corrected = np.zeros(len(flat))
         tail = flat >= _gap_tail_switch(params)
-        corrected[tail] = _gap_pdf_tail(flat[tail], params)
+        corrected[tail] = _one_law(_laws_tail, flat[tail], params)
         steps = np.flatnonzero((flat > r0) & ~tail)
         y = flat[steps] / r0
         seg = np.floor(y).astype(np.intp) - 1
@@ -417,7 +418,7 @@ def gap_pdf_per_segment(x, params: ModelParams):
     tail = ~first & (flat >= _gap_tail_switch(params))
     paper[first] = rho * (-np.expm1(-rho * (flat[first] - r0))) \
         * math.exp(-alpha) / (-math.expm1(-alpha))
-    paper[tail] = np.maximum((_gap_pdf_tail(flat[tail], params)
+    paper[tail] = np.maximum((_one_law(_laws_tail, flat[tail], params)
                               - rho * np.exp(-rho * flat[tail]))
                              / (1.0 - math.exp(-alpha)), 0.0)
     steps = np.flatnonzero((flat >= 2.0 * r0) & ~tail)

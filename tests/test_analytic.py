@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sleepnet import analytic
 from sleepnet.analytic import (ChGapDistribution, _gap_tail_switch,
-                               baseline_power_saved, ch_gap_pdf,
-                               _gap_pdf_tail, cluster_span_decay_rate,
+                               _laws_tail, _one_law, baseline_power_saved,
+                               ch_gap_pdf, cluster_span_decay_rate,
                                energy_figures, expected_ch_gap,
                                gap_tail_rate, grid_energy_figures)
 from sleepnet.numerics import QuadratureError, integrate_panel_doubling
@@ -224,7 +224,7 @@ class TestChGapPdf:
                                             f"x/r0={x / r0:.4f}")
 
     def test_tail_log_ratio_never_positive(self):
-        # _gap_pdf_tail sums its two poles as one expm1(ln_ratio) term; that
+        # _laws_tail sums its two poles as one expm1(ln_ratio) term; that
         # needs ln_ratio <= 0 from the switch on, which holds because the
         # negative-residue pole decays faster and ln_ratio is already
         # negative at x = r0
@@ -250,7 +250,7 @@ class TestChGapPdf:
         for rho, r0 in ((0.005, 100.0), (0.02, 200.0)):
             params = CANONICAL.replace(rho=rho, r0=r0)
             x = 0.9 * _gap_tail_switch(params)
-            assert_close(_gap_pdf_tail(x, params),
+            assert_close(_one_law(_laws_tail, x, params),
                          gap_pdf_composition(x, params),
                          rel=1e-6, label=f"tail overlap rho={rho} r0={r0}")
 
@@ -336,7 +336,7 @@ def test_batched_panels_match_one_by_one(monkeypatch, rho, r0, fidelity):
 
     def outputs():
         dist = ChGapDistribution(params)
-        return (energy_figures(params, dist), dist.total_mass,
+        return (energy_figures(params), dist.total_mass,
                 dist.integral(lambda xs: 1.0 / xs, lo=params.D),
                 dist.integral(lo=1.5 * r0),
                 grid_energy_figures([params, CANONICAL]))
@@ -442,7 +442,7 @@ class TestExpectations:
         v = 60.0 * KMH
         params = CANONICAL.replace(a=v * (1 - 1e-9), b=v * (1 + 1e-9))
         dist = ChGapDistribution(params)
-        t_off = energy_figures(params, dist).expected_sleep_time
+        t_off = energy_figures(params).expected_sleep_time
         excess = dist.integral(lambda xs: xs - params.D, lo=params.D)
         prob = dist.integral(lo=params.D)
         assert_close(t_off, excess / prob / v, rel=1e-6,
@@ -474,7 +474,7 @@ class TestExpectations:
             dist = ChGapDistribution(params)
             for frac in (0.5, 0.9):
                 at_d = params.replace(D=frac * dist.x_max)
-                figures = energy_figures(at_d, dist)
+                figures = energy_figures(at_d)
                 assert 0.0 <= figures.prob_sleep <= 1.0, (fid, frac)
                 assert figures.expected_sleep_time is None, (fid, frac)
 
@@ -484,8 +484,7 @@ class TestExpectations:
         assert figures.expected_sleep_time is None
 
     def test_power_saved_upper_bound(self, canonical_dist):
-        power = energy_figures(CANONICAL,
-                               canonical_dist).expected_power_saved
+        power = energy_figures(CANONICAL).expected_power_saved
         prob = canonical_dist.integral(lo=CANONICAL.D)
         assert 0.0 < power < CANONICAL.P0 * prob
 
@@ -493,7 +492,7 @@ class TestExpectations:
         # against the defining integrals, each taken over (D, x_max) here
         params, dist = CANONICAL, canonical_dist
         D = params.D
-        figures = energy_figures(params, dist)
+        figures = energy_figures(params)
         prob = dist.integral(lo=D)
         inv = dist.integral(lambda xs: 1.0 / xs, lo=D)
         excess = dist.integral(lambda xs: xs - D, lo=D)
@@ -526,6 +525,5 @@ class TestExpectations:
         # Monte Carlo of the per-cycle formula against the closed form
         values = cycle_batch(CANONICAL, 50_000, RngSpec(17)).p_save
         se = values.std(ddof=1) / math.sqrt(len(values))
-        target = energy_figures(CANONICAL,
-                                canonical_dist).expected_power_saved
+        target = energy_figures(CANONICAL).expected_power_saved
         assert abs(values.mean() - target) <= 4.0 * se

@@ -1,4 +1,5 @@
 import sleepnet
+from sleepnet import simulate
 
 #: The package's public names.  Changing this list changes the API.
 PUBLIC = [
@@ -12,9 +13,22 @@ PUBLIC = [
     "run_validation", "sample_cycles",
 ]
 
+#: ``sleepnet.simulate``'s public names: the two Monte Carlo routes.
+SIMULATE_PUBLIC = [
+    "CycleSums", "EnergyEstimate", "RngSpec", "TimelineReport",
+    "estimate_energy", "run_timeline", "sample_cycles",
+]
+
 
 def test_public_api_is_pinned_and_resolves():
     assert sorted(sleepnet.__all__) == PUBLIC
     assert len(set(sleepnet.__all__)) == len(PUBLIC) == 30
     for name in sleepnet.__all__:
         assert getattr(sleepnet, name) is not None, name
+
+
+def test_simulate_api_is_pinned_and_resolves():
+    assert sorted(simulate.__all__) == SIMULATE_PUBLIC
+    assert len(set(simulate.__all__)) == len(SIMULATE_PUBLIC) == 7
+    for name in simulate.__all__:
+        assert getattr(simulate, name) is not None, name

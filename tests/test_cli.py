@@ -121,6 +121,18 @@ class TestAnalyticCommand:
         assert message.startswith("rho*r0 = 1.9999999999999998e-18 "
                                   "(rho=1e-20, r0=200.0) is too small")
 
+    def test_paper_law_below_its_density_limit_is_numeric_error(self,
+                                                                capsys):
+        # at rho*r0 = 1e-8 the paper law's subtraction keeps about 7.7
+        # digits; the corrected law at the same cell is exact
+        argv = ["analytic", "--rho", "1e-10", "--r0", "100", "--json-errors"]
+        code, text = run_cli(argv + ["--fidelity", "paper"])
+        assert (code, text) == (EXIT_NUMERIC_FAILURE, "")
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith("rho*r0 = 1e-08 (rho=1e-10, r0=100.0) "
+                                  "is below the paper law's limit 5e-08")
+        assert run_cli(argv)[0] == EXIT_OK
+
     def test_small_rho_dense_cell_runs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -525,6 +537,24 @@ class TestValidateCommand:
         assert "validation FAILED: 6 row(s) out of 12 could not be " \
                "compared\n" in text
 
+    def test_paper_law_below_its_density_limit_is_recorded_in_rows(self):
+        # the sampler draws the (1e-10, 100) cell, but its paper rows
+        # have no analytic target: they carry the gap law's error
+        code, text = run_cli(["validate", "--rho-values", "1e-10,0.01",
+                              "--r0-values", "100", "--n", "10000"])
+        assert code == EXIT_VALIDATION_FAILED
+        rows = list(csv.DictReader(io.StringIO(
+            text.split("\n\n", 1)[1].split("validation FAILED")[0])))
+        paper = {row["metric"]: row for row in rows[:3]}
+        assert paper["E_X"]["status"] == "ok"
+        for metric in ("E_Toff", "E_Psave"):
+            assert paper[metric]["status"].startswith(
+                "error: rho*r0 = 1e-08 (rho=1e-10, r0=100.0) is below "
+                "the paper law's limit 5e-08"), metric
+            assert paper[metric]["z"] == "nan"
+        assert rows[3]["fidelity"] == "corrected"
+        assert all(row["status"] == "ok" for row in rows[3:])
+
     def test_cell_past_the_sampler_limit_keeps_the_report(self):
         # the (0.2, 300) cell is past the sampler's limit: it fails in
         # its rows, and the (0.02, 300) cell is still validated
@@ -632,6 +662,19 @@ class TestSweepCommand:
             assert by_metric[metric]["status"].startswith(
                 "error: rho*r0 = 9.999999999999999e-19 (rho=1e-20, "
                 "r0=100.0) is too small"), metric
+
+    def test_paper_law_below_its_density_limit_is_recorded_in_rows(self):
+        code, text = run_cli(["sweep", "--fidelity", "paper", "--rho-values",
+                              "1e-10", "--r0-values", "100"])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(text.split("\n\n", 1)[1])))
+        by_metric = {row["metric"]: row for row in rows}
+        assert by_metric["E_X"]["status"] == "ok"
+        assert by_metric["baseline_Psave"]["status"] == "ok"
+        for metric in ("E_Toff", "E_Psave", "prob_sleep"):
+            assert by_metric[metric]["status"].startswith(
+                "error: rho*r0 = 1e-08 (rho=1e-10, r0=100.0) is below "
+                "the paper law's limit 5e-08"), metric
 
     def test_environment_does_not_set_workers(self, monkeypatch, capsys):
         # sweep runs serially whatever the environment says

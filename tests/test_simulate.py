@@ -13,10 +13,9 @@ import pytest
 from sleepnet import simulate
 from sleepnet.analytic import energy_figures
 from sleepnet.params import CANONICAL, KMH
-from sleepnet.simulate import (RngSpec, TimelineReport, WindowTooSmallError,
+from sleepnet.simulate import (RngSpec, Snapshot, TimelineReport,
                                estimate_energy, extract_clusters,
-                               run_timeline, sample_cycles, sample_snapshot,
-                               Snapshot)
+                               run_timeline, sample_cycles, sample_snapshot)
 
 from conftest import assert_close
 import oracles
@@ -37,12 +36,6 @@ class TestRngSpec:
 
 
 class TestSampleSnapshot:
-    def test_window_guard(self):
-        with pytest.raises(WindowTooSmallError) as exc_info:
-            sample_snapshot(CANONICAL, 100.0, RngSpec(0))
-        assert exc_info.value.required == 50.0 * max(1.0 / CANONICAL.rho,
-                                                     CANONICAL.r0)
-
     def test_poisson_mean_and_dispersion(self):
         rng = RngSpec(1).generator()
         window = 20_000.0
@@ -577,7 +570,7 @@ class TestEstimateEnergy:
 def _road(params, duration, v=None):
     """The road length run_timeline draws, pinned: what the fastest
     vehicle (v, or b without it) covers in duration, plus D + 2 r0, plus
-    sample_snapshot's 50 max(1/rho, r0) of interior."""
+    50 max(1/rho, r0) of interior."""
     speed = params.b if v is None else v
     return ((speed * duration + params.D + 2.0 * params.r0)
             + 50.0 * max(1.0 / params.rho, params.r0))
