@@ -6,9 +6,10 @@ order.  A sweep hands all its cells' gap laws to one batched quadrature
 (``analytic.grid_energy_figures``), which gives each cell the bits it
 gets alone; E_X and baseline_Psave are closed forms and need no law.
 Validation computes the analytic figures of every (cell, fidelity) pair
-in one such batch, then hands their cycles to the sampler in one batch
-of blocks.  Each pair draws from its own derived random stream, so
-identical grids and seeds produce identical output bytes.
+in one such batch, then hands every cell's cycles to the sampler in one
+batch of blocks; one draw per cell serves both fidelities.  Each cell
+draws from its own derived random stream, so identical grids and seeds
+produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -257,51 +258,52 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     Carlo on every grid cell.
 
     For each cell and each of E_X, E_Toff, E_Psave, both fidelities are
-    compared against a cycle sampler of the same fidelity; a comparison
-    passes when |z| <= 3.  The fidelity_gap column reports the relative
-    analytic difference between the two fidelities for the same metric.
-    The analytic figures of every (cell, fidelity) pair come first, in
-    one batch; then one sampler call draws all their cycles in one batch
-    of blocks (``simulate._run_cycles``), pair k of cell i on stream
-    2 i + k, so the report depends on the seed only.  The draws start once the
+    compared against the cycle sampler's estimate of the same fidelity; a
+    comparison passes when |z| <= 3.  The fidelity_gap column reports the
+    relative analytic difference between the two fidelities for the same
+    metric.  The analytic figures of every (cell, fidelity) pair come
+    first, in one batch; then one sampler call draws every cell's cycles
+    in one batch of blocks (``simulate._run_cycles``), cell i on stream
+    2 i, so the report depends on the seed only.  One draw serves both
+    fidelities of a cell: the sums hold the paper law's estimate and the
+    corrected law's paired one (``simulate.CycleSums``), and
+    ``estimate_energy`` picks each row's.  The draws start once the
     analytic work is done, not beside it: both hold the GIL, and
     overlapping them was slower.  A cell outside the sampler's density
     limits gets rows whose status names the limit, with value and z nan,
     and fails; the other cells are validated.
 
-    sampler_fidelity forces the Monte Carlo side to one fidelity for both
-    comparisons (a deliberate-mismatch negative control); by default the
-    sampler matches the analytic fidelity row by row.
+    sampler_fidelity makes the Monte Carlo side estimate one fidelity, from
+    the same sums, for both comparisons (a deliberate-mismatch negative
+    control); by default the estimate matches the analytic fidelity row by
+    row.
     """
     if n_cycles < 10_000:
         raise ValueError(f"need n_cycles >= 10000, got {n_cycles}")
     if sampler_fidelity is not None:
         sampler_fidelity = Fidelity(sampler_fidelity)
-    pairs = [(2 * i + k, grid.fixed.replace(rho=rho, r0=r0,
-                                            fidelity=fidelity))
-             for i, (rho, r0) in enumerate(grid.cells)
-             for k, fidelity in enumerate(_FIDELITY_ORDER)]
-    laws = [params for _, params in pairs]
+    cells = [[grid.fixed.replace(rho=rho, r0=r0, fidelity=fidelity)
+              for fidelity in _FIDELITY_ORDER] for rho, r0 in grid.cells]
+    laws = [params for pair in cells for params in pair]
     figures = list(zip(laws, grid_energy_figures(laws)))
-    analytic = [_cell_analytic(figures[j:j + 2])
-                for j in range(0, len(pairs), 2)]
     plans = []
-    for stream, params in pairs:
+    for i, pair in enumerate(cells):
         try:
-            plans.append(_plan_cycles(params.replace(
-                fidelity=sampler_fidelity or params.fidelity), n_cycles,
-                RngSpec(rng.master_seed, stream)))
+            plans.append(_plan_cycles(pair[0], n_cycles,
+                                      RngSpec(rng.master_seed, 2 * i)))
         except ArithmeticError as exc:
             plans.append(exc)
     sums = iter(_run_cycles([plan for plan in plans
                              if not isinstance(plan, Exception)]))
-    rows = tuple(row for j, ((_, params), plan)
-                 in enumerate(zip(pairs, plans))
-                 for row in _compared_rows(
-                     params, plan if isinstance(plan, Exception)
-                     else estimate_energy(next(sums), params),
-                     *analytic[j // 2]))
-    all_passed = all(row.passed for row in rows)
+    rows = []
+    for i, (pair, plan) in enumerate(zip(cells, plans)):
+        drawn = plan if isinstance(plan, Exception) else next(sums)
+        analytic = _cell_analytic(figures[2 * i:2 * i + 2])
+        for params in pair:
+            est = drawn if isinstance(drawn, Exception) else estimate_energy(
+                drawn, params.replace(
+                    fidelity=sampler_fidelity or params.fidelity))
+            rows.extend(_compared_rows(params, est, *analytic))
     meta = {
         "kind": "validation",
         "n_cycles": n_cycles,
@@ -310,7 +312,9 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     }
     if sampler_fidelity is not None:
         meta["sampler_fidelity"] = sampler_fidelity.value
-    return ValidationReport(rows=rows, all_passed=all_passed, meta=meta)
+    return ValidationReport(rows=tuple(rows),
+                            all_passed=all(row.passed for row in rows),
+                            meta=meta)
 
 
 def _format_number(value) -> str:

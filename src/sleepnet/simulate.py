@@ -1,8 +1,9 @@
 """The two Monte Carlo routes, independent of the closed-form one:
 
-- a renewal-cycle sampler drawing (cluster-head gap, speed) pairs, with
-  the per-cycle energy bookkeeping (``_cycle_energy``) that the
-  common-speed timeline shares, reduced block by block to ``CycleSums``;
+- a renewal-cycle sampler drawing (cluster-head gap, speed) pairs under
+  the paper law and scoring each draw under both fidelities, with the
+  per-cycle energy bookkeeping (``_cycle_energy``) that the common-speed
+  timeline shares, reduced block by block to ``CycleSums``;
 - a base-station sleep/wake timeline on a Poisson road drawn at t = 0
   (``sample_snapshot``, sized by ``_road_window``), vectorised over its
   clusters (``extract_clusters``) at a common speed and event-driven at
@@ -13,22 +14,30 @@
 
 Both draw from an RngSpec, whose (master_seed, stream_id) names one
 independent, replayable stream, or in place from a numpy Generator
-(``_as_generator``).  The renewal sampler plans its cycles as fixed
-blocks, each drawn from its own PCG64 stream spawned from one draw of
-the caller's generator (``_plan_cycles``), and draws them on a pool of
-at most two threads that lives inside the call (``_run_cycles``).  The
-blocks of one request, or of many at once as ``validate`` hands over
-every cell's, go to the pool longest first; the threads take whole
-blocks as they come free, each reusing one block scratch for the
-call's blocks; each request's sums are pooled in its own block order,
-so its bits depend on the seed only, not on the CPU count, the thread
-count or the other requests of its batch.  No thread or scratch
-outlives the call.
+(``_as_generator``).  The cluster size is geometric, hence memoryless: a
+corrected-law cycle is the single-vehicle cycle x1 = r0 + Exp(rho) with
+probability p = exp(-rho r0) and a paper-law cycle, span + x1, otherwise.
+So the sampler draws the paper law only and scores the same x1 and speed
+as the single-vehicle cycle too; the corrected estimate is the paired
+mean (1 - p) g(span + x1) + p g(x1), a common-random-numbers pairing
+whose variance is at most that of drawing the mixture.  The renewal
+sampler plans its cycles as fixed blocks, each drawn from its own PCG64
+stream spawned from one draw of the caller's generator
+(``_plan_cycles``), and draws them on a pool of at most two threads that
+lives inside the call (``_run_cycles``).  The blocks of one request, or
+of many at once as ``validate`` hands over every cell's, go to the pool
+longest first; the threads take whole blocks as they come free, each
+reusing one block scratch, its own anonymous mmap, for the call's
+blocks; each request's sums are pooled in its own block order, so its
+bits depend on the seed only, not on the CPU count, the thread count or
+the other requests of its batch.  No thread or scratch outlives the
+call, and the scratch pages go back to the system with it.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -147,48 +156,108 @@ def _pooled(a: tuple, b: tuple) -> tuple:
             m2_a + m2_b + delta * delta * na * nb / n)
 
 
+def _co_pooled(a: tuple, b: tuple) -> tuple:
+    """Pool the (count, mean_t, mean_i, M2_t, M2_i, C) of two disjoint
+    samples of pairs (t, i), C their cross moment sum (t - mean_t)(i -
+    mean_i), by the same update with its cross term."""
+    (na, ta, ia, tta, iia, tia), (nb, tb, ib, ttb, iib, tib) = a, b
+    if na == 0 or nb == 0:
+        return b if na == 0 else a
+    n, dt, di = na + nb, tb - ta, ib - ia
+    return (n, ta + dt * nb / n, ia + di * nb / n,
+            tta + ttb + dt * dt * na * nb / n,
+            iia + iib + di * di * na * nb / n,
+            tia + tib + dt * di * na * nb / n)
+
+
 def _moments(values: np.ndarray, tmp: np.ndarray) -> tuple:
     """(count, mean, M2) of values, M2 the sum of squared deviations, by
-    np.square in tmp: a BLAS np.dot on the block threads oversubscribes."""
+    np.square in tmp, which may be values itself: a BLAS np.dot on the
+    block threads oversubscribes."""
     mean = float(np.sum(values)) / max(len(values), 1)
     dev = np.square(np.subtract(values, mean, out=tmp), out=tmp)
     return len(values), mean, float(np.sum(dev))
 
 
+def _paired(a: tuple, a_sub: np.ndarray, b_sub: np.ndarray, p: float,
+            q: float) -> tuple:
+    """(count, mean, M2) of q a + p b over the cycles a's (count, mean, M2)
+    covers, b vanishing but on a subset where a and b take the values
+    a_sub and b_sub.  b's moments pool the subset with the zeros, and the
+    cross moment, the update's cross term with the zeros' deviation
+    -mean_b, reduces to the sum of (a_sub - mean_a) b_sub."""
+    n, mean_a, m2_a = a
+    mean_b = float(np.sum(b_sub)) / n
+    m2_b = (float(np.sum(np.square(b_sub - mean_b)))
+            + (n - len(b_sub)) * mean_b * mean_b)
+    cross = float(np.sum((a_sub - mean_a) * b_sub))
+    return (n, q * mean_a + p * mean_b,
+            q * q * m2_a + p * p * m2_b + 2.0 * p * q * cross)
+
+
 @dataclass(frozen=True)
 class CycleSums:
-    """Sufficient statistics of renewal cycles: the (count, mean, M2) of
-    the gap x and the power p_save over all cycles and of t_off over the
-    cycles that sleep, and totals, the sums of e_off, t_off and t_on
-    (``_cycle_energy``).  ``a + b`` pools two disjoint sets of cycles."""
+    """Sufficient statistics of renewal cycles drawn under the paper law
+    and scored under both.
+
+    x, sleep, p_save and totals are the paper law's: the (count, mean,
+    M2) of the gap x and the power p_save over all cycles and of t_off
+    over the cycles that sleep, and the sums of e_off, t_off and t_on
+    (``_cycle_energy``).  The paired_ fields are the corrected law's, each
+    cycle weighted (1 - p) and its single-vehicle twin x1 weighted p:
+    paired_x and paired_p_save the (count, mean, M2) of x1 + (1 - p) span
+    and of the weighted p_save, paired_sleep the (count, mean_t, mean_i,
+    M2_t, M2_i, C) of the weighted t_off and sleep indicator, and
+    paired_totals the weighted sums.  ``a + b`` pools two disjoint sets
+    of cycles."""
 
     x: tuple
     sleep: tuple
     p_save: tuple
     totals: tuple
+    paired_x: tuple
+    paired_sleep: tuple
+    paired_p_save: tuple
+    paired_totals: tuple
 
     def __len__(self) -> int:
         return self.x[0]
 
     def __add__(self, o: CycleSums) -> CycleSums:
-        return CycleSums(_pooled(self.x, o.x), _pooled(self.sleep, o.sleep),
-                         _pooled(self.p_save, o.p_save),
-                         tuple(a + b for a, b in zip(self.totals, o.totals)))
+        return CycleSums(
+            _pooled(self.x, o.x), _pooled(self.sleep, o.sleep),
+            _pooled(self.p_save, o.p_save),
+            tuple(a + b for a, b in zip(self.totals, o.totals)),
+            _pooled(self.paired_x, o.paired_x),
+            _co_pooled(self.paired_sleep, o.paired_sleep),
+            _pooled(self.paired_p_save, o.paired_p_save),
+            tuple(a + b for a, b in zip(self.paired_totals,
+                                        o.paired_totals)))
 
 
 class _BlockScratch:
-    """One worker's cycle fields (x, v, t_off, t_on, e_off, p_save), two
-    rows for the sums, mask, gap chunk and chunk offsets for blocks of up
-    to m cycles, made on the worker's first block of a call and reused
-    for its later ones (``_run_cycles``).  ``_cycle_block`` writes every
-    slot it reads, so what an earlier block left in it changes no bit."""
+    """One worker's cycle fields (x, v, t_off, t_on, e_off, p_save, x1 and
+    a row for the sums), mask, gap chunk and chunk offsets for blocks of
+    up to m cycles, made on the worker's first block of a call and reused
+    for its later ones (``_run_cycles``).  They are views of one
+    anonymous mmap, so the pages go back to the system when the call
+    drops the scratch, not to a malloc arena that keeps them.
+    ``_cycle_block`` writes every slot it reads, so what an earlier block
+    left in it changes no bit."""
 
     def __init__(self, m: int):
-        self.fields = np.empty((8, m))
-        self.mask = np.empty(m, dtype=bool)
-        self.buf = np.empty(min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT),
-                                DIRECT_SUM_LIMIT * m))
-        self.offsets = np.empty(min(_GAP_CHUNK, m), dtype=np.int64)
+        n_buf = min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT), DIRECT_SUM_LIMIT * m)
+        n_off = min(_GAP_CHUNK, m)
+        mem = mmap.mmap(-1, max(8 * (8 * m + n_buf + n_off) + m, 1),
+                        flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        if hasattr(mmap, "MADV_HUGEPAGE"):     # fewer, cheaper page faults
+            mem.madvise(mmap.MADV_HUGEPAGE)
+        self.fields = np.frombuffer(mem, np.float64, 8 * m).reshape(8, m)
+        self.buf = np.frombuffer(mem, np.float64, n_buf, 64 * m)
+        self.offsets = np.frombuffer(mem, np.int64, n_off,
+                                     8 * (8 * m + n_buf))
+        self.mask = np.frombuffer(mem, np.bool_, m,
+                                  8 * (8 * m + n_buf + n_off))
 
 
 def _cycle_threads() -> int:
@@ -224,39 +293,45 @@ def _direct_spans(gen: np.random.Generator, ends: np.ndarray, q: float,
     np.divide(spans, -rho, out=spans)
 
 
-def _cluster_gaps(gen: np.random.Generator, p_head: float, shift: float,
+def _cluster_gaps(gen: np.random.Generator, p_head: float,
                   out: np.ndarray) -> None:
-    """Fill out with floats that cannot saturate: geometric(p_head) - 1,
-    P{n >= k} = (1 - p_head)^k, by inversion of a standard exponential,
-    plus shift (1 under the paper fidelity)."""
+    """Fill out with the intra-cluster gap counts of paper-law clusters,
+    floats that cannot saturate: geometric(p_head) - 1, P{n >= k} =
+    (1 - p_head)^k, by inversion of a standard exponential, plus the one
+    gap of the second vehicle the paper law conditions on.  The corrected
+    law's clusters are these with probability 1 - p_head and single
+    vehicles otherwise (``_cycle_block`` scores both)."""
     np.divide(gen.standard_exponential(out=out), -math.log1p(-p_head),
               out=out)
-    np.add(np.floor(out, out=out), shift, out=out)
+    np.add(np.floor(out, out=out), 1.0, out=out)
 
 
 def _cycle_block(seed: np.random.SeedSequence, m: int,
-                 params: ModelParams, shift: float,
-                 s: _BlockScratch) -> CycleSums:
-    """Draw m cycles from PCG64(seed) into s.fields[:6, :m] (x, v, t_off,
-    t_on, e_off, p_save), in stream order: cluster sizes, direct gaps,
-    big-cluster normals, head-to-tail jumps, speeds; return their sums."""
+                 params: ModelParams, s: _BlockScratch) -> CycleSums:
+    """Draw m paper-law cycles from PCG64(seed) into s.fields[:7, :m] (x,
+    v, t_off, t_on, e_off, p_save, x1), in stream order: cluster sizes,
+    direct gaps, big-cluster normals, head-to-tail jumps x1, speeds; return
+    their sums under both laws.  The single-vehicle cycle of x1 sleeps
+    only where x1 > D, so its bookkeeping is made on that subset alone;
+    only the corrected gap and the single-vehicle on-time take a pass over
+    every cycle."""
     gen = np.random.Generator(np.random.PCG64(seed))
-    x, v, t_off, t_on, e_off, p_save, asleep, dev = out = s.fields[:, :m]
-    rho, r0 = params.rho, params.r0
+    x, v, t_off, t_on, e_off, p_save, x1, dev = out = s.fields[:, :m]
+    rho, r0, D = params.rho, params.r0, params.D
+    p, q = math.exp(-rho * r0), -math.expm1(-rho * r0)
     # the bookkeeping rows hold the temporaries until _cycle_energy
     n_gaps, mask = p_save, s.mask[:m]
-    _cluster_gaps(gen, math.exp(-rho * r0), shift, n_gaps)
+    _cluster_gaps(gen, p, n_gaps)
 
     # each branch gathers its clusters by index and skips when it has
     # none: an empty branch draws nothing, so skipping keeps the stream
     x.fill(0.0)
-    np.greater(n_gaps, 0.0, out=mask)
-    mask &= n_gaps <= DIRECT_SUM_LIMIT
+    np.less_equal(n_gaps, DIRECT_SUM_LIMIT, out=mask)
     idx = np.flatnonzero(mask)
     if len(idx):
         spans, ends = t_off[:len(idx)], t_on[:len(idx)]
         np.cumsum(np.take(n_gaps, idx, out=spans), out=ends)
-        _direct_spans(gen, ends, -math.expm1(-rho * r0), rho, spans, s)
+        _direct_spans(gen, ends, q, rho, spans, s)
         x[idx] = spans
     idx = np.flatnonzero(np.greater(n_gaps, DIRECT_SUM_LIMIT, out=mask))
     if len(idx):
@@ -271,25 +346,53 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
         np.clip(z, 0.0, np.multiply(k, r0, out=w), out=z)
         x[idx] = z
 
-    x1 = t_off                             # r0 + exponential(1/rho)
     np.multiply(gen.standard_exponential(out=x1), 1.0 / rho, out=x1)
-    np.add(x, np.add(x1, r0, out=x1), out=x)
+    np.add(x1, r0, out=x1)                 # r0 + exponential(1/rho)
     np.multiply(gen.random(out=v), params.b - params.a, out=v)
     np.add(v, params.a, out=v)             # uniform(a, b), same rounding
-    _cycle_energy(x, v, params, out=out[2:6])
 
+    # x still holds the span: the corrected gap and the single-vehicle
+    # on-time, then the single-vehicle cycles that sleep
+    paired_x = _moments(np.add(np.multiply(x, q, out=t_on), x1, out=t_on),
+                        dev)
+    t_on1 = float(np.sum(np.divide(np.minimum(x1, D, out=t_on), v,
+                                   out=t_on)))
+    idx = np.flatnonzero(np.greater(x1, D, out=mask))
+    toff1, _, eoff1, psave1 = _cycle_energy(x1[idx], v[idx], params)
+
+    np.add(x, x1, out=x)
+    _cycle_energy(x, v, params, out=out[2:6])
     x_sums, p_sums = _moments(x, dev), _moments(p_save, dev)
     n_sleep = int(np.count_nonzero(np.greater(t_off, 0.0, out=mask)))
-    sleep = _moments(np.compress(mask, t_off, out=asleep[:n_sleep]),
-                     dev[:n_sleep])
-    return CycleSums(x_sums, sleep, p_sums,
-                     tuple(float(np.sum(f)) for f in (e_off, t_off, t_on)))
+    asleep = np.compress(mask, t_off, out=dev[:n_sleep])
+    sleep = _moments(asleep, asleep)
+    totals = tuple(float(np.sum(f)) for f in (e_off, t_off, t_on))
+
+    # x >= x1, so every single-vehicle cycle that sleeps has a sleeping
+    # twin: the weighted indicator is q + p there, q on the other
+    # sleeping cycles and 0 on the awake ones, and its cross moment with
+    # the weighted t_off is the sum of t_off (indicator - mean_i) by group
+    awake = (m - n_sleep, 0.0, 0.0)
+    toff_sub, ones = t_off[idx], np.ones(len(idx))
+    paired_t = _paired(_pooled(awake, sleep), toff_sub, toff1, p, q)
+    paired_i = _paired(_pooled(awake, (n_sleep, 1.0, 0.0)), ones, ones, p, q)
+    mean_i = paired_i[1]
+    sum_sub = q * float(np.sum(toff_sub)) + p * float(np.sum(toff1))
+    cross = ((q + p - mean_i) * sum_sub + q * (q - mean_i)
+             * (sleep[0] * sleep[1] - float(np.sum(toff_sub))))
+    paired_totals = (q * totals[0] + p * float(np.sum(eoff1)),
+                     q * totals[1] + p * float(np.sum(toff1)),
+                     q * totals[2] + p * t_on1)
+    return CycleSums(
+        x_sums, sleep, p_sums, totals, paired_x,
+        (m, paired_t[1], mean_i, paired_t[2], paired_i[2], cross),
+        _paired(p_sums, p_save[idx], psave1, p, q), paired_totals)
 
 
 def _plan_cycles(params: ModelParams, n: int,
                  rng: Union[RngSpec, np.random.Generator]) -> list:
-    """The blocks of one ``sample_cycles`` request, as (seed, m, params,
-    shift) for ``_cycle_block``: the checks, the root draw from rng, its
+    """The blocks of one ``sample_cycles`` request, as (seed, m, params)
+    for ``_cycle_block``: the checks, the root draw from rng, its
     children and the block sizes.  Draws nothing when a check fails."""
     if n < 1000:
         raise ValueError(f"need at least 1000 cycles, got {n}")
@@ -297,10 +400,9 @@ def _plan_cycles(params: ModelParams, n: int,
                   "the plain renewal sampler is not validated beyond it")
     check_sparse(params)
     gen = _as_generator(rng)
-    shift = 1.0 if params.fidelity is Fidelity.PAPER else 0.0
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
     seeds = np.random.SeedSequence(root).spawn(-(-n // _CYCLE_BLOCK))
-    return [(seed, min(_CYCLE_BLOCK, n - b * _CYCLE_BLOCK), params, shift)
+    return [(seed, min(_CYCLE_BLOCK, n - b * _CYCLE_BLOCK), params)
             for b, seed in enumerate(seeds)]
 
 
@@ -319,11 +421,11 @@ def _run_cycles(plans: list) -> list:
     local = threading.local()
 
     def run(pb):
-        seed, m, params, shift = plans[pb[0]][pb[1]]
+        seed, m, params = plans[pb[0]][pb[1]]
         s = getattr(local, "scratch", None)
         if s is None:
             s = local.scratch = _BlockScratch(size)
-        return _cycle_block(seed, m, params, shift, s)
+        return _cycle_block(seed, m, params, s)
 
     sums = [[None] * len(blocks) for blocks in plans]
     with ThreadPoolExecutor(_cycle_threads(),
@@ -335,15 +437,18 @@ def _run_cycles(plans: list) -> list:
 
 def sample_cycles(params: ModelParams, n: int,
                   rng: Union[RngSpec, np.random.Generator]) -> CycleSums:
-    """Sum n >= 1000 independent renewal cycles of the generative model.
+    """Sum n >= 1000 independent renewal cycles of the generative model,
+    under both fidelities at once.
 
-    Cluster size is geometric with success probability exp(-rho r0)
-    (``_cluster_gaps``); the cluster span is the sum of (size - 1)
-    intra-cluster gaps, each an exponential(rho) conditioned on <= r0, or
-    above DIRECT_SUM_LIMIT gaps a moment-matched normal clamped to the
-    span's support; the head-to-tail jump is r0 + exponential(rho); the
-    speed is uniform(a, b).  Under ``params.fidelity`` `paper` the
-    cluster size is conditioned on >= 2 vehicles.
+    Each cycle is drawn under the paper law (``_cluster_gaps``): a cluster
+    of at least two vehicles, its span the sum of (size - 1) intra-cluster
+    gaps, each an exponential(rho) conditioned on <= r0, or above
+    DIRECT_SUM_LIMIT gaps a moment-matched normal clamped to the span's
+    support; the head-to-tail jump x1 = r0 + exponential(rho); the speed
+    uniform(a, b).  The same x1 and speed also make the single-vehicle
+    cycle, so the sums hold the corrected law's paired estimate beside
+    the paper law's (``CycleSums``); ``estimate_energy`` picks one by
+    ``params.fidelity``, which the draw does not read.
 
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
@@ -354,10 +459,11 @@ def sample_cycles(params: ModelParams, n: int,
     once, as ``validate`` does), so the bits depend on the seed only, not
     on the thread count, on which thread drew a block or on what other
     requests shared the batch.  Memory is one _BlockScratch per thread
-    (about 5 MB), whatever n, made and freed inside the call; concurrent
-    calls each get their own threads and scratches.  Raises ValueError
-    when n < 1000 and ArithmeticError when rho*r0 > SAMPLER_RHO_R0_LIMIT
-    or exp(-rho*r0) rounds to 1 (``check_sparse``), before any draw.
+    (about 5 MB), whatever n, mapped and unmapped inside the call;
+    concurrent calls each get their own threads and scratches.  Raises
+    ValueError when n < 1000 and ArithmeticError when rho*r0 >
+    SAMPLER_RHO_R0_LIMIT or exp(-rho*r0) rounds to 1 (``check_sparse``),
+    before any draw.
     """
     return _run_cycles([_plan_cycles(params, n, rng)])[0]
 
@@ -396,18 +502,36 @@ def _mean_se(moments: tuple) -> tuple:
 
 
 def estimate_energy(sums: CycleSums, params: ModelParams) -> EnergyEstimate:
-    """Estimate the energy figures from the sums of ``sample_cycles``, by
-    scalar arithmetic only."""
-    n, k = len(sums), sums.sleep[0]
-    mean_x, se_x = _mean_se(sums.x)
-    mean_toff, se_toff = _mean_se(sums.sleep) if k else (None, None)
-    mean_psave, se_psave = _mean_se(sums.p_save)
-    e_off, t_off, t_on = sums.totals
-    prob = k / n
+    """Estimate the energy figures of ``params.fidelity`` from the sums of
+    ``sample_cycles``, by scalar arithmetic only: the paper law's sums,
+    or the corrected law's paired ones.  The corrected sleep time is the
+    ratio of the weighted t_off to the weighted sleep indicator, its
+    standard error by the delta method."""
+    n = len(sums)
+    if params.fidelity is Fidelity.PAPER:
+        k = sums.sleep[0]
+        x, p_save, totals = sums.x, sums.p_save, sums.totals
+        mean_toff, se_toff = _mean_se(sums.sleep) if k else (None, None)
+        prob = k / n
+        prob_se = math.sqrt(prob * (1.0 - prob) / n)
+    else:
+        x, p_save, totals = (sums.paired_x, sums.paired_p_save,
+                             sums.paired_totals)
+        _, mean_t, prob, m2_t, m2_i, cross = sums.paired_sleep
+        # the variance M2/n, as the paper's binomial p(1 - p) is
+        prob_se = math.sqrt(m2_i / n / n)
+        mean_toff = se_toff = None
+        if prob > 0.0:
+            mean_toff = mean_t / prob
+            resid = m2_t - 2.0 * mean_toff * cross + mean_toff ** 2 * m2_i
+            se_toff = _mean_se((n, 0.0, max(resid, 0.0)))[1] / prob
+    mean_x, se_x = _mean_se(x)
+    mean_psave, se_psave = _mean_se(p_save)
+    e_off, t_off, t_on = totals
     return EnergyEstimate(
         n_cycles=n,
         expected_gap=mean_x, expected_gap_se=se_x,
-        prob_sleep=prob, prob_sleep_se=math.sqrt(prob * (1.0 - prob) / n),
+        prob_sleep=prob, prob_sleep_se=prob_se,
         expected_sleep_time=mean_toff, expected_sleep_time_se=se_toff,
         expected_power_saved=mean_psave, expected_power_saved_se=se_psave,
         time_average_power_saved=e_off / (t_off + t_on),

@@ -30,10 +30,15 @@
 - ``event_loop_timeline``: the heterogeneous timeline's event loop with a
   full stable re-sort and rescan of the road at every event, the
   reference the kept-order kernel must match bit for bit;
-- ``cycle_batch`` / ``estimate_energy_batch``: the renewal cycles of
-  ``sample_cycles`` as one array per field, drawn serially by the same
-  block kernel, and the energy estimate by full-array passes over them,
-  the reference for the pooled block sums;
+- ``cycle_batch`` / ``estimate_energy_batch``: the paper-law renewal
+  cycles of ``sample_cycles`` as one array per field, drawn serially by
+  the same block kernel, and the energy estimate by full-array passes
+  over them, plain or over the corrected law's paired columns, the
+  reference for the pooled block sums;
+- ``plain_batch``: the plain sampler of either law, each cycle replaced
+  by its single-vehicle twin with probability exp(-rho r0) by an
+  independent coin under the corrected law, the reference the paired
+  estimate's standard error must not exceed;
 - ``ch_gap_samples`` / ``cluster_list``: the window-censored head-to-head
   gaps of a snapshot's clusters, and the clusters as tuples.
 """
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -577,8 +582,9 @@ def event_loop_timeline(params: ModelParams, positions, speeds,
 @dataclass(frozen=True)
 class CycleBatch:
     """Renewal cycles, one array per field: the gap x to the next cluster
-    head, the speed v, and the per-cycle bookkeeping t_off, t_on, e_off
-    and p_save of ``simulate._cycle_energy``."""
+    head, the speed v, the per-cycle bookkeeping t_off, t_on, e_off and
+    p_save of ``simulate._cycle_energy``, and the head-to-tail jump x1,
+    the gap of the cycle's single-vehicle twin."""
 
     x: np.ndarray
     v: np.ndarray
@@ -586,6 +592,7 @@ class CycleBatch:
     t_on: np.ndarray
     e_off: np.ndarray
     p_save: np.ndarray
+    x1: np.ndarray
 
     def __len__(self) -> int:
         return len(self.x)
@@ -593,55 +600,100 @@ class CycleBatch:
 
 def cycle_batch(params: ModelParams, n: int,
                 rng: Union[RngSpec, np.random.Generator]) -> CycleBatch:
-    """The n cycles ``sample_cycles`` sums, bit for bit, any n >= 0: the
-    same root draw, block streams and kernel (``simulate._cycle_block``),
-    the blocks drawn in order on the caller's thread into one scratch and
-    each copied out into the batch."""
+    """The n paper-law cycles ``sample_cycles`` sums, bit for bit, any
+    n >= 0: the same root draw, block streams and kernel
+    (``simulate._cycle_block``), the blocks drawn in order on the caller's
+    thread into one scratch and each copied out into the batch."""
     gen = _as_generator(rng)
-    shift = 1.0 if params.fidelity is Fidelity.PAPER else 0.0
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
     block = simulate._CYCLE_BLOCK
     seeds = np.random.SeedSequence(root).spawn(-(-n // block))
-    fields = np.empty((6, n))
+    fields = np.empty((7, n))
     scratch = simulate._BlockScratch(min(n, block))
     for b, seed in enumerate(seeds):
         m = min(block, n - b * block)
-        simulate._cycle_block(seed, m, params, shift, scratch)
-        fields[:, b * block:b * block + m] = scratch.fields[:6, :m]
+        simulate._cycle_block(seed, m, params, scratch)
+        fields[:, b * block:b * block + m] = scratch.fields[:7, :m]
     return CycleBatch(*fields)
 
 
+def plain_batch(params: ModelParams, n: int,
+                rng: Union[RngSpec, np.random.Generator]) -> CycleBatch:
+    """n cycles drawn one law at a time: ``cycle_batch``'s under the paper
+    fidelity; under the corrected one each replaced by its single-vehicle
+    twin (gap x1, same speed) where a uniform drawn from rng after the
+    root draw falls below exp(-rho r0), the corrected law's mixture by the
+    memoryless cluster size."""
+    gen = _as_generator(rng)
+    batch = cycle_batch(params, n, gen)
+    if params.fidelity is Fidelity.PAPER:
+        return batch
+    single = gen.random(n) < math.exp(-params.rho * params.r0)
+    x = np.where(single, batch.x1, batch.x)
+    return CycleBatch(x, batch.v, *simulate._cycle_energy(x, batch.v, params),
+                      batch.x1)
+
+
 def _mean_se(values: np.ndarray) -> tuple:
+    """Mean and standard error; the deviations are taken from the first
+    value (shifted data), so a constant column has a standard error of
+    exactly 0, not the rounding of np.mean."""
     n = len(values)
     mean = float(np.mean(values))
     if n < 2:
         return mean, math.inf
-    return mean, float(np.std(values, ddof=1) / math.sqrt(n))
+    return mean, float(np.std(values - values[0], ddof=1) / math.sqrt(n))
 
 
-def estimate_energy_batch(samples: CycleBatch) -> EnergyEstimate:
+def estimate_energy_batch(samples: CycleBatch,
+                          params: Optional[ModelParams] = None
+                          ) -> EnergyEstimate:
     """The energy estimate by full-array passes over a batch: np.mean,
-    np.std and np.sum over every cycle, and over the sleeping ones."""
+    np.std and np.sum over every cycle, and over the sleeping ones, as
+    drawn, or for corrected-fidelity params over the paired columns,
+    each cycle weighted 1 - p and its single-vehicle twin p, p =
+    exp(-rho r0), with the sleep time a ratio of means whose standard
+    error is the delta method's."""
     n = len(samples)
-    mean_x, se_x = _mean_se(samples.x)
-    sleeping = samples.t_off > 0.0
-    prob = float(np.count_nonzero(sleeping)) / n
-    prob_se = math.sqrt(prob * (1.0 - prob) / n)
-    if np.any(sleeping):
-        mean_toff, se_toff = _mean_se(samples.t_off[sleeping])
+    if params is None or params.fidelity is Fidelity.PAPER:
+        mean_x, se_x = _mean_se(samples.x)
+        sleeping = samples.t_off > 0.0
+        prob = float(np.count_nonzero(sleeping)) / n
+        prob_se = math.sqrt(prob * (1.0 - prob) / n)
+        if np.any(sleeping):
+            mean_toff, se_toff = _mean_se(samples.t_off[sleeping])
+        else:
+            mean_toff = se_toff = None
+        mean_psave, se_psave = _mean_se(samples.p_save)
+        t_off, t_on = float(np.sum(samples.t_off)), float(np.sum(samples.t_on))
+        e_off = float(np.sum(samples.e_off))
     else:
-        mean_toff = se_toff = None
-    mean_psave, se_psave = _mean_se(samples.p_save)
-    cycle_time = float(np.sum(samples.t_off) + np.sum(samples.t_on))
-    time_avg = float(np.sum(samples.e_off)) / cycle_time
-    duty = float(np.sum(samples.t_off)) / cycle_time
+        p = math.exp(-params.rho * params.r0)
+        q = 1.0 - p
+        t_off1, t_on1, e_off1, p_save1 = simulate._cycle_energy(
+            samples.x1, samples.v, params)
+        mean_x, se_x = _mean_se(q * samples.x + p * samples.x1)
+        mean_psave, se_psave = _mean_se(q * samples.p_save + p * p_save1)
+        h_t = q * samples.t_off + p * t_off1
+        h_i = q * (samples.t_off > 0.0) + p * (t_off1 > 0.0)
+        prob = float(np.mean(h_i))
+        prob_se = math.sqrt(float(np.var(h_i - h_i[0])) / n)
+        if prob > 0.0:
+            mean_toff = float(np.sum(h_t) / np.sum(h_i))
+            se_toff = _mean_se(h_t - mean_toff * h_i)[1] / prob
+        else:
+            mean_toff = se_toff = None
+        t_off = float(np.sum(h_t))
+        t_on = float(np.sum(q * samples.t_on + p * t_on1))
+        e_off = float(np.sum(q * samples.e_off + p * e_off1))
     return EnergyEstimate(
         n_cycles=n,
         expected_gap=mean_x, expected_gap_se=se_x,
         prob_sleep=prob, prob_sleep_se=prob_se,
         expected_sleep_time=mean_toff, expected_sleep_time_se=se_toff,
         expected_power_saved=mean_psave, expected_power_saved_se=se_psave,
-        time_average_power_saved=time_avg, duty_cycle=duty)
+        time_average_power_saved=e_off / (t_off + t_on),
+        duty_cycle=t_off / (t_off + t_on))
 
 
 def ch_gap_samples(clusters: ClusterSet, window_length: float,

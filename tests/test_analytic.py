@@ -17,10 +17,10 @@ from sleepnet.simulate import RngSpec, _cycle_energy
 
 from conftest import assert_close
 from oracles import (ch_gap_pdf_closed_form, cluster_len_pdf_grid,
-                     cycle_batch, gap_cdf_decimal, gap_mean_wald_decimal,
+                     gap_cdf_decimal, gap_mean_wald_decimal,
                      gap_pdf_composition, gap_pdf_decimal,
                      gap_pdf_per_segment, integrate_panels_one_by_one,
-                     trunc_exp_nfold_pdf)
+                     plain_batch, trunc_exp_nfold_pdf)
 
 
 class TestSpanDecayRate:
@@ -523,7 +523,7 @@ class TestExpectations:
 
     def test_mean_of_cycle_power_matches_expectation(self, canonical_dist):
         # Monte Carlo of the per-cycle formula against the closed form
-        values = cycle_batch(CANONICAL, 50_000, RngSpec(17)).p_save
+        values = plain_batch(CANONICAL, 50_000, RngSpec(17)).p_save
         se = values.std(ddof=1) / math.sqrt(len(values))
         target = energy_figures(CANONICAL).expected_power_saved
         assert abs(values.mean() - target) <= 4.0 * se

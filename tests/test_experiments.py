@@ -182,9 +182,9 @@ class TestRunValidation:
             assert row.fidelity_gap >= 0.0
 
     def test_cells_draw_in_one_batch(self, monkeypatch):
-        # every (cell, fidelity) pair's blocks go to the sampler in one
-        # call, pair k of cell i on stream 2 i + k, with the bits of a
-        # sample_cycles call per pair
+        # every cell's blocks go to the sampler in one call, cell i on
+        # stream 2 i, with the bits of one sample_cycles call per cell
+        # that both fidelities' rows estimate from
         grid = SweepGrid(rho_values=(0.01, 0.02), r0_values=(100.0, 200.0))
         batches, run = [], simulate._run_cycles
 
@@ -194,12 +194,12 @@ class TestRunValidation:
 
         monkeypatch.setattr(experiments, "_run_cycles", record)
         report = run_validation(grid, 10_000, RngSpec(9))
-        assert batches == [8]
+        assert batches == [4]
         for j, (rho, r0) in enumerate(grid.cells):
             for k, fidelity in enumerate(("paper", "corrected")):
                 params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
                 est = estimate_energy(
-                    sample_cycles(params, 10_000, RngSpec(9, 2 * j + k)),
+                    sample_cycles(params, 10_000, RngSpec(9, 2 * j)),
                     params)
                 row = report.rows[6 * j + 3 * k]
                 assert (row.rho, row.r0, row.fidelity, row.metric) \

@@ -4,7 +4,10 @@ Every other sampler test compares ``sample_cycles`` with the oracle
 ``cycle_batch``, which runs the same block kernel; a kernel change that
 moved a bit would pass them all.  These values were computed before the
 kernel's masked copies were replaced by index gathers, and any change
-that keeps the stream must keep them.  The sweep digests were computed
+that keeps the stream must keep them.  The corrected keys, the
+corrected law's paired sums of the paper-law draw, and the validate
+digest were re-pinned when one draw began to serve both fidelities; the
+paper keys and the validate paper rows kept their bits through it.  The sweep digests were computed
 before a grid's gap laws were integrated in one batch, which must leave
 every byte as it was, and the timeline digests before the heterogeneous
 event loop's per-event cost was cut, which must keep every event
@@ -22,15 +25,20 @@ from sleepnet import CANONICAL
 from sleepnet.cli import main
 from sleepnet.simulate import RngSpec, sample_cycles
 
-#: sample_cycles(params, 150_000, RngSpec(9)) for (rho, r0, fidelity):
-#: x, sleep and p_save as (count, mean, M2), then totals, floats in hex.
+#: sample_cycles(params, 150_000, RngSpec(9)) for (rho, r0, fidelity),
+#: floats in hex.  paper: x, sleep and p_save as (count, mean, M2), then
+#: totals.  corrected: paired_x, paired_sleep (count, mean_t, mean_i, M2_t,
+#: M2_i, C), paired_p_save and paired_totals, the corrected law's sums of
+#: the same paper-law draw.
 PINNED = {
     (0.005, 100.0, "corrected"): (
-        (150000, "0x1.4ae421ca3f1f0p+8", "0x1.809343d8dd33dp+32"),
-        (5535, "0x1.8fa44212049efp+3", "0x1.c732bab9f6813p+19"),
-        (150000, "0x1.9be60ead37c52p+2", "0x1.ec4f3f02147bbp+27"),
-        ("0x1.077b54ef03e3ep+26", "0x1.0e0583841c8f4p+16",
-         "0x1.710e66f0893e8p+21")),
+        (150000, "0x1.4af8fcae533c9p+8", "0x1.6f3f302509d71p+32"),
+        (150000, "0x1.e27a85a9d32dap-2", "0x1.3493bf82f2e0fp-5",
+         "0x1.aae6098309bafp+20", "0x1.2d80cb3cc4e3cp+12",
+         "0x1.00835c587fb0cp+16"),
+        (150000, "0x1.a33c99f480b62p+2", "0x1.de36bcc698471p+27"),
+        ("0x1.0d63f093c42a9p+26", "0x1.1413939398b25p+16",
+         "0x1.71b005feedc0ep+21")),
     (0.005, 100.0, "paper"): (
         (150000, "0x1.78f9b0a531705p+8", "0x1.8af989bfcd6c0p+32"),
         (7209, "0x1.8ef2adad2cf3bp+3", "0x1.295352c97d660p+20"),
@@ -38,11 +46,13 @@ PINNED = {
         ("0x1.5692a36ca8e78p+26", "0x1.5f137ee60d36dp+16",
          "0x1.a3e79ca380ccap+21")),
     (0.02, 200.0, "corrected"): (
-        (150000, "0x1.561f380431758p+11", "0x1.c29b3b231e4ffp+39"),
-        (118727, "0x1.3bde9d38904a0p+7", "0x1.81d729fdbf27fp+31"),
-        (150000, "0x1.edbc9b0dd7842p+8", "0x1.e39954353c648p+33"),
-        ("0x1.17655548116b4p+34", "0x1.1e1e9432c1f70p+24",
-         "0x1.a463a45c22958p+22")),
+        (150000, "0x1.56124052be42fp+11", "0x1.b200d2a080310p+39"),
+        (150000, "0x1.f3c03a8201ea3p+6", "0x1.9560e499ac42ep-1",
+         "0x1.bded873b1f8c9p+31", "0x1.6072b5c0c7038p+14",
+         "0x1.b27f93da2f7b7p+21"),
+        (150000, "0x1.ed92d5a0a9df3p+8", "0x1.c7416f2a4d081p+33"),
+        ("0x1.173d687f8aa03p+34", "0x1.1df5b27a7c108p+24",
+         "0x1.a4082edd8036cp+22")),
     (0.02, 200.0, "paper"): (
         (150000, "0x1.5bdee95d18f8fp+11", "0x1.c257ca79df55dp+39"),
         (120979, "0x1.3b98da54896e9p+7", "0x1.893ea907cff0bp+31"),
@@ -50,11 +60,12 @@ PINNED = {
         ("0x1.1c7323172a439p+34", "0x1.234b85a89df76p+24",
          "0x1.a934e02d872a3p+22")),
     (0.08, 400.0, "corrected"): (
-        (150000, "0x1.c21a4e1f33e0cp+49", "0x1.c89142f3667b7p+116"),
-        (150000, "0x1.c0f00e6828598p+45", "0x1.ea86f428787e4p+108"),
-        (150000, "0x1.f3ffffffe024ap+9", "0x1.f62039bd8a222p-23"),
-        ("0x1.f5ba1ca6d65b8p+72", "0x1.00e25c7e6176ap+63",
-         "0x1.c88be1db1af54p+22")),
+        (150000, "0x1.c21a4e1f33e0bp+49", "0x1.c89142f3666edp+116"),
+        (150000, "0x1.c0f00e6828598p+45", "0x1.fffffffffff8ep-1",
+         "0x1.ea86f42878711p+108", "0x0.0p+0", "0x0.0p+0"),
+        (150000, "0x1.f3ffffffe01dbp+9", "0x1.f620396983b63p-23"),
+        ("0x1.f5ba1ca6d65b8p+72", "0x1.00e25c7e61769p+63",
+         "0x1.c88be1db1af23p+22")),
     (0.08, 400.0, "paper"): (
         (150000, "0x1.c21a4e1f33e70p+49", "0x1.c89142f3667b7p+116"),
         (150000, "0x1.c0f00e68285fcp+45", "0x1.ea86f428787ebp+108"),
@@ -66,7 +77,14 @@ PINNED = {
 #: SHA-256 of what `sleepnet validate --seed 7 --format json` prints: the
 #: table, then the failure lines of the two dense-cell E_Psave rows.
 VALIDATE_SEED7_SHA256 = (
-    "a0953acab672fb1027c2a7ec478cfaa162a547075af10d663a39e6d9b7a99c97")
+    "a020021caad633799405293a375cf30c7ba4fb5b69434f8ef5041ce6d6248237")
+
+#: SHA-256 of the header and the paper-fidelity rows, in order, of the
+#: file `sleepnet validate --seed 7 --format csv --out FILE` writes.  One
+#: sampler draw serves both fidelities of a cell; this pin was taken
+#: while each fidelity still drew its own, and the paper rows keep it.
+VALIDATE_SEED7_PAPER_ROWS_SHA256 = (
+    "4d14e970904a0c890d61e289358640c6035701653581d0689d4ec08c8a80eaec")
 
 #: SHA-256 of what `sleepnet sweep --format json` prints: the echoed
 #: config, then the default 3 x 3 table.
@@ -105,7 +123,8 @@ def test_sample_cycles_bits(key):
     rho, r0, fidelity = key
     params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
     sums = sample_cycles(params, 150_000, RngSpec(9))
-    got = tuple(_hex(getattr(sums, f))
+    prefix = "paired_" if fidelity == "corrected" else ""
+    got = tuple(_hex(getattr(sums, prefix + f))
                 for f in ("x", "sleep", "p_save", "totals"))
     assert got == PINNED[key]
 
@@ -115,6 +134,17 @@ def test_validate_seed7_bytes():
     assert main(["validate", "--seed", "7", "--format", "json"], out=out) == 1
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == VALIDATE_SEED7_SHA256
+
+
+def test_validate_seed7_paper_rows(tmp_path):
+    path = tmp_path / "validate.csv"
+    argv = ["validate", "--seed", "7", "--format", "csv", "--out", str(path)]
+    assert main(argv, out=io.StringIO()) == 1
+    header, *rows = path.read_text(encoding="utf-8").splitlines(True)
+    paper = [row for row in rows if row.split(",")[7] == "paper"]
+    assert len(paper) == 27
+    digest = hashlib.sha256("".join([header] + paper).encode("utf-8"))
+    assert digest.hexdigest() == VALIDATE_SEED7_PAPER_ROWS_SHA256
 
 
 def test_sweep_bytes():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sleepnet import simulate
-from sleepnet.analytic import energy_figures
+from sleepnet.analytic import energy_figures, grid_energy_figures
 from sleepnet.params import CANONICAL, KMH
 from sleepnet.simulate import (RngSpec, Snapshot, TimelineReport,
                                estimate_energy, extract_clusters,
@@ -131,15 +131,15 @@ class TestSampleCycles:
     def test_mean_matches_analytic(self):
         for fid in ("paper", "corrected"):
             params = CANONICAL.replace(fidelity=fid)
-            batch = cycle_batch(params, 200_000, RngSpec(7))
+            batch = oracles.plain_batch(params, 200_000, RngSpec(7))
             se = batch.x.std(ddof=1) / math.sqrt(len(batch))
             target = energy_figures(params).expected_gap
             assert abs(batch.x.mean() - target) <= 4.0 * se
 
     def test_paper_fidelity_shifts_mean_up(self):
-        corrected = cycle_batch(CANONICAL, 100_000, RngSpec(10))
-        paper = cycle_batch(CANONICAL.replace(fidelity="paper"), 100_000,
-                            RngSpec(10))
+        corrected = oracles.plain_batch(CANONICAL, 100_000, RngSpec(10))
+        paper = oracles.plain_batch(CANONICAL.replace(fidelity="paper"),
+                                    100_000, RngSpec(10))
         assert paper.x.mean() > corrected.x.mean()
 
     @staticmethod
@@ -266,26 +266,27 @@ class TestSampleCycles:
     @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
     @pytest.mark.parametrize("rho_r0", [0.5, 4.0, 32.0])
     def test_cluster_size_law(self, rho_r0, fidelity):
-        # geometric(e^{-rho r0}) - 1 by inversion: mean e^{rho r0} - 1 and
-        # P{0} = e^{-rho r0}; the paper fidelity adds one vehicle
+        # geometric(e^{-rho r0}) by inversion, the paper law's gap count:
+        # mean e^{rho r0} and P{1} = e^{-rho r0}.  The corrected law's is
+        # 0 with probability p = e^{-rho r0} and these otherwise, so its
+        # mean e^{rho r0} - 1 is (1 - p) times theirs
         n = 1_000_000
         p = math.exp(-rho_r0)
         sizes = np.empty(n)
-        simulate._cluster_gaps(RngSpec(20).generator(), p,
-                               1.0 if fidelity == "paper" else 0.0, sizes)
+        simulate._cluster_gaps(RngSpec(20).generator(), p, sizes)
+        weight = 1.0 if fidelity == "paper" else -math.expm1(-rho_r0)
         mean = math.expm1(rho_r0) + (fidelity == "paper")
-        se = math.sqrt((1.0 - p) / p ** 2 / n)
-        assert abs(sizes.mean() - mean) <= 4.0 * se
+        se = weight * math.sqrt((1.0 - p) / p ** 2 / n)
+        assert abs(weight * sizes.mean() - mean) <= 4.0 * se
         if fidelity == "corrected":
-            zeros = np.count_nonzero(sizes == 0.0) / n
-            assert abs(zeros - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+            ones = np.count_nonzero(sizes == 1.0) / n
+            assert abs(ones - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
     def test_cluster_size_finite_at_the_limit(self):
         sizes = np.empty(1_000_000)
         simulate._cluster_gaps(RngSpec(21).generator(),
-                               math.exp(-simulate.SAMPLER_RHO_R0_LIMIT), 0.0,
-                               sizes)
-        assert np.all(np.isfinite(sizes)) and np.all(sizes >= 0.0)
+                               math.exp(-simulate.SAMPLER_RHO_R0_LIMIT), sizes)
+        assert np.all(np.isfinite(sizes)) and np.all(sizes >= 1.0)
 
     def test_big_cluster_normal_equals_generator_normal(self):
         # the sampler draws k*mean + sqrt(k*var) * standard_normal() for
@@ -300,22 +301,27 @@ class TestSampleCycles:
         got = k * mean + np.sqrt(k * var) * gen.standard_normal(len(k))
         assert np.array_equal(got, want)
 
-    def test_memory_independent_of_cluster_size(self, use_pool):
+    def test_memory_independent_of_cluster_size(self, use_pool,
+                                                allocations):
         # about 54 intra-cluster gaps a cycle at rho*r0 = 4: drawing them
         # all at once would peak near 20x the six fields of the cycles.
         # One thread and two, whose numpy allocations tracemalloc sees
-        # too, with the scratch they allocate, stay under the bound.
+        # too, with the scratch they map, which it does not, stay under
+        # the bound.
         params = CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper")
         nbytes = 6 * 8 * 200_000
         for threads in (1, 2):
             use_pool(threads)
+            allocations.clear()
             tracemalloc.start()
             try:
                 sample_cycles(params, 200_000, RngSpec(12))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 3 * nbytes, threads
+            mapped = sum(a.nbytes for s in allocations
+                         for a in (s.fields, s.buf, s.offsets, s.mask))
+            assert peak + mapped <= 3 * nbytes, threads
 
     def test_calls_leave_no_threads(self, use_pool, allocations):
         # each call joins the threads it starts before it returns; each
@@ -353,7 +359,7 @@ class TestCycleSums:
         got = estimate_energy(sample_cycles(params, 200_000, RngSpec(22)),
                               params)
         want = oracles.estimate_energy_batch(
-            cycle_batch(params, 200_000, RngSpec(22)))
+            cycle_batch(params, 200_000, RngSpec(22)), params)
         assert got.n_cycles == want.n_cycles == 200_000
         for f in fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
@@ -404,6 +410,95 @@ class TestCycleSums:
         assert gen.random() == RngSpec(25).generator().random()
 
 
+#: The grid cells but the densest, where the plain sampler is known to be
+#: biased (acceptance 03), and the seed pool the paired estimator is
+#: judged on, fixed before it was first run.
+_SPARSER_CELLS = [(rho, r0) for rho in (0.005, 0.02, 0.08)
+                  for r0 in (100.0, 200.0, 400.0)][:8]
+_PAIRED_SEEDS = range(30_000, 30_020)
+_PAIRED_FIELDS = {"E_X": "expected_gap", "prob_sleep": "prob_sleep",
+                  "E_Toff": "expected_sleep_time",
+                  "E_Psave": "expected_power_saved"}
+
+
+@pytest.fixture(scope="module")
+def paired_pool():
+    """For each sparser cell, per seed of the pool: the corrected
+    estimate of 10^5 cycles, its closed-form target and the plain
+    sampler's estimate of the same cycles (``oracles.plain_batch``), as
+    {(cell, metric): (values, the ses of their z, target, their ses,
+    the plain ses)}.  prob_sleep's z
+    takes the score test's standard error, from the closed forms: the
+    weighted indicator is 1 where the single-vehicle cycle sleeps, with
+    probability e^{-rho (D - r0)}, 1 - p where only the paper-law cycle
+    does, and 0 otherwise."""
+    cells = [CANONICAL.replace(rho=rho, r0=r0) for rho, r0 in _SPARSER_CELLS]
+    figures = grid_energy_figures(cells)
+    paper = grid_energy_figures([c.replace(fidelity="paper") for c in cells])
+    n, pool = 100_000, {}
+    for c, (params, fig, fig_paper) in enumerate(zip(cells, figures,
+                                                     paper)):
+        single = math.exp(-params.rho * (params.D - params.r0))
+        q = -math.expm1(-params.rho * params.r0)
+        score = math.sqrt((single + (fig_paper.prob_sleep - single) * q * q
+                           - fig.prob_sleep ** 2) / n)
+        rows = []
+        for seed in _PAIRED_SEEDS:
+            est = estimate_energy(sample_cycles(params, n, RngSpec(seed, c)),
+                                  params)
+            plain = oracles.estimate_energy_batch(
+                oracles.plain_batch(params, n, RngSpec(seed, c)))
+            rows.append((est, plain))
+        for metric, name in _PAIRED_FIELDS.items():
+            pool[(_SPARSER_CELLS[c], metric)] = (
+                np.array([getattr(e, name) for e, _ in rows]),
+                np.array([score if metric == "prob_sleep"
+                          else getattr(e, name + "_se") for e, _ in rows]),
+                getattr(fig, name),
+                np.array([getattr(e, name + "_se") for e, _ in rows]),
+                np.array([getattr(p, name + "_se") for _, p in rows]))
+    return pool
+
+
+class TestPairedEstimator:
+    """The corrected law's paired estimate: each paper-law cycle weighted
+    1 - p and its single-vehicle twin p, on one draw."""
+
+    @pytest.mark.parametrize("cell", [
+        pytest.param(cell, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 4: near P0 the plain mean "
+            "misses the shortfall of rare short gaps; the parent's plain "
+            "sampler gave the same 4 of 20 |z| > 3 at (0.08, 200)"))
+        if cell == (0.08, 200.0) else cell for cell in _SPARSER_CELLS])
+    def test_psave_z_against_closed_form(self, paired_pool, cell):
+        self._check_z(paired_pool[(cell, "E_Psave")])
+
+    @pytest.mark.parametrize("metric", ["E_X", "prob_sleep", "E_Toff"])
+    @pytest.mark.parametrize("cell", _SPARSER_CELLS)
+    def test_z_against_closed_form(self, paired_pool, cell, metric):
+        self._check_z(paired_pool[(cell, metric)])
+
+    @staticmethod
+    def _check_z(entry):
+        # 20 z-scores: P{|z| > 3} = 0.0027 each, so two or more would come
+        # by chance once in about 700 pools, and their mean, whose standard
+        # error is 1/sqrt(20), is within 3 of those of 0 unless something
+        # is biased
+        values, ses, target, _, _ = entry
+        z = (values - target) / ses
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 1, z
+        assert abs(z.mean()) <= 3.0 / math.sqrt(len(z)), z
+
+    @pytest.mark.parametrize("metric", sorted(_PAIRED_FIELDS))
+    @pytest.mark.parametrize("cell", _SPARSER_CELLS)
+    def test_se_at_most_the_plain_samplers(self, paired_pool, cell, metric):
+        # the paired mean is a conditional expectation of the plain draw
+        # given the cycle, so its variance is no larger (Rao-Blackwell);
+        # pooled over the seeds at equal n on the same cycles
+        _, _, _, paired, plain = paired_pool[(cell, metric)]
+        assert np.sum(paired ** 2) <= np.sum(plain ** 2), (paired, plain)
+
+
 class TestBatchedBlocks:
     """The blocks of many sample_cycles requests drawn in one batch."""
 
@@ -434,9 +529,9 @@ class TestBatchedBlocks:
         use_pool(1)
         kernel, drawn = simulate._cycle_block, []
 
-        def record(seed, m, params, shift, s):
+        def record(seed, m, params, s):
             drawn.append((m, params, seed.spawn_key[-1]))
-            return kernel(seed, m, params, shift, s)
+            return kernel(seed, m, params, s)
 
         monkeypatch.setattr(simulate, "_cycle_block", record)
         plans = [simulate._plan_cycles(p, n, RngSpec(33))
@@ -478,9 +573,9 @@ class TestScratchCache:
 
         kernel, drawn, used = simulate._cycle_block, {}, []
 
-        def record(seed, m, params, shift, s):
-            sums = kernel(seed, m, params, shift, s)
-            drawn[seed.spawn_key[-1]] = s.fields[:6, :m].copy()
+        def record(seed, m, params, s):
+            sums = kernel(seed, m, params, s)
+            drawn[seed.spawn_key[-1]] = s.fields[:7, :m].copy()
             used.append(id(s))
             return sums
 
@@ -559,12 +654,16 @@ class TestEstimateEnergy:
         assert ratio == pytest.approx(2.0, rel=0.10)
 
     def test_duty_cycle_is_time_fraction(self):
+        # each cycle weighs 1 - p and its single-vehicle twin p
         batch = cycle_batch(CANONICAL, 10_000, RngSpec(15))
         est = estimate_energy(sample_cycles(CANONICAL, 10_000, RngSpec(15)),
                               CANONICAL)
-        expected = batch.t_off.sum() / (batch.t_off.sum()
-                                        + batch.t_on.sum())
-        assert est.duty_cycle == pytest.approx(expected)
+        p = math.exp(-CANONICAL.rho * CANONICAL.r0)
+        t_off1, t_on1, _, _ = simulate._cycle_energy(batch.x1, batch.v,
+                                                     CANONICAL)
+        t_off = (1.0 - p) * batch.t_off.sum() + p * t_off1.sum()
+        t_on = (1.0 - p) * batch.t_on.sum() + p * t_on1.sum()
+        assert est.duty_cycle == pytest.approx(t_off / (t_off + t_on))
 
 
 def _road(params, duration, v=None):
