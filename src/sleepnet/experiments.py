@@ -232,9 +232,11 @@ def _compared_rows(params: ModelParams, est, analytic: dict,
         else:
             value = getattr(est, _FIELDS[metric])
             stderr = getattr(est, _FIELDS[metric] + "_se")
-            status = "no sleep opportunity"
+            status = ("no sleep opportunity" if value is None
+                      else "one sample: no standard error")
         if value is None or stderr is None:
-            value, stderr, z = math.nan, None, math.nan
+            value = math.nan if value is None else float(value)
+            stderr, z = None, math.nan
         else:
             value, stderr = float(value), float(stderr)
             status = found if found.startswith("error") else "ok"

@@ -3,7 +3,9 @@
 - a renewal-cycle sampler drawing (cluster-head gap, speed) pairs under
   the paper law and scoring each draw under both fidelities, with the
   per-cycle energy bookkeeping (``_cycle_energy``) that the common-speed
-  timeline shares, reduced block by block to ``CycleSums``;
+  timeline shares, reduced block by block to ``CycleSums``, one record
+  of moments (``_Moments``: count, means, co-moments) per law, pooled by
+  one rule;
 - a base-station sleep/wake timeline on a Poisson road drawn at t = 0
   (``sample_snapshot``, sized by ``_road_window``), vectorised over its
   clusters (``extract_clusters``) at a common speed and event-driven at
@@ -145,94 +147,106 @@ def _cycle_energy(x, v, params: ModelParams, out=None) -> tuple:
     return tuple(out)
 
 
-def _pooled(a: tuple, b: tuple) -> tuple:
-    """Pool the (count, mean, M2) of two disjoint samples by the update of
-    Chan, Golub & LeVeque (1983)."""
-    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
-    if na == 0 or nb == 0:
-        return b if na == 0 else a
-    n, delta = na + nb, mean_b - mean_a
-    return (n, mean_a + delta * nb / n,
-            m2_a + m2_b + delta * delta * na * nb / n)
+@dataclass(frozen=True)
+class _Moments:
+    """The count, column means and co-moment matrix M2 (a tuple of rows,
+    M2[j][l] the sum of (c_j - mean_j)(c_l - mean_l)) of a sample."""
+
+    n: int
+    mean: tuple
+    m2: tuple
+
+    @classmethod
+    def of(cls, values: np.ndarray, tmp: np.ndarray) -> _Moments:
+        """One column's moments, by np.square in tmp, which may be values
+        itself: a BLAS np.dot on the block threads oversubscribes."""
+        mean = float(np.sum(values)) / max(len(values), 1)
+        dev = np.square(np.subtract(values, mean, out=tmp), out=tmp)
+        return cls(len(values), (mean,), ((float(np.sum(dev)),),))
+
+    def __add__(self, o: _Moments) -> _Moments:
+        """Pool two disjoint samples by the update of Chan, Golub & LeVeque
+        (1983), in its multivariate form (Pebay, SAND2008-6212)."""
+        na, nb = self.n, o.n
+        if na == 0 or nb == 0:
+            return o if na == 0 else self
+        n, d = na + nb, [b - a for a, b in zip(self.mean, o.mean)]
+        return _Moments(n, tuple(a + e * nb / n for a, e in zip(self.mean, d)),
+                        tuple(tuple(a + b + di * dl * na * nb / n
+                                    for a, b, dl in zip(row_a, row_b, d))
+                              for row_a, row_b, di in zip(self.m2, o.m2, d)))
+
+    def paired(self, a_sub: tuple, b_sub: tuple, p: float,
+               q: float) -> _Moments:
+        """The moments of q a + p b over the sample these moments are a's,
+        b vanishing but on a subset where the columns of a and b take the
+        values a_sub and b_sub.  b's moments pool the subset with the
+        zeros; as a's deviations sum to 0, the cross moment of a and b
+        reduces to the sum of (a_sub - mean_a) b_sub."""
+        n, zeros, k = self.n, self.n - len(b_sub[0]), range(len(b_sub))
+        mean_b = [float(np.sum(b)) / n for b in b_sub]
+        dev_b = [b - mb for b, mb in zip(b_sub, mean_b)]
+        cross = [[float(np.sum((a - ma) * b)) for b in b_sub]
+                 for a, ma in zip(a_sub, self.mean)]
+        # one evaluation per entry of the upper triangle keeps M2 symmetric
+        upper = {(j, l): q * q * self.m2[j][l]
+                 + p * p * (float(np.sum(dev_b[j] * dev_b[l]))
+                            + zeros * mean_b[j] * mean_b[l])
+                 + p * q * (cross[j][l] + cross[l][j])
+                 for j in k for l in k if j <= l}
+        return _Moments(n, tuple(q * ma + p * mb
+                                 for ma, mb in zip(self.mean, mean_b)),
+                        tuple(tuple(upper[min(j, l), max(j, l)] for l in k)
+                              for j in k))
+
+    def mean_se(self) -> tuple:
+        """(mean, standard error of the mean) of a one-column sample."""
+        return self.mean[0], _se(self.n, self.m2[0][0])
 
 
-def _co_pooled(a: tuple, b: tuple) -> tuple:
-    """Pool the (count, mean_t, mean_i, M2_t, M2_i, C) of two disjoint
-    samples of pairs (t, i), C their cross moment sum (t - mean_t)(i -
-    mean_i), by the same update with its cross term."""
-    (na, ta, ia, tta, iia, tia), (nb, tb, ib, ttb, iib, tib) = a, b
-    if na == 0 or nb == 0:
-        return b if na == 0 else a
-    n, dt, di = na + nb, tb - ta, ib - ia
-    return (n, ta + dt * nb / n, ia + di * nb / n,
-            tta + ttb + dt * dt * na * nb / n,
-            iia + iib + di * di * na * nb / n,
-            tia + tib + dt * di * na * nb / n)
+def _se(count: int, m2: float) -> Optional[float]:
+    """The standard error of the mean of count samples whose sum of
+    squared deviations is m2; None below two samples, which have none."""
+    if count < 2:
+        return None
+    return math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
-def _moments(values: np.ndarray, tmp: np.ndarray) -> tuple:
-    """(count, mean, M2) of values, M2 the sum of squared deviations, by
-    np.square in tmp, which may be values itself: a BLAS np.dot on the
-    block threads oversubscribes."""
-    mean = float(np.sum(values)) / max(len(values), 1)
-    dev = np.square(np.subtract(values, mean, out=tmp), out=tmp)
-    return len(values), mean, float(np.sum(dev))
+@dataclass(frozen=True)
+class _LawSums:
+    """One law's moments of the gap x, the power p_save and the sleep
+    time, and its totals of e_off, t_off and t_on."""
 
+    x: _Moments
+    p_save: _Moments
+    sleep: _Moments
+    totals: tuple
 
-def _paired(a: tuple, a_sub: np.ndarray, b_sub: np.ndarray, p: float,
-            q: float) -> tuple:
-    """(count, mean, M2) of q a + p b over the cycles a's (count, mean, M2)
-    covers, b vanishing but on a subset where a and b take the values
-    a_sub and b_sub.  b's moments pool the subset with the zeros, and the
-    cross moment, the update's cross term with the zeros' deviation
-    -mean_b, reduces to the sum of (a_sub - mean_a) b_sub."""
-    n, mean_a, m2_a = a
-    mean_b = float(np.sum(b_sub)) / n
-    m2_b = (float(np.sum(np.square(b_sub - mean_b)))
-            + (n - len(b_sub)) * mean_b * mean_b)
-    cross = float(np.sum((a_sub - mean_a) * b_sub))
-    return (n, q * mean_a + p * mean_b,
-            q * q * m2_a + p * p * m2_b + 2.0 * p * q * cross)
+    def __add__(self, o: _LawSums) -> _LawSums:
+        return _LawSums(self.x + o.x, self.p_save + o.p_save,
+                        self.sleep + o.sleep,
+                        tuple(a + b for a, b in zip(self.totals, o.totals)))
 
 
 @dataclass(frozen=True)
 class CycleSums:
     """Sufficient statistics of renewal cycles drawn under the paper law
-    and scored under both.
+    and scored under both, one record per law.  paper: the moments of x
+    and p_save over all cycles and of t_off over the cycles that sleep,
+    and the totals (``_cycle_energy``).  corrected: the same of the same
+    cycles, each weighted (1 - p) and its single-vehicle twin x1 weighted
+    p, x being x1 + (1 - p) span and sleep the two columns (weighted
+    t_off, weighted sleep indicator) over all cycles, the sleep time
+    their ratio of means.  ``a + b`` pools two disjoint sets of cycles."""
 
-    x, sleep, p_save and totals are the paper law's: the (count, mean,
-    M2) of the gap x and the power p_save over all cycles and of t_off
-    over the cycles that sleep, and the sums of e_off, t_off and t_on
-    (``_cycle_energy``).  The paired_ fields are the corrected law's, each
-    cycle weighted (1 - p) and its single-vehicle twin x1 weighted p:
-    paired_x and paired_p_save the (count, mean, M2) of x1 + (1 - p) span
-    and of the weighted p_save, paired_sleep the (count, mean_t, mean_i,
-    M2_t, M2_i, C) of the weighted t_off and sleep indicator, and
-    paired_totals the weighted sums.  ``a + b`` pools two disjoint sets
-    of cycles."""
-
-    x: tuple
-    sleep: tuple
-    p_save: tuple
-    totals: tuple
-    paired_x: tuple
-    paired_sleep: tuple
-    paired_p_save: tuple
-    paired_totals: tuple
+    paper: _LawSums
+    corrected: _LawSums
 
     def __len__(self) -> int:
-        return self.x[0]
+        return self.paper.x.n
 
     def __add__(self, o: CycleSums) -> CycleSums:
-        return CycleSums(
-            _pooled(self.x, o.x), _pooled(self.sleep, o.sleep),
-            _pooled(self.p_save, o.p_save),
-            tuple(a + b for a, b in zip(self.totals, o.totals)),
-            _pooled(self.paired_x, o.paired_x),
-            _co_pooled(self.paired_sleep, o.paired_sleep),
-            _pooled(self.paired_p_save, o.paired_p_save),
-            tuple(a + b for a, b in zip(self.paired_totals,
-                                        o.paired_totals)))
+        return CycleSums(self.paper + o.paper, self.corrected + o.corrected)
 
 
 class _BlockScratch:
@@ -353,8 +367,8 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
 
     # x still holds the span: the corrected gap and the single-vehicle
     # on-time, then the single-vehicle cycles that sleep
-    paired_x = _moments(np.add(np.multiply(x, q, out=t_on), x1, out=t_on),
-                        dev)
+    paired_x = _Moments.of(
+        np.add(np.multiply(x, q, out=t_on), x1, out=t_on), dev)
     t_on1 = float(np.sum(np.divide(np.minimum(x1, D, out=t_on), v,
                                    out=t_on)))
     idx = np.flatnonzero(np.greater(x1, D, out=mask))
@@ -362,31 +376,24 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
 
     np.add(x, x1, out=x)
     _cycle_energy(x, v, params, out=out[2:6])
-    x_sums, p_sums = _moments(x, dev), _moments(p_save, dev)
+    x_sums, p_sums = _Moments.of(x, dev), _Moments.of(p_save, dev)
     n_sleep = int(np.count_nonzero(np.greater(t_off, 0.0, out=mask)))
     asleep = np.compress(mask, t_off, out=dev[:n_sleep])
-    sleep = _moments(asleep, asleep)
+    sleep = _Moments.of(asleep, asleep)
     totals = tuple(float(np.sum(f)) for f in (e_off, t_off, t_on))
 
     # x >= x1, so every single-vehicle cycle that sleeps has a sleeping
-    # twin: the weighted indicator is q + p there, q on the other
-    # sleeping cycles and 0 on the awake ones, and its cross moment with
-    # the weighted t_off is the sum of t_off (indicator - mean_i) by group
-    awake = (m - n_sleep, 0.0, 0.0)
-    toff_sub, ones = t_off[idx], np.ones(len(idx))
-    paired_t = _paired(_pooled(awake, sleep), toff_sub, toff1, p, q)
-    paired_i = _paired(_pooled(awake, (n_sleep, 1.0, 0.0)), ones, ones, p, q)
-    mean_i = paired_i[1]
-    sum_sub = q * float(np.sum(toff_sub)) + p * float(np.sum(toff1))
-    cross = ((q + p - mean_i) * sum_sub + q * (q - mean_i)
-             * (sleep[0] * sleep[1] - float(np.sum(toff_sub))))
-    paired_totals = (q * totals[0] + p * float(np.sum(eoff1)),
-                     q * totals[1] + p * float(np.sum(toff1)),
-                     q * totals[2] + p * t_on1)
-    return CycleSums(
-        x_sums, sleep, p_sums, totals, paired_x,
-        (m, paired_t[1], mean_i, paired_t[2], paired_i[2], cross),
-        _paired(p_sums, p_save[idx], psave1, p, q), paired_totals)
+    # twin: (t_off, sleep indicator) pools the sleeping cycles' (t_off, 1)
+    # with the awake cycles' zeros, then pairs with the twins on x1 > D
+    zero, ones = (0.0, 0.0), np.ones(len(idx))
+    weighted = _Moments(m - n_sleep, zero, (zero, zero)) + _Moments(
+        n_sleep, sleep.mean + (1.0,), (sleep.m2[0] + (0.0,), zero))
+    return CycleSums(_LawSums(x_sums, p_sums, sleep, totals), _LawSums(
+        paired_x, p_sums.paired((p_save[idx],), (psave1,), p, q),
+        weighted.paired((t_off[idx], ones), (toff1, ones), p, q),
+        (q * totals[0] + p * float(np.sum(eoff1)),
+         q * totals[1] + p * float(np.sum(toff1)),
+         q * totals[2] + p * t_on1)))
 
 
 def _plan_cycles(params: ModelParams, n: int,
@@ -446,9 +453,9 @@ def sample_cycles(params: ModelParams, n: int,
     DIRECT_SUM_LIMIT gaps a moment-matched normal clamped to the span's
     support; the head-to-tail jump x1 = r0 + exponential(rho); the speed
     uniform(a, b).  The same x1 and speed also make the single-vehicle
-    cycle, so the sums hold the corrected law's paired estimate beside
-    the paper law's (``CycleSums``); ``estimate_energy`` picks one by
-    ``params.fidelity``, which the draw does not read.
+    cycle, so the sums hold one record per law, ``paper`` and the paired
+    ``corrected`` (``CycleSums``); ``estimate_energy`` reads the one
+    ``params.fidelity`` names, which the draw does not read.
 
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
@@ -471,7 +478,7 @@ def sample_cycles(params: ModelParams, n: int,
 @dataclass(frozen=True)
 class EnergyEstimate:
     """Monte Carlo estimates of the energy figures, with standard errors
-    (``_mean_se``), from the sums of ``sample_cycles``.
+    (``_se``: None below two samples), from the sums of ``sample_cycles``.
 
     expected_sleep_time conditions on cycles that actually sleep and is
     None when no cycle slept.  expected_power_saved is the plain mean of
@@ -493,41 +500,30 @@ class EnergyEstimate:
     duty_cycle: float
 
 
-def _mean_se(moments: tuple) -> tuple:
-    """(mean, standard error of the mean) from (count, mean, M2)."""
-    count, mean, m2 = moments
-    if count < 2:
-        return mean, math.inf
-    return mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
-
-
 def estimate_energy(sums: CycleSums, params: ModelParams) -> EnergyEstimate:
-    """Estimate the energy figures of ``params.fidelity`` from the sums of
-    ``sample_cycles``, by scalar arithmetic only: the paper law's sums,
-    or the corrected law's paired ones.  The corrected sleep time is the
-    ratio of the weighted t_off to the weighted sleep indicator, its
-    standard error by the delta method."""
-    n = len(sums)
+    """Estimate the energy figures of ``params.fidelity`` from its record
+    of the sums of ``sample_cycles``, by scalar arithmetic only.  The
+    paper law's sleep time is the mean over the cycles that sleep; the
+    corrected law's is the ratio of the weighted t_off to the weighted
+    sleep indicator, its standard error by the delta method."""
+    n, law = len(sums), getattr(sums, params.fidelity.value)
+    sleep = law.sleep
     if params.fidelity is Fidelity.PAPER:
-        k = sums.sleep[0]
-        x, p_save, totals = sums.x, sums.p_save, sums.totals
-        mean_toff, se_toff = _mean_se(sums.sleep) if k else (None, None)
-        prob = k / n
+        mean_toff, se_toff = sleep.mean_se() if sleep.n else (None, None)
+        prob = sleep.n / n
         prob_se = math.sqrt(prob * (1.0 - prob) / n)
     else:
-        x, p_save, totals = (sums.paired_x, sums.paired_p_save,
-                             sums.paired_totals)
-        _, mean_t, prob, m2_t, m2_i, cross = sums.paired_sleep
+        (mean_t, prob), ((m2_t, cross), (_, m2_i)) = sleep.mean, sleep.m2
         # the variance M2/n, as the paper's binomial p(1 - p) is
         prob_se = math.sqrt(m2_i / n / n)
         mean_toff = se_toff = None
         if prob > 0.0:
             mean_toff = mean_t / prob
             resid = m2_t - 2.0 * mean_toff * cross + mean_toff ** 2 * m2_i
-            se_toff = _mean_se((n, 0.0, max(resid, 0.0)))[1] / prob
-    mean_x, se_x = _mean_se(x)
-    mean_psave, se_psave = _mean_se(p_save)
-    e_off, t_off, t_on = totals
+            se_toff = _se(n, max(resid, 0.0)) / prob
+    mean_x, se_x = law.x.mean_se()
+    mean_psave, se_psave = law.p_save.mean_se()
+    e_off, t_off, t_on = law.totals
     return EnergyEstimate(
         n_cycles=n,
         expected_gap=mean_x, expected_gap_se=se_x,
@@ -546,8 +542,8 @@ class TimelineReport:
     one switching cost per off/on pair; mean_power_saved is the time
     average energy_saved / sim_duration.  cycle_mean_power_saved is the
     mean over completed head-to-head cycles of the per-cycle power (the
-    mean-of-ratios estimand) and is None when no full cycle was observed.
-    complete is False when the event cap stopped the run early, in which
+    mean-of-ratios estimand) and is None when no full cycle was observed;
+    cycle_mean_power_se is None also when only one was.  complete is False when the event cap stopped the run early, in which
     case processed_time is the simulated time actually covered.
     """
 
@@ -573,8 +569,8 @@ def _timeline_report(params: ModelParams, duration: float,
     energy_saved = sleep_time * params.P0 - (n_transitions / 2.0) * params.Ec
     span = duration if processed is None else processed
     if len(cycle_power):
-        cycle_mean, cycle_se = _mean_se(
-            _moments(cycle_power, np.empty_like(cycle_power)))
+        cycle_mean, cycle_se = _Moments.of(
+            cycle_power, np.empty_like(cycle_power)).mean_se()
     else:
         cycle_mean = cycle_se = None
     return TimelineReport(

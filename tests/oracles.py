@@ -637,11 +637,12 @@ def plain_batch(params: ModelParams, n: int,
 def _mean_se(values: np.ndarray) -> tuple:
     """Mean and standard error; the deviations are taken from the first
     value (shifted data), so a constant column has a standard error of
-    exactly 0, not the rounding of np.mean."""
+    exactly 0, not the rounding of np.mean; below two values there is no
+    standard error, None."""
     n = len(values)
     mean = float(np.mean(values))
     if n < 2:
-        return mean, math.inf
+        return mean, None
     return mean, float(np.std(values - values[0], ddof=1) / math.sqrt(n))
 
 

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,23 @@ import sleepnet
 from sleepnet.cli import (_CALLS, EXIT_CONFIG_ERROR, EXIT_NUMERIC_FAILURE,
                           EXIT_OK, EXIT_VALIDATION_FAILED, ConfigError, main,
                           parse_args, read_config)
+from sleepnet.params import CANONICAL
+from sleepnet.simulate import RngSpec, estimate_energy, sample_cycles
 
 
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def _strict_json(path):
+    """The JSON document in path, refusing Infinity and NaN, which the
+    standard library reads but JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"),
+                      parse_constant=refuse)
 
 
 class TestReadConfig:
@@ -173,6 +185,46 @@ class TestSimulateCommand:
         doc = json.loads(a[1].split("\n\n", 1)[1])
         assert doc["n_cycles"] == 20000
         assert doc["seed"] == 42
+
+    def test_one_sleeping_cycle_has_no_standard_error(self, tmp_path):
+        # one cycle of 1000 outlasts a 4 km coverage: its sleep time is a
+        # mean with no standard error, JSON null rather than Infinity
+        path = tmp_path / "cycles.json"
+        code, _ = run_cli(["simulate", "--mode", "cycles", "--n", "1000",
+                           "--fidelity", "paper", "--D", "4000", "--seed",
+                           "0", "--format", "json", "--out", str(path)])
+        assert code == EXIT_OK
+        doc = _strict_json(path)
+        assert doc["prob_sleep"][0] == 0.001
+        mean, se = doc["expected_sleep_time_s"]
+        assert mean > 0.0 and se is None
+
+    def test_one_timeline_cycle_has_no_standard_error(self, tmp_path):
+        path = tmp_path / "timeline.json"
+        code, _ = run_cli(["simulate", "--mode", "timeline-common", "--v",
+                           "60kmh", "--duration", "40", "--seed", "1",
+                           "--format", "json", "--out", str(path)])
+        assert code == EXIT_OK
+        doc = _strict_json(path)
+        assert doc["n_cycles"] == 1
+        assert doc["cycle_mean_power_saved_W"] is not None
+        assert doc["cycle_mean_power_se_W"] is None
+
+    @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
+    def test_estimates_are_python_numbers(self, fidelity):
+        # a numpy scalar would print its repr, np.float64(...), in the
+        # text output; np.float64 subclasses float, so the check is on type
+        params = CANONICAL.replace(fidelity=fidelity)
+        est = estimate_energy(sample_cycles(params, 20_000, RngSpec(4)),
+                              params)
+        for f in fields(est):
+            assert type(getattr(est, f.name)) in (int, float, type(None)), \
+                f.name
+        code, text = run_cli(["simulate", "--mode", "cycles", "--n", "20000",
+                              "--fidelity", fidelity, "--seed", "4"])
+        assert code == EXIT_OK
+        assert "expected_power_saved_W = [" in text
+        assert "np.float64(" not in text
 
     def test_seed_changes_output(self):
         _, a = run_cli(["simulate", "--n", "20000", "--seed", "1",
@@ -581,6 +633,25 @@ class TestValidateCommand:
             "validation FAILED: 2 row(s) out of 6 could not be compared\n"
             "  rho=0.02 r0=200.0 paper E_Toff (no sleep opportunity)\n"
             "  rho=0.02 r0=200.0 corrected E_Toff (no sleep opportunity)\n")
+
+    def test_one_sleeping_cycle_is_not_a_comparison(self, tmp_path):
+        # one of 10^4 paper-law cycles outlasts a 5 km coverage: its sleep
+        # time has no standard error, so the row is not compared and fails
+        path = tmp_path / "validate.json"
+        code, text = run_cli(["validate", "--rho-values", "0.01",
+                              "--r0-values", "200", "--D", "5000", "--n",
+                              "10000", "--seed", "0", "--format", "json",
+                              "--out", str(path)])
+        assert code == EXIT_VALIDATION_FAILED
+        rows = {(row["fidelity"], row["metric"]): row
+                for row in _strict_json(path)["rows"]}
+        row = rows[("paper", "E_Toff")]
+        assert row["value"] > 0.0
+        assert (row["stderr"], row["z"], row["passed"], row["status"]) == (
+            None, None, False, "one sample: no standard error")
+        assert ("validation FAILED: 1 row(s) out of 6 could not be compared\n"
+                "  rho=0.01 r0=200.0 paper E_Toff (one sample: no standard "
+                "error)\n") in text
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_workers_is_rejected(self, tmp_path, capsys, how):

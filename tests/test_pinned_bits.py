@@ -7,7 +7,10 @@ kernel's masked copies were replaced by index gathers, and any change
 that keeps the stream must keep them.  The corrected keys, the
 corrected law's paired sums of the paper-law draw, and the validate
 digest were re-pinned when one draw began to serve both fidelities; the
-paper keys and the validate paper rows kept their bits through it.  The sweep digests were computed
+paper keys and the validate paper rows kept their bits through it.  The
+validate digest was re-pinned again when the corrected sleep moments
+began to be paired as one two-column record: four corrected E_Toff
+standard errors moved by an ulp or two.  The sweep digests were computed
 before a grid's gap laws were integrated in one batch, which must leave
 every byte as it was, and the timeline digests before the heterogeneous
 event loop's per-event cost was cut, which must keep every event
@@ -26,10 +29,13 @@ from sleepnet.cli import main
 from sleepnet.simulate import RngSpec, sample_cycles
 
 #: sample_cycles(params, 150_000, RngSpec(9)) for (rho, r0, fidelity),
-#: floats in hex.  paper: x, sleep and p_save as (count, mean, M2), then
-#: totals.  corrected: paired_x, paired_sleep (count, mean_t, mean_i, M2_t,
-#: M2_i, C), paired_p_save and paired_totals, the corrected law's sums of
-#: the same paper-law draw.
+#: floats in hex: the record of that fidelity's law, its moments of x,
+#: sleep and p_save (``_flat``), then its totals.  paper: each moments
+#: record (count, mean, M2).  corrected, the sums of the same paper-law
+#: draw: x and p_save (count, mean, M2), and sleep, the weighted t_off and
+#: sleep indicator, (count, mean_t, mean_i, M2_t, M2_i, C), C their
+#: co-moment.  These bits held when the per-law records and their one
+#: pooling rule replaced the per-field sums.
 PINNED = {
     (0.005, 100.0, "corrected"): (
         (150000, "0x1.4af8fcae533c9p+8", "0x1.6f3f302509d71p+32"),
@@ -77,7 +83,7 @@ PINNED = {
 #: SHA-256 of what `sleepnet validate --seed 7 --format json` prints: the
 #: table, then the failure lines of the two dense-cell E_Psave rows.
 VALIDATE_SEED7_SHA256 = (
-    "a020021caad633799405293a375cf30c7ba4fb5b69434f8ef5041ce6d6248237")
+    "d111b31729f44488c3448fc8650c4f98ae0e959abfa546195dc581e23c8010b3")
 
 #: SHA-256 of the header and the paper-fidelity rows, in order, of the
 #: file `sleepnet validate --seed 7 --format csv --out FILE` writes.  One
@@ -114,6 +120,14 @@ COMMON_SHA256 = (
     "35909bdd59f9cb70abaadde5565b4b708baec1631354903c85208a6fe6429dc8")
 
 
+def _flat(moments):
+    """A moments record as (count, means, the diagonal of M2, then its
+    upper off-diagonal entries by rows)."""
+    k, m2 = len(moments.mean), moments.m2
+    return ((moments.n,) + moments.mean + tuple(m2[j][j] for j in range(k))
+            + tuple(m2[j][l] for j in range(k) for l in range(j + 1, k)))
+
+
 def _hex(values):
     return tuple(v.hex() if isinstance(v, float) else v for v in values)
 
@@ -123,10 +137,10 @@ def test_sample_cycles_bits(key):
     rho, r0, fidelity = key
     params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
     sums = sample_cycles(params, 150_000, RngSpec(9))
-    prefix = "paired_" if fidelity == "corrected" else ""
-    got = tuple(_hex(getattr(sums, prefix + f))
-                for f in ("x", "sleep", "p_save", "totals"))
-    assert got == PINNED[key]
+    law = getattr(sums, fidelity)
+    got = tuple(_hex(_flat(getattr(law, f)))
+                for f in ("x", "sleep", "p_save"))
+    assert got + (_hex(law.totals),) == PINNED[key]
 
 
 def test_validate_seed7_bytes():

@@ -348,14 +348,22 @@ class TestSampleCycles:
         assert gen.random() == RngSpec(13).generator().random()
 
 
+#: The 3 x 3 grid at the canonical D, and one cell with D < r0, where
+#: every single-vehicle cycle sleeps (x1 > D on every cycle); (0.08, 400)
+#: is where none does.
+_ORACLE_CELLS = [pytest.param(rho, r0, CANONICAL.D, id=f"{rho}-{r0}")
+                 for rho in (0.005, 0.02, 0.08)
+                 for r0 in (100.0, 200.0, 400.0)] + [
+    pytest.param(0.01, 200.0, 150.0, id="0.01-200.0-D150.0")]
+
+
 class TestCycleSums:
     @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
-    @pytest.mark.parametrize("r0", [100.0, 200.0, 400.0])
-    @pytest.mark.parametrize("rho", [0.005, 0.02, 0.08])
-    def test_matches_full_array_oracle(self, rho, r0, fidelity):
+    @pytest.mark.parametrize("rho, r0, D", _ORACLE_CELLS)
+    def test_matches_full_array_oracle(self, rho, r0, D, fidelity):
         # the pooled block sums against np.mean / np.std / np.sum over the
         # very cycles they summarise
-        params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
+        params = CANONICAL.replace(rho=rho, r0=r0, D=D, fidelity=fidelity)
         got = estimate_energy(sample_cycles(params, 200_000, RngSpec(22)),
                               params)
         want = oracles.estimate_energy_batch(
