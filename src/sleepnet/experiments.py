@@ -266,14 +266,14 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     metric.  The analytic figures of every (cell, fidelity) pair come
     first, in one batch; then one sampler call draws every cell's cycles
     in one batch of blocks (``simulate._run_cycles``), cell i on stream
-    2 i, so the report depends on the seed only.  One draw serves both
-    fidelities of a cell: the sums hold the paper law's estimate and the
-    corrected law's paired one (``simulate.CycleSums``), and
-    ``estimate_energy`` picks each row's.  The draws start once the
-    analytic work is done, not beside it: both hold the GIL, and
-    overlapping them was slower.  A cell outside the sampler's density
-    limits gets rows whose status names the limit, with value and z nan,
-    and fails; the other cells are validated.
+    2 i, so the report depends on the seed only.  One paper-law draw
+    serves both fidelities of a cell: ``estimate_energy`` reads its sums
+    (``simulate.CycleSums``) under each row's fidelity, the corrected
+    one mixing in the closed-form single-vehicle cycle.  The draws start
+    once the analytic work is done, not beside it: both hold the GIL,
+    and overlapping them was slower.  A cell outside the sampler's
+    density limits gets rows whose status names the limit, with value
+    and z nan, and fails; the other cells are validated.
 
     sampler_fidelity makes the Monte Carlo side estimate one fidelity, from
     the same sums, for both comparisons (a deliberate-mismatch negative

@@ -1,11 +1,10 @@
 """The two Monte Carlo routes, independent of the closed-form one:
 
 - a renewal-cycle sampler drawing (cluster-head gap, speed) pairs under
-  the paper law and scoring each draw under both fidelities, with the
-  per-cycle energy bookkeeping (``_cycle_energy``) that the common-speed
-  timeline shares, reduced block by block to ``CycleSums``, one record
-  of moments (``_Moments``: count, means, co-moments) per law, pooled by
-  one rule;
+  the paper law, with the per-cycle energy bookkeeping
+  (``_cycle_energy``) that the common-speed timeline shares, reduced
+  block by block to ``CycleSums``, records of moments (``_Moments``:
+  count, means, co-moments) pooled by one rule;
 - a base-station sleep/wake timeline on a Poisson road drawn at t = 0
   (``sample_snapshot``, sized by ``_road_window``), vectorised over its
   clusters (``extract_clusters``) at a common speed and event-driven at
@@ -19,21 +18,22 @@ independent, replayable stream, or in place from a numpy Generator
 (``_as_generator``).  The cluster size is geometric, hence memoryless: a
 corrected-law cycle is the single-vehicle cycle x1 = r0 + Exp(rho) with
 probability p = exp(-rho r0) and a paper-law cycle, span + x1, otherwise.
-So the sampler draws the paper law only and scores the same x1 and speed
-as the single-vehicle cycle too; the corrected estimate is the paired
-mean (1 - p) g(span + x1) + p g(x1), a common-random-numbers pairing
-whose variance is at most that of drawing the mixture.  The renewal
-sampler plans its cycles as fixed blocks, each drawn from its own PCG64
-stream spawned from one draw of the caller's generator
-(``_plan_cycles``), and draws them on a pool of at most two threads that
-lives inside the call (``_run_cycles``).  The blocks of one request, or
-of many at once as ``validate`` hands over every cell's, go to the pool
-longest first; the threads take whole blocks as they come free, each
-reusing one block scratch, its own anonymous mmap, for the call's
-blocks; each request's sums are pooled in its own block order, so its
-bits depend on the seed only, not on the CPU count, the thread count or
-the other requests of its batch.  No thread or scratch outlives the
-call, and the scratch pages go back to the system with it.
+So the sampler draws the paper law only; the corrected estimate is
+(1 - p) times the paper law's plus p times the single-vehicle cycle's
+figures, known in closed form (``_single_vehicle``, with E1 from
+``numerics`` rather than the gap law's route), and its standard errors
+are (1 - p) times the paper law's.  The renewal sampler plans its cycles
+as fixed blocks, each drawn from its own PCG64 stream spawned from one
+draw of the caller's generator (``_plan_cycles``), and draws them on a
+pool of at most two threads that lives inside the call
+(``_run_cycles``).  The blocks of one request, or of many at once as
+``validate`` hands over every cell's, go to the pool longest first; the
+threads take whole blocks as they come free, each reusing one block
+scratch, its own anonymous mmap, for the call's blocks; each request's
+sums are pooled in its own block order, so its bits depend on the seed
+only, not on the CPU count, the thread count or the other requests of
+its batch.  No thread or scratch outlives the call, and the scratch
+pages go back to the system with it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .numerics import exp_integral_e1
 from .params import (Fidelity, ModelParams, ParamError, check_density,
                      check_sparse)
 
@@ -176,29 +177,6 @@ class _Moments:
                                     for a, b, dl in zip(row_a, row_b, d))
                               for row_a, row_b, di in zip(self.m2, o.m2, d)))
 
-    def paired(self, a_sub: tuple, b_sub: tuple, p: float,
-               q: float) -> _Moments:
-        """The moments of q a + p b over the sample these moments are a's,
-        b vanishing but on a subset where the columns of a and b take the
-        values a_sub and b_sub.  b's moments pool the subset with the
-        zeros; as a's deviations sum to 0, the cross moment of a and b
-        reduces to the sum of (a_sub - mean_a) b_sub."""
-        n, zeros, k = self.n, self.n - len(b_sub[0]), range(len(b_sub))
-        mean_b = [float(np.sum(b)) / n for b in b_sub]
-        dev_b = [b - mb for b, mb in zip(b_sub, mean_b)]
-        cross = [[float(np.sum((a - ma) * b)) for b in b_sub]
-                 for a, ma in zip(a_sub, self.mean)]
-        # one evaluation per entry of the upper triangle keeps M2 symmetric
-        upper = {(j, l): q * q * self.m2[j][l]
-                 + p * p * (float(np.sum(dev_b[j] * dev_b[l]))
-                            + zeros * mean_b[j] * mean_b[l])
-                 + p * q * (cross[j][l] + cross[l][j])
-                 for j in k for l in k if j <= l}
-        return _Moments(n, tuple(q * ma + p * mb
-                                 for ma, mb in zip(self.mean, mean_b)),
-                        tuple(tuple(upper[min(j, l), max(j, l)] for l in k)
-                              for j in k))
-
     def mean_se(self) -> tuple:
         """(mean, standard error of the mean) of a one-column sample."""
         return self.mean[0], _se(self.n, self.m2[0][0])
@@ -213,40 +191,26 @@ def _se(count: int, m2: float) -> Optional[float]:
 
 
 @dataclass(frozen=True)
-class _LawSums:
-    """One law's moments of the gap x, the power p_save and the sleep
-    time, and its totals of e_off, t_off and t_on."""
+class CycleSums:
+    """Sufficient statistics of renewal cycles drawn under the paper law:
+    the moments of the gap x and the power p_save over all cycles and of
+    t_off over the cycles that sleep, and the totals of e_off, t_off and
+    t_on (``_cycle_energy``).  The corrected law's estimate mixes them
+    with the closed-form single-vehicle cycle (``estimate_energy``).
+    ``a + b`` pools two disjoint sets of cycles."""
 
     x: _Moments
     p_save: _Moments
     sleep: _Moments
     totals: tuple
 
-    def __add__(self, o: _LawSums) -> _LawSums:
-        return _LawSums(self.x + o.x, self.p_save + o.p_save,
-                        self.sleep + o.sleep,
-                        tuple(a + b for a, b in zip(self.totals, o.totals)))
-
-
-@dataclass(frozen=True)
-class CycleSums:
-    """Sufficient statistics of renewal cycles drawn under the paper law
-    and scored under both, one record per law.  paper: the moments of x
-    and p_save over all cycles and of t_off over the cycles that sleep,
-    and the totals (``_cycle_energy``).  corrected: the same of the same
-    cycles, each weighted (1 - p) and its single-vehicle twin x1 weighted
-    p, x being x1 + (1 - p) span and sleep the two columns (weighted
-    t_off, weighted sleep indicator) over all cycles, the sleep time
-    their ratio of means.  ``a + b`` pools two disjoint sets of cycles."""
-
-    paper: _LawSums
-    corrected: _LawSums
-
     def __len__(self) -> int:
-        return self.paper.x.n
+        return self.x.n
 
     def __add__(self, o: CycleSums) -> CycleSums:
-        return CycleSums(self.paper + o.paper, self.corrected + o.corrected)
+        return CycleSums(self.x + o.x, self.p_save + o.p_save,
+                         self.sleep + o.sleep,
+                         tuple(a + b for a, b in zip(self.totals, o.totals)))
 
 
 class _BlockScratch:
@@ -314,7 +278,7 @@ def _cluster_gaps(gen: np.random.Generator, p_head: float,
     (1 - p_head)^k, by inversion of a standard exponential, plus the one
     gap of the second vehicle the paper law conditions on.  The corrected
     law's clusters are these with probability 1 - p_head and single
-    vehicles otherwise (``_cycle_block`` scores both)."""
+    vehicles otherwise (``estimate_energy`` mixes the two)."""
     np.divide(gen.standard_exponential(out=out), -math.log1p(-p_head),
               out=out)
     np.add(np.floor(out, out=out), 1.0, out=out)
@@ -325,13 +289,10 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
     """Draw m paper-law cycles from PCG64(seed) into s.fields[:7, :m] (x,
     v, t_off, t_on, e_off, p_save, x1), in stream order: cluster sizes,
     direct gaps, big-cluster normals, head-to-tail jumps x1, speeds; return
-    their sums under both laws.  The single-vehicle cycle of x1 sleeps
-    only where x1 > D, so its bookkeeping is made on that subset alone;
-    only the corrected gap and the single-vehicle on-time take a pass over
-    every cycle."""
+    their sums."""
     gen = np.random.Generator(np.random.PCG64(seed))
     x, v, t_off, t_on, e_off, p_save, x1, dev = out = s.fields[:, :m]
-    rho, r0, D = params.rho, params.r0, params.D
+    rho, r0 = params.rho, params.r0
     p, q = math.exp(-rho * r0), -math.expm1(-rho * r0)
     # the bookkeeping rows hold the temporaries until _cycle_energy
     n_gaps, mask = p_save, s.mask[:m]
@@ -365,35 +326,13 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
     np.multiply(gen.random(out=v), params.b - params.a, out=v)
     np.add(v, params.a, out=v)             # uniform(a, b), same rounding
 
-    # x still holds the span: the corrected gap and the single-vehicle
-    # on-time, then the single-vehicle cycles that sleep
-    paired_x = _Moments.of(
-        np.add(np.multiply(x, q, out=t_on), x1, out=t_on), dev)
-    t_on1 = float(np.sum(np.divide(np.minimum(x1, D, out=t_on), v,
-                                   out=t_on)))
-    idx = np.flatnonzero(np.greater(x1, D, out=mask))
-    toff1, _, eoff1, psave1 = _cycle_energy(x1[idx], v[idx], params)
-
     np.add(x, x1, out=x)
     _cycle_energy(x, v, params, out=out[2:6])
     x_sums, p_sums = _Moments.of(x, dev), _Moments.of(p_save, dev)
     n_sleep = int(np.count_nonzero(np.greater(t_off, 0.0, out=mask)))
     asleep = np.compress(mask, t_off, out=dev[:n_sleep])
-    sleep = _Moments.of(asleep, asleep)
-    totals = tuple(float(np.sum(f)) for f in (e_off, t_off, t_on))
-
-    # x >= x1, so every single-vehicle cycle that sleeps has a sleeping
-    # twin: (t_off, sleep indicator) pools the sleeping cycles' (t_off, 1)
-    # with the awake cycles' zeros, then pairs with the twins on x1 > D
-    zero, ones = (0.0, 0.0), np.ones(len(idx))
-    weighted = _Moments(m - n_sleep, zero, (zero, zero)) + _Moments(
-        n_sleep, sleep.mean + (1.0,), (sleep.m2[0] + (0.0,), zero))
-    return CycleSums(_LawSums(x_sums, p_sums, sleep, totals), _LawSums(
-        paired_x, p_sums.paired((p_save[idx],), (psave1,), p, q),
-        weighted.paired((t_off[idx], ones), (toff1, ones), p, q),
-        (q * totals[0] + p * float(np.sum(eoff1)),
-         q * totals[1] + p * float(np.sum(toff1)),
-         q * totals[2] + p * t_on1)))
+    return CycleSums(x_sums, p_sums, _Moments.of(asleep, asleep),
+                     tuple(float(np.sum(f)) for f in (e_off, t_off, t_on)))
 
 
 def _plan_cycles(params: ModelParams, n: int,
@@ -444,18 +383,17 @@ def _run_cycles(plans: list) -> list:
 
 def sample_cycles(params: ModelParams, n: int,
                   rng: Union[RngSpec, np.random.Generator]) -> CycleSums:
-    """Sum n >= 1000 independent renewal cycles of the generative model,
-    under both fidelities at once.
+    """Sum n >= 1000 independent renewal cycles of the generative model
+    under the paper law, the sampled part of both fidelities.
 
     Each cycle is drawn under the paper law (``_cluster_gaps``): a cluster
     of at least two vehicles, its span the sum of (size - 1) intra-cluster
     gaps, each an exponential(rho) conditioned on <= r0, or above
     DIRECT_SUM_LIMIT gaps a moment-matched normal clamped to the span's
     support; the head-to-tail jump x1 = r0 + exponential(rho); the speed
-    uniform(a, b).  The same x1 and speed also make the single-vehicle
-    cycle, so the sums hold one record per law, ``paper`` and the paired
-    ``corrected`` (``CycleSums``); ``estimate_energy`` reads the one
-    ``params.fidelity`` names, which the draw does not read.
+    uniform(a, b).  The draw does not read ``params.fidelity``;
+    ``estimate_energy`` does, and mixes the corrected law's single-vehicle
+    cycle in by its closed forms.
 
     Block b of _CYCLE_BLOCK cycles draws from PCG64 seeded by child b of
     SeedSequence(root), root being one two-word draw from ``rng`` and all
@@ -500,30 +438,57 @@ class EnergyEstimate:
     duty_cycle: float
 
 
+def _single_vehicle(params: ModelParams) -> tuple:
+    """(E[x1], P{x1 > D}, E[(x1 - D)+], E[1/x1; x1 > D]) of the
+    single-vehicle gap x1 = r0 + exponential(rho), in closed form."""
+    rho, r0, D = params.rho, params.r0, params.D
+    prob = math.exp(-rho * max(D - r0, 0.0))
+    return (r0 + 1.0 / rho, prob, prob / rho + max(r0 - D, 0.0),
+            rho * math.exp(rho * r0) * exp_integral_e1(rho * max(D, r0)))
+
+
 def estimate_energy(sums: CycleSums, params: ModelParams) -> EnergyEstimate:
-    """Estimate the energy figures of ``params.fidelity`` from its record
-    of the sums of ``sample_cycles``, by scalar arithmetic only.  The
-    paper law's sleep time is the mean over the cycles that sleep; the
-    corrected law's is the ratio of the weighted t_off to the weighted
-    sleep indicator, its standard error by the delta method."""
-    n, law = len(sums), getattr(sums, params.fidelity.value)
-    sleep = law.sleep
-    if params.fidelity is Fidelity.PAPER:
-        mean_toff, se_toff = sleep.mean_se() if sleep.n else (None, None)
-        prob = sleep.n / n
-        prob_se = math.sqrt(prob * (1.0 - prob) / n)
-    else:
-        (mean_t, prob), ((m2_t, cross), (_, m2_i)) = sleep.mean, sleep.m2
-        # the variance M2/n, as the paper's binomial p(1 - p) is
-        prob_se = math.sqrt(m2_i / n / n)
-        mean_toff = se_toff = None
-        if prob > 0.0:
-            mean_toff = mean_t / prob
-            resid = m2_t - 2.0 * mean_toff * cross + mean_toff ** 2 * m2_i
-            se_toff = _se(n, max(resid, 0.0)) / prob
-    mean_x, se_x = law.x.mean_se()
-    mean_psave, se_psave = law.p_save.mean_se()
-    e_off, t_off, t_on = law.totals
+    """Estimate the energy figures of ``params.fidelity`` from the sums of
+    ``sample_cycles``, by scalar arithmetic only.  The paper law's figures
+    are the sample's; its sleep time is the mean over the cycles that
+    sleep, None if none did.  The corrected law's are (1 - p) times these
+    plus p = exp(-rho r0) times the single-vehicle cycle's closed forms
+    (``_single_vehicle``; the speed is independent of x1), and so are its
+    standard errors but that of the sleep time, a ratio of the mixed
+    t_off and sleep-indicator means whose error the delta method takes
+    from the paper law's sleep moments.  A sleep time from fewer than two
+    sleeping cycles has no standard error, None."""
+    n, sleep = len(sums), sums.sleep
+    mean_x, se_x = sums.x.mean_se()
+    mean_psave, se_psave = sums.p_save.mean_se()
+    mean_toff, se_toff = sleep.mean_se() if sleep.n else (None, None)
+    prob = sleep.n / n
+    prob_se = math.sqrt(prob * (1.0 - prob) / n)
+    e_off, t_off, t_on = sums.totals
+    if params.fidelity is Fidelity.CORRECTED:
+        alpha, w = params.rho * params.r0, params.mean_inv_speed
+        p, q = math.exp(-alpha), -math.expm1(-alpha)
+        mean_x1, prob1, excess1, inv1 = _single_vehicle(params)
+        t_off1, mixed_prob = excess1 * w, q * prob + p * prob1
+        if mixed_prob > 0.0:
+            ratio = (q * t_off / n + p * t_off1) / mixed_prob
+            if sleep.n >= 2:
+                # the M2 of t_off - ratio * (sleep indicator) over all
+                # paper-law cycles, from the sleeping cycles' moments
+                resid = sleep.m2[0][0] + (sleep.n * (n - sleep.n) / n
+                                          * (mean_toff - ratio) ** 2)
+                se_toff = q * _se(n, resid) / mixed_prob
+            mean_toff = ratio
+        mean_x, se_x = q * mean_x + p * mean_x1, q * se_x
+        prob, prob_se = mixed_prob, q * prob_se
+        mean_psave = q * mean_psave + p * (
+            params.P0 * (prob1 - params.D * inv1)
+            - params.Ec * params.mean_speed * inv1)
+        se_psave *= q
+        e_off, t_off, t_on = (
+            q * e_off + p * n * (params.P0 * t_off1 - params.Ec * prob1),
+            q * t_off + p * n * t_off1,
+            q * t_on + p * n * (mean_x1 * w - t_off1))
     return EnergyEstimate(
         n_cycles=n,
         expected_gap=mean_x, expected_gap_se=se_x,

@@ -30,15 +30,19 @@
 - ``event_loop_timeline``: the heterogeneous timeline's event loop with a
   full stable re-sort and rescan of the road at every event, the
   reference the kept-order kernel must match bit for bit;
+- ``single_vehicle_quad``: the single-vehicle cycle's E[x1],
+  P{x1 > D}, E[(x1 - D)+] E[1/V] and E[1/x1; x1 > D] by numerical
+  integration over x1's density, the reference for the closed forms
+  the corrected estimate mixes in;
 - ``cycle_batch`` / ``estimate_energy_batch``: the paper-law renewal
   cycles of ``sample_cycles`` as one array per field, drawn serially by
   the same block kernel, and the energy estimate by full-array passes
-  over them, plain or over the corrected law's paired columns, the
-  reference for the pooled block sums;
+  over them, mixed for the corrected law with ``single_vehicle_quad``,
+  the reference for the pooled block sums;
 - ``plain_batch``: the plain sampler of either law, each cycle replaced
-  by its single-vehicle twin with probability exp(-rho r0) by an
-  independent coin under the corrected law, the reference the paired
-  estimate's standard error must not exceed;
+  by its single-vehicle cycle (gap x1, same speed) with probability
+  exp(-rho r0) by an independent coin under the corrected law, the
+  reference the mixed estimate's standard error must not exceed;
 - ``ch_gap_samples`` / ``cluster_list``: the window-censored head-to-head
   gaps of a snapshot's clusters, and the clusters as tuples.
 """
@@ -584,7 +588,7 @@ class CycleBatch:
     """Renewal cycles, one array per field: the gap x to the next cluster
     head, the speed v, the per-cycle bookkeeping t_off, t_on, e_off and
     p_save of ``simulate._cycle_energy``, and the head-to-tail jump x1,
-    the gap of the cycle's single-vehicle twin."""
+    the gap of the single-vehicle cycle ``plain_batch`` draws."""
 
     x: np.ndarray
     v: np.ndarray
@@ -621,7 +625,7 @@ def plain_batch(params: ModelParams, n: int,
                 rng: Union[RngSpec, np.random.Generator]) -> CycleBatch:
     """n cycles drawn one law at a time: ``cycle_batch``'s under the paper
     fidelity; under the corrected one each replaced by its single-vehicle
-    twin (gap x1, same speed) where a uniform drawn from rng after the
+    cycle (gap x1, same speed) where a uniform drawn from rng after the
     root draw falls below exp(-rho r0), the corrected law's mixture by the
     memoryless cluster size."""
     gen = _as_generator(rng)
@@ -632,6 +636,57 @@ def plain_batch(params: ModelParams, n: int,
     x = np.where(single, batch.x1, batch.x)
     return CycleBatch(x, batch.v, *simulate._cycle_energy(x, batch.v, params),
                       batch.x1)
+
+
+class SingleVehicle(NamedTuple):
+    """Means of the single-vehicle cycle, gap x1 = r0 + exponential(rho)
+    and speed V ~ uniform(a, b) independent of it."""
+
+    mean_x: float        # E[x1]
+    prob_sleep: float    # P{x1 > D}
+    t_off: float         # E[(x1 - D)+] E[1/V]
+    t_on: float          # E[min(x1, D)] E[1/V]
+    inv_gap: float       # E[1/x1; x1 > D]
+
+
+def single_vehicle_quad(params: ModelParams) -> SingleVehicle:
+    """The single-vehicle cycle's means, each an integral over x1's
+    density rho exp(-rho (x - r0)) on x > base (r0 for E[x1], max(D, r0)
+    for the others), by panel-doubling Simpson in t = ln(x / base), which
+    spreads the near-pole of 1/x at small rho base and the exponential
+    decay over 64 panels up to rho (x - base) = 80, each to 1e-16 of the
+    whole or 1e-15 of itself; E[1/V] likewise over the speed's density,
+    and E[min(x1, D)] as E[x1] - E[(x1 - D)+]."""
+    rho, r0, D = params.rho, params.r0, params.D
+
+    def moment(g, base):
+        top = math.log1p(80.0 / (rho * base))
+        edges = np.linspace(0.0, top, 65)
+
+        def fv(t, _):
+            x = base * np.exp(t)
+            return g(x, t) * x * rho * np.exp(
+                -(rho * (base - r0) + rho * base * np.expm1(t)))
+
+        # a rough pass sets each panel's absolute tolerance: 1e-16 of
+        # the whole, where a panel's own relative one may be out of reach
+        rough = float(np.sum(integrate_panel_doubling(
+            fv, edges[:-1], edges[1:], abs_tol=0.0, rel_tol=1e-6)))
+        return float(np.sum(integrate_panel_doubling(
+            fv, edges[:-1], edges[1:], abs_tol=1e-16 * rough,
+            rel_tol=1e-15)))
+
+    c = max(D, r0)
+    mean_x = moment(lambda x, t: x, r0)
+    excess = moment(lambda x, t: c * np.expm1(t) + (c - D), c)
+    inv_v = float(np.sum(integrate_panel_doubling(
+        lambda v, _: 1.0 / v / (params.b - params.a),
+        np.array([params.a]), np.array([params.b]), abs_tol=0.0,
+        rel_tol=1e-15)))
+    return SingleVehicle(
+        mean_x=mean_x, prob_sleep=moment(lambda x, t: 1.0, c),
+        t_off=excess * inv_v, t_on=(mean_x - excess) * inv_v,
+        inv_gap=moment(lambda x, t: 1.0 / x, c))
 
 
 def _mean_se(values: np.ndarray) -> tuple:
@@ -651,42 +706,44 @@ def estimate_energy_batch(samples: CycleBatch,
                           ) -> EnergyEstimate:
     """The energy estimate by full-array passes over a batch: np.mean,
     np.std and np.sum over every cycle, and over the sleeping ones, as
-    drawn, or for corrected-fidelity params over the paired columns,
-    each cycle weighted 1 - p and its single-vehicle twin p, p =
-    exp(-rho r0), with the sleep time a ratio of means whose standard
-    error is the delta method's."""
+    drawn; for corrected-fidelity params each figure is 1 - p times that
+    plus p = exp(-rho r0) times the single-vehicle cycle's
+    (``single_vehicle_quad``), and each standard error 1 - p times that,
+    but the sleep time's: a ratio of the mixed t_off and sleep-indicator
+    means, its standard error the delta method's over the batch."""
     n = len(samples)
-    if params is None or params.fidelity is Fidelity.PAPER:
-        mean_x, se_x = _mean_se(samples.x)
-        sleeping = samples.t_off > 0.0
-        prob = float(np.count_nonzero(sleeping)) / n
-        prob_se = math.sqrt(prob * (1.0 - prob) / n)
-        if np.any(sleeping):
-            mean_toff, se_toff = _mean_se(samples.t_off[sleeping])
-        else:
-            mean_toff = se_toff = None
-        mean_psave, se_psave = _mean_se(samples.p_save)
-        t_off, t_on = float(np.sum(samples.t_off)), float(np.sum(samples.t_on))
-        e_off = float(np.sum(samples.e_off))
+    mean_x, se_x = _mean_se(samples.x)
+    sleeping = samples.t_off > 0.0
+    prob = float(np.count_nonzero(sleeping)) / n
+    prob_se = math.sqrt(prob * (1.0 - prob) / n)
+    if np.any(sleeping):
+        mean_toff, se_toff = _mean_se(samples.t_off[sleeping])
     else:
+        mean_toff = se_toff = None
+    mean_psave, se_psave = _mean_se(samples.p_save)
+    t_off, t_on = float(np.sum(samples.t_off)), float(np.sum(samples.t_on))
+    e_off = float(np.sum(samples.e_off))
+    if params is not None and params.fidelity is Fidelity.CORRECTED:
         p = math.exp(-params.rho * params.r0)
         q = 1.0 - p
-        t_off1, t_on1, e_off1, p_save1 = simulate._cycle_energy(
-            samples.x1, samples.v, params)
-        mean_x, se_x = _mean_se(q * samples.x + p * samples.x1)
-        mean_psave, se_psave = _mean_se(q * samples.p_save + p * p_save1)
-        h_t = q * samples.t_off + p * t_off1
-        h_i = q * (samples.t_off > 0.0) + p * (t_off1 > 0.0)
-        prob = float(np.mean(h_i))
-        prob_se = math.sqrt(float(np.var(h_i - h_i[0])) / n)
-        if prob > 0.0:
-            mean_toff = float(np.sum(h_t) / np.sum(h_i))
-            se_toff = _mean_se(h_t - mean_toff * h_i)[1] / prob
-        else:
-            mean_toff = se_toff = None
-        t_off = float(np.sum(h_t))
-        t_on = float(np.sum(q * samples.t_on + p * t_on1))
-        e_off = float(np.sum(q * samples.e_off + p * e_off1))
+        one = single_vehicle_quad(params)
+        mixed_prob = q * prob + p * one.prob_sleep
+        if mixed_prob > 0.0:
+            mean_toff = (q * float(np.mean(samples.t_off))
+                         + p * one.t_off) / mixed_prob
+            if np.count_nonzero(sleeping) >= 2:
+                se_toff = q * _mean_se(
+                    samples.t_off - mean_toff * sleeping)[1] / mixed_prob
+        mean_x, se_x = q * mean_x + p * one.mean_x, q * se_x
+        prob, prob_se = mixed_prob, q * prob_se
+        mean_psave = q * mean_psave + p * (
+            params.P0 * (one.prob_sleep - params.D * one.inv_gap)
+            - params.Ec * 0.5 * (params.a + params.b) * one.inv_gap)
+        se_psave *= q
+        e_off = q * e_off + p * n * (params.P0 * one.t_off
+                                     - params.Ec * one.prob_sleep)
+        t_off = q * t_off + p * n * one.t_off
+        t_on = q * t_on + p * n * one.t_on
     return EnergyEstimate(
         n_cycles=n,
         expected_gap=mean_x, expected_gap_se=se_x,

@@ -636,7 +636,9 @@ class TestValidateCommand:
 
     def test_one_sleeping_cycle_is_not_a_comparison(self, tmp_path):
         # one of 10^4 paper-law cycles outlasts a 5 km coverage: its sleep
-        # time has no standard error, so the row is not compared and fails
+        # time has no standard error, nor has the corrected law's, whose
+        # sampled part is that one cycle, so neither row is compared and
+        # both fail
         path = tmp_path / "validate.json"
         code, text = run_cli(["validate", "--rho-values", "0.01",
                               "--r0-values", "200", "--D", "5000", "--n",
@@ -645,13 +647,18 @@ class TestValidateCommand:
         assert code == EXIT_VALIDATION_FAILED
         rows = {(row["fidelity"], row["metric"]): row
                 for row in _strict_json(path)["rows"]}
-        row = rows[("paper", "E_Toff")]
-        assert row["value"] > 0.0
-        assert (row["stderr"], row["z"], row["passed"], row["status"]) == (
-            None, None, False, "one sample: no standard error")
-        assert ("validation FAILED: 1 row(s) out of 6 could not be compared\n"
-                "  rho=0.01 r0=200.0 paper E_Toff (one sample: no standard "
-                "error)\n") in text
+        for fidelity in ("paper", "corrected"):
+            row = rows[(fidelity, "E_Toff")]
+            assert row["value"] > 0.0
+            assert (row["stderr"], row["z"], row["passed"],
+                    row["status"]) == (None, None, False,
+                                       "one sample: no standard error")
+        assert text.endswith(
+            "validation FAILED: 2 row(s) out of 6 could not be compared\n"
+            "  rho=0.01 r0=200.0 paper E_Toff (one sample: no standard "
+            "error)\n"
+            "  rho=0.01 r0=200.0 corrected E_Toff (one sample: no standard "
+            "error)\n")
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_workers_is_rejected(self, tmp_path, capsys, how):

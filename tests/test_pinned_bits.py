@@ -4,47 +4,43 @@ Every other sampler test compares ``sample_cycles`` with the oracle
 ``cycle_batch``, which runs the same block kernel; a kernel change that
 moved a bit would pass them all.  These values were computed before the
 kernel's masked copies were replaced by index gathers, and any change
-that keeps the stream must keep them.  The corrected keys, the
-corrected law's paired sums of the paper-law draw, and the validate
-digest were re-pinned when one draw began to serve both fidelities; the
-paper keys and the validate paper rows kept their bits through it.  The
-validate digest was re-pinned again when the corrected sleep moments
-began to be paired as one two-column record: four corrected E_Toff
-standard errors moved by an ulp or two.  The sweep digests were computed
-before a grid's gap laws were integrated in one batch, which must leave
-every byte as it was, and the timeline digests before the heterogeneous
-event loop's per-event cost was cut, which must keep every event
-instant.  They hold for numpy 2.x on
-x86-64; a platform whose libm rounds log1p or exp differently moves
-them, and then they must be recomputed there, never loosened.
+that keeps the stream must keep them.  The paper keys and the validate
+paper rows have kept their bits since one draw began to serve both
+fidelities.  The corrected keys pin the corrected estimate, the paper
+law's sums mixed with the closed-form single-vehicle cycle; they and
+the validate digest were re-pinned when that mixture replaced the
+sampled single-vehicle twin of every cycle, which cut the corrected
+standard errors where exp(-rho r0) is large.  The sweep digests were
+computed before a grid's gap laws were integrated in one batch, which
+must leave every byte as it was, and the timeline digests before the
+heterogeneous event loop's per-event cost was cut, which must keep every
+event instant.  They hold for numpy 2.x on x86-64; a platform whose libm
+rounds log1p or exp differently moves them, and then they must be
+recomputed there, never loosened.
 """
 
 import hashlib
 import io
+from dataclasses import astuple
 
 import pytest
 
 from sleepnet import CANONICAL
 from sleepnet.cli import main
-from sleepnet.simulate import RngSpec, sample_cycles
+from sleepnet.simulate import RngSpec, estimate_energy, sample_cycles
 
 #: sample_cycles(params, 150_000, RngSpec(9)) for (rho, r0, fidelity),
-#: floats in hex: the record of that fidelity's law, its moments of x,
-#: sleep and p_save (``_flat``), then its totals.  paper: each moments
-#: record (count, mean, M2).  corrected, the sums of the same paper-law
-#: draw: x and p_save (count, mean, M2), and sleep, the weighted t_off and
-#: sleep indicator, (count, mean_t, mean_i, M2_t, M2_i, C), C their
-#: co-moment.  These bits held when the per-law records and their one
-#: pooling rule replaced the per-field sums.
+#: floats in hex.  paper: its moments of x, sleep and p_save, each
+#: (count, mean, M2) (``_flat``), then its totals; these bits held when
+#: the per-law records and their one pooling rule replaced the per-field
+#: sums.  corrected: the fields of its ``estimate_energy``, in order.
 PINNED = {
     (0.005, 100.0, "corrected"): (
-        (150000, "0x1.4af8fcae533c9p+8", "0x1.6f3f302509d71p+32"),
-        (150000, "0x1.e27a85a9d32dap-2", "0x1.3493bf82f2e0fp-5",
-         "0x1.aae6098309bafp+20", "0x1.2d80cb3cc4e3cp+12",
-         "0x1.00835c587fb0cp+16"),
-        (150000, "0x1.a33c99f480b62p+2", "0x1.de36bcc698471p+27"),
-        ("0x1.0d63f093c42a9p+26", "0x1.1413939398b25p+16",
-         "0x1.71b005feedc0ep+21")),
+        150000, "0x1.4a4995b8e1e40p+8", "0x1.b550f880c4234p-3",
+        "0x1.30f41bfad0d1ep-5", "0x1.c7b6a4bdd37afp-13",
+        "0x1.8f19124a98439p+3", "0x1.3e847d422709cp-4",
+        "0x1.9e762605ac7eep+2", "0x1.867b57f134396p-5",
+        "0x1.6822319af96b7p+4", "0x1.71129c81bd99ep-6"),
     (0.005, 100.0, "paper"): (
         (150000, "0x1.78f9b0a531705p+8", "0x1.8af989bfcd6c0p+32"),
         (7209, "0x1.8ef2adad2cf3bp+3", "0x1.295352c97d660p+20"),
@@ -52,13 +48,11 @@ PINNED = {
         ("0x1.5692a36ca8e78p+26", "0x1.5f137ee60d36dp+16",
          "0x1.a3e79ca380ccap+21")),
     (0.02, 200.0, "corrected"): (
-        (150000, "0x1.56124052be42fp+11", "0x1.b200d2a080310p+39"),
-        (150000, "0x1.f3c03a8201ea3p+6", "0x1.9560e499ac42ep-1",
-         "0x1.bded873b1f8c9p+31", "0x1.6072b5c0c7038p+14",
-         "0x1.b27f93da2f7b7p+21"),
-        (150000, "0x1.ed92d5a0a9df3p+8", "0x1.c7416f2a4d081p+33"),
-        ("0x1.173d687f8aa03p+34", "0x1.1df5b27a7c108p+24",
-         "0x1.a4082edd8036cp+22")),
+        150000, "0x1.561256ce5a88cp+11", "0x1.9be8104ccb1a5p+2",
+        "0x1.9560e02e9b842p-1", "0x1.0679500e47db0p-10",
+        "0x1.3b98d772d62a9p+7", "0x1.e625ae208e8b8p-2",
+        "0x1.ed92d5af4939dp+8", "0x1.a5dfbdb86bb55p-1",
+        "0x1.6daf1aaa98e61p+9", "0x1.767bf1272e5f7p-1"),
     (0.02, 200.0, "paper"): (
         (150000, "0x1.5bdee95d18f8fp+11", "0x1.c257ca79df55dp+39"),
         (120979, "0x1.3b98da54896e9p+7", "0x1.893ea907cff0bp+31"),
@@ -66,12 +60,11 @@ PINNED = {
         ("0x1.1c7323172a439p+34", "0x1.234b85a89df76p+24",
          "0x1.a934e02d872a3p+22")),
     (0.08, 400.0, "corrected"): (
-        (150000, "0x1.c21a4e1f33e0bp+49", "0x1.c89142f3666edp+116"),
-        (150000, "0x1.c0f00e6828598p+45", "0x1.fffffffffff8ep-1",
-         "0x1.ea86f42878711p+108", "0x0.0p+0", "0x0.0p+0"),
-        (150000, "0x1.f3ffffffe01dbp+9", "0x1.f620396983b63p-23"),
-        ("0x1.f5ba1ca6d65b8p+72", "0x1.00e25c7e61769p+63",
-         "0x1.c88be1db1af23p+22")),
+        150000, "0x1.c21a4e1f33e0cp+49", "0x1.2abd4bd409c9fp+41",
+        "0x1.fffffffffff8ep-1", "0x0.0p+0", "0x1.c0f00e68285fdp+45",
+        "0x1.35a67fd15da85p+37", "0x1.f3ffffffe01dbp+9",
+        "0x1.bb0f0f8075896p-29", "0x1.f3fffffffe439p+9",
+        "0x1.fffffffffe391p-1"),
     (0.08, 400.0, "paper"): (
         (150000, "0x1.c21a4e1f33e70p+49", "0x1.c89142f3667b7p+116"),
         (150000, "0x1.c0f00e68285fcp+45", "0x1.ea86f428787ebp+108"),
@@ -83,7 +76,7 @@ PINNED = {
 #: SHA-256 of what `sleepnet validate --seed 7 --format json` prints: the
 #: table, then the failure lines of the two dense-cell E_Psave rows.
 VALIDATE_SEED7_SHA256 = (
-    "d111b31729f44488c3448fc8650c4f98ae0e959abfa546195dc581e23c8010b3")
+    "3917a077cd719794b4763bcd1c3dbaa8f024650d76f6ffe36a5dee2bd296d589")
 
 #: SHA-256 of the header and the paper-fidelity rows, in order, of the
 #: file `sleepnet validate --seed 7 --format csv --out FILE` writes.  One
@@ -137,10 +130,12 @@ def test_sample_cycles_bits(key):
     rho, r0, fidelity = key
     params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
     sums = sample_cycles(params, 150_000, RngSpec(9))
-    law = getattr(sums, fidelity)
-    got = tuple(_hex(_flat(getattr(law, f)))
-                for f in ("x", "sleep", "p_save"))
-    assert got + (_hex(law.totals),) == PINNED[key]
+    if fidelity == "corrected":
+        got = _hex(astuple(estimate_energy(sums, params)))
+    else:
+        got = tuple(_hex(_flat(getattr(sums, f)))
+                    for f in ("x", "sleep", "p_save")) + (_hex(sums.totals),)
+    assert got == PINNED[key]
 
 
 def test_validate_seed7_bytes():

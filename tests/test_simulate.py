@@ -357,6 +357,31 @@ _ORACLE_CELLS = [pytest.param(rho, r0, CANONICAL.D, id=f"{rho}-{r0}")
     pytest.param(0.01, 200.0, 150.0, id="0.01-200.0-D150.0")]
 
 
+#: Single-vehicle cycles with D > r0, D = r0 and D < r0 (every cycle
+#: sleeps) at rho*r0 from near 0 to the sampler's limit, and the oracle
+#: cells' D < r0 cell.
+_SINGLE_VEHICLE_CELLS = [
+    pytest.param(alpha / 200.0, 200.0, D, id=f"{alpha}-{D}")
+    for alpha in (1e-8, 0.5, 16.0, 40.0) for D in (800.0, 200.0, 150.0)] + [
+    pytest.param(0.01, 200.0, 150.0, id="0.01-200.0-D150.0")]
+
+
+@pytest.mark.parametrize("rho, r0, D", _SINGLE_VEHICLE_CELLS)
+def test_single_vehicle_closed_forms(rho, r0, D):
+    # E[x1], P{x1 > D}, E[(x1 - D)+] E[1/V] and E[1/x1; x1 > D] of x1 =
+    # r0 + exponential(rho) against quadrature over x1's density
+    params = CANONICAL.replace(rho=rho, r0=r0, D=D)
+    mean_x, prob, excess, inv = simulate._single_vehicle(params)
+    want = oracles.single_vehicle_quad(params)
+    got = (mean_x, prob, excess * params.mean_inv_speed, inv)
+    for name, a, b in zip(("mean_x", "prob_sleep", "t_off", "inv_gap"),
+                          got, (want.mean_x, want.prob_sleep, want.t_off,
+                                want.inv_gap)):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0), name
+    if D < r0:
+        assert prob == 1.0
+
+
 class TestCycleSums:
     @pytest.mark.parametrize("fidelity", ["corrected", "paper"])
     @pytest.mark.parametrize("rho, r0, D", _ORACLE_CELLS)
@@ -419,7 +444,7 @@ class TestCycleSums:
 
 
 #: The grid cells but the densest, where the plain sampler is known to be
-#: biased (acceptance 03), and the seed pool the paired estimator is
+#: biased (acceptance 03), and the seed pool the corrected estimator is
 #: judged on, fixed before it was first run.
 _SPARSER_CELLS = [(rho, r0) for rho in (0.005, 0.02, 0.08)
                   for r0 in (100.0, 200.0, 400.0)][:8]
@@ -434,43 +459,43 @@ def paired_pool():
     """For each sparser cell, per seed of the pool: the corrected
     estimate of 10^5 cycles, its closed-form target and the plain
     sampler's estimate of the same cycles (``oracles.plain_batch``), as
-    {(cell, metric): (values, the ses of their z, target, their ses,
-    the plain ses)}.  prob_sleep's z
-    takes the score test's standard error, from the closed forms: the
-    weighted indicator is 1 where the single-vehicle cycle sleeps, with
-    probability e^{-rho (D - r0)}, 1 - p where only the paper-law cycle
-    does, and 0 otherwise."""
+    {(cell, metric): (values, the ses of their z, target, their ses, the
+    plain ses)}.  prob_sleep's z takes the estimator's standard error
+    under the closed forms, (1 - p) sqrt(P (1 - P) / n), P the paper
+    law's P{X > D}: the sample's own is 0 where every paper-law cycle
+    sleeps.  The 160 requests are drawn in one batch of blocks, bit for
+    bit what separate ``sample_cycles`` calls give
+    (``TestBatchedBlocks``)."""
     cells = [CANONICAL.replace(rho=rho, r0=r0) for rho, r0 in _SPARSER_CELLS]
     figures = grid_energy_figures(cells)
     paper = grid_energy_figures([c.replace(fidelity="paper") for c in cells])
     n, pool = 100_000, {}
+    requests = [(params, RngSpec(seed, c)) for c, params in enumerate(cells)
+                for seed in _PAIRED_SEEDS]
+    sums = iter(simulate._run_cycles(
+        [simulate._plan_cycles(params, n, rng) for params, rng in requests]))
     for c, (params, fig, fig_paper) in enumerate(zip(cells, figures,
                                                      paper)):
-        single = math.exp(-params.rho * (params.D - params.r0))
         q = -math.expm1(-params.rho * params.r0)
-        score = math.sqrt((single + (fig_paper.prob_sleep - single) * q * q
-                           - fig.prob_sleep ** 2) / n)
-        rows = []
-        for seed in _PAIRED_SEEDS:
-            est = estimate_energy(sample_cycles(params, n, RngSpec(seed, c)),
-                                  params)
-            plain = oracles.estimate_energy_batch(
-                oracles.plain_batch(params, n, RngSpec(seed, c)))
-            rows.append((est, plain))
+        score = q * math.sqrt(fig_paper.prob_sleep
+                              * (1.0 - fig_paper.prob_sleep) / n)
+        rows = [(estimate_energy(next(sums), params),
+                 oracles.estimate_energy_batch(
+                     oracles.plain_batch(params, n, RngSpec(seed, c))))
+                for seed in _PAIRED_SEEDS]
         for metric, name in _PAIRED_FIELDS.items():
+            ses = np.array([getattr(e, name + "_se") for e, _ in rows])
             pool[(_SPARSER_CELLS[c], metric)] = (
                 np.array([getattr(e, name) for e, _ in rows]),
-                np.array([score if metric == "prob_sleep"
-                          else getattr(e, name + "_se") for e, _ in rows]),
-                getattr(fig, name),
-                np.array([getattr(e, name + "_se") for e, _ in rows]),
+                np.full(len(rows), score) if metric == "prob_sleep" else ses,
+                getattr(fig, name), ses,
                 np.array([getattr(p, name + "_se") for _, p in rows]))
     return pool
 
 
 class TestPairedEstimator:
-    """The corrected law's paired estimate: each paper-law cycle weighted
-    1 - p and its single-vehicle twin p, on one draw."""
+    """The corrected law's estimate: the paper law's, weighted 1 - p,
+    mixed with the closed-form single-vehicle cycle, weighted p."""
 
     @pytest.mark.parametrize("cell", [
         pytest.param(cell, marks=pytest.mark.xfail(
@@ -500,9 +525,10 @@ class TestPairedEstimator:
     @pytest.mark.parametrize("metric", sorted(_PAIRED_FIELDS))
     @pytest.mark.parametrize("cell", _SPARSER_CELLS)
     def test_se_at_most_the_plain_samplers(self, paired_pool, cell, metric):
-        # the paired mean is a conditional expectation of the plain draw
-        # given the cycle, so its variance is no larger (Rao-Blackwell);
-        # pooled over the seeds at equal n on the same cycles
+        # the mixed mean is a conditional expectation of the plain draw
+        # given the paper-law cycles, so its variance is no larger
+        # (Rao-Blackwell); pooled over the seeds at equal n on the same
+        # cycles
         _, _, _, paired, plain = paired_pool[(cell, metric)]
         assert np.sum(paired ** 2) <= np.sum(plain ** 2), (paired, plain)
 
@@ -662,16 +688,60 @@ class TestEstimateEnergy:
         assert ratio == pytest.approx(2.0, rel=0.10)
 
     def test_duty_cycle_is_time_fraction(self):
-        # each cycle weighs 1 - p and its single-vehicle twin p
+        # the paper-law cycles weigh 1 - p, the single-vehicle cycle's
+        # means p each
         batch = cycle_batch(CANONICAL, 10_000, RngSpec(15))
         est = estimate_energy(sample_cycles(CANONICAL, 10_000, RngSpec(15)),
                               CANONICAL)
         p = math.exp(-CANONICAL.rho * CANONICAL.r0)
-        t_off1, t_on1, _, _ = simulate._cycle_energy(batch.x1, batch.v,
-                                                     CANONICAL)
-        t_off = (1.0 - p) * batch.t_off.sum() + p * t_off1.sum()
-        t_on = (1.0 - p) * batch.t_on.sum() + p * t_on1.sum()
+        one = oracles.single_vehicle_quad(CANONICAL)
+        t_off = (1.0 - p) * batch.t_off.sum() + p * 10_000 * one.t_off
+        t_on = (1.0 - p) * batch.t_on.sum() + p * 10_000 * one.t_on
         assert est.duty_cycle == pytest.approx(t_off / (t_off + t_on))
+
+    @pytest.mark.parametrize("rho, r0, D", _ORACLE_CELLS)
+    def test_corrected_is_the_mixture(self, rho, r0, D):
+        # every corrected figure is 1 - p times the paper law's estimate
+        # from the same sums plus p times the single-vehicle cycle's, and
+        # so is every standard error but the sleep time's, whose ratio
+        # the delta method takes from the paper law's sleep moments
+        params = CANONICAL.replace(rho=rho, r0=r0, D=D)
+        sums = sample_cycles(params, 100_000, RngSpec(34))
+        paper = estimate_energy(sums, params.replace(fidelity="paper"))
+        got = estimate_energy(sums, params)
+        p = math.exp(-rho * r0)
+        q, n, one = 1.0 - p, len(sums), oracles.single_vehicle_quad(params)
+        psave1 = (params.P0 * (one.prob_sleep - D * one.inv_gap)
+                  - params.Ec * params.mean_speed * one.inv_gap)
+        prob = q * paper.prob_sleep + p * one.prob_sleep
+        toff = (q * sums.totals[1] / n + p * one.t_off) / prob
+        n_s = sums.sleep.n
+        m2 = paper.expected_sleep_time_se ** 2 * n_s * (n_s - 1)
+        resid = m2 + n_s * (n - n_s) / n * (
+            paper.expected_sleep_time - toff) ** 2
+        e_off, t_off, t_on = (
+            q * sums.totals[0] + p * n * (params.P0 * one.t_off
+                                          - params.Ec * one.prob_sleep),
+            q * sums.totals[1] + p * n * one.t_off,
+            q * sums.totals[2] + p * n * one.t_on)
+        want = {
+            "expected_gap": q * paper.expected_gap + p * one.mean_x,
+            "expected_gap_se": q * paper.expected_gap_se,
+            "prob_sleep": prob, "prob_sleep_se": q * paper.prob_sleep_se,
+            "expected_sleep_time": toff,
+            "expected_sleep_time_se": q * math.sqrt(resid / (n - 1) / n)
+            / prob,
+            "expected_power_saved":
+                q * paper.expected_power_saved + p * psave1,
+            "expected_power_saved_se": q * paper.expected_power_saved_se,
+            "time_average_power_saved": e_off / (t_off + t_on),
+            "duty_cycle": t_off / (t_off + t_on)}
+        assert got.n_cycles == paper.n_cycles == n
+        assert n_s >= 2
+        for name, value in want.items():
+            rel = 1e-9 if name == "expected_sleep_time_se" else 1e-12
+            assert getattr(got, name) == pytest.approx(
+                value, rel=rel, abs=0.0), name
 
 
 def _road(params, duration, v=None):
