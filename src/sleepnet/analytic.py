@@ -59,7 +59,6 @@ from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .numerics import (QuadratureError, exp_integral_e1,
                        integrate_panel_doubling)
@@ -218,8 +217,8 @@ def _gap_segment_polys(params: ModelParams) -> np.ndarray:
     table[0, 0] = 1.0
     for k in range(1, n):
         p = table[k - 1, :k]
-        table[k, :k + 1] = -c * P.polyint(p)
-        table[k, 0] = P.polyval(1.0, p)
+        table[k, 1:k + 1] = -c * (p / np.arange(1.0, k + 1.0))
+        table[k, 0] = np.polyval(p[::-1], 1.0)
     table.flags.writeable = False
     return table
 

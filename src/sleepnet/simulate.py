@@ -29,7 +29,8 @@ pool of at most two threads that lives inside the call
 (``_run_cycles``).  The blocks of one request, or of many at once as
 ``validate`` hands over every cell's, go to the pool longest first; the
 threads take whole blocks as they come free, each reusing one block
-scratch, its own anonymous mmap, for the call's blocks; each request's
+scratch, its own anonymous mmap of six rows and a mask that also hold
+every temporary of a block, for the call's blocks; each request's
 sums are pooled in its own block order, so its bits depend on the seed
 only, not on the CPU count, the thread count or the other requests of
 its batch.  No thread or scratch outlives the call, and the scratch
@@ -77,9 +78,6 @@ SAMPLER_RHO_R0_LIMIT = 40.0
 #: Cycles one block of ``sample_cycles`` draws from its own stream: part
 #: of the seeded output, not a tuning option.
 _CYCLE_BLOCK = 1 << 16
-
-#: Intra-cluster gaps drawn at once by the direct-sum branch of a block.
-_GAP_CHUNK = 1 << 16
 
 #: Most threads a ``sample_cycles`` call draws its blocks on, the most it
 #: was measured with; each makes one block scratch for the call.
@@ -214,28 +212,26 @@ class CycleSums:
 
 
 class _BlockScratch:
-    """One worker's cycle fields (x, v, t_off, t_on, e_off, p_save, x1 and
-    a row for the sums), mask, gap chunk and chunk offsets for blocks of
-    up to m cycles, made on the worker's first block of a call and reused
-    for its later ones (``_run_cycles``).  They are views of one
-    anonymous mmap, so the pages go back to the system when the call
-    drops the scratch, not to a malloc arena that keeps them.
-    ``_cycle_block`` writes every slot it reads, so what an earlier block
-    left in it changes no bit."""
+    """One worker's six rows (x, v, t_off, t_on, e_off, p_save) and mask
+    for blocks of up to m >= DIRECT_SUM_LIMIT cycles, made on the worker's
+    first block of a call and reused for its later ones
+    (``_run_cycles``).  ``_cycle_block`` keeps its temporaries in rows
+    that are idle meanwhile, so the scratch is 6*8*m + m bytes.  The rows
+    and mask are views of one anonymous mmap, so the pages go back to the
+    system when the call drops the scratch, not to a malloc arena that
+    keeps them.  ``_cycle_block`` writes every slot it reads, so what an
+    earlier block left in it changes no bit."""
 
     def __init__(self, m: int):
-        n_buf = min(max(_GAP_CHUNK, DIRECT_SUM_LIMIT), DIRECT_SUM_LIMIT * m)
-        n_off = min(_GAP_CHUNK, m)
-        mem = mmap.mmap(-1, max(8 * (8 * m + n_buf + n_off) + m, 1),
+        if m < DIRECT_SUM_LIMIT:
+            raise ValueError(f"a scratch row must hold a direct cluster's "
+                             f"{DIRECT_SUM_LIMIT} gaps, got {m}")
+        mem = mmap.mmap(-1, 6 * 8 * m + m,
                         flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         if hasattr(mmap, "MADV_HUGEPAGE"):     # fewer, cheaper page faults
             mem.madvise(mmap.MADV_HUGEPAGE)
-        self.fields = np.frombuffer(mem, np.float64, 8 * m).reshape(8, m)
-        self.buf = np.frombuffer(mem, np.float64, n_buf, 64 * m)
-        self.offsets = np.frombuffer(mem, np.int64, n_off,
-                                     8 * (8 * m + n_buf))
-        self.mask = np.frombuffer(mem, np.bool_, m,
-                                  8 * (8 * m + n_buf + n_off))
+        self.rows = np.frombuffer(mem, np.float64, 6 * m).reshape(6, m)
+        self.mask = np.frombuffer(mem, np.bool_, m, 6 * 8 * m)
 
 
 def _cycle_threads() -> int:
@@ -249,20 +245,22 @@ def _cycle_threads() -> int:
 
 
 def _direct_spans(gen: np.random.Generator, ends: np.ndarray, q: float,
-                  rho: float, spans: np.ndarray, s: _BlockScratch) -> None:
+                  rho: float, spans: np.ndarray, buf: np.ndarray,
+                  offsets: np.ndarray) -> None:
     """Fill spans[i] with the sum of the intra-cluster gaps
     (ends[i-1], ends[i]] (from 0 for i = 0; ends are whole floats), each
     -log1p(-u q)/rho for one uniform u, drawn from gen in chunks that end
-    on cluster boundaries and hold at most _GAP_CHUNK gaps (one cluster,
-    at most DIRECT_SUM_LIMIT, if larger), in the scratch s.buf and
-    s.offsets.  The division by -rho is made once per cluster."""
+    on cluster boundaries and hold at most len(buf) gaps, at least one
+    cluster's, with their reduceat offsets in the int64 array offsets.
+    Each cluster is reduced alone from one stream of uniforms, so the
+    chunk size moves no bit.  The division by -rho is made once per
+    cluster."""
     start = base = 0
     while start < len(ends):
-        stop = max(int(np.searchsorted(ends, base + _GAP_CHUNK, "right")),
-                   start + 1)
-        g = s.buf[:int(ends[stop - 1]) - base]
+        stop = int(np.searchsorted(ends, base + len(buf), "right"))
+        g = buf[:int(ends[stop - 1]) - base]
         np.log1p(np.multiply(gen.random(out=g), -q, out=g), out=g)
-        off = s.offsets[:stop - start]
+        off = offsets[:stop - start]
         off[0] = 0
         np.subtract(ends[start:stop - 1], base, out=off[1:],
                     casting="unsafe")
@@ -286,15 +284,17 @@ def _cluster_gaps(gen: np.random.Generator, p_head: float,
 
 def _cycle_block(seed: np.random.SeedSequence, m: int,
                  params: ModelParams, s: _BlockScratch) -> CycleSums:
-    """Draw m paper-law cycles from PCG64(seed) into s.fields[:7, :m] (x,
-    v, t_off, t_on, e_off, p_save, x1), in stream order: cluster sizes,
-    direct gaps, big-cluster normals, head-to-tail jumps x1, speeds; return
-    their sums."""
+    """Draw m paper-law cycles from PCG64(seed) into s.rows[:, :m] (x, v,
+    t_off, t_on, e_off, p_save), in stream order: cluster sizes, direct
+    gaps, big-cluster normals, head-to-tail jumps x1, speeds; return
+    their sums.  The temporaries live in rows idle meanwhile: the sizes
+    in p_save, the spans and their ends in t_off and t_on, the direct
+    gaps and their offsets in the e_off row and an int64 view of the v
+    row, x1 in e_off, and the deviations of the sums in v."""
     gen = np.random.Generator(np.random.PCG64(seed))
-    x, v, t_off, t_on, e_off, p_save, x1, dev = out = s.fields[:, :m]
+    x, v, t_off, t_on, e_off, p_save = out = s.rows[:, :m]
     rho, r0 = params.rho, params.r0
     p, q = math.exp(-rho * r0), -math.expm1(-rho * r0)
-    # the bookkeeping rows hold the temporaries until _cycle_energy
     n_gaps, mask = p_save, s.mask[:m]
     _cluster_gaps(gen, p, n_gaps)
 
@@ -306,7 +306,8 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
     if len(idx):
         spans, ends = t_off[:len(idx)], t_on[:len(idx)]
         np.cumsum(np.take(n_gaps, idx, out=spans), out=ends)
-        _direct_spans(gen, ends, q, rho, spans, s)
+        _direct_spans(gen, ends, q, rho, spans, s.rows[4],
+                      s.rows[1].view(np.int64))
         x[idx] = spans
     idx = np.flatnonzero(np.greater(n_gaps, DIRECT_SUM_LIMIT, out=mask))
     if len(idx):
@@ -321,13 +322,15 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
         np.clip(z, 0.0, np.multiply(k, r0, out=w), out=z)
         x[idx] = z
 
+    x1 = e_off
     np.multiply(gen.standard_exponential(out=x1), 1.0 / rho, out=x1)
     np.add(x1, r0, out=x1)                 # r0 + exponential(1/rho)
     np.multiply(gen.random(out=v), params.b - params.a, out=v)
     np.add(v, params.a, out=v)             # uniform(a, b), same rounding
 
     np.add(x, x1, out=x)
-    _cycle_energy(x, v, params, out=out[2:6])
+    _cycle_energy(x, v, params, out=out[2:])
+    dev = v
     x_sums, p_sums = _Moments.of(x, dev), _Moments.of(p_save, dev)
     n_sleep = int(np.count_nonzero(np.greater(t_off, 0.0, out=mask)))
     asleep = np.compress(mask, t_off, out=dev[:n_sleep])
@@ -404,11 +407,11 @@ def sample_cycles(params: ModelParams, n: int,
     once, as ``validate`` does), so the bits depend on the seed only, not
     on the thread count, on which thread drew a block or on what other
     requests shared the batch.  Memory is one _BlockScratch per thread
-    (about 5 MB), whatever n, mapped and unmapped inside the call;
-    concurrent calls each get their own threads and scratches.  Raises
-    ValueError when n < 1000 and ArithmeticError when rho*r0 >
-    SAMPLER_RHO_R0_LIMIT or exp(-rho*r0) rounds to 1 (``check_sparse``),
-    before any draw.
+    (6*8*m + m bytes for blocks of m cycles, about 3.1 MiB), whatever n,
+    mapped and unmapped inside the call; concurrent calls each get their
+    own threads and scratches.  Raises ValueError when n < 1000 and
+    ArithmeticError when rho*r0 > SAMPLER_RHO_R0_LIMIT or exp(-rho*r0)
+    rounds to 1 (``check_sparse``), before any draw.
     """
     return _run_cycles([_plan_cycles(params, n, rng)])[0]
 

@@ -34,11 +34,13 @@
   P{x1 > D}, E[(x1 - D)+] E[1/V] and E[1/x1; x1 > D] by numerical
   integration over x1's density, the reference for the closed forms
   the corrected estimate mixes in;
-- ``cycle_batch`` / ``estimate_energy_batch``: the paper-law renewal
-  cycles of ``sample_cycles`` as one array per field, drawn serially by
-  the same block kernel, and the energy estimate by full-array passes
-  over them, mixed for the corrected law with ``single_vehicle_quad``,
-  the reference for the pooled block sums;
+- ``cycle_batch`` / ``batch_sums`` / ``estimate_energy_batch``: the
+  paper-law renewal cycles of ``sample_cycles`` as one array per field,
+  each block's stream replayed serially by plain numpy rather than the
+  sampler's kernel, their block sums, which must be ``sample_cycles``'s
+  bit for bit, and the energy estimate by full-array passes over them,
+  mixed for the corrected law with ``single_vehicle_quad``, the
+  reference for the pooled block sums;
 - ``plain_batch``: the plain sampler of either law, each cycle replaced
   by its single-vehicle cycle (gap x1, same speed) with probability
   exp(-rho r0) by an independent coin under the corrected law, the
@@ -602,23 +604,72 @@ class CycleBatch:
         return len(self.x)
 
 
+def _block_cycles(seed: np.random.SeedSequence, m: int,
+                  params: ModelParams) -> np.ndarray:
+    """The m paper-law cycles of one block, rows x, v, t_off, t_on, e_off,
+    p_save and x1, by plain numpy on the block's PCG64 stream in its
+    order: the cluster sizes, every direct gap in one draw, reduced per
+    cluster, the big-cluster normals, x1, the speeds."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    rho, r0, D = params.rho, params.r0, params.D
+    p, q = math.exp(-rho * r0), -math.expm1(-rho * r0)
+    n_gaps = np.floor(gen.standard_exponential(m) / -math.log1p(-p)) + 1.0
+    span = np.zeros(m)
+    direct = n_gaps <= simulate.DIRECT_SUM_LIMIT
+    counts = n_gaps[direct].astype(np.int64)
+    if len(counts):
+        gaps = np.log1p(gen.random(int(counts.sum())) * -q)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        span[direct] = np.add.reduceat(gaps, starts) / -rho
+    k = n_gaps[~direct]
+    if len(k):
+        # a truncated exponential's moments; the normal's rounding is
+        # gen.normal(k mean, sqrt(k var))'s, clamped to [0, k r0]
+        em1 = math.expm1(rho * r0)
+        mean = 1.0 / rho - r0 / em1
+        var = 1.0 / rho ** 2 - r0 ** 2 * math.exp(rho * r0) / em1 ** 2
+        z = gen.standard_normal(len(k))
+        span[~direct] = np.clip(k * mean + np.sqrt(k * var) * z, 0.0, k * r0)
+    x1 = gen.standard_exponential(m) * (1.0 / rho) + r0
+    v = gen.random(m) * (params.b - params.a) + params.a
+    x = span + x1
+    t_off = np.maximum((x - D) / v, 0.0)
+    t_on = np.minimum(x, D) / v
+    e_off = np.where(t_off == 0.0, 0.0, t_off * params.P0 - params.Ec)
+    return np.array([x, v, t_off, t_on, e_off, e_off / (t_off + t_on), x1])
+
+
 def cycle_batch(params: ModelParams, n: int,
                 rng: Union[RngSpec, np.random.Generator]) -> CycleBatch:
     """The n paper-law cycles ``sample_cycles`` sums, bit for bit, any
-    n >= 0: the same root draw, block streams and kernel
-    (``simulate._cycle_block``), the blocks drawn in order on the caller's
-    thread into one scratch and each copied out into the batch."""
+    n >= 0: the same root draw and block streams, each block replayed by
+    plain numpy (``_block_cycles``), not by the sampler's kernel."""
     gen = _as_generator(rng)
     root = gen.integers(1 << 64, size=2, dtype=np.uint64)
     block = simulate._CYCLE_BLOCK
     seeds = np.random.SeedSequence(root).spawn(-(-n // block))
     fields = np.empty((7, n))
-    scratch = simulate._BlockScratch(min(n, block))
     for b, seed in enumerate(seeds):
         m = min(block, n - b * block)
-        simulate._cycle_block(seed, m, params, scratch)
-        fields[:, b * block:b * block + m] = scratch.fields[:7, :m]
+        fields[:, b * block:b * block + m] = _block_cycles(seed, m, params)
     return CycleBatch(*fields)
+
+
+def batch_sums(batch: CycleBatch) -> simulate.CycleSums:
+    """The CycleSums ``sample_cycles`` returns for a batch's cycles: each
+    block of ``simulate._CYCLE_BLOCK`` summed alone, pooled in order."""
+    block, sums = simulate._CYCLE_BLOCK, []
+    for lo in range(0, len(batch), block):
+        x, t_off, t_on, e_off, p_save = (
+            getattr(batch, f)[lo:lo + block]
+            for f in ("x", "t_off", "t_on", "e_off", "p_save"))
+        asleep = t_off[t_off > 0.0]
+        sums.append(simulate.CycleSums(
+            simulate._Moments.of(x, np.empty_like(x)),
+            simulate._Moments.of(p_save, np.empty_like(p_save)),
+            simulate._Moments.of(asleep, asleep),
+            tuple(float(np.sum(f)) for f in (e_off, t_off, t_on))))
+    return sum(sums[1:], sums[0])
 
 
 def plain_batch(params: ModelParams, n: int,

@@ -1,8 +1,9 @@
 """Seeded sampler output and analytic tables pinned bit for bit.
 
-Every other sampler test compares ``sample_cycles`` with the oracle
-``cycle_batch``, which runs the same block kernel; a kernel change that
-moved a bit would pass them all.  These values were computed before the
+The other sampler tests compare ``sample_cycles`` with the oracle
+``cycle_batch``, which replays each block's stream by plain numpy, so a
+kernel change that moved a bit fails them; a change to the stream made
+in both would pass them all.  These values were computed before the
 kernel's masked copies were replaced by index gathers, and any change
 that keeps the stream must keep them.  The paper keys and the validate
 paper rows have kept their bits since one draw began to serve both

@@ -23,6 +23,16 @@ from oracles import (CycleBatch, ch_gap_samples, cluster_list, cycle_batch,
                      timeline_active_intervals)
 
 
+def _mapped_bytes(scratch) -> int:
+    """The bytes of the distinct buffers a block scratch's arrays view."""
+    buffers = {}
+    for a in vars(scratch).values():
+        while not isinstance(a, memoryview):
+            a = a.base
+        buffers[id(a.obj)] = len(a.obj)
+    return sum(buffers.values())
+
+
 class TestRngSpec:
     def test_identical_spec_identical_stream(self):
         a = RngSpec(123, 4).generator().uniform(size=8)
@@ -168,25 +178,30 @@ class TestSampleCycles:
                                          (0.08, 100.0)])
     def test_chunk_size_does_not_change_draws(self, monkeypatch, use_pool,
                                               rho, r0, fidelity):
-        # a chunk of 5 gaps is smaller than many single clusters; 2^30
-        # holds the whole batch.  At rho*r0 = 8 direct clusters mix with
-        # normal-approximated ones.  Every chunk gives the batch, every
-        # (chunk, threads) pair the sums, and each leaves the caller's
-        # generator where the others do; blocks of 6,000 cycles make four
-        # of 20,000, the last one short.
+        # the direct gaps are drawn in chunks of a scratch row: 6,000
+        # gaps, many chunks a block at rho*r0 = 4 (about 54 gaps a
+        # cycle), or 64 times that, one chunk a block; the oracle draws a
+        # block's gaps at once.  At rho*r0 = 8 direct clusters mix with
+        # normal-approximated ones.  Every (row, threads) pair gives the
+        # oracle's sums and leaves the caller's generator where it does;
+        # blocks of 6,000 cycles make four of 20,000, the last one short.
         params = CANONICAL.replace(rho=rho, r0=r0, fidelity=fidelity)
         monkeypatch.setattr(simulate, "_CYCLE_BLOCK", 6_000)
-        batches, outputs = [], []
-        for chunk in (5, 1 << 30):
-            monkeypatch.setattr(simulate, "_GAP_CHUNK", chunk)
-            gen = RngSpec(11).generator()
-            batches.append((cycle_batch(params, 20_000, gen), gen.random()))
+        gen = RngSpec(11).generator()
+        outputs = [(oracles.batch_sums(cycle_batch(params, 20_000, gen)),
+                    gen.random())]
+        narrow = simulate._BlockScratch
+        for width in (1, 64):
+
+            class Wide(narrow):
+                def __init__(self, m, width=width):
+                    super().__init__(m * width)
+
+            monkeypatch.setattr(simulate, "_BlockScratch", Wide)
             for threads in (1, 2, 3):
                 outputs.append(self._draw(use_pool, threads, params,
                                           20_000, RngSpec(11).generator()))
-        self._assert_same(batches)
         self._assert_same(outputs)
-        assert outputs[0][1] == batches[0][1]
 
     @pytest.mark.parametrize("n", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
                                    150_000])
@@ -200,6 +215,8 @@ class TestSampleCycles:
         self._assert_same(outputs)
         whole = (n // simulate._CYCLE_BLOCK) * simulate._CYCLE_BLOCK
         batch = cycle_batch(CANONICAL, n, RngSpec(18))
+        if n >= 1000:
+            assert outputs[0][0] == oracles.batch_sums(batch)
         longer = cycle_batch(CANONICAL, whole + simulate._CYCLE_BLOCK,
                              RngSpec(18))
         assert np.array_equal(batch.x[:whole], longer.x[:whole])
@@ -307,9 +324,10 @@ class TestSampleCycles:
         # all at once would peak near 20x the six fields of the cycles.
         # One thread and two, whose numpy allocations tracemalloc sees
         # too, with the scratch they map, which it does not, stay under
-        # the bound.
+        # the bound, and each scratch maps six rows and a mask of a block.
         params = CANONICAL.replace(rho=0.02, r0=200.0, fidelity="paper")
         nbytes = 6 * 8 * 200_000
+        m = simulate._CYCLE_BLOCK
         for threads in (1, 2):
             use_pool(threads)
             allocations.clear()
@@ -319,13 +337,13 @@ class TestSampleCycles:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            mapped = sum(a.nbytes for s in allocations
-                         for a in (s.fields, s.buf, s.offsets, s.mask))
-            assert peak + mapped <= 3 * nbytes, threads
+            mapped = [_mapped_bytes(s) for s in allocations]
+            assert all(b <= 6 * 8 * m + m for b in mapped), mapped
+            assert peak + sum(mapped) <= 3 * nbytes, threads
 
     def test_calls_leave_no_threads(self, use_pool, allocations):
         # each call joins the threads it starts before it returns; each
-        # thread makes one scratch, sized to the call's longest block
+        # thread maps one scratch, sized to the call's longest block
         before = threading.active_count()
         for threads in (1, 2, 3):
             use_pool(threads)
@@ -336,7 +354,8 @@ class TestSampleCycles:
                 assert threading.active_count() == before
                 assert 1 <= len(allocations) <= threads
                 size = min(n, simulate._CYCLE_BLOCK)
-                assert all(s.fields.shape == (8, size) for s in allocations)
+                assert all(_mapped_bytes(s) <= 6 * 8 * size + size
+                           for s in allocations)
 
     def test_extreme_density_raises_before_drawing(self):
         gen = RngSpec(13).generator()
@@ -389,10 +408,11 @@ class TestCycleSums:
         # the pooled block sums against np.mean / np.std / np.sum over the
         # very cycles they summarise
         params = CANONICAL.replace(rho=rho, r0=r0, D=D, fidelity=fidelity)
-        got = estimate_energy(sample_cycles(params, 200_000, RngSpec(22)),
-                              params)
-        want = oracles.estimate_energy_batch(
-            cycle_batch(params, 200_000, RngSpec(22)), params)
+        sums = sample_cycles(params, 200_000, RngSpec(22))
+        batch = cycle_batch(params, 200_000, RngSpec(22))
+        assert sums == oracles.batch_sums(batch)
+        got = estimate_energy(sums, params)
+        want = oracles.estimate_energy_batch(batch, params)
         assert got.n_cycles == want.n_cycles == 200_000
         for f in fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
@@ -590,26 +610,25 @@ class TestScratchCache:
         # blocks of 300 cycles outnumber the threads, so a thread draws
         # later blocks, the short last one too, into the scratch an
         # earlier block left; each scratch starts out filled with what a
-        # reader of an unwritten slot would see
+        # reader of an unwritten slot would see.  Every block's sums are
+        # those of a fresh scratch, and the call's the oracle's.
         params = CANONICAL.replace(rho=0.005, r0=100.0, fidelity=fidelity)
         monkeypatch.setattr(simulate, "_CYCLE_BLOCK", 300)
-        want = cycle_batch(params, n, RngSpec(26))
+        want = oracles.batch_sums(cycle_batch(params, n, RngSpec(26)))
         use_pool(threads)
-        clean = sample_cycles(params, n, RngSpec(26))
+        fresh = simulate._BlockScratch
 
-        class Poisoned(simulate._BlockScratch):
+        class Poisoned(fresh):
             def __init__(self, m):
                 super().__init__(m)
-                self.fields.fill(math.nan)
-                self.buf.fill(math.nan)
+                self.rows.fill(math.nan)
                 self.mask.fill(True)
-                self.offsets.fill(1 << 40)
 
-        kernel, drawn, used = simulate._cycle_block, {}, []
+        kernel, drawn, used = simulate._cycle_block, [], []
 
         def record(seed, m, params, s):
             sums = kernel(seed, m, params, s)
-            drawn[seed.spawn_key[-1]] = s.fields[:7, :m].copy()
+            drawn.append((seed, m, sums))
             used.append(id(s))
             return sums
 
@@ -617,10 +636,17 @@ class TestScratchCache:
         monkeypatch.setattr(simulate, "_cycle_block", record)
         got = sample_cycles(params, n, RngSpec(26))
         assert len(used) == -(-n // 300) > threads >= len(set(used))
-        assert got == clean
-        fields_ = np.concatenate([drawn[b] for b in sorted(drawn)], axis=1)
-        for row, f in zip(fields_, fields(CycleBatch)):
-            assert np.array_equal(row, getattr(want, f.name)), f.name
+        assert got == want
+        for seed, m, sums in drawn:
+            assert kernel(seed, m, params, fresh(300)) == sums, m
+
+    def test_scratch_row_holds_a_direct_cluster(self):
+        # the direct gaps are drawn in chunks of one row, which must hold
+        # the largest direct cluster; 6*8*m + m bytes are mapped
+        m = simulate.DIRECT_SUM_LIMIT
+        with pytest.raises(ValueError, match="direct cluster"):
+            simulate._BlockScratch(m - 1)
+        assert _mapped_bytes(simulate._BlockScratch(m)) == 6 * 8 * m + m
 
     def test_concurrent_callers_get_serial_results(self, use_pool):
         # three callers at once, switching often, each call on two
