@@ -228,8 +228,11 @@ class _BlockScratch:
                              f"{DIRECT_SUM_LIMIT} gaps, got {m}")
         mem = mmap.mmap(-1, 6 * 8 * m + m,
                         flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        if hasattr(mmap, "MADV_HUGEPAGE"):     # fewer, cheaper page faults
-            mem.madvise(mmap.MADV_HUGEPAGE)
+        # small pages only: a 2 MiB huge page fits in 3 MiB at some
+        # addresses and not at others, so its speed-up would differ
+        # from one process to the next
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            mem.madvise(mmap.MADV_NOHUGEPAGE)
         self.rows = np.frombuffer(mem, np.float64, 6 * m).reshape(6, m)
         self.mask = np.frombuffer(mem, np.bool_, m, 6 * 8 * m)
 

@@ -648,6 +648,25 @@ class TestScratchCache:
             simulate._BlockScratch(m - 1)
         assert _mapped_bytes(simulate._BlockScratch(m)) == 6 * 8 * m + m
 
+    @pytest.mark.skipif(not Path("/proc/self/smaps").exists(),
+                        reason="needs Linux /proc/self/smaps")
+    def test_scratch_uses_small_pages(self):
+        # a full block's 3 MiB scratch holds a 2 MiB huge page at some
+        # addresses only; refused huge pages give every process the same
+        # page size and so the same speed
+        s = simulate._BlockScratch(simulate._CYCLE_BLOCK)
+        addr = s.rows.ctypes.data
+        flags = None
+        with open("/proc/self/smaps") as smaps:
+            for line in smaps:
+                head = line.split()[0]
+                if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", head):
+                    lo, hi = (int(a, 16) for a in head.split("-"))
+                    inside = lo <= addr < hi
+                elif head == "VmFlags:" and inside:
+                    flags = line.split()[1:]
+        assert flags is not None and "nh" in flags, flags
+
     def test_concurrent_callers_get_serial_results(self, use_pool):
         # three callers at once, switching often, each call on two
         # threads and scratches of its own: every result is the serial one
