@@ -84,8 +84,9 @@ _OPTIONS = {
     "r0_values": dict(type=float_list, default="100,200,400"),
     "metrics": dict(type=_comma_list,
                     help="comma list from: " + ", ".join(METRICS)),
-    "mc_fidelity": dict(choices=_FIDELITIES,
-                        help="estimate both rows of a cell under one fidelity"),
+    "mc_fidelity": dict(
+        choices=_FIDELITIES,
+        help="estimate both rows of a cell under one fidelity"),
     "preset": dict(type=_comma_list,
                    help="comma list from: " + ", ".join(FIGURE_PRESETS)),
 }

@@ -71,7 +71,8 @@ def parse_speed(text: str) -> float:
     """Parse a unit-tagged speed string like '40kmh' or '16.7mps' to m/s."""
     m = _SPEED_RE.match(text)
     if not m:
-        raise ParamError("speed", f"{text!r} needs an explicit unit suffix 'kmh' or 'mps'")
+        raise ParamError("speed", f"{text!r} needs an explicit unit suffix "
+                                  "'kmh' or 'mps'")
     value = float(m.group(1))
     return value * KMH if m.group(2) == "kmh" else value
 
@@ -100,7 +101,8 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "fidelity", Fidelity(self.fidelity))
         for name in ("rho", "r0", "D", "P0"):
-            if not (getattr(self, name) > 0) or not math.isfinite(getattr(self, name)):
+            if (not (getattr(self, name) > 0)
+                    or not math.isfinite(getattr(self, name))):
                 raise ParamError(name, "must be a finite positive number")
         if not (0 < self.a < self.b) or not math.isfinite(self.b):
             raise ParamError("a", "speeds must satisfy 0 < a < b (m/s)")
@@ -112,7 +114,8 @@ class ModelParams:
 
     @property
     def rho_r0(self) -> float:
-        """Dimensionless density-range product; controls every distribution shape."""
+        """Dimensionless density-range product; controls every
+        distribution shape."""
         return self.rho * self.r0
 
     @property

@@ -29,7 +29,7 @@ pool of at most two threads that lives inside the call
 (``_run_cycles``).  The blocks of one request, or of many at once as
 ``validate`` hands over every cell's, go to the pool longest first; the
 threads take whole blocks as they come free, each reusing one block
-scratch, its own anonymous mmap of six rows and a mask that also hold
+scratch, its own anonymous mmap of four rows and a mask that also hold
 every temporary of a block, for the call's blocks; each request's
 sums are pooled in its own block order, so its bits depend on the seed
 only, not on the CPU count, the thread count or the other requests of
@@ -212,29 +212,31 @@ class CycleSums:
 
 
 class _BlockScratch:
-    """One worker's six rows (x, v, t_off, t_on, e_off, p_save) and mask
-    for blocks of up to m >= DIRECT_SUM_LIMIT cycles, made on the worker's
-    first block of a call and reused for its later ones
-    (``_run_cycles``).  ``_cycle_block`` keeps its temporaries in rows
-    that are idle meanwhile, so the scratch is 6*8*m + m bytes.  The rows
+    """One worker's four rows (x, v, a, b) and mask for blocks of up to
+    m >= 2*DIRECT_SUM_LIMIT cycles, made on the worker's first block of a
+    call and reused for its later ones (``_run_cycles``).
+    ``_cycle_block`` keeps every field and temporary of a block in these
+    rows, so the scratch is 4*8*m + m bytes; half the x row holds a
+    chunk of direct gaps, so it must hold a direct cluster's.  The rows
     and mask are views of one anonymous mmap, so the pages go back to the
     system when the call drops the scratch, not to a malloc arena that
     keeps them.  ``_cycle_block`` writes every slot it reads, so what an
     earlier block left in it changes no bit."""
 
     def __init__(self, m: int):
-        if m < DIRECT_SUM_LIMIT:
-            raise ValueError(f"a scratch row must hold a direct cluster's "
-                             f"{DIRECT_SUM_LIMIT} gaps, got {m}")
-        mem = mmap.mmap(-1, 6 * 8 * m + m,
+        if m < 2 * DIRECT_SUM_LIMIT:
+            raise ValueError(f"half a scratch row must hold a direct "
+                             f"cluster's {DIRECT_SUM_LIMIT} gaps, got "
+                             f"{m} slots")
+        mem = mmap.mmap(-1, 4 * 8 * m + m,
                         flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        # small pages only: a 2 MiB huge page fits in 3 MiB at some
+        # small pages only: a 2 MiB huge page fits in 2.1 MiB at some
         # addresses and not at others, so its speed-up would differ
         # from one process to the next
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             mem.madvise(mmap.MADV_NOHUGEPAGE)
-        self.rows = np.frombuffer(mem, np.float64, 6 * m).reshape(6, m)
-        self.mask = np.frombuffer(mem, np.bool_, m, 6 * 8 * m)
+        self.rows = np.frombuffer(mem, np.float64, 4 * m).reshape(4, m)
+        self.mask = np.frombuffer(mem, np.bool_, m, 4 * 8 * m)
 
 
 def _cycle_threads() -> int:
@@ -247,28 +249,30 @@ def _cycle_threads() -> int:
     return min(_MAX_CYCLE_THREADS, cpus)
 
 
-def _direct_spans(gen: np.random.Generator, ends: np.ndarray, q: float,
-                  rho: float, spans: np.ndarray, buf: np.ndarray,
-                  offsets: np.ndarray) -> None:
-    """Fill spans[i] with the sum of the intra-cluster gaps
-    (ends[i-1], ends[i]] (from 0 for i = 0; ends are whole floats), each
-    -log1p(-u q)/rho for one uniform u, drawn from gen in chunks that end
-    on cluster boundaries and hold at most len(buf) gaps, at least one
-    cluster's, with their reduceat offsets in the int64 array offsets.
-    Each cluster is reduced alone from one stream of uniforms, so the
-    chunk size moves no bit.  The division by -rho is made once per
-    cluster."""
+def _direct_spans(gen: np.random.Generator, spans: np.ndarray, q: float,
+                  rho: float, buf: np.ndarray, offsets: np.ndarray) -> None:
+    """Overwrite spans, which come in as the cumulative gap counts ends
+    (whole floats), with the sums of the intra-cluster gaps (ends[i-1],
+    ends[i]] (from 0 for i = 0), each -log1p(-u q)/rho for one uniform u,
+    drawn from gen in chunks that end on cluster boundaries and hold at
+    most len(buf) gaps, at least one cluster's, with their reduceat
+    offsets in the int64 array offsets.  A chunk's sums overwrite its
+    ends once they are read.  Each cluster is reduced alone from one
+    stream of uniforms, so the chunk size moves no bit.  The division by
+    -rho is made once per cluster."""
     start = base = 0
-    while start < len(ends):
-        stop = int(np.searchsorted(ends, base + len(buf), "right"))
-        g = buf[:int(ends[stop - 1]) - base]
+    while start < len(spans):
+        stop = start + int(np.searchsorted(spans[start:], base + len(buf),
+                                           "right"))
+        end = int(spans[stop - 1])
+        g = buf[:end - base]
         np.log1p(np.multiply(gen.random(out=g), -q, out=g), out=g)
         off = offsets[:stop - start]
         off[0] = 0
-        np.subtract(ends[start:stop - 1], base, out=off[1:],
+        np.subtract(spans[start:stop - 1], base, out=off[1:],
                     casting="unsafe")
         np.add.reduceat(g, off, out=spans[start:stop])
-        start, base = stop, int(ends[stop - 1])
+        start, base = stop, end
     np.divide(spans, -rho, out=spans)
 
 
@@ -288,33 +292,36 @@ def _cluster_gaps(gen: np.random.Generator, p_head: float,
 def _cycle_block(seed: np.random.SeedSequence, m: int,
                  params: ModelParams, s: _BlockScratch) -> CycleSums:
     """Draw m paper-law cycles from PCG64(seed) into s.rows[:, :m] (x, v,
-    t_off, t_on, e_off, p_save), in stream order: cluster sizes, direct
-    gaps, big-cluster normals, head-to-tail jumps x1, speeds; return
-    their sums.  The temporaries live in rows idle meanwhile: the sizes
-    in p_save, the spans and their ends in t_off and t_on, the direct
-    gaps and their offsets in the e_off row and an int64 view of the v
-    row, x1 in e_off, and the deviations of the sums in v."""
+    a, b), in stream order: cluster sizes, direct gaps, big-cluster
+    normals, head-to-tail jumps x1, speeds; return their sums.  Every
+    field and temporary lives in a row idle meanwhile: the sizes in b,
+    the direct spans over their own ends in a, the direct gaps and their
+    offsets in the halves of the x row, the big clusters' sizes, normals
+    and spreads in a, b and v, x1 in a; then t_off, t_on, e_off and
+    p_save in a, b, x and v, and the deviations of the sums and the
+    sleep times in a or b."""
     gen = np.random.Generator(np.random.PCG64(seed))
-    x, v, t_off, t_on, e_off, p_save = out = s.rows[:, :m]
+    x, v, a, b = s.rows[:, :m]
     rho, r0 = params.rho, params.r0
     p, q = math.exp(-rho * r0), -math.expm1(-rho * r0)
-    n_gaps, mask = p_save, s.mask[:m]
+    n_gaps, mask = b, s.mask[:m]
     _cluster_gaps(gen, p, n_gaps)
 
     # each branch gathers its clusters by index and skips when it has
     # none: an empty branch draws nothing, so skipping keeps the stream
-    x.fill(0.0)
-    np.less_equal(n_gaps, DIRECT_SUM_LIMIT, out=mask)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(np.less_equal(n_gaps, DIRECT_SUM_LIMIT, out=mask))
+    spans = a[:len(idx)]
     if len(idx):
-        spans, ends = t_off[:len(idx)], t_on[:len(idx)]
-        np.cumsum(np.take(n_gaps, idx, out=spans), out=ends)
-        _direct_spans(gen, ends, q, rho, spans, s.rows[4],
-                      s.rows[1].view(np.int64))
-        x[idx] = spans
+        np.cumsum(np.take(n_gaps, idx, out=spans), out=spans)
+        row = s.rows[0]
+        half = len(row) // 2
+        _direct_spans(gen, spans, q, rho, row[:half],
+                      row[half:2 * half].view(np.int64))
+    x.fill(0.0)
+    x[idx] = spans
     idx = np.flatnonzero(np.greater(n_gaps, DIRECT_SUM_LIMIT, out=mask))
     if len(idx):
-        k, z, w = t_off[:len(idx)], t_on[:len(idx)], e_off[:len(idx)]
+        k, z, w = a[:len(idx)], b[:len(idx)], v[:len(idx)]
         np.take(n_gaps, idx, out=k)
         mean, var = _trunc_exp_stats(rho, r0)
         # gen.normal(k*mean, sqrt(k*var)) in the same rounding, clamped to
@@ -325,20 +332,21 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
         np.clip(z, 0.0, np.multiply(k, r0, out=w), out=z)
         x[idx] = z
 
-    x1 = e_off
+    x1 = a
     np.multiply(gen.standard_exponential(out=x1), 1.0 / rho, out=x1)
     np.add(x1, r0, out=x1)                 # r0 + exponential(1/rho)
     np.multiply(gen.random(out=v), params.b - params.a, out=v)
     np.add(v, params.a, out=v)             # uniform(a, b), same rounding
 
     np.add(x, x1, out=x)
-    _cycle_energy(x, v, params, out=out[2:])
-    dev = v
-    x_sums, p_sums = _Moments.of(x, dev), _Moments.of(p_save, dev)
+    x_sums = _Moments.of(x, a)
+    t_off, t_on, e_off, p_save = _cycle_energy(x, v, params,
+                                               out=(a, b, x, v))
+    totals = tuple(float(np.sum(f)) for f in (e_off, t_off, t_on))
+    p_sums = _Moments.of(p_save, b)
     n_sleep = int(np.count_nonzero(np.greater(t_off, 0.0, out=mask)))
-    asleep = np.compress(mask, t_off, out=dev[:n_sleep])
-    return CycleSums(x_sums, p_sums, _Moments.of(asleep, asleep),
-                     tuple(float(np.sum(f)) for f in (e_off, t_off, t_on)))
+    asleep = np.compress(mask, t_off, out=b[:n_sleep])
+    return CycleSums(x_sums, p_sums, _Moments.of(asleep, asleep), totals)
 
 
 def _plan_cycles(params: ModelParams, n: int,
@@ -410,7 +418,7 @@ def sample_cycles(params: ModelParams, n: int,
     once, as ``validate`` does), so the bits depend on the seed only, not
     on the thread count, on which thread drew a block or on what other
     requests shared the batch.  Memory is one _BlockScratch per thread
-    (6*8*m + m bytes for blocks of m cycles, about 3.1 MiB), whatever n,
+    (4*8*m + m bytes for blocks of m cycles, about 2.1 MiB), whatever n,
     mapped and unmapped inside the call; concurrent calls each get their
     own threads and scratches.  Raises ValueError when n < 1000 and
     ArithmeticError when rho*r0 > SAMPLER_RHO_R0_LIMIT or exp(-rho*r0)
@@ -514,8 +522,9 @@ class TimelineReport:
     average energy_saved / sim_duration.  cycle_mean_power_saved is the
     mean over completed head-to-head cycles of the per-cycle power (the
     mean-of-ratios estimand) and is None when no full cycle was observed;
-    cycle_mean_power_se is None also when only one was.  complete is False when the event cap stopped the run early, in which
-    case processed_time is the simulated time actually covered.
+    cycle_mean_power_se is None also when only one was.  complete is
+    False when the event cap stopped the run early, in which case
+    processed_time is the simulated time actually covered.
     """
 
     sim_duration: float
