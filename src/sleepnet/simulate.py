@@ -316,7 +316,7 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
         row = s.rows[0]
         half = len(row) // 2
         _direct_spans(gen, spans, q, rho, row[:half],
-                      row[half:2 * half].view(np.int64))
+                      row[half:].view(np.int64))
     x.fill(0.0)
     x[idx] = spans
     idx = np.flatnonzero(np.greater(n_gaps, DIRECT_SUM_LIMIT, out=mask))
