@@ -213,21 +213,20 @@ class CycleSums:
 
 class _BlockScratch:
     """One worker's four rows (x, v, a, b) and mask for blocks of up to
-    m >= 2*DIRECT_SUM_LIMIT cycles, made on the worker's first block of a
+    m >= DIRECT_SUM_LIMIT cycles, made on the worker's first block of a
     call and reused for its later ones (``_run_cycles``).
     ``_cycle_block`` keeps every field and temporary of a block in these
-    rows, so the scratch is 4*8*m + m bytes; half the x row holds a
-    chunk of direct gaps, so it must hold a direct cluster's.  The rows
+    rows, so the scratch is 4*8*m + m bytes; the x row holds a chunk of
+    direct gaps, so it must hold a direct cluster's.  The rows
     and mask are views of one anonymous mmap, so the pages go back to the
     system when the call drops the scratch, not to a malloc arena that
     keeps them.  ``_cycle_block`` writes every slot it reads, so what an
     earlier block left in it changes no bit."""
 
     def __init__(self, m: int):
-        if m < 2 * DIRECT_SUM_LIMIT:
-            raise ValueError(f"half a scratch row must hold a direct "
-                             f"cluster's {DIRECT_SUM_LIMIT} gaps, got "
-                             f"{m} slots")
+        if m < DIRECT_SUM_LIMIT:
+            raise ValueError(f"a scratch row must hold a direct cluster's "
+                             f"{DIRECT_SUM_LIMIT} gaps, got {m}")
         mem = mmap.mmap(-1, 4 * 8 * m + m,
                         flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         # small pages only: a 2 MiB huge page fits in 2.1 MiB at some
@@ -296,10 +295,11 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
     normals, head-to-tail jumps x1, speeds; return their sums.  Every
     field and temporary lives in a row idle meanwhile: the sizes in b,
     the direct spans over their own ends in a, the direct gaps and their
-    offsets in the halves of the x row, the big clusters' sizes, normals
-    and spreads in a, b and v, x1 in a; then t_off, t_on, e_off and
-    p_save in a, b, x and v, and the deviations of the sums and the
-    sleep times in a or b."""
+    offsets in the x row and an int64 view of the v row, each at the
+    scratch's full width, the big clusters' sizes, normals and spreads
+    in a, b and v, x1 in a; then t_off, t_on, e_off and p_save in a, b,
+    x and v, and the deviations of the sums and the sleep times in a or
+    b."""
     gen = np.random.Generator(np.random.PCG64(seed))
     x, v, a, b = s.rows[:, :m]
     rho, r0 = params.rho, params.r0
@@ -313,10 +313,8 @@ def _cycle_block(seed: np.random.SeedSequence, m: int,
     spans = a[:len(idx)]
     if len(idx):
         np.cumsum(np.take(n_gaps, idx, out=spans), out=spans)
-        row = s.rows[0]
-        half = len(row) // 2
-        _direct_spans(gen, spans, q, rho, row[:half],
-                      row[half:].view(np.int64))
+        _direct_spans(gen, spans, q, rho, s.rows[0],
+                      s.rows[1].view(np.int64))
     x.fill(0.0)
     x[idx] = spans
     idx = np.flatnonzero(np.greater(n_gaps, DIRECT_SUM_LIMIT, out=mask))

@@ -178,10 +178,10 @@ class TestSampleCycles:
                                          (0.08, 100.0)])
     def test_chunk_size_does_not_change_draws(self, monkeypatch, use_pool,
                                               rho, r0, fidelity):
-        # the direct gaps are drawn in chunks of half a scratch row:
-        # 3,000 gaps, many chunks a block at rho*r0 = 4 (about 54 gaps a
-        # cycle), or 128 times that, one chunk a block; the oracle draws
-        # a block's gaps at once.  At rho*r0 = 8 direct clusters mix with
+        # the direct gaps are drawn in chunks of a scratch row: 6,000
+        # gaps, many chunks a block at rho*r0 = 4 (about 54 gaps a
+        # cycle), or 64 times that, one chunk a block; the oracle draws a
+        # block's gaps at once.  At rho*r0 = 8 direct clusters mix with
         # normal-approximated ones.  Every (row, threads) pair gives the
         # oracle's sums and leaves the caller's generator where it does;
         # blocks of 6,000 cycles make four of 20,000, the last one short.
@@ -191,7 +191,7 @@ class TestSampleCycles:
         outputs = [(oracles.batch_sums(cycle_batch(params, 20_000, gen)),
                     gen.random())]
         narrow = simulate._BlockScratch
-        for width in (1, 128):
+        for width in (1, 64):
 
             class Wide(narrow):
                 def __init__(self, m, width=width):
@@ -609,19 +609,18 @@ class TestScratchCache:
                                            fidelity, threads):
         # blocks of 300 cycles outnumber the threads, so a thread draws
         # later blocks, the short last one too, into the scratch an
-        # earlier block left; each scratch, as wide as the smallest one
-        # allowed, starts out filled with what a reader of an unwritten
-        # slot would see.  Every block's sums are those of a fresh
-        # scratch, and the call's the oracle's.
+        # earlier block left; each scratch starts out filled with what a
+        # reader of an unwritten slot would see.  Every block's sums are
+        # those of a fresh scratch, and the call's the oracle's.
         params = CANONICAL.replace(rho=0.005, r0=100.0, fidelity=fidelity)
         monkeypatch.setattr(simulate, "_CYCLE_BLOCK", 300)
         want = oracles.batch_sums(cycle_batch(params, n, RngSpec(26)))
         use_pool(threads)
-        fresh, width = simulate._BlockScratch, 2 * simulate.DIRECT_SUM_LIMIT
+        fresh = simulate._BlockScratch
 
         class Poisoned(fresh):
             def __init__(self, m):
-                super().__init__(max(m, width))
+                super().__init__(m)
                 self.rows.fill(math.nan)
                 self.mask.fill(True)
 
@@ -639,12 +638,12 @@ class TestScratchCache:
         assert len(used) == -(-n // 300) > threads >= len(set(used))
         assert got == want
         for seed, m, sums in drawn:
-            assert kernel(seed, m, params, fresh(width)) == sums, m
+            assert kernel(seed, m, params, fresh(300)) == sums, m
 
     def test_scratch_row_holds_a_direct_cluster(self):
-        # the direct gaps are drawn in chunks of half a row, which must
-        # hold the largest direct cluster; 4*8*m + m bytes are mapped
-        m = 2 * simulate.DIRECT_SUM_LIMIT
+        # the direct gaps are drawn in chunks of one row, which must hold
+        # the largest direct cluster; 4*8*m + m bytes are mapped
+        m = simulate.DIRECT_SUM_LIMIT
         with pytest.raises(ValueError, match="direct cluster"):
             simulate._BlockScratch(m - 1)
         assert _mapped_bytes(simulate._BlockScratch(m)) == 4 * 8 * m + m
