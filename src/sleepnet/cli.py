@@ -2,22 +2,25 @@
 
 Subcommands: `analytic` (closed-form figures), `simulate` (cycle sampler
 or timeline), `validate` (analytic vs Monte Carlo report), `sweep`
-(figure-data tables); `_CALLS` lists the options each call takes.
-Options come from an optional flat key-value config file plus flags;
-flags win.  Every command echoes its effective configuration as config
-lines (defaults and seed included): given back through `--config` with
-the same subcommand, `--format` and `--out`, the echo block repeats the
-run byte for byte.  The echo and the call's output are printed once the
-call has checked its values and run, so a failed call prints nothing.
-No output contains timestamps.
+(figure-data tables); `_CALLS` lists the options each call takes, the
+model parameters among them only where the call reads them: the others
+are CANONICAL's.  Options come from an optional flat key-value config
+file plus flags; flags win.  Every command echoes its effective
+configuration as config lines (defaults and seed included): given back
+through `--config` with the same subcommand, `--format` and `--out`, the
+echo block repeats the run byte for byte.  The echo and the call's
+output are printed once the call has checked its values and run, so a
+failed call prints nothing.  No output contains timestamps.
 
 Exit codes: 0 success, 1 validation failed, 2 configuration error,
-3 numeric failure.
+3 numeric failure.  With --json-errors every failure, argparse's
+rejections too, prints one JSON line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
@@ -91,7 +94,7 @@ _OPTIONS = {
                    help="comma list from: " + ", ".join(FIGURE_PRESETS)),
 }
 
-#: The model parameters and --fidelity, which every call takes.
+#: The model parameters and --fidelity: ModelParams' fields.
 _MODEL = ("rho", "r0", "D", "a", "b", "P0", "Ec", "fidelity")
 
 #: The subcommand and the per-run flags, which no config key sets.
@@ -99,20 +102,27 @@ _NOT_CONFIG = ("command", "config", "format", "out", "json_errors")
 
 _TEXT, _TABLE = ("text", "json"), ("csv", "json")
 
-#: Each call: its --format choices (the first is the default) and its
-#: options besides _MODEL and the per-run flags.  simulate's mode and a
-#: sweep's preset, given by flag or config key, pick the call.
+#: Each call: its --format choices (the first is the default) and the
+#: options it reads besides the per-run flags, model parameters first
+#: in _MODEL's order; main takes the rest of ModelParams from CANONICAL.
+#: A grid's cells set rho and r0, validate runs both fidelities, and
+#: neither timeline reads the fidelity nor timeline-common the speed
+#: band.  simulate's mode and a sweep's preset, given by flag or config
+#: key, pick the call.
 _CALLS = {
-    "analytic": (_TEXT, ()),
-    "simulate --mode cycles": (_TEXT, ("mode", "n", "seed")),
-    "simulate --mode timeline-common": (_TEXT,
-                                        ("mode", "duration", "v", "seed")),
-    "simulate --mode timeline-heterogeneous": (_TEXT,
-                                               ("mode", "duration", "seed")),
-    "validate": (_TABLE, ("rho_values", "r0_values", "n", "seed",
-                          "mc_fidelity")),
-    "sweep": (_TABLE, ("rho_values", "r0_values", "metrics")),
-    "sweep --preset": (_TABLE, ("preset",)),
+    "analytic": (_TEXT, _MODEL),
+    "simulate --mode cycles": (_TEXT, _MODEL + ("mode", "n", "seed")),
+    "simulate --mode timeline-common": (
+        _TEXT, ("rho", "r0", "D", "P0", "Ec", "mode", "duration", "v",
+                "seed")),
+    "simulate --mode timeline-heterogeneous": (
+        _TEXT, ("rho", "r0", "D", "a", "b", "P0", "Ec", "mode", "duration",
+                "seed")),
+    "validate": (_TABLE, ("D", "a", "b", "P0", "Ec", "rho_values",
+                          "r0_values", "n", "seed", "mc_fidelity")),
+    "sweep": (_TABLE, ("D", "a", "b", "P0", "Ec", "fidelity", "rho_values",
+                       "r0_values", "metrics")),
+    "sweep --preset": (_TABLE, _MODEL + ("preset",)),
 }
 
 
@@ -151,7 +161,7 @@ def read_config(path: str) -> Dict[str, str]:
 def echo_config(args, out) -> None:
     """Print the call's options in config syntax."""
     lines = [f"# effective config: {args.command}"]
-    for key in _MODEL + _CALLS[args.call][1]:
+    for key in _CALLS[args.call][1]:
         value = getattr(args, key)
         if value is None:
             continue
@@ -312,7 +322,7 @@ def _add_call(parser: argparse.ArgumentParser, call: str) -> None:
     parser.add_argument("--out", help="output path")
     parser.add_argument("--json-errors", action="store_true",
                         help="report failures as JSON on stderr")
-    for key in _MODEL + options:
+    for key in options:
         parser.add_argument("--" + key.replace("_", "-"), dest=key,
                             **_OPTIONS[key])
     parser.set_defaults(command=call.split()[0], call=call)
@@ -356,7 +366,7 @@ def parse_args(argv: List[str]) -> argparse.Namespace:
         call = "sweep --preset"
     flags = [f"--{key.replace('_', '-')}={value}"
              for key, value in config.items()
-             if key in _MODEL + _CALLS[call][1]]
+             if key in _CALLS[call][1]]
     parser = argparse.ArgumentParser(f"sleepnet {call}", allow_abbrev=False)
     _add_call(parser, call)
     args = parser.parse_args(flags + argv[1:])
@@ -381,23 +391,32 @@ def _check_preset_flags(presets: List[str], flags: List[str]) -> None:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
+    json_errors = "--json-errors" in argv
 
     def fail(code: int, kind: str, exc: Exception) -> int:
-        if "--json-errors" in argv:
+        if json_errors:
             doc = {"error": kind, "message": str(exc), "exit_code": code}
             print(json.dumps(doc, sort_keys=True), file=sys.stderr)
         else:
             print(f"error ({kind}): {exc}", file=sys.stderr)
         return code
 
+    # with --json-errors, argparse's usage and message land here, and
+    # fail reports the message
+    caught = io.StringIO() if json_errors else sys.stderr
     try:
-        args = parse_args(argv)
+        with contextlib.redirect_stderr(caught):
+            args = parse_args(argv)
     except SystemExit as exc:  # argparse: a bad command line, or --help
+        if exc.code and json_errors:
+            message = caught.getvalue().partition(": error: ")[2]
+            return fail(exc.code, "config", ConfigError(message.rstrip("\n")))
         return exc.code
     except (OSError, ConfigError) as exc:
         return fail(EXIT_CONFIG_ERROR, "config", exc)
     try:
-        params = ModelParams(**{key: getattr(args, key) for key in _MODEL})
+        params = CANONICAL.replace(**{key: value for key, value
+                                      in vars(args).items() if key in _MODEL})
         # the call writes to a buffer, printed after the echo once the call
         # has checked its values and run, so a failure prints nothing
         buf = io.StringIO()

@@ -78,7 +78,10 @@ _FIELDS = {"E_X": "expected_gap", "E_Toff": "expected_sleep_time",
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """A rectangular (rho, r0) grid around a fixed parameter template."""
+    """A rectangular (rho, r0) grid around a fixed parameter template.
+
+    Each cell replaces the template's rho and r0, which the grid ignores.
+    """
 
     rho_values: Tuple[float, ...]
     r0_values: Tuple[float, ...]
@@ -279,6 +282,11 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     the same sums, for both comparisons (a deliberate-mismatch negative
     control); by default the estimate matches the analytic fidelity row by
     row.
+
+    Besides the template's rho and r0 (``SweepGrid``), the report ignores
+    its fidelity, since every cell runs both, ``grid.metrics``, since it
+    always compares E_X, E_Toff and E_Psave, and ``rng.stream_id``, since
+    cell i draws on stream 2 i.
     """
     if n_cycles < 10_000:
         raise ValueError(f"need n_cycles >= 10000, got {n_cycles}")

@@ -310,8 +310,10 @@ def test_text_commands_reject_csv(command):
     assert text == ""
 
 
-#: A valid value of each option a call can take besides the model's.
-_VALUES = {"mode": "cycles", "n": "5000", "duration": "5", "v": "60kmh",
+#: A valid value of each option a call can take.
+_VALUES = {"rho": "0.02", "r0": "300", "D": "600", "a": "30kmh",
+           "b": "90kmh", "P0": "500", "Ec": "5", "fidelity": "paper",
+           "mode": "cycles", "n": "5000", "duration": "5", "v": "60kmh",
            "seed": "1", "rho_values": "0.5", "r0_values": "100",
            "metrics": "E_X", "mc_fidelity": "paper", "preset": "fig5"}
 
@@ -348,6 +350,22 @@ def _table_walk():
     pytest.param(["sweep", "--preset", "fig5", "--rho-values", "0.5",
                   "--metrics", "E_X"], id="preset --rho-values --metrics"),
     pytest.param(["analytic", "--rh", "0.02"], id="abbreviation"),
+    # model parameters a call does not read: a grid's cells set rho and
+    # r0, validate runs both fidelities, neither timeline reads the
+    # fidelity, and timeline-common reads no speed band
+    pytest.param(["sweep", "--rho", "0.05"], id="unread: sweep --rho"),
+    pytest.param(["sweep", "--r0", "300"], id="unread: sweep --r0"),
+    pytest.param(["validate", "--rho", "0.05"], id="unread: validate --rho"),
+    pytest.param(["validate", "--r0", "300"], id="unread: validate --r0"),
+    pytest.param(["validate", "--fidelity", "paper"],
+                 id="unread: validate --fidelity"),
+    *(pytest.param(["simulate", "--mode", "timeline-common", "--v", "60kmh",
+                    flag, value], id=f"unread: timeline-common {flag}")
+      for flag, value in (("--a", "30kmh"), ("--b", "90kmh"),
+                          ("--fidelity", "paper"))),
+    pytest.param(["simulate", "--mode", "timeline-heterogeneous",
+                  "--fidelity", "paper"],
+                 id="unread: timeline-heterogeneous --fidelity"),
     *_table_walk(),
     # --workers, which validate took until it ran in one process
     *(pytest.param(call.split() + _BASE.get(call, []) + ["--workers", "2"],
@@ -363,6 +381,37 @@ def test_commands_reject_options_they_ignore(argv, capsys):
     err = capsys.readouterr().err.rstrip()
     assert "unrecognized arguments" in err
     assert err.endswith(" ".join(argv[-2:]))
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["analytic", "--seed", "5"],
+    ["sweep", "--rho", "0.05"],
+    ["analytic", "--rh", "0.02"],
+    ["simulate", "--mode", "warp"],
+    ["validate", "--n", "many"],
+    ["sweep", "--preset", ","],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_json_errors_cover_argparse_rejections(argv, capsys):
+    # argparse's rejections print usage and a message; with --json-errors
+    # they print one JSON line instead, with argparse's message
+    assert run_cli(argv) == (EXIT_CONFIG_ERROR, "")
+    plain = capsys.readouterr().err
+    assert plain.startswith("usage: sleepnet")
+    message = plain.splitlines()[-1].partition(": error: ")[2]
+    assert plain.endswith(f": error: {message}\n") and message
+    assert run_cli(argv + ["--json-errors"]) == (EXIT_CONFIG_ERROR, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "config", "exit_code": 2,
+                               "message": message}
+
+
+def test_json_errors_keep_help(capsys):
+    assert run_cli(["analytic", "--help", "--json-errors"]) == (EXIT_OK, "")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: sleepnet analytic")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,9 +15,13 @@ standard errors where exp(-rho r0) is large.  The sweep digests were
 computed before a grid's gap laws were integrated in one batch, which
 must leave every byte as it was, and the timeline digests before the
 heterogeneous event loop's per-event cost was cut, which must keep every
-event instant.  They hold for numpy 2.x on x86-64; a platform whose libm
-rounds log1p or exp differently moves them, and then they must be
-recomputed there, never loosened.
+event instant.  A printed output is pinned as two digests, its echo
+block and what follows it, split at the first blank line: the echo
+digests were re-pinned when each call came to take and echo only the
+model parameters it reads, and the digests after the echo were kept.
+They hold for numpy 2.x on x86-64; a platform whose libm rounds log1p
+or exp differently moves them, and then they must be recomputed there,
+never loosened.
 """
 
 import hashlib
@@ -74,10 +78,12 @@ PINNED = {
          "0x1.c88be1db1af54p+22")),
 }
 
-#: SHA-256 of what `sleepnet validate --seed 7 --format json` prints: the
-#: table, then the failure lines of the two dense-cell E_Psave rows.
+#: SHA-256 of what `sleepnet validate --seed 7 --format json` prints, as
+#: (the echo block, the rest): the table, then the failure lines of the
+#: two dense-cell E_Psave rows.
 VALIDATE_SEED7_SHA256 = (
-    "3917a077cd719794b4763bcd1c3dbaa8f024650d76f6ffe36a5dee2bd296d589")
+    "c1284c271b11734916e0a0b9522c49653f61ae5266649ca34b0d50e672bce6a2",
+    "6cc4ec4a24970007b829c3de40277746540eb443d0b38d92cc19cc6771bf5693")
 
 #: SHA-256 of the header and the paper-fidelity rows, in order, of the
 #: file `sleepnet validate --seed 7 --format csv --out FILE` writes.  One
@@ -86,10 +92,11 @@ VALIDATE_SEED7_SHA256 = (
 VALIDATE_SEED7_PAPER_ROWS_SHA256 = (
     "4d14e970904a0c890d61e289358640c6035701653581d0689d4ec08c8a80eaec")
 
-#: SHA-256 of what `sleepnet sweep --format json` prints: the echoed
-#: config, then the default 3 x 3 table.
+#: SHA-256 of what `sleepnet sweep --format json` prints, as (the echo
+#: block, the default 3 x 3 table).
 SWEEP_SHA256 = (
-    "fa277e25868558c50ac86926c4f2129a8c4af171f20ac7afa0c523fdfb797941")
+    "4068ab69a9eaa38130a76b26a6937c87f5272191efeef903cea226059efe0113",
+    "fe90658f50a09955a2519092589765e2dd191b10b3c253a48c6a11e089576916")
 
 #: SHA-256 of each file `sleepnet sweep --preset fig2,fig3,fig4,fig5
 #: --format json --out preset` writes.
@@ -101,17 +108,22 @@ PRESET_SHA256 = {
 }
 
 #: SHA-256 of what `sleepnet simulate --mode timeline-heterogeneous
-#: --duration 1600 --seed S --format json` prints, by seed S.
+#: --duration 1600 --seed S --format json` prints, by seed S, as (the
+#: echo block, the rest).
 HETEROGENEOUS_SHA256 = {
-    0: "b0c8c03992b63fb95b2e4f80bcfe7ab7d34c1eb10e7d523d744831d4ef243d0c",
-    1: "b0a03708c68d51dd979fcc46d93c8ead3195a009ddac5c67b59c07698a3b1cf6",
-    2: "79a0823386364d3da2dab260e39a80ad8c58906b068a3b4c5916d69e0a56bd7b",
+    0: ("e4310e3dbe67edd16a153e56d4341338146ca8aff2f5c7a131cf0a0613c87338",
+        "dfc6c78a2e542a618e4bd0f73434cfeb2eb0243aeee1219e76735e13ee3bd2ab"),
+    1: ("97ee0d51ecb921348f8d87e06e41a708e60da6a1739fbc1694912172cebcb25c",
+        "60411de783c0fa11e1216512592b885a96f9bccbd99c71f6453d693cde1016ea"),
+    2: ("dea12444c0112673837ed2e77142e56abb70a77124f0c99ebc245e7e23cdbd3f",
+        "c85ed99b6f6e3cf4aba821347d2484b3a6f9e3544ed32be75b62cd70a08dafe8"),
 }
 
 #: SHA-256 of what `sleepnet simulate --mode timeline-common --v 60kmh
-#: --seed 0 --format json` prints.
+#: --seed 0 --format json` prints, as (the echo block, the rest).
 COMMON_SHA256 = (
-    "35909bdd59f9cb70abaadde5565b4b708baec1631354903c85208a6fe6429dc8")
+    "5670c184155266f53e7db567d2aca0890ef7d910304c271866a8b5493358d8c0",
+    "023f0e2ae9b807d14cc61f381c9bcd4bae21564091900596a62113405d0e60b0")
 
 
 def _flat(moments):
@@ -139,11 +151,18 @@ def test_sample_cycles_bits(key):
     assert got == PINNED[key]
 
 
-def test_validate_seed7_bytes():
+def _printed_sha256(argv, code=0):
+    """SHA-256 of the echo block argv prints and of the output after it."""
     out = io.StringIO()
-    assert main(["validate", "--seed", "7", "--format", "json"], out=out) == 1
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    assert digest == VALIDATE_SEED7_SHA256
+    assert main(argv, out=out) == code
+    echo, _, rest = out.getvalue().partition("\n\n")
+    return tuple(hashlib.sha256(part.encode("utf-8")).hexdigest()
+                 for part in (echo, rest))
+
+
+def test_validate_seed7_bytes():
+    argv = ["validate", "--seed", "7", "--format", "json"]
+    assert _printed_sha256(argv, code=1) == VALIDATE_SEED7_SHA256
 
 
 def test_validate_seed7_paper_rows(tmp_path):
@@ -158,10 +177,7 @@ def test_validate_seed7_paper_rows(tmp_path):
 
 
 def test_sweep_bytes():
-    out = io.StringIO()
-    assert main(["sweep", "--format", "json"], out=out) == 0
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    assert digest == SWEEP_SHA256
+    assert _printed_sha256(["sweep", "--format", "json"]) == SWEEP_SHA256
 
 
 def test_preset_bytes(tmp_path):
@@ -173,12 +189,6 @@ def test_preset_bytes(tmp_path):
         (tmp_path / f"preset_{name}.json").read_bytes()).hexdigest()
         for name in PRESET_SHA256}
     assert digests == PRESET_SHA256
-
-
-def _printed_sha256(argv):
-    out = io.StringIO()
-    assert main(argv, out=out) == 0
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("seed", sorted(HETEROGENEOUS_SHA256))
