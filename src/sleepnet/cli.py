@@ -30,7 +30,7 @@ from .analytic import baseline_power_saved, energy_figures
 from .experiments import (_PRESETS, FIGURE_PRESETS, METRICS, SweepGrid,
                           emit_table, figure_preset, run_sweep,
                           run_validation)
-from .params import CANONICAL, Fidelity, ModelParams, ParamError, parse_speed
+from .params import CANONICAL, ModelParams, ParamError, parse_speed
 from .simulate import RngSpec, estimate_energy, run_timeline, sample_cycles
 
 EXIT_OK = 0
@@ -68,15 +68,14 @@ def _speed(text: str) -> float:
         raise argparse.ArgumentTypeError(exc.constraint) from None
 
 
-_FIDELITIES = ("paper", "corrected")
-
 #: Every option a config file can set, as argparse keywords.
 _OPTIONS = {
     **{key: dict(type=float, default=getattr(CANONICAL, key))
        for key in ("rho", "r0", "D", "P0", "Ec")},
     "a": dict(type=_speed, default=CANONICAL.a, help="min speed, e.g. 40kmh"),
     "b": dict(type=_speed, default=CANONICAL.b, help="max speed, e.g. 80kmh"),
-    "fidelity": dict(choices=_FIDELITIES, default=CANONICAL.fidelity.value),
+    "fidelity": dict(choices=("paper", "corrected"),
+                     default=CANONICAL.fidelity.value),
     "mode": dict(choices=("cycles", "timeline-common",
                           "timeline-heterogeneous"), default="cycles"),
     "n": dict(type=int, default=100_000, help="renewal cycles (per cell)"),
@@ -87,9 +86,6 @@ _OPTIONS = {
     "r0_values": dict(type=float_list, default="100,200,400"),
     "metrics": dict(type=_comma_list,
                     help="comma list from: " + ", ".join(METRICS)),
-    "mc_fidelity": dict(
-        choices=_FIDELITIES,
-        help="estimate both rows of a cell under one fidelity"),
     "preset": dict(type=_comma_list,
                    help="comma list from: " + ", ".join(FIGURE_PRESETS)),
 }
@@ -105,10 +101,10 @@ _TEXT, _TABLE = ("text", "json"), ("csv", "json")
 #: Each call: its --format choices (the first is the default) and the
 #: options it reads besides the per-run flags, model parameters first
 #: in _MODEL's order; main takes the rest of ModelParams from CANONICAL.
-#: A grid's cells set rho and r0, validate runs both fidelities, and
-#: neither timeline reads the fidelity nor timeline-common the speed
-#: band.  simulate's mode and a sweep's preset, given by flag or config
-#: key, pick the call.
+#: A grid's cells set rho and r0, validate runs both fidelities, each
+#: row's estimate under its own, and neither timeline reads the fidelity
+#: nor timeline-common the speed band.  simulate's mode and a sweep's
+#: preset, given by flag or config key, pick the call.
 _CALLS = {
     "analytic": (_TEXT, _MODEL),
     "simulate --mode cycles": (_TEXT, _MODEL + ("mode", "n", "seed")),
@@ -119,7 +115,7 @@ _CALLS = {
         _TEXT, ("rho", "r0", "D", "a", "b", "P0", "Ec", "mode", "duration",
                 "seed")),
     "validate": (_TABLE, ("D", "a", "b", "P0", "Ec", "rho_values",
-                          "r0_values", "n", "seed", "mc_fidelity")),
+                          "r0_values", "n", "seed")),
     "sweep": (_TABLE, ("D", "a", "b", "P0", "Ec", "fidelity", "rho_values",
                        "r0_values", "metrics")),
     "sweep --preset": (_TABLE, _MODEL + ("preset",)),
@@ -266,9 +262,7 @@ def cmd_simulate(args, params: ModelParams, out) -> int:
 def cmd_validate(args, params: ModelParams, out) -> int:
     grid = SweepGrid(rho_values=args.rho_values, r0_values=args.r0_values,
                      fixed=params)
-    sampler = Fidelity(args.mc_fidelity) if args.mc_fidelity else None
-    report = run_validation(grid, args.n, RngSpec(args.seed),
-                            sampler_fidelity=sampler)
+    report = run_validation(grid, args.n, args.seed)
     _write_output(emit_table(report, args.format), args.out, out)
     if not report.all_passed:
         lost = [r for r in report.rows if r.z != r.z]   # nan: not compared
@@ -352,8 +346,10 @@ def parse_args(argv: List[str]) -> argparse.Namespace:
     command = argv[0]
     pre = argparse.ArgumentParser(f"sleepnet {command}", add_help=False,
                                   allow_abbrev=False)
+    # a flag without its value passes, for the call's parser to reject
+    # under the call's own usage line
     for key in ("config", "mode", "preset", "rho", "r0"):
-        pre.add_argument("--" + key)
+        pre.add_argument("--" + key, nargs="?", const="")
     given = pre.parse_known_args(argv[1:])[0]
     config = read_config(given.config) if given.config else {}
     call = command

@@ -256,9 +256,7 @@ def _compared_rows(params: ModelParams, est, analytic: dict,
 
 
 def run_validation(grid: SweepGrid, n_cycles: int,
-                   rng: RngSpec,
-                   sampler_fidelity: Optional[Fidelity] = None
-                   ) -> ValidationReport:
+                   seed: int) -> ValidationReport:
     """Cross-validate the analytic route against matched-fidelity Monte
     Carlo on every grid cell.
 
@@ -278,20 +276,12 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     density limits gets rows whose status names the limit, with value
     and z nan, and fails; the other cells are validated.
 
-    sampler_fidelity makes the Monte Carlo side estimate one fidelity, from
-    the same sums, for both comparisons (a deliberate-mismatch negative
-    control); by default the estimate matches the analytic fidelity row by
-    row.
-
     Besides the template's rho and r0 (``SweepGrid``), the report ignores
-    its fidelity, since every cell runs both, ``grid.metrics``, since it
-    always compares E_X, E_Toff and E_Psave, and ``rng.stream_id``, since
-    cell i draws on stream 2 i.
+    its fidelity, since every cell runs both, and ``grid.metrics``, since
+    it always compares E_X, E_Toff and E_Psave.
     """
     if n_cycles < 10_000:
         raise ValueError(f"need n_cycles >= 10000, got {n_cycles}")
-    if sampler_fidelity is not None:
-        sampler_fidelity = Fidelity(sampler_fidelity)
     cells = [[grid.fixed.replace(rho=rho, r0=r0, fidelity=fidelity)
               for fidelity in _FIDELITY_ORDER] for rho, r0 in grid.cells]
     laws = [params for pair in cells for params in pair]
@@ -300,7 +290,7 @@ def run_validation(grid: SweepGrid, n_cycles: int,
     for i, pair in enumerate(cells):
         try:
             plans.append(_plan_cycles(pair[0], n_cycles,
-                                      RngSpec(rng.master_seed, 2 * i)))
+                                      RngSpec(seed, 2 * i)))
         except ArithmeticError as exc:
             plans.append(exc)
     sums = iter(_run_cycles([plan for plan in plans
@@ -311,17 +301,14 @@ def run_validation(grid: SweepGrid, n_cycles: int,
         analytic = _cell_analytic(figures[2 * i:2 * i + 2])
         for params in pair:
             est = drawn if isinstance(drawn, Exception) else estimate_energy(
-                drawn, params.replace(
-                    fidelity=sampler_fidelity or params.fidelity))
+                drawn, params)
             rows.extend(_compared_rows(params, est, *analytic))
     meta = {
         "kind": "validation",
         "n_cycles": n_cycles,
-        "master_seed": rng.master_seed,
+        "master_seed": seed,
         "version": _version,
     }
-    if sampler_fidelity is not None:
-        meta["sampler_fidelity"] = sampler_fidelity.value
     return ValidationReport(rows=tuple(rows),
                             all_passed=all(row.passed for row in rows),
                             meta=meta)
